@@ -24,6 +24,7 @@ import numpy as np
 from .matcore import (
     Matrix,
     SubsystemDims,
+    apply_local,
     embed_operator,
     matrix_from_json,
     matrix_to_json,
@@ -141,29 +142,31 @@ class Channel:
 # ---------------------------------------------------------------------------
 
 
-def _kraus_arrays_on(ch: Channel, dims: SubsystemDims) -> list[np.ndarray]:
-    """Kraus arrays embedded into `dims`, support read as positions in dims."""
-    n = len(dims)
+def _check_fits(ch: Channel, dims: SubsystemDims) -> None:
+    """The channel's support, read as positions in dims, matches its factors."""
     for pos, s in enumerate(ch.support):
-        if not 0 <= s < n:
+        if not 0 <= s < len(dims):
             raise ValueError(f"channel support index {s} out of range for {dims.dims}")
         if dims[s] != ch.dims[pos]:
             raise ValueError(
                 f"subsystem {s} has dim {dims[s]}, channel factor expects {ch.dims[pos]}"
             )
-    if ch.support == tuple(range(n)):
+
+
+def _kraus_arrays_on(ch: Channel, dims: SubsystemDims) -> list[np.ndarray]:
+    """Kraus arrays embedded into `dims`, support read as positions in dims."""
+    _check_fits(ch, dims)
+    if ch.support == tuple(range(len(dims))):
         return [k.data for k in ch.kraus]
     return [embed_operator(k.data, ch.support, dims) for k in ch.kraus]
 
 
 def apply_channel(ch: Channel, rho: Matrix, *, validate: bool = True) -> Matrix:
-    """sum_i K_i rho K_i^dag, embedding the channel into rho's space."""
+    """sum_i K_i rho K_i^dag, each K_i acting on the channel's support in rho's space."""
     if validate and not rho.is_density():
         raise ValueError("input is not a density matrix")
-    ks = _kraus_arrays_on(ch, rho.dims)
-    out = np.zeros_like(rho.data)
-    for k in ks:
-        out = out + k @ rho.data @ k.conj().T
+    _check_fits(ch, rho.dims)
+    out = apply_local(rho.data, [k.data for k in ch.kraus], ch.support, rho.dims)
     return Matrix(out, rho.dims)
 
 

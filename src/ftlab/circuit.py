@@ -2,23 +2,26 @@
 
 A circuit is a flat list of locations (state preparations, gates,
 projective measurements, and explicit identity/storage slots) tagged with
-time steps. Three evaluators live here:
+time steps. All density-matrix evaluation runs through one walker,
+``_walk(c, hook)``, which applies each location's local Kraus set with
+``matcore.apply_local`` and then calls ``hook(loc, x)`` for that location's
+noise part: nothing in ``simulate_ideal``, the channel N in
+``simulate_noisy``, and the fault insertion N - I on the chosen locations
+in ``faultpaths.zeta_subset`` / ``zeta_earliest``.
 
-* ``simulate_ideal``: density-matrix evolution, intermediate measurements
-  handled by projector branching so later gates can condition on outcomes.
-* ``simulate_noisy``: same walk with a per-location noise channel applied
-  after each ideal operation.
-* ``simulate_with_environment``: joint pure-state evolution with explicit
-  environment qubits and per-location unitary couplings, for noise that is
-  not described by independent per-location channels.
+``simulate_with_environment`` instead evolves a joint system-environment
+pure state with per-location unitary couplings, for noise that independent
+per-location channels cannot describe; it steps the vector with the same
+kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .matcore import (
     Distribution,
     Matrix,
     SubsystemDims,
-    embed_operator,
+    apply_local,
     matrix_from_json,
     partial_trace,
     qubit_dims,
@@ -300,97 +303,94 @@ def validate_circuit(c: Circuit) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _initial_rho(n: int) -> np.ndarray:
-    d = 2**n
-    rho = np.zeros((d, d), dtype=np.complex128)
-    rho[0, 0] = 1.0
-    return rho
+def _walk(c: Circuit, hook: Callable[[Location, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Evolve |0...0><0...0| through every location of `c`.
 
-
-def _prep_kraus(loc: Location, dims: SubsystemDims) -> list[np.ndarray]:
-    d = loc.state.size
-    return [
-        embed_operator(np.outer(loc.state, np.eye(d)[k]), loc.support, dims)
-        for k in range(d)
-    ]
-
-
-def _walk(
-    c: Circuit,
-    noise: Mapping[int, Channel] | None,
-) -> list[tuple[dict[int, int], np.ndarray]]:
-    """Run the branching density-matrix evolution; returns (records, rho) pairs."""
+    A prep is its local reset Kraus set |psi><k|, a gate is [U], and a
+    measurement is the non-selective sum_a P_a x P_a unless a later gate is
+    conditioned on it, in which case the walk keeps one branch per outcome.
+    After each location, `hook(loc, x)` returns the branch state with that
+    location's noise part applied. Returns the sum over branches.
+    """
     dims = c.dims
-    branches: list[tuple[dict[int, int], np.ndarray]] = [({}, _initial_rho(c.n_system))]
+    rho0 = np.zeros((dims.total, dims.total), dtype=np.complex128)
+    rho0[0, 0] = 1.0
+    referenced = {loc.condition[0] for loc in c.locations if loc.condition is not None}
+    branches: list[tuple[dict[int, int], np.ndarray]] = [({}, rho0)]
     for loc in c.locations:
         if loc.kind == "prep":
-            ks = _prep_kraus(loc, dims)
-            branches = [
-                (rec, sum(k @ rho @ k.conj().T for k in ks)) for rec, rho in branches
-            ]
+            reset = [np.outer(loc.state, row) for row in np.eye(loc.state.size)]
+            branches = [(rec, apply_local(x, reset, loc.support, dims)) for rec, x in branches]
         elif loc.kind == "gate":
-            u = embed_operator(loc.gate.data, loc.support, dims)
-            ud = u.conj().T
-            if loc.condition is None:
-                branches = [(rec, u @ rho @ ud) for rec, rho in branches]
-            else:
-                ref, want = loc.condition
-                branches = [
-                    (rec, u @ rho @ ud if rec.get(ref) == want else rho)
-                    for rec, rho in branches
-                ]
-        elif loc.kind == "measure":
-            projs = [embed_operator(p.data, loc.support, dims) for p in loc.projectors]
-            split: list[tuple[dict[int, int], np.ndarray]] = []
-            for rec, rho in branches:
-                for a, m in enumerate(projs):
-                    new_rec = dict(rec)
-                    new_rec[loc.index] = a
-                    split.append((new_rec, m @ rho @ m))
-            branches = split
-        # identity: no state change
-        if noise is not None and loc.index in noise:
-            ch = noise[loc.index]
-            _check_local(ch, loc)
-            ks = [embed_operator(k.data, ch.support, dims) for k in ch.kraus]
+            cond = loc.condition
             branches = [
-                (rec, sum(k @ rho @ k.conj().T for k in ks)) for rec, rho in branches
+                (rec, x if cond and rec.get(cond[0]) != cond[1]
+                 else apply_local(x, [loc.gate.data], loc.support, dims))
+                for rec, x in branches
             ]
-    return branches
+        elif loc.kind == "measure" and loc.index in referenced:
+            branches = [
+                ({**rec, loc.index: a}, apply_local(x, [p.data], loc.support, dims))
+                for rec, x in branches
+                for a, p in enumerate(loc.projectors)
+            ]
+        elif loc.kind == "measure":
+            projs = [p.data for p in loc.projectors]
+            branches = [(rec, apply_local(x, projs, loc.support, dims)) for rec, x in branches]
+        # identity: no state change
+        branches = [(rec, hook(loc, x)) for rec, x in branches]
+    return sum(x for _, x in branches)
 
 
-def _check_local(ch: Channel, loc: Location) -> None:
-    if not set(ch.support) <= set(loc.support):
-        raise ValueError(
-            f"noise on location {loc.index} acts on {ch.support}, outside its "
-            f"support {loc.support}"
-        )
+def _noisy_hook(
+    c: Circuit, noise: Mapping[int, Channel]
+) -> Callable[[Location, np.ndarray], np.ndarray]:
+    """Hook applying noise[loc.index] after each location (none if absent).
+
+    Every key must name a location of `c`, and every channel must act inside
+    its location's support.
+    """
+    for idx, ch in noise.items():
+        if not 1 <= idx <= c.size:
+            raise ValueError(f"noise references unknown location {idx}")
+        loc = c.location(idx)
+        if not set(ch.support) <= set(loc.support):
+            raise ValueError(
+                f"noise on location {idx} acts on {ch.support}, outside its "
+                f"support {loc.support}"
+            )
+    kraus = {idx: ([k.data for k in ch.kraus], ch.support) for idx, ch in noise.items()}
+
+    def hook(loc: Location, x: np.ndarray) -> np.ndarray:
+        if loc.index not in kraus:
+            return x
+        return apply_local(x, *kraus[loc.index], c.dims)
+
+    return hook
 
 
-def _readout(c: Circuit, rho: np.ndarray) -> Distribution:
-    dims = c.dims
+def _readout(c: Circuit, rho: Matrix) -> Distribution:
+    """rho reduced onto the measured qubits, then one projector stack
+    contracted per qubit. Labels follow final_measure order; all are kept."""
     if not c.final_measure:
         return Distribution({"": 1.0})
-    embedded = [
-        [embed_operator(p.data, (fm.qubit,), dims) for p in fm.projectors]
-        for fm in c.final_measure
-    ]
-    probs: dict[str, float] = {}
-    labels = [""]
-    ops = [np.eye(dims.total, dtype=np.complex128)]
-    for projs in embedded:
-        labels = [lab + str(a) for lab in labels for a in range(len(projs))]
-        ops = [m @ p for m in ops for p in projs]
-    for lab, m in zip(labels, ops):
-        probs[lab] = max(0.0, float(np.trace(m @ rho).real))
-    return Distribution(probs)
+    qubits = [fm.qubit for fm in c.final_measure]
+    m = len(qubits)
+    perm = [sorted(qubits).index(q) for q in qubits]  # partial_trace sorts its axes
+    t = partial_trace(rho, qubits).data.reshape((2,) * 2 * m)
+    t = t.transpose(perm + [m + p for p in perm])
+    for j, fm in enumerate(c.final_measure):
+        # qubit j's row and column lead each half: tr(P rho) = sum P[i, l] rho[l, i]
+        t = np.tensordot(t, np.stack([p.data for p in fm.projectors]), ([0, m - j], [2, 1]))
+    labels = itertools.product(*(range(len(fm.projectors)) for fm in c.final_measure))
+    probs = zip(labels, t.reshape(-1))
+    return Distribution({"".join(map(str, a)): max(0.0, float(p.real)) for a, p in probs})
 
 
 def simulate_ideal(c: Circuit) -> tuple[Matrix, Distribution]:
     """Final density matrix (before read-out) and read-out distribution."""
-    branches = _walk(c, None)
-    rho = sum(r for _, r in branches)
-    return Matrix(rho, c.dims), _readout(c, rho)
+    rho = Matrix(_walk(c, lambda loc, x: x), c.dims)
+    return rho, _readout(c, rho)
 
 
 def simulate_noisy(
@@ -401,12 +401,8 @@ def simulate_noisy(
     `noise` maps location indices to channels whose support must stay inside
     the location's support; missing indices mean noiseless locations.
     """
-    for idx in noise:
-        if not 1 <= idx <= c.size:
-            raise ValueError(f"noise references unknown location {idx}")
-    branches = _walk(c, noise)
-    rho = sum(r for _, r in branches)
-    return Matrix(rho, c.dims), _readout(c, rho)
+    rho = Matrix(_walk(c, _noisy_hook(c, noise)), c.dims)
+    return rho, _readout(c, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +509,9 @@ def simulate_with_environment(
                     f"prep at location {loc.index} is not the first operation "
                     "on its qubits"
                 )
-            u = embed_operator(_completion_unitary(loc.state), loc.support, dims)
-            psi = u @ psi
+            psi = apply_local(psi, [_completion_unitary(loc.state)], loc.support, dims)
         elif loc.kind == "gate":
-            psi = embed_operator(loc.gate.data, loc.support, dims) @ psi
+            psi = apply_local(psi, [loc.gate.data], loc.support, dims)
         elif loc.kind == "measure":
             if loc.index in env.couplings:
                 raise ValueError("measurements must be ideal (no coupling)")
@@ -535,14 +530,13 @@ def simulate_with_environment(
                     f"coupling at location {loc.index} acts on {coupling.support}, "
                     f"outside support plus environment"
                 )
-            psi = embed_operator(coupling.unitary.data, coupling.support, dims) @ psi
-    joint = Matrix(np.outer(psi, psi.conj()), dims)
-    rho_sys = partial_trace(joint, range(n_sys)).data
-    sys_dims = qubit_dims(n_sys)
+            psi = apply_local(psi, [coupling.unitary.data], coupling.support, dims)
+    m = psi.reshape(2**n_sys, 2**env.n_env)
+    rho_sys = m @ m.conj().T
     for loc in deferred:
-        projs = [embed_operator(p.data, loc.support, sys_dims) for p in loc.projectors]
-        rho_sys = sum(m @ rho_sys @ m for m in projs)
-    return Matrix(rho_sys, sys_dims), _readout(c, rho_sys)
+        rho_sys = apply_local(rho_sys, [p.data for p in loc.projectors], loc.support, c.dims)
+    rho = Matrix(rho_sys, c.dims)
+    return rho, _readout(c, rho)
 
 
 # ---------------------------------------------------------------------------

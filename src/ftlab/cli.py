@@ -226,13 +226,16 @@ def _load_config(path: str, args: argparse.Namespace) -> dict:
     return config
 
 
-def _resolved_for_embedding(config: dict) -> dict:
-    # workers and the output path tune execution/placement, not results;
-    # keeping them out preserves byte-identity across worker counts and
-    # across runs that only differ in where the report lands
-    out = {k: v for k, v in config.items() if k != "workers"}
-    out["output"] = {"format": config["output"]["format"]}
-    return out
+def _report(command: str, config: dict, results: dict, records: list[dict]) -> Report:
+    """Report embedding the resolved config minus workers and output path.
+
+    Those two tune execution and placement, not results; keeping them out
+    preserves byte-identity across worker counts and across runs that only
+    differ in where the report lands.
+    """
+    embedded = {k: v for k, v in config.items() if k != "workers"}
+    embedded["output"] = {"format": config["output"]["format"]}
+    return Report(command, embedded, results, records, seed=config["seed"])
 
 
 # -- command implementations ---------------------------------------------------
@@ -284,10 +287,7 @@ def _cmd_strength(config: dict, workers: int) -> Report:
         results = {"evaluator": ev, "strength": environment_strength(env)}
     else:
         raise ValueError(f"unknown strength evaluator {ev!r}")
-    return Report(
-        "strength", _resolved_for_embedding(config), results, [dict(results)],
-        seed=config["seed"],
-    )
+    return _report("strength", config, results, [dict(results)])
 
 
 def _cmd_accuracy(config: dict, workers: int) -> Report:
@@ -316,10 +316,7 @@ def _cmd_accuracy(config: dict, workers: int) -> Report:
         "bound": bound,
         "within_bound": bool(delta <= bound + 1e-12),
     }
-    return Report(
-        "accuracy", _resolved_for_embedding(config), results, [dict(results)],
-        seed=config["seed"],
-    )
+    return _report("accuracy", config, results, [dict(results)])
 
 
 def _cmd_faultpaths(config: dict, workers: int) -> Report:
@@ -334,10 +331,7 @@ def _cmd_faultpaths(config: dict, workers: int) -> Report:
             "detail": verdict.detail,
         }
         rec = {k: results[k] for k in ("mode", "ok", "detail")}
-        return Report(
-            "faultpaths", _resolved_for_embedding(config), results, [rec],
-            seed=config["seed"],
-        )
+        return _report("faultpaths", config, results, [rec])
     c = circuit_from_json(params["circuit"])
     noise = noise_map_from_json(params.get("noise", {}))
     if mode == "subset":
@@ -362,10 +356,7 @@ def _cmd_faultpaths(config: dict, workers: int) -> Report:
     results["trace_norm"] = trace_norm(zeta.data)
     results["matrix"] = matrix_to_json(zeta)
     rec = {k: v for k, v in results.items() if k not in ("matrix", "subset")}
-    return Report(
-        "faultpaths", _resolved_for_embedding(config), results, [rec],
-        seed=config["seed"],
-    )
+    return _report("faultpaths", config, results, [rec])
 
 
 def _cmd_truncate(config: dict, workers: int) -> Report:
@@ -394,10 +385,7 @@ def _cmd_truncate(config: dict, workers: int) -> Report:
         "truncated": [sorted(ids) for ids in cls.truncated],
         "any_bad": cls.any_bad,
     }
-    return Report(
-        "truncate", _resolved_for_embedding(config), results, per_gadget,
-        seed=config["seed"],
-    )
+    return _report("truncate", config, results, per_gadget)
 
 
 def _cmd_levelred(config: dict, workers: int) -> Report:
@@ -425,10 +413,7 @@ def _cmd_levelred(config: dict, workers: int) -> Report:
         "samples": samples,
         "levels": rows,
     }
-    return Report(
-        "levelred", _resolved_for_embedding(config), results, [dict(r) for r in rows],
-        seed=config["seed"],
-    )
+    return _report("levelred", config, results, [dict(r) for r in rows])
 
 
 def _cmd_threshold(config: dict, workers: int) -> Report:
@@ -475,10 +460,7 @@ def _cmd_threshold(config: dict, workers: int) -> Report:
             "ci_high": ci[1],
             "mode": sub.get("mode", "exact"),
         }
-    return Report(
-        "threshold", _resolved_for_embedding(config), results, records,
-        seed=config["seed"],
-    )
+    return _report("threshold", config, results, records)
 
 
 _RUNNERS = {

@@ -22,11 +22,12 @@ from .channels import Channel
 from .circuit import (
     Circuit,
     EnvironmentSpec,
+    _noisy_hook,
+    _walk,
     simulate_ideal,
     simulate_noisy,
     simulate_with_environment,
 )
-from .matcore import embed_operator
 
 # Exhaustive-enumeration guards.
 SUBSET_LOCATION_CAP = 16
@@ -44,41 +45,6 @@ def _require_unconditioned(c: Circuit) -> None:
             "fault-path expansion needs a condition-free circuit; apply "
             "rewrite_conditioned_gates first"
         )
-
-
-def _ideal_step(loc, x: np.ndarray, dims) -> np.ndarray:
-    if loc.kind == "prep":
-        d = loc.state.size
-        out = np.zeros_like(x)
-        for k in range(d):
-            op = embed_operator(np.outer(loc.state, np.eye(d)[k]), loc.support, dims)
-            out += op @ x @ op.conj().T
-        return out
-    if loc.kind == "gate":
-        u = embed_operator(loc.gate.data, loc.support, dims)
-        return u @ x @ u.conj().T
-    if loc.kind == "measure":
-        out = np.zeros_like(x)
-        for p in loc.projectors:
-            m = embed_operator(p.data, loc.support, dims)
-            out += m @ x @ m
-        return out
-    return x  # identity
-
-
-def _noise_step(ch: Channel, x: np.ndarray, dims) -> np.ndarray:
-    out = np.zeros_like(x)
-    for k in ch.kraus:
-        op = embed_operator(k.data, ch.support, dims)
-        out += op @ x @ op.conj().T
-    return out
-
-
-def _initial(c: Circuit) -> np.ndarray:
-    d = 2**c.n_system
-    rho = np.zeros((d, d), dtype=np.complex128)
-    rho[0, 0] = 1.0
-    return rho
 
 
 def zeta_subset(
@@ -110,16 +76,14 @@ def zeta_subset(
         raise ExhaustiveCapError(
             f"subset evaluation capped at L <= {SUBSET_LOCATION_CAP} locations"
         )
-    dims = c.dims
-    x = _initial(c)
-    for loc in c.locations:
-        x = _ideal_step(loc, x, dims)
-        ch = noise.get(loc.index)
+    noisy = _noisy_hook(c, noise)
+
+    def hook(loc, x):
         if loc.index in chosen:
-            x = (_noise_step(ch, x, dims) - x) if ch is not None else np.zeros_like(x)
-        elif complement == "noisy" and ch is not None:
-            x = _noise_step(ch, x, dims)
-    return Matrix(x, dims)
+            return noisy(loc, x) - x
+        return noisy(loc, x) if complement == "noisy" else x
+
+    return Matrix(_walk(c, hook), c.dims)
 
 
 def zeta_earliest(c: Circuit, noise: Mapping[int, Channel], r: int) -> Matrix:
@@ -132,16 +96,14 @@ def zeta_earliest(c: Circuit, noise: Mapping[int, Channel], r: int) -> Matrix:
     _require_unconditioned(c)
     if not 1 <= r <= c.size:
         raise ValueError(f"location index {r} outside 1..{c.size}")
-    dims = c.dims
-    x = _initial(c)
-    for loc in c.locations:
-        x = _ideal_step(loc, x, dims)
-        ch = noise.get(loc.index)
-        if loc.index == r:
-            x = (_noise_step(ch, x, dims) - x) if ch is not None else np.zeros_like(x)
-        elif loc.index > r and ch is not None:
-            x = _noise_step(ch, x, dims)
-    return Matrix(x, dims)
+    noisy = _noisy_hook(c, noise)
+
+    def hook(loc, x):
+        if loc.index < r:
+            return x
+        return noisy(loc, x) - x if loc.index == r else noisy(loc, x)
+
+    return Matrix(_walk(c, hook), c.dims)
 
 
 def accuracy_delta_exact(

@@ -4,7 +4,9 @@ Everything downstream (channels, circuit simulation, fault-path sums) works
 with operators on a tensor product of small subsystems. This module pins the
 conventions once: row-major complex128 storage, explicit per-subsystem
 dimensions, and a hard cap on the total dimension so a desk-scale run cannot
-silently allocate gigabytes.
+silently allocate gigabytes. Local operators act on states and density
+matrices through `apply_local`, which contracts only the axes they touch;
+`embed_operator` builds the full-space matrix where one is really needed.
 """
 
 from __future__ import annotations
@@ -288,6 +290,35 @@ def kolmogorov_distance(p: Distribution, q: Distribution) -> float:
     return float(sum(abs(p[k] - q[k]) for k in keys))
 
 
+def _local_setup(op: np.ndarray, support: Sequence[int], dims: SubsystemDims | Sequence[int]):
+    """Validated (op as complex128, support, all dims, support dims) for a
+    local operator (or a stack of them) factoring over `support`."""
+    if not isinstance(dims, SubsystemDims):
+        dims = SubsystemDims(tuple(dims))
+    support = tuple(int(i) for i in support)
+    if len(set(support)) != len(support):
+        raise ValueError(f"support has duplicates: {support}")
+    for i in support:
+        if not 0 <= i < len(dims):
+            raise ValueError(f"support index {i} out of range for {dims.dims}")
+    op = np.asarray(op, dtype=np.complex128)
+    sup_dims = tuple(dims[i] for i in support)
+    d_sup = math.prod(sup_dims)
+    if op.shape[-2:] != (d_sup, d_sup):
+        raise ValueError(
+            f"operator shape {op.shape[-2:]} does not match support dims {d_sup}"
+        )
+    return op, support, dims.dims, sup_dims
+
+
+def _contract(op: np.ndarray, t: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Contract the input half of `op`'s axes with the `axes` of `t`; the
+    outputs take the place of the contracted axes."""
+    k = len(axes)
+    out = np.tensordot(op, t, axes=(range(k, 2 * k), axes))
+    return np.moveaxis(out, range(k), axes)
+
+
 def embed_operator(
     op: np.ndarray,
     support: Sequence[int],
@@ -299,36 +330,44 @@ def embed_operator(
     `support` lists which global subsystems the rows/cols of `op` refer to,
     in op's own factor order. Duplicate indices are rejected.
     """
-    if not isinstance(total_dims, SubsystemDims):
-        total_dims = SubsystemDims(tuple(total_dims))
-    dims = total_dims.dims
-    n = len(dims)
-    support = tuple(int(i) for i in support)
-    if len(set(support)) != len(support):
-        raise ValueError(f"support has duplicates: {support}")
-    for i in support:
-        if not 0 <= i < n:
-            raise ValueError(f"support index {i} out of range for {dims}")
-    op = np.asarray(op, dtype=np.complex128)
-    d_sup = math.prod(dims[i] for i in support)
-    if op.shape != (d_sup, d_sup):
-        raise ValueError(
-            f"operator shape {op.shape} does not match support dims {d_sup}"
-        )
-    rest = [i for i in range(n) if i not in support]
-    if not rest:
-        if support == tuple(range(n)):
-            return op
-    d_rest = math.prod(dims[i] for i in rest) if rest else 1
-    full = np.kron(op, np.eye(d_rest, dtype=np.complex128))
-    order = list(support) + rest  # current subsystem order of `full`
-    shape = [dims[i] for i in order]
-    full = full.reshape(shape + shape)
-    # transpose so global subsystem i sits at axis i
-    pos = np.argsort(order)
-    full = full.transpose(list(pos) + [n + int(j) for j in pos])
-    d = total_dims.total
+    op, support, dims, sup_dims = _local_setup(op, support, total_dims)
+    d = math.prod(dims)
+    eye = np.eye(d, dtype=np.complex128).reshape(dims * 2)
+    full = _contract(op.reshape(sup_dims * 2), eye, list(support))
     return np.ascontiguousarray(full.reshape(d, d))
+
+
+def apply_local(
+    x: np.ndarray,
+    ops: Sequence[np.ndarray],
+    support: Sequence[int],
+    dims: SubsystemDims | Sequence[int],
+) -> np.ndarray:
+    """sum_k K_k x K_k^dag with every K_k acting on the subsystems `support`.
+
+    Axis convention: `x` has side prod(dims) and is viewed with one axis per
+    subsystem in `dims` order, row-major (subsystem 0 most significant),
+    row axes first, then column axes. Each K_k factors over `support` in
+    the order listed, as in `embed_operator`: support (2, 0) makes
+    subsystem 2 the most significant factor of K_k. Only the support axes
+    are contracted, so a matrix costs O(d^2 d_sup^2), not O(d^3).
+
+    A 1-D `x` is a state vector and takes the left action only,
+    sum_k K_k x. `dims` may be any subsystem dimensions, not just qubits.
+    The result has the shape of `x`.
+    """
+    ks, support, dims, sup_dims = _local_setup(ops, support, dims)
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim not in (1, 2) or x.shape != (math.prod(dims),) * x.ndim:
+        raise ValueError(f"shape {x.shape} is neither a vector nor a matrix on {dims}")
+    if x.ndim == 1:
+        op, axes = ks.sum(axis=0), list(support)
+    else:
+        # superoperator sum_k K_k (x) conj(K_k), axes (out_row, out_col, in_row, in_col)
+        op = np.einsum("kab,kcd->acbd", ks, ks.conj())
+        axes = list(support) + [len(dims) + i for i in support]
+    op = op.reshape(sup_dims * (2 * x.ndim))
+    return _contract(op, x.reshape(dims * x.ndim), axes).reshape(x.shape)
 
 
 # -- JSON interchange ---------------------------------------------------------

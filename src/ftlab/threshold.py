@@ -86,7 +86,7 @@ def required_level(L: int, delta0: float, eps: float, p: SchemeParams) -> int:
 
     Found by direct scan (cap 64 levels) to avoid rounding ambiguity at the
     boundary; the log form of the same inequality is re-checked on the
-    answer as a consistency assertion.
+    answer as a consistency check that raises RuntimeError.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -113,8 +113,10 @@ def required_level(L: int, delta0: float, eps: float, p: SchemeParams) -> int:
     if k > 0 and eps > 0:
         # log form: smallest k with (t+1)^k >= log((e-1) L eps0 / delta0) / log(eps0/eps)
         ratio = math.log((math.e - 1.0) * L * eps0 / delta0) / math.log(eps0 / eps)
-        assert (p.t + 1) ** k >= ratio * (1.0 - 1e-9), "level scan disagrees with log form"
-        assert (p.t + 1) ** (k - 1) < ratio * (1.0 + 1e-9), "level scan is not minimal"
+        if (p.t + 1) ** k < ratio * (1.0 - 1e-9):
+            raise RuntimeError("level scan disagrees with log form")
+        if (p.t + 1) ** (k - 1) >= ratio * (1.0 + 1e-9):
+            raise RuntimeError("level scan is not minimal")
     return k
 
 

@@ -122,6 +122,29 @@ def test_simulate_ideal_bell_pair():
     np.testing.assert_allclose(rho.data, np.outer(bell, bell.conj()), atol=1e-12)
 
 
+def test_simulate_ideal_mixes_unreferenced_and_conditioned_measurements():
+    # q1 copies the outcome of q0's measurement through a conditioned X;
+    # the unreferenced measurement of q2 dephases |+>, so H no longer
+    # returns it to |0>
+    c = seq(
+        3,
+        Location.prep(0, 0, 0, KET_PLUS),
+        Location.prep(0, 0, 1, KET0),
+        Location.prep(0, 0, 2, KET_PLUS),
+        Location.measure(0, 0, 0),
+        Location.measure(0, 0, 2),
+        Location.gate_on(0, 0, 1, SIGMA_X, condition=(4, 1)),
+        Location.gate_on(0, 0, 2, HADAMARD),
+        measure=[2, 0, 1],
+    )
+    rho, dist = simulate_ideal(c)
+    for label in ("000", "100", "011", "111"):
+        assert dist[label] == pytest.approx(0.25, abs=1e-12)
+    assert sorted(dist.probs) == sorted(f"{i:03b}" for i in range(8))
+    want = np.kron(np.diag([0.5, 0, 0, 0.5]), np.eye(2) / 2)
+    np.testing.assert_allclose(rho.data, want, atol=1e-12)
+
+
 def test_simulate_noisy_identity_matches_ideal():
     c = seq(
         2,

@@ -291,6 +291,35 @@ def test_accuracy_command_within_bound(tmp_path, capsysbinary):
     assert r["delta"] <= r["bound"] + 1e-12
 
 
+def test_accuracy_command_ten_qubits(tmp_path, capsysbinary):
+    # a noisy GHZ preparation on 10 qubits, one zoo channel per location
+    n = 10
+    locs = [{"kind": "prep", "support": [q], "state": "+" if q == 0 else "0"} for q in range(n)]
+    locs += [{"kind": "gate", "support": [q, q + 1], "gate": "CNOT"} for q in range(n - 1)]
+    locs += [{"kind": "identity", "support": [n - 1]}, {"kind": "gate", "support": [0], "gate": "Rz(0.3)"}]
+    zoo = [
+        {"kind": "depolarizing", "p": 0.004},
+        {"kind": "amplitude_damping", "t0": 0.003, "t1": 1.0},
+        {"kind": "control_rotation", "delta_theta": 0.005},
+    ]
+    noise = {
+        str(i + 1): {**zoo[i % 3], "support": [loc["support"][-1]]}
+        for i, loc in enumerate(locs)
+    }
+    cfg = write_config(
+        tmp_path,
+        "acc10.json",
+        {"command": "accuracy", "params": {"circuit": {"n_system": n, "locations": locs},
+                                           "noise": noise}},
+    )
+    code, out, err = run(capsysbinary, ["accuracy", "--config", cfg])
+    assert code == 0, err
+    r = json.loads(out)["results"]
+    assert r["locations"] == len(locs) == 21
+    assert 0.0 < r["delta"] <= r["bound"]
+    assert r["within_bound"] is True
+
+
 def test_emit_report_csv_edge_cases():
     rep = Report("threshold", {"command": "threshold"}, {}, [], ("a", "b"), 0)
     assert emit_report(rep, "csv") == b"a,b\n"
@@ -320,17 +349,3 @@ def test_json_float_round_trip_exact():
     assert doc["xs"] == values
     with pytest.raises(ValueError):
         json_dumps({"x": math.inf})
-
-
-def test_packaged_schemas_match_repo_copies():
-    import pathlib
-
-    import ftlab
-
-    pkg_dir = pathlib.Path(ftlab.__file__).parent / "schemas"
-    repo_dir = pathlib.Path(__file__).resolve().parents[1] / "schemas"
-    names = sorted(p.name for p in pkg_dir.glob("*.json"))
-    assert names == sorted(p.name for p in repo_dir.glob("*.json"))
-    assert names  # at least one schema ships
-    for name in names:
-        assert (pkg_dir / name).read_bytes() == (repo_dir / name).read_bytes()

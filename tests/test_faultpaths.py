@@ -263,6 +263,27 @@ def test_zeta_caps():
     assert np.allclose(big.data, 0.0)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda c, noise: simulate_noisy(c, noise),
+        lambda c, noise: accuracy_delta_exact(c, noise),
+        lambda c, noise: zeta_subset(c, noise, {1}),
+        lambda c, noise: zeta_subset(c, noise, {2}, complement="ideal"),
+        lambda c, noise: zeta_earliest(c, noise, 1),
+    ],
+    ids=["simulate_noisy", "accuracy_delta_exact", "zeta_subset", "zeta_subset_ideal",
+         "zeta_earliest"],
+)
+def test_every_noisy_walk_rejects_unknown_or_nonlocal_noise(evaluate):
+    c = Circuit.sequential(2, [Location.prep(0, 0, 0, KET0), Location.prep(0, 0, 1, KET0)])
+    dep = NoiseSpec.depolarizing(0.1)
+    with pytest.raises(ValueError, match="unknown location"):
+        evaluate(c, {99: make_noise_channel(dep, support=(0,))})
+    with pytest.raises(ValueError, match="outside its support"):
+        evaluate(c, {1: make_noise_channel(dep, support=(1,))})
+
+
 def test_zeta_requires_condition_free_circuit():
     ops = [
         Location.prep(0, 0, 0, KET0),

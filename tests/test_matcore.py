@@ -7,6 +7,7 @@ from ftlab.matcore import (
     Distribution,
     Matrix,
     SubsystemDims,
+    apply_local,
     embed_operator,
     kolmogorov_distance,
     matrix_from_json,
@@ -203,6 +204,45 @@ def test_embed_operator_matches_vector_action():
     lhs = full @ np.kron(a, np.kron(b, c))
     rhs = np.kron(a, np.kron(op @ b, c))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dims, support",
+    [
+        ((2, 2, 2), (1,)),
+        ((2, 2, 2), (2, 0)),
+        ((2, 2, 2, 2), (3, 1)),
+        ((2, 3, 2), (1,)),
+        ((2, 3, 2), (2, 0)),
+        ((2, 3, 2), (0, 2, 1)),
+    ],
+)
+@pytest.mark.parametrize("vector", [False, True])
+def test_apply_local_matches_dense_embedding(dims, support, vector):
+    rng = np.random.default_rng(14)
+    d = int(np.prod(dims))
+    d_sup = int(np.prod([dims[i] for i in support]))
+    ops = [random_matrix(rng, d_sup) for _ in range(3)]
+    full = [embed_operator(k, support, dims) for k in ops]
+    if vector:
+        x = rng.normal(size=d) + 1j * rng.normal(size=d)
+        want = sum(k @ x for k in full)
+    else:
+        x = random_matrix(rng, d)
+        want = sum(k @ x @ k.conj().T for k in full)
+    got = apply_local(x, ops, support, dims)
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_apply_local_rejects_mismatched_shapes():
+    x = np.eye(8, dtype=np.complex128)
+    with pytest.raises(ValueError):
+        apply_local(x, [np.eye(4)], (0,), qubit_dims(3))
+    with pytest.raises(ValueError):
+        apply_local(x, [np.eye(2)], (0, 0), qubit_dims(3))
+    with pytest.raises(ValueError):
+        apply_local(np.eye(4), [np.eye(2)], (0,), qubit_dims(3))
 
 
 def test_json_round_trip():

@@ -1,7 +1,11 @@
+import ast
 import math
+import pathlib
 
 import pytest
 
+import ftlab
+import ftlab.threshold
 from ftlab.gadgets import level1_failure_exact
 from ftlab.threshold import (
     SchemeParams,
@@ -98,6 +102,25 @@ def test_required_level_worked_example():
         if (math.e - 1) * 10**6 * strength_at_level(3e-5, kk, P100) <= 1e-3
     )
     assert k == want == 4
+
+
+def test_required_level_raises_when_scan_disagrees_with_log_form(monkeypatch):
+    # a scan that stops at level 1 contradicts the log form of the answer (4)
+    monkeypatch.setattr(
+        ftlab.threshold, "strength_at_level", lambda eps, k, p: eps if k == 0 else 0.0
+    )
+    with pytest.raises(RuntimeError, match="log form"):
+        required_level(10**6, 1e-3, 3e-5, P100)
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips assert statements, so no runtime check may use one
+    found = []
+    for path in sorted(pathlib.Path(ftlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"assert statements in the package: {found}"
 
 
 def test_required_level_zero_when_bound_already_met():
