@@ -10,8 +10,9 @@ of worker count. CSV reports are the flat per-record projection meant for
 plotting tools.
 
 Exit codes: 0 success, 2 config/validation error, 3 refused work (an
-exhaustive-enumeration cap or the Monte Carlo budget). Errors print a
-single JSON object {"error": reason, "exit": code} to stderr.
+exhaustive-enumeration cap, the Monte Carlo budget, or, as a last resort,
+running out of memory). Errors print a single JSON object
+{"error": reason, "exit": code} to stderr.
 """
 
 from __future__ import annotations
@@ -532,6 +533,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.buffer.flush()
     except (ExhaustiveCapError, BudgetExceededError) as exc:
         return _fail(3, str(exc))
+    except MemoryError as exc:
+        return _fail(3, f"out of memory: {exc}" if str(exc) else "out of memory")
     except (
         ValueError,
         TypeError,

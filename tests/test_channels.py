@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ftlab import channels
 from ftlab.channels import (
     SIGMA_X,
     SIGMA_Y,
@@ -194,10 +195,118 @@ def test_diamond_distance_symmetry_and_triangle():
     ab_hi = diamond_distance(chans[0], chans[1], restarts=8)[1]
     bc_hi = diamond_distance(chans[1], chans[2], restarts=8)[1]
     assert ac_lo <= ab_hi + bc_hi + 1e-8
-    assert ab + bc >= ac_lo - 1e-8 or True  # lower bounds need not chain
     assert diamond_distance(chans[0], chans[1], restarts=8)[0] <= diamond_distance(
         chans[0], chans[1], restarts=8
     )[1]
+
+
+CNOT = np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]]
+
+
+def noisy_cnot(spec):
+    """(N ⊗ N)∘CNOT and CNOT, both on qubits (0, 1)."""
+    noise = compose_channels(
+        make_noise_channel(spec, support=(1,)), make_noise_channel(spec, support=(0,))
+    )
+    cnot = Channel.unitary(CNOT, (2, 2), (0, 1))
+    return compose_channels(noise, cnot), cnot
+
+
+def stacked(a, b):
+    kraus = np.stack([k.data for k in a.kraus + b.kraus])
+    return kraus, np.repeat([1.0, -1.0], [len(a.kraus), len(b.kraus)])
+
+
+def count_objective_rows(monkeypatch):
+    """Record the batch size of every objective evaluation."""
+    rows = []
+    real = channels._objective
+
+    def counted(kraus, signs, psi):
+        rows.append(len(psi))
+        return real(kraus, signs, psi)
+
+    monkeypatch.setattr(channels, "_objective", counted)
+    return rows
+
+
+def test_objective_matches_per_kraus_loop():
+    rng = np.random.default_rng(31)
+    for d in (2, 4):
+        a, b = random_channel(rng, d, 3), random_channel(rng, d, 2)
+        kraus, signs = stacked(a, b)
+        psi = rng.normal(size=(3, d * d)) + 1j * rng.normal(size=(3, d * d))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        f, s, v = channels._objective(kraus, signs, psi)
+        for r in range(3):
+            mat = psi[r].reshape(d, d)
+            outs = [k.data @ mat for k in a.kraus + b.kraus]
+            np.testing.assert_allclose(v[r], [o.reshape(-1) for o in outs], atol=1e-15)
+            delta = sum(sg * np.outer(o, o.conj()) for sg, o in zip(signs, outs))
+            assert f[r] == pytest.approx(trace_norm(delta), rel=1e-12)
+            # S is the sign of delta: Hermitian, with tr(S delta) = ||delta||_1
+            np.testing.assert_allclose(s[r], s[r].conj().T, atol=1e-12)
+            assert np.trace(s[r] @ delta).real == pytest.approx(f[r], rel=1e-12)
+
+
+def test_ascent_batch_matches_each_start_alone():
+    rng = np.random.default_rng(32)
+    for d in (2, 4):
+        for _ in range(3):
+            kraus, signs = stacked(random_channel(rng, d, 3), random_channel(rng, d, 2))
+            starts = rng.normal(size=(6, d * d)) + 1j * rng.normal(size=(6, d * d))
+            batch = channels._ascend(kraus, signs, starts, 1e-10)
+            for r in range(6):
+                alone = channels._ascend(kraus, signs, starts[r : r + 1], 1e-10)
+                assert batch[r] == pytest.approx(alone[0], rel=1e-12)
+
+
+def test_diamond_interval_independent_of_chunk_size(monkeypatch):
+    rng = np.random.default_rng(33)
+    pairs = [(random_channel(rng, 2, 3), random_channel(rng, 2, 2))]
+    pairs.append(noisy_cnot(NoiseSpec.amplitude_damping(0.2, 1.0)))
+    for a, b in pairs:
+        full = diamond_distance(a, b, restarts=10, seed=4)
+        for rows in (1, 3):
+            monkeypatch.setattr(channels, "_ASCENT_CHUNK_BYTES", rows * 16 * a.dim**4)
+            assert diamond_distance(a, b, restarts=10, seed=4) == full
+        monkeypatch.undo()
+
+
+def test_diamond_closed_interval_runs_first_start_only(monkeypatch):
+    ident = Channel.identity(qubit_dims(1))
+    cases = [
+        (make_noise_channel(NoiseSpec.probabilistic(0.1, SIGMA_X)), ident),
+        noisy_cnot(NoiseSpec.depolarizing(0.05)),
+    ]
+    for a, b in cases:
+        rows = count_objective_rows(monkeypatch)
+        one = diamond_distance(a, b, restarts=1)
+        first = list(rows)
+        assert first and set(first) == {1}
+        many = diamond_distance(a, b, restarts=32)
+        assert rows[len(first) :] == first
+        assert many == one
+        monkeypatch.undo()
+
+
+def test_diamond_open_interval_runs_every_restart(monkeypatch):
+    a, b = noisy_cnot(NoiseSpec.amplitude_damping(0.2, 1.0))
+    entangled = diamond_distance(a, b, restarts=1)
+    rows = count_objective_rows(monkeypatch)
+    lo, hi = diamond_distance(a, b, restarts=32)
+    assert 31 in rows
+    assert entangled.lower <= lo <= hi
+    assert hi == entangled.upper
+    assert lo < hi * (1 - 1e-10)
+
+
+def test_diamond_distance_rejects_tol_outside_unit_interval():
+    ch = make_noise_channel(NoiseSpec.depolarizing(0.1))
+    ident = Channel.identity(qubit_dims(1))
+    for tol in (0.0, -1e-3, 1.0, 2.0):
+        with pytest.raises(ValueError, match="tol"):
+            diamond_distance(ch, ident, tol=tol)
 
 
 def test_make_noise_channel_examples():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ftlab import cli
 from ftlab.cli import Report, emit_report, json_dumps, main
 
 
@@ -97,6 +98,22 @@ def test_cap_refusal_exits_3(tmp_path, capsysbinary):
     )
     code, _, err = run(capsysbinary, ["faultpaths", "--config", cfg])
     assert code == 3
+
+
+def test_memory_error_exits_3(tmp_path, capsysbinary, monkeypatch):
+    def exhausted(config, workers):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._RUNNERS, "threshold", exhausted)
+    cfg = write_config(tmp_path, "th.json", {"command": "threshold", "params": {}})
+    code, out, err = run(capsysbinary, ["threshold", "--config", cfg])
+    assert code == 3
+    assert out == b""
+    assert err.count(b"\n") == 1
+    msg = json.loads(err)
+    assert set(msg) == {"error", "exit"}
+    assert msg["exit"] == 3
+    assert "out of memory" in msg["error"]
 
 
 def test_subset_size_refused_at_cli(tmp_path, capsysbinary):
