@@ -176,6 +176,18 @@ def _popcounts(n_bits: int) -> np.ndarray:
     return counts.astype(np.int64)
 
 
+def _subset_sums(a: np.ndarray, n_bits: int) -> np.ndarray:
+    """In place: a[p] <- sum of a[c] over every subset mask c of p.
+
+    The subset-sum (zeta) transform, one pass per bit: pass i adds each
+    entry without bit i into its partner with bit i set.
+    """
+    for i in range(n_bits):
+        v = a.reshape(-1, 2, 1 << i)
+        v[:, 1] += v[:, 0]
+    return a
+
+
 def verify_ie_identity(L0: int, t: int) -> IEVerdict:
     """Exhaustively check both subset-counting identities on {1..L0}.
 
@@ -183,23 +195,22 @@ def verify_ie_identity(L0: int, t: int) -> IEVerdict:
     over all subsets of P with s > t elements is 1 if |P| > t else 0, and
     (b) the alternating-sign weights (-1)^(s-1) over all nonempty subsets
     sum to 1 for every nonempty P. Returns the first offending pattern.
+
+    Both multiplicity vectors come from the subset-sum transform of the
+    per-subset weights: O(L0 * 2^L0) integer adds on two 2^L0 arrays.
     """
     if L0 < 1 or L0 > LATTICE_CAP:
         raise ExhaustiveCapError(f"lattice verification capped at L0 <= {LATTICE_CAP}")
     if not 0 <= t < L0:
         raise ValueError(f"need 0 <= t < L0, got t={t}")
-    n_pat = 1 << L0
-    masks = np.arange(n_pat, dtype=np.uint32)
     sizes = _popcounts(L0)
-    coeff_ie = np.zeros(n_pat, dtype=np.int64)
+    coeff_ie = np.zeros(1 << L0, dtype=np.int64)
     for s in range(t + 1, L0 + 1):
         coeff_ie[sizes == s] = ie_coefficient(s, t)
     # (-1)^(s-1): +1 for odd subset sizes, -1 for even, 0 for the empty set
     coeff_alt = np.where(sizes >= 1, np.where(sizes % 2 == 1, 1, -1), 0).astype(np.int64)
-    # containment[c, p] = 1 iff subset c is inside pattern p
-    containment = ((masks[:, None] & ~masks[None, :]) == 0).astype(np.int64)
-    mult_ie = coeff_ie @ containment
-    mult_alt = coeff_alt @ containment
+    mult_ie = _subset_sums(coeff_ie, L0)
+    mult_alt = _subset_sums(coeff_alt, L0)
     want_ie = (sizes > t).astype(np.int64)
     want_alt = (sizes > 0).astype(np.int64)
     for mult, want, tag in ((mult_ie, want_ie, "threshold"), (mult_alt, want_alt, "alternating")):

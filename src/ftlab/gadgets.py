@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -64,12 +65,24 @@ class GadgetGraph:
     locations first, then its outgoing segments in listed order. Every
     segment belongs to exactly two gadgets by construction (its emitter and
     its consumer), which is the only sharing shape supported.
+
+    The locations split into parts: part i < n_gadgets is gadget i's own
+    block, part n_gadgets + s is segment s. The sweep tables built once per
+    graph (per-gadget in/out segments, extents, per-part id sets and a
+    location -> part index) turn every lookup below into an index.
     """
 
     gadgets: tuple[Gadget, ...]
     segments: tuple[ERSegment, ...] = field(init=False)
     _own_ids: tuple[tuple[int, ...], ...] = field(init=False)
     _seg_ids: tuple[tuple[int, ...], ...] = field(init=False)
+    # sweep tables, derived from `gadgets`; _part_of[id] is the part
+    # holding location id (entry 0 is unused)
+    _in: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _extent: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _part_sets: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    _part_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gadgets = tuple(self.gadgets)
@@ -90,9 +103,28 @@ class GadgetGraph:
                 segments.append(ERSegment(count, i, to))
                 seg_ids.append(tuple(range(next_id, next_id + count)))
                 next_id += count
+        seg_in: list[list[int]] = [[] for _ in range(n)]
+        seg_out: list[list[int]] = [[] for _ in range(n)]
+        for k, s in enumerate(segments):
+            seg_in[s.succ].append(k)
+            seg_out[s.pred].append(k)
+        extent = tuple(
+            tuple(sorted(chain(own_ids[i], *(seg_ids[k] for k in seg_in[i] + seg_out[i]))))
+            for i in range(n)
+        )
+        parts = own_ids + seg_ids
+        part_of = np.zeros(next_id, dtype=np.intp)
+        for p, ids in enumerate(parts):
+            part_of[list(ids)] = p
+        part_of.flags.writeable = False
         object.__setattr__(self, "segments", tuple(segments))
         object.__setattr__(self, "_own_ids", tuple(own_ids))
         object.__setattr__(self, "_seg_ids", tuple(seg_ids))
+        object.__setattr__(self, "_in", tuple(map(tuple, seg_in)))
+        object.__setattr__(self, "_out", tuple(map(tuple, seg_out)))
+        object.__setattr__(self, "_extent", extent)
+        object.__setattr__(self, "_part_sets", tuple(map(frozenset, parts)))
+        object.__setattr__(self, "_part_of", part_of)
 
     @property
     def n_gadgets(self) -> int:
@@ -100,9 +132,7 @@ class GadgetGraph:
 
     @property
     def total_locations(self) -> int:
-        return sum(g.own_locations for g in self.gadgets) + sum(
-            s.count for s in self.segments
-        )
+        return len(self._part_of) - 1
 
     def own_ids(self, gadget: int) -> tuple[int, ...]:
         return self._own_ids[gadget]
@@ -111,20 +141,14 @@ class GadgetGraph:
         return self._seg_ids[segment]
 
     def segments_in(self, gadget: int) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.segments) if s.succ == gadget)
+        return self._in[gadget]
 
     def segments_out(self, gadget: int) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.segments) if s.pred == gadget)
+        return self._out[gadget]
 
     def extent(self, gadget: int) -> tuple[int, ...]:
         """Full extended-gadget extent: in-segments + own + out-segments."""
-        ids: list[int] = []
-        for s in self.segments_in(gadget):
-            ids.extend(self._seg_ids[s])
-        ids.extend(self._own_ids[gadget])
-        for s in self.segments_out(gadget):
-            ids.extend(self._seg_ids[s])
-        return tuple(sorted(ids))
+        return self._extent[gadget]
 
 
 @dataclass(frozen=True)
@@ -165,37 +189,38 @@ def truncate_and_classify(g: GadgetGraph, f: FaultConfig, t: int) -> Classificat
     shared segment ends up owned by its successor when the successor is bad,
     else by its predecessor, so the truncated sets partition all locations;
     good gadgets only ever shed locations, so they stay good.
+
+    The faults are counted once per part (own block or segment) through the
+    graph's location -> part index; the sweep then adds part counts, and
+    each truncated set is the union of the graph's precomputed part sets.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    unknown = f.faulty - set(range(1, g.total_locations + 1))
-    if unknown:
-        raise ValueError(f"fault ids outside 1..{g.total_locations}: {sorted(unknown)}")
+    total = g.total_locations
+    if f.faulty and not (min(f.faulty) >= 1 and max(f.faulty) <= total):
+        unknown = sorted(i for i in f.faulty if not 1 <= i <= total)
+        raise ValueError(f"fault ids outside 1..{total}: {unknown}")
     n = g.n_gadgets
+    segments, parts = g.segments, g._part_sets
+    faulty = np.fromiter(f.faulty, dtype=np.intp, count=len(f.faulty))
+    counts = np.bincount(g._part_of[faulty], minlength=len(parts)).tolist()
     bad = [False] * n
     for i in reversed(range(n)):
-        ids = set(g.extent(i))
-        for s in g.segments_out(i):
-            if bad[g.segments[s].succ]:
-                ids -= set(g.segment_ids(s))
-        bad[i] = len(ids & f.faulty) > t
+        c = counts[i]
+        for s in g._in[i]:
+            c += counts[n + s]
+        for s in g._out[i]:
+            if not bad[segments[s].succ]:
+                c += counts[n + s]
+        bad[i] = c > t
     truncated = []
     for i in range(n):
-        ids = set(g.own_ids(i))
+        chosen = [parts[i]]
         if bad[i]:
-            for s in g.segments_in(i):
-                ids |= set(g.segment_ids(s))
-        for s in g.segments_out(i):
-            if not bad[g.segments[s].succ]:
-                ids |= set(g.segment_ids(s))
-        truncated.append(frozenset(ids))
-    counts: dict[int, int] = {}
-    for ids in truncated:
-        for i in ids:
-            counts[i] = counts.get(i, 0) + 1
-    if sorted(counts) != list(range(1, g.total_locations + 1)) or any(
-        v != 1 for v in counts.values()
-    ):
+            chosen.extend(parts[n + s] for s in g._in[i])
+        chosen.extend(parts[n + s] for s in g._out[i] if not bad[segments[s].succ])
+        truncated.append(frozenset().union(*chosen))
+    if sum(map(len, truncated)) != total or len(frozenset().union(*truncated)) != total:
         raise AssertionError("truncated sets failed to partition the locations")
     statuses = tuple("bad" if b else "good" for b in bad)
     return Classification(statuses, tuple(truncated))
@@ -253,9 +278,9 @@ class LevelEstimate(NamedTuple):
 def _reduce_chunk(
     m: int, levels: int, L0: int, t: int, eps: float, rng: np.random.Generator
 ) -> list[int]:
-    fail = rng.random((m, L0**levels)) < eps
-    counts = []
-    for _ in range(levels):
+    fail = rng.binomial(L0, eps, size=(m, L0 ** (levels - 1))) > t
+    counts = [int(fail.sum())]
+    for _ in range(levels - 1):
         fail = fail.reshape(m, -1, L0).sum(axis=2) > t
         counts.append(int(fail.sum()))
     return counts
@@ -272,12 +297,15 @@ def level_reduce_mc(
 ) -> tuple[LevelEstimate, ...]:
     """Hierarchical failure sampler over `levels` rounds of concatenation.
 
-    Each sample draws L0^levels iid Bernoulli(eps) leaves and folds upward:
-    a node fails when more than t of its L0 children fail. Nodes on one
-    level sit over disjoint leaf sets, so all trials at a level are
-    independent and carry an exact binomial standard error. Work is split
-    into fixed-size chunks with chunk-indexed RNG streams, so results do
-    not depend on the worker count.
+    Each sample covers L0^levels iid Bernoulli(eps) leaves and folds upward:
+    a node fails when more than t of its L0 children fail. A level-1 block
+    fails exactly when Binomial(L0, eps) > t, so each sample draws its
+    L0^(levels-1) level-1 blocks as binomials, not its leaves one by one:
+    the same distribution from L0x fewer draws. Nodes on one level sit over
+    disjoint leaf sets, so all trials at a level are independent and carry
+    an exact binomial standard error. Work is split into fixed-size chunks
+    (sized and budgeted in leaves) with chunk-indexed RNG streams, so
+    results do not depend on the worker count.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")

@@ -150,14 +150,15 @@ def pseudothreshold_mc(
 
     Bisection on the sign of P[fail](eps) - eps over (0, 0.5). mode="exact"
     evaluates the binomial tail exactly (tolerance 1e-8) and returns the
-    final bracket as the interval; mode="mc" estimates the tail from
-    `samples` draws per probe and returns a 95% interval propagated through
-    the local slope of the crossing.
+    final bracket as the interval and ignores `samples`; mode="mc"
+    estimates the tail from `samples` (at least 1000) draws per probe and
+    returns a 95% interval propagated through the local slope of the
+    crossing.
     """
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "mc" and samples < 1000:
+        raise ValueError("samples must be >= 1000")
 
     probes = 0
 

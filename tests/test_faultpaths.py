@@ -23,6 +23,7 @@ from ftlab.circuit import (
     simulate_ideal,
     simulate_noisy,
 )
+from ftlab import faultpaths
 from ftlab.faultpaths import (
     ExhaustiveCapError,
     accuracy_bound,
@@ -238,6 +239,28 @@ def test_verify_ie_identity_small_cases():
         verdict = verify_ie_identity(l0, t)
         assert bool(verdict)
         assert verdict.counterexample is None
+
+
+def test_verify_ie_identity_reports_first_failing_pattern(monkeypatch):
+    # one coefficient off by one; the verdict must name the first pattern,
+    # in mask order, whose brute-force containment sum misses its target
+    L0, t = 6, 1
+
+    def bumped(s, t_):
+        return ie_coefficient(s, t_) + (s == 4)
+
+    def brute(p):
+        size = lambda c: bin(c).count("1")
+        subsets = [c for c in range(1 << L0) if c & ~p == 0 and size(c) > t]
+        return sum(bumped(size(c), t) for c in subsets), int(size(p) > t)
+
+    monkeypatch.setattr(faultpaths, "ie_coefficient", bumped)
+    rows = [(p, *brute(p)) for p in range(1 << L0)]
+    p, mult, want = next(row for row in rows if row[1] != row[2])
+    verdict = verify_ie_identity(L0, t)
+    assert not verdict.ok
+    assert verdict.counterexample == tuple(i + 1 for i in range(L0) if p >> i & 1)
+    assert verdict.detail == f"threshold identity gives multiplicity {mult}, expected {want}"
 
 
 def test_verify_ie_identity_caps_and_preconditions():

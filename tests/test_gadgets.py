@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from ftlab.gadgets import (
@@ -29,6 +30,9 @@ def test_graph_numbering_and_extents():
     assert CHAIN.own_ids(1) == (4, 5)
     assert CHAIN.extent(0) == (1, 2, 3)
     assert CHAIN.extent(1) == (3, 4, 5)
+    twin = GadgetGraph((Gadget(2, ((1, 1),)), Gadget(2)))
+    assert twin == CHAIN and hash(twin) == hash(CHAIN)
+    assert twin != GadgetGraph((Gadget(2, ((2, 1),)), Gadget(2)))
     with pytest.raises(ValueError):
         GadgetGraph((Gadget(1, ((1, 5),)),))  # successor out of range
     with pytest.raises(ValueError):
@@ -117,9 +121,81 @@ def test_truncate_per_gadget_flip_documented():
     assert before.any_bad and after.any_bad
 
 
+def reference_sweep(g, faulty, t):
+    """The set-based sweep, with ids numbered straight from the gadget list."""
+    own, segs, nxt = [], [], 1
+    for i, gadget in enumerate(g.gadgets):
+        own.append(set(range(nxt, nxt + gadget.own_locations)))
+        nxt += gadget.own_locations
+        for count, to in gadget.er_out:
+            segs.append((i, to, set(range(nxt, nxt + count))))
+            nxt += count
+    bad = [False] * len(own)
+    for i in reversed(range(len(own))):
+        ids = set(own[i])
+        for pred, succ, seg in segs:
+            if succ == i or (pred == i and not bad[succ]):
+                ids |= seg
+        bad[i] = len(ids & faulty) > t
+    truncated = [set(ids) for ids in own]
+    for pred, succ, seg in segs:
+        truncated[succ if bad[succ] else pred] |= seg
+    extents = [
+        tuple(sorted(own[i].union(*(seg for p, s, seg in segs if i in (p, s)))))
+        for i in range(len(own))
+    ]
+    statuses = tuple("bad" if b else "good" for b in bad)
+    return statuses, tuple(map(frozenset, truncated)), extents
+
+
+# skip links, two segments between one pair, and gadgets with two or three
+# incoming and outgoing segments
+SMALL_GRAPHS = [
+    GadgetGraph((Gadget(1, ((1, 1), (1, 2))), Gadget(1, ((1, 2), (1, 3))), Gadget(1, ((1, 3),)), Gadget(1))),
+    GadgetGraph((Gadget(2, ((1, 1), (1, 3))), Gadget(1, ((2, 2),)), Gadget(1, ((1, 3),)), Gadget(1))),
+    GadgetGraph((Gadget(1, ((1, 1), (1, 1), (1, 2))), Gadget(1, ((1, 2),)), Gadget(2))),
+]
+
+
+def assert_matches_reference(g, faults, t):
+    c = truncate_and_classify(g, FaultConfig(faults), t)
+    statuses, truncated, _ = reference_sweep(g, faults, t)
+    assert c.statuses == statuses, (sorted(faults), t)
+    assert c.truncated == truncated, (sorted(faults), t)
+    return c
+
+
+@pytest.mark.parametrize("graph", SMALL_GRAPHS)
+def test_truncate_matches_reference_sweep_exhaustively(graph):
+    n = graph.total_locations
+    assert [graph.extent(i) for i in range(graph.n_gadgets)] == reference_sweep(graph, set(), 0)[2]
+    for t in (0, 1, 2):
+        for bits in range(1 << n):
+            assert_matches_reference(graph, frozenset(i + 1 for i in range(n) if bits >> i & 1), t)
+
+
+def test_truncate_matches_reference_sweep_on_sampled_chain():
+    rng = np.random.default_rng(3)
+    n = 50
+    skips = set(rng.choice(n - 2, 10, replace=False).tolist())
+    gadgets = []
+    for i in range(n):
+        er_out = ((int(rng.integers(1, 4)), i + 1),) if i + 1 < n else ()
+        if i in skips:
+            er_out += ((1, i + 2),)
+        gadgets.append(Gadget(int(rng.integers(3, 7)), er_out))
+    graph = GadgetGraph(tuple(gadgets))
+    assert [graph.extent(i) for i in range(n)] == reference_sweep(graph, set(), 0)[2]
+    any_bad = 0
+    for i in range(500):
+        faults = sample_fault_config(graph, 0.05, [3, i]).faulty
+        any_bad += assert_matches_reference(graph, faults, 1).any_bad
+    assert 0 < any_bad < 500  # both outcomes occur
+
+
 def test_truncate_rejects_unknown_ids():
-    with pytest.raises(ValueError):
-        truncate_and_classify(CHAIN, FaultConfig(frozenset({99})), 1)
+    with pytest.raises(ValueError, match=r"fault ids outside 1\.\.5: \[0, 99\]"):
+        truncate_and_classify(CHAIN, FaultConfig(frozenset({0, 3, 99})), 1)
     with pytest.raises(ValueError):
         truncate_and_classify(CHAIN, FaultConfig(frozenset()), -1)
 
@@ -199,6 +275,10 @@ def test_level_reduce_mc_budget_and_workers():
     solo = level_reduce_mc(2, 5, 1, 0.05, 30_000, seed=7, workers=1)
     quad = level_reduce_mc(2, 5, 1, 0.05, 30_000, seed=7, workers=4)
     assert solo == quad
+    # a chunk holds 2^22 // 7^3 = 12228 samples, so 40 000 samples are 4
+    # chunks and every worker count below runs several of them
+    rows = [level_reduce_mc(3, 7, 1, 0.05, 40_000, seed=5, workers=w) for w in (1, 2, 3)]
+    assert rows[0] == rows[1] == rows[2]
 
 
 def test_gadget_graph_from_json():

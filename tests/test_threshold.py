@@ -222,8 +222,12 @@ def test_pseudothreshold_above_closed_form_threshold():
 def test_pseudothreshold_degenerate_and_validation():
     with pytest.raises(ValueError):
         pseudothreshold_mc(SchemeParams(2, 1), 10**4, 0, mode="exact")
+    # samples sets the per-probe draw count, so only mc mode checks it
+    assert pseudothreshold_mc(P5, 1, 0, mode="exact") == pseudothreshold_mc(
+        P5, 10**6, 0, mode="exact"
+    )
     with pytest.raises(ValueError):
-        pseudothreshold_mc(P5, 999, 0)
+        pseudothreshold_mc(P5, 999, 0, mode="mc")
     with pytest.raises(ValueError):
         pseudothreshold_mc(P5, 10**4, 0, mode="fancy")
 
