@@ -161,14 +161,6 @@ def _check_fits(ch: Channel, dims: SubsystemDims) -> None:
             )
 
 
-def _kraus_arrays_on(ch: Channel, dims: SubsystemDims) -> list[np.ndarray]:
-    """Kraus arrays embedded into `dims`, support read as positions in dims."""
-    _check_fits(ch, dims)
-    if ch.support == tuple(range(len(dims))):
-        return [k.data for k in ch.kraus]
-    return [embed_operator(k.data, ch.support, dims) for k in ch.kraus]
-
-
 def apply_channel(ch: Channel, rho: Matrix, *, validate: bool = True) -> Matrix:
     """sum_i K_i rho K_i^dag, each K_i acting on the channel's support in rho's space."""
     if validate and not rho.is_density():
@@ -178,19 +170,21 @@ def apply_channel(ch: Channel, rho: Matrix, *, validate: bool = True) -> Matrix:
     return Matrix(out, rho.dims)
 
 
-def _union_space(a: Channel, b: Channel) -> tuple[tuple[int, ...], SubsystemDims]:
-    """Sorted union of ambient labels and the corresponding dims."""
+def _union_space(
+    parts: Sequence[tuple[tuple[int, ...], SubsystemDims]], what: str
+) -> tuple[tuple[int, ...], SubsystemDims]:
+    """Sorted union of the labels in (support, dims) pairs, and their dims."""
     local: dict[int, int] = {}
-    for ch in (a, b):
-        for pos, s in enumerate(ch.support):
-            d = ch.dims[pos]
+    for support, dims in parts:
+        for s, d in zip(support, dims):
             if local.setdefault(s, d) != d:
-                raise ValueError(f"channels disagree on dim of subsystem {s}")
+                raise ValueError(f"{what} disagree on dim of subsystem {s}")
     labels = tuple(sorted(local))
     return labels, SubsystemDims(tuple(local[s] for s in labels))
 
 
-def _reindexed(ch: Channel, labels: tuple[int, ...], dims: SubsystemDims) -> list[np.ndarray]:
+def _kraus_on(ch: Channel, labels: tuple[int, ...], dims: SubsystemDims) -> list[np.ndarray]:
+    """Kraus arrays embedded into `dims`, whose subsystems carry `labels`."""
     positions = tuple(labels.index(s) for s in ch.support)
     if positions == tuple(range(len(dims))):
         return [k.data for k in ch.kraus]
@@ -204,9 +198,11 @@ def compose_channels(later: Channel, earlier: Channel) -> Channel:
     labels. The Kraus set of the composite is the full pairwise product, and
     trace preservation is re-verified on construction.
     """
-    labels, dims = _union_space(later, earlier)
-    ka = _reindexed(later, labels, dims)
-    kb = _reindexed(earlier, labels, dims)
+    labels, dims = _union_space(
+        [(ch.support, ch.dims) for ch in (later, earlier)], "channels"
+    )
+    ka = _kraus_on(later, labels, dims)
+    kb = _kraus_on(earlier, labels, dims)
     prods = [a @ b for a in ka for b in kb]
     return Channel.from_kraus(prods, dims, labels)
 
@@ -215,8 +211,9 @@ def embed_channel(ch: Channel, total: SubsystemDims | Sequence[int]) -> Channel:
     """Extend the channel with identity factors to act on the full space."""
     if not isinstance(total, SubsystemDims):
         total = SubsystemDims(tuple(total))
-    ks = _kraus_arrays_on(ch, total)
-    return Channel.from_kraus(ks, total, tuple(range(len(total))))
+    _check_fits(ch, total)
+    labels = tuple(range(len(total)))
+    return Channel.from_kraus(_kraus_on(ch, labels, total), total, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +579,7 @@ class HamiltonianTerm:
 
 def _grouped_norm(terms: Sequence[HamiltonianTerm]) -> float:
     """Operator norm of the sum of the terms, embedded on their union support."""
-    local: dict[int, int] = {}
-    for t in terms:
-        for pos, s in enumerate(t.support):
-            d = t.op.dims[pos]
-            if local.setdefault(s, d) != d:
-                raise ValueError(f"terms disagree on dim of subsystem {s}")
-    labels = tuple(sorted(local))
-    dims = SubsystemDims(tuple(local[s] for s in labels))
+    labels, dims = _union_space([(t.support, t.op.dims) for t in terms], "terms")
     acc = np.zeros((dims.total, dims.total), dtype=np.complex128)
     for t in terms:
         positions = tuple(labels.index(s) for s in t.support)

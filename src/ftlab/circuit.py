@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -202,20 +202,7 @@ class Circuit:
         final_measure: Sequence[FinalMeasure] | None = None,
     ) -> "Circuit":
         """Re-number the given locations 1..L with one location per step."""
-        locs = []
-        for pos, loc in enumerate(ops):
-            locs.append(
-                Location(
-                    pos + 1,
-                    pos + 1,
-                    loc.kind,
-                    loc.support,
-                    state=loc.state,
-                    gate=loc.gate,
-                    projectors=loc.projectors,
-                    condition=loc.condition,
-                )
-            )
+        locs = [replace(loc, index=pos, step=pos) for pos, loc in enumerate(ops, 1)]
         if final_measure is None:
             final_measure = tuple(FinalMeasure.z(q) for q in range(n_system))
         return cls(n_system, tuple(locs), tuple(final_measure))

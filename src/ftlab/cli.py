@@ -3,16 +3,27 @@
 Six subcommands (strength, accuracy, faultpaths, truncate, levelred,
 threshold) share one shape: load a JSON experiment config, validate it
 against the shipped schema, run the corresponding library call, and write a
-deterministic report. JSON reports embed the resolved config and provenance
-and are emitted with sorted keys, 17-significant-digit floats, and LF line
-endings, so identical config + seed gives byte-identical output regardless
-of worker count. CSV reports are the flat per-record projection meant for
-plotting tools.
+deterministic report. JSON reports embed the resolved config and provenance,
+so identical config + seed gives byte-identical output regardless of worker
+count. CSV reports are the flat per-record projection meant for plotting
+tools.
 
-Exit codes: 0 success, 2 config/validation error, 3 refused work (an
-exhaustive-enumeration cap, the Monte Carlo budget, or, as a last resort,
-running out of memory). Errors print a single JSON object
-{"error": reason, "exit": code} to stderr.
+Report format. `json_dumps` writes the results as built, in one pass:
+mappings with keys sorted as strings (non-str keys are written as
+`str(key)`), `,` and `:` separators with no spaces, strings as
+`json.dumps(s, ensure_ascii=False)`, floats (numpy floats included) as
+`"%.17g"`, numpy ints and bools as their Python values, lists, tuples and
+numpy arrays (via `.tolist()`) as arrays, and sets and frozensets as sorted
+arrays. A non-finite float raises ValueError and any other type (complex
+included) raises TypeError. Reports end with one LF. A CSV cell is empty for
+None, 1/0 for a bool, the same `"%.17g"` for a float and `str()` otherwise;
+numpy scalars are read with `.item()` first, and a cell that would need
+quoting raises ValueError.
+
+Exit codes: 0 success, 2 config/validation error, 3 refused work (the
+`DIM_CAP` dimension cap, an exhaustive-enumeration cap, the Monte Carlo
+budget, or, as a last resort, running out of memory). Errors print a single
+JSON object {"error": reason, "exit": code} to stderr.
 """
 
 from __future__ import annotations
@@ -70,7 +81,7 @@ from .gadgets import (
     sample_fault_config,
     truncate_and_classify,
 )
-from .matcore import matrix_from_json, matrix_to_json, trace_norm
+from .matcore import DimensionCapError, matrix_from_json, matrix_to_json, trace_norm
 from .threshold import SchemeParams, pseudothreshold_mc, threshold_report, threshold_value
 
 COMMANDS = ("strength", "accuracy", "faultpaths", "truncate", "levelred", "threshold")
@@ -85,60 +96,42 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _plain(obj):
-    """Coerce numpy scalars/arrays and tuples into plain JSON-ready types."""
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, Mapping):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_plain(v) for v in items]
-    return obj
+def _dump(o) -> str:
+    if isinstance(o, (float, np.floating)):
+        return _fmt_float(o)
+    if isinstance(o, (list, tuple)):
+        return "[" + ",".join(map(_dump, o)) + "]"
+    if isinstance(o, str):
+        return json.dumps(o, ensure_ascii=False)
+    if o is None:
+        return "null"
+    if isinstance(o, (bool, np.bool_)):
+        return "true" if o else "false"
+    if isinstance(o, (int, np.integer)):
+        return str(int(o))
+    if isinstance(o, np.ndarray):
+        return _dump(o.tolist())
+    if isinstance(o, (set, frozenset)):
+        return _dump(sorted(o))
+    if isinstance(o, Mapping):
+        return "{" + ",".join(
+            json.dumps(str(k), ensure_ascii=False) + ":" + _dump(o[k])
+            for k in sorted(o, key=str)
+        ) + "}"
+    if isinstance(o, Sequence):
+        return _dump(list(o))
+    raise TypeError(f"cannot serialize {type(o).__name__}")
 
 
 def json_dumps(obj) -> str:
-    """Sorted-key JSON with every float printed to 17 significant digits."""
-    out: list[str] = []
-
-    def walk(o) -> None:
-        if o is None or o is True or o is False:
-            out.append("null" if o is None else ("true" if o else "false"))
-        elif isinstance(o, str):
-            out.append(json.dumps(o, ensure_ascii=False))
-        elif isinstance(o, int):
-            out.append(str(o))
-        elif isinstance(o, float):
-            out.append(_fmt_float(o))
-        elif isinstance(o, Mapping):
-            out.append("{")
-            for i, key in enumerate(sorted(o)):
-                if i:
-                    out.append(",")
-                out.append(json.dumps(str(key), ensure_ascii=False) + ":")
-                walk(o[key])
-            out.append("}")
-        elif isinstance(o, Sequence):
-            out.append("[")
-            for i, v in enumerate(o):
-                if i:
-                    out.append(",")
-                walk(v)
-            out.append("]")
-        else:
-            raise TypeError(f"cannot serialize {type(o).__name__}")
-
-    walk(_plain(obj))
-    return "".join(out)
+    """Sorted-key JSON with every float printed to 17 significant digits;
+    the module docstring lists the accepted types."""
+    return _dump(obj)
 
 
 def _csv_cell(v) -> str:
+    if isinstance(v, np.generic):
+        v = v.item()
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -181,7 +174,7 @@ def emit_report(report: Report, fmt: str) -> bytes:
             "provenance": report.provenance(),
             "results": report.results,
         }
-        jsonschema.validate(_plain(doc), _schema("report"))
+        jsonschema.validate(doc, _schema("report"))
         return (json_dumps(doc) + "\n").encode("utf-8")
     if fmt == "csv":
         header = list(report.csv_header) or (
@@ -190,7 +183,7 @@ def emit_report(report: Report, fmt: str) -> bytes:
         buf = io.StringIO()
         buf.write(",".join(header) + "\n")
         for rec in report.records:
-            buf.write(",".join(_csv_cell(_plain(rec.get(k))) for k in header) + "\n")
+            buf.write(",".join(_csv_cell(rec.get(k)) for k in header) + "\n")
         return buf.getvalue().encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -531,7 +524,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             sys.stdout.buffer.write(payload)
             sys.stdout.buffer.flush()
-    except (ExhaustiveCapError, BudgetExceededError) as exc:
+    except (DimensionCapError, ExhaustiveCapError, BudgetExceededError) as exc:
         return _fail(3, str(exc))
     except MemoryError as exc:
         return _fail(3, f"out of memory: {exc}" if str(exc) else "out of memory")

@@ -375,8 +375,8 @@ def apply_local(
 
 
 def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    arr = np.asarray(v, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in arr]
+    arr = np.ascontiguousarray(v, dtype=np.complex128).reshape(-1)
+    return arr.view(np.float64).reshape(-1, 2).tolist()
 
 
 def vector_from_json(obj) -> np.ndarray:

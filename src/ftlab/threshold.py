@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .faultpaths import BOUND_VARIANTS
 from .gadgets import level1_failure_exact, level1_failure_mc
 
 MAX_LEVEL = 64
@@ -31,7 +32,7 @@ class SchemeParams:
             raise ValueError("L0 must exceed t")
         if self.xi < 1.0:
             raise ValueError("xi must be >= 1")
-        if self.c_variant not in ("linear", "e_minus_1", "non_markovian", "encoded"):
+        if self.c_variant not in BOUND_VARIANTS:
             raise ValueError(f"unknown bound variant {self.c_variant!r}")
 
     @property

@@ -76,28 +76,53 @@ def test_missing_param_reports_key(tmp_path, capsysbinary):
     assert "missing config key" in json.loads(err)["error"]
 
 
-def test_budget_refusal_exits_3(tmp_path, capsysbinary):
-    cfg = write_config(
-        tmp_path,
-        "big.json",
-        {
-            "command": "levelred",
-            "params": {"levels": 10, "L0": 5, "t": 1, "eps": 0.01, "samples": 10**6},
-        },
-    )
-    code, _, err = run(capsysbinary, ["levelred", "--config", cfg])
-    assert code == 3
-    assert "exact" in json.loads(err)["error"]
+def _h_chain(n_system, count):
+    locs = [{"kind": "prep", "support": [0], "state": "0"}]
+    locs += [{"kind": "gate", "support": [0], "gate": "H"}] * (count - 1)
+    return {"n_system": n_system, "locations": locs}
 
 
-def test_cap_refusal_exits_3(tmp_path, capsysbinary):
-    cfg = write_config(
-        tmp_path,
-        "ie.json",
-        {"command": "faultpaths", "params": {"mode": "ie_check", "L0": 13, "t": 1}},
-    )
-    code, _, err = run(capsysbinary, ["faultpaths", "--config", cfg])
+REFUSALS = {
+    "ie_check_L0_13": (
+        "faultpaths",
+        {"mode": "ie_check", "L0": 13, "t": 1},
+        "capped at L0 <= 12",
+    ),
+    "subset_r5": (
+        "faultpaths",
+        {"circuit": _h_chain(1, 5), "mode": "subset", "subset": [1, 2, 3, 4, 5]},
+        "capped at r <= 4",
+    ),
+    "subset_17_locations": (
+        "faultpaths",
+        {"circuit": _h_chain(1, 17), "mode": "subset", "subset": [1]},
+        "capped at L <= 16 locations",
+    ),
+    "levelred_budget": (
+        "levelred",
+        {"levels": 10, "L0": 5, "t": 1, "eps": 0.01, "samples": 10**6},
+        "leaf budget",
+    ),
+    "dim_cap_13_qubits": (
+        "accuracy",
+        {"circuit": _h_chain(13, 2)},
+        "total dimension 8192 exceeds cap 4096",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_cap_refusal_exits_3(tmp_path, capsysbinary, case):
+    command, params, reason = REFUSALS[case]
+    cfg = write_config(tmp_path, "cfg.json", {"command": command, "params": params})
+    code, out, err = run(capsysbinary, [command, "--config", cfg])
     assert code == 3
+    assert out == b""
+    assert err.count(b"\n") == 1 and err.endswith(b"\n")
+    msg = json.loads(err)
+    assert set(msg) == {"error", "exit"}
+    assert msg["exit"] == 3
+    assert reason in msg["error"]
 
 
 def test_memory_error_exits_3(tmp_path, capsysbinary, monkeypatch):
@@ -114,30 +139,6 @@ def test_memory_error_exits_3(tmp_path, capsysbinary, monkeypatch):
     assert set(msg) == {"error", "exit"}
     assert msg["exit"] == 3
     assert "out of memory" in msg["error"]
-
-
-def test_subset_size_refused_at_cli(tmp_path, capsysbinary):
-    circuit = {
-        "n_system": 1,
-        "locations": [
-            {"kind": "prep", "support": [0], "state": "0"},
-            {"kind": "gate", "support": [0], "gate": "H"},
-            {"kind": "gate", "support": [0], "gate": "H"},
-            {"kind": "gate", "support": [0], "gate": "H"},
-            {"kind": "gate", "support": [0], "gate": "H"},
-        ],
-    }
-    cfg = write_config(
-        tmp_path,
-        "subset5.json",
-        {
-            "command": "faultpaths",
-            "params": {"circuit": circuit, "mode": "subset", "subset": [1, 2, 3, 4, 5]},
-        },
-    )
-    code, _, err = run(capsysbinary, ["faultpaths", "--config", cfg])
-    assert code == 3
-    assert "capped" in json.loads(err)["error"]
 
 
 def test_ie_check_runs_clean(tmp_path, capsysbinary):
@@ -349,6 +350,15 @@ def test_emit_report_csv_edge_cases():
         0,
     )
     assert emit_report(rep, "csv") == b"a,b\n1,\n0,0.5\n"
+    rep = Report(
+        "threshold",
+        {"command": "threshold"},
+        {},
+        [{"a": np.float64(0.1), "b": np.int64(3), "c": np.bool_(False)}],
+        (),
+        0,
+    )
+    assert emit_report(rep, "csv") == b"a,b,c\n0.10000000000000001,3,0\n"
     with pytest.raises(ValueError):
         emit_report(
             Report("threshold", {}, {}, [{"a": "x,y"}], (), 0), "csv"
@@ -366,3 +376,31 @@ def test_json_float_round_trip_exact():
     assert doc["xs"] == values
     with pytest.raises(ValueError):
         json_dumps({"x": math.inf})
+
+
+def test_json_dumps_golden_bytes():
+    # expected strings recorded from the two-pass serializer this one replaced
+    doc = {
+        "f64": np.float64(0.1),
+        "f32": np.float32(0.1),
+        "i64": np.int64(-7),
+        "b": np.bool_(True),
+        "arr": np.array([[1.5, -2.0], [0.25, 3.0]]),
+        "fs": frozenset({3, 1, 2}),
+        "s": {10, -1, 5},
+        "tup": (1, "a", None, False),
+        "by_int": {9: "nine", 10: "ten"},
+        "text": "h\u00e9llo \u2713 \"q\"",
+        "neg0": -0.0,
+        "tiny": 1e-300,
+    }
+    assert json_dumps(doc) == (
+        '{"arr":[[1.5,-2],[0.25,3]],"b":true,"by_int":{"10":"ten","9":"nine"},'
+        '"f32":0.10000000149011612,"f64":0.10000000000000001,"fs":[1,2,3],'
+        '"i64":-7,"neg0":-0,"s":[-1,5,10],"text":"h\u00e9llo \u2713 \\"q\\"",'
+        '"tiny":1e-300,"tup":[1,"a",null,false]}'
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        json_dumps({"x": np.array([1.0, np.nan])})
+    with pytest.raises(TypeError, match="complex"):
+        json_dumps({"x": 1j})
