@@ -13,10 +13,12 @@ mappings with keys sorted as strings (non-str keys are written as
 `str(key)`), `,` and `:` separators with no spaces, strings as
 `json.dumps(s, ensure_ascii=False)`, floats (numpy floats included) as
 `"%.17g"`, numpy ints and bools as their Python values, lists, tuples and
-numpy arrays (via `.tolist()`) as arrays, and sets and frozensets as sorted
-arrays. A non-finite float raises ValueError and any other type (complex
-included) raises TypeError. Reports end with one LF. A CSV cell is empty for
-None, 1/0 for a bool, the same `"%.17g"` for a float and `str()` otherwise;
+numpy arrays as arrays, and sets and frozensets as sorted arrays. A float
+array is checked for finiteness once and formatted in bulk, a `"%.17g"`
+template per chunk of rows, to the same bytes as one value at a time. A
+non-finite float raises ValueError and any other type (complex included)
+raises TypeError. Reports end with one LF. A CSV cell is empty for None,
+1/0 for a bool, the same `"%.17g"` for a float and `str()` otherwise;
 numpy scalars are read with `.item()` first, and a cell that would need
 quoting raises ValueError.
 
@@ -36,7 +38,9 @@ import os
 import platform
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
+from json.encoder import encode_basestring
 from typing import Mapping, Sequence
 
 import jsonschema
@@ -81,7 +85,7 @@ from .gadgets import (
     sample_fault_config,
     truncate_and_classify,
 )
-from .matcore import DimensionCapError, matrix_from_json, matrix_to_json, trace_norm
+from .matcore import DimensionCapError, complex_pairs, matrix_from_json, trace_norm
 from .threshold import SchemeParams, pseudothreshold_mc, threshold_report, threshold_value
 
 COMMANDS = ("strength", "accuracy", "faultpaths", "truncate", "levelred", "threshold")
@@ -96,28 +100,59 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
+_CHUNK_ROWS = 1 << 15
+
+
+def _dump_array(a: np.ndarray) -> str:
+    if a.dtype.kind != "f" or a.ndim == 0:
+        return _dump(a.tolist())
+    ok = np.isfinite(a)
+    if not ok.all():
+        _fmt_float(a[~ok][0].item())  # raises, naming the first one in row-major order
+    row = "%.17g"
+    for n in reversed(a.shape[1:]):
+        row = "[" + ",".join([row] * n) + "]"
+    chunks = (a[i:i + _CHUNK_ROWS] for i in range(0, len(a), _CHUNK_ROWS))
+    return "[" + ",".join(
+        ",".join([row] * len(c)) % tuple(c.ravel().tolist()) for c in chunks
+    ) + "]"
+
+
+def _dump_list(o) -> str:
+    return "[" + ",".join(map(_dump, o)) + "]"
+
+
+def _dump_mapping(o) -> str:
+    return "{" + ",".join(
+        encode_basestring(str(k)) + ":" + _dump(o[k]) for k in sorted(o, key=str)
+    ) + "}"
+
+
+_EXACT = {  # exact types only; subclasses and numpy types take the isinstance chain
+    float: _fmt_float, int: int.__repr__, str: encode_basestring,
+    bool: lambda o: "true" if o else "false", type(None): lambda o: "null",
+    list: _dump_list, tuple: _dump_list, dict: _dump_mapping,
+}
+
+
 def _dump(o) -> str:
+    exact = _EXACT.get(type(o))
+    if exact is not None:
+        return exact(o)
     if isinstance(o, (float, np.floating)):
         return _fmt_float(o)
-    if isinstance(o, (list, tuple)):
-        return "[" + ",".join(map(_dump, o)) + "]"
     if isinstance(o, str):
-        return json.dumps(o, ensure_ascii=False)
-    if o is None:
-        return "null"
-    if isinstance(o, (bool, np.bool_)):
+        return encode_basestring(o)
+    if isinstance(o, np.bool_):
         return "true" if o else "false"
     if isinstance(o, (int, np.integer)):
         return str(int(o))
     if isinstance(o, np.ndarray):
-        return _dump(o.tolist())
+        return _dump_array(o)
     if isinstance(o, (set, frozenset)):
         return _dump(sorted(o))
     if isinstance(o, Mapping):
-        return "{" + ",".join(
-            json.dumps(str(k), ensure_ascii=False) + ":" + _dump(o[k])
-            for k in sorted(o, key=str)
-        ) + "}"
+        return _dump_mapping(o)
     if isinstance(o, Sequence):
         return _dump(list(o))
     raise TypeError(f"cannot serialize {type(o).__name__}")
@@ -348,7 +383,7 @@ def _cmd_faultpaths(config: dict, workers: int) -> Report:
     else:
         raise ValueError(f"unknown faultpaths mode {mode!r}")
     results["trace_norm"] = trace_norm(zeta.data)
-    results["matrix"] = matrix_to_json(zeta)
+    results["matrix"] = complex_pairs(zeta.data)
     rec = {k: v for k, v in results.items() if k not in ("matrix", "subset")}
     return _report("faultpaths", config, results, [rec])
 
@@ -361,16 +396,11 @@ def _cmd_truncate(config: dict, workers: int) -> Report:
     else:
         fc = sample_fault_config(graph, float(params["eps"]), config["seed"])
     cls = truncate_and_classify(graph, fc, t)
-    per_gadget = []
-    for i, (status, ids) in enumerate(zip(cls.statuses, cls.truncated)):
-        per_gadget.append(
-            {
-                "gadget": i,
-                "status": status,
-                "fault_count": len(ids & fc.faulty),
-                "truncated_size": len(ids),
-            }
-        )
+    per_gadget = [
+        {"gadget": i, "status": status, "fault_count": len(ids & fc.faulty),
+         "truncated_size": len(ids)}
+        for i, (status, ids) in enumerate(zip(cls.statuses, cls.truncated))
+    ]
     results = {
         "t": t,
         "total_locations": graph.total_locations,
@@ -482,6 +512,7 @@ def _write_atomic(path: str, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ftlab",

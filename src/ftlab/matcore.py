@@ -285,9 +285,9 @@ def operator_norm(m: Matrix | np.ndarray) -> float:
 
 
 def kolmogorov_distance(p: Distribution, q: Distribution) -> float:
-    """Sum of |p - q| over the union of outcomes (missing outcomes read 0)."""
-    keys = set(p.probs) | set(q.probs)
-    return float(sum(abs(p[k] - q[k]) for k in keys))
+    """Sum of |p - q| over the union of outcomes (missing outcomes read 0),
+    rounded once by `math.fsum`, so no hash-seeded set order can move it."""
+    return math.fsum(abs(p[k] - q[k]) for k in sorted(set(p.probs) | set(q.probs)))
 
 
 def _local_setup(op: np.ndarray, support: Sequence[int], dims: SubsystemDims | Sequence[int]):
@@ -374,9 +374,14 @@ def apply_local(
 # Complex arrays travel as flat row-major lists of [re, im] pairs.
 
 
+def complex_pairs(a: np.ndarray) -> np.ndarray:
+    """Row-major `(size, 2)` float64 array of `[re, im]` rows: the JSON form as an array."""
+    flat = np.ascontiguousarray(a, dtype=np.complex128).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2)
+
+
 def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    arr = np.ascontiguousarray(v, dtype=np.complex128).reshape(-1)
-    return arr.view(np.float64).reshape(-1, 2).tolist()
+    return complex_pairs(v).tolist()
 
 
 def vector_from_json(obj) -> np.ndarray:
@@ -387,8 +392,7 @@ def vector_from_json(obj) -> np.ndarray:
 
 
 def matrix_to_json(m: "Matrix | np.ndarray") -> list[list[float]]:
-    data = m.data if isinstance(m, Matrix) else np.asarray(m, dtype=np.complex128)
-    return vector_to_json(data.reshape(-1))
+    return complex_pairs(m.data if isinstance(m, Matrix) else m).tolist()
 
 
 def matrix_from_json(obj, dims: "SubsystemDims | None" = None) -> Matrix:

@@ -1,11 +1,23 @@
+import collections
+import enum
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Mapping, Sequence
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ftlab
 from ftlab import cli
 from ftlab.cli import Report, emit_report, json_dumps, main
+from ftlab.matcore import matrix_from_json, trace_norm
 
 
 def write_config(tmp_path, name, payload):
@@ -309,9 +321,8 @@ def test_accuracy_command_within_bound(tmp_path, capsysbinary):
     assert r["delta"] <= r["bound"] + 1e-12
 
 
-def test_accuracy_command_ten_qubits(tmp_path, capsysbinary):
-    # a noisy GHZ preparation on 10 qubits, one zoo channel per location
-    n = 10
+def ghz_zoo(n):
+    """A noisy GHZ preparation on n qubits plus a wait and an Rz, one zoo channel per location."""
     locs = [{"kind": "prep", "support": [q], "state": "+" if q == 0 else "0"} for q in range(n)]
     locs += [{"kind": "gate", "support": [q, q + 1], "gate": "CNOT"} for q in range(n - 1)]
     locs += [{"kind": "identity", "support": [n - 1]}, {"kind": "gate", "support": [0], "gate": "Rz(0.3)"}]
@@ -324,16 +335,17 @@ def test_accuracy_command_ten_qubits(tmp_path, capsysbinary):
         str(i + 1): {**zoo[i % 3], "support": [loc["support"][-1]]}
         for i, loc in enumerate(locs)
     }
+    return {"circuit": {"n_system": n, "locations": locs}, "noise": noise}
+
+
+def test_accuracy_command_ten_qubits(tmp_path, capsysbinary):
     cfg = write_config(
-        tmp_path,
-        "acc10.json",
-        {"command": "accuracy", "params": {"circuit": {"n_system": n, "locations": locs},
-                                           "noise": noise}},
+        tmp_path, "acc10.json", {"command": "accuracy", "params": ghz_zoo(10)}
     )
     code, out, err = run(capsysbinary, ["accuracy", "--config", cfg])
     assert code == 0, err
     r = json.loads(out)["results"]
-    assert r["locations"] == len(locs) == 21
+    assert r["locations"] == 21
     assert 0.0 < r["delta"] <= r["bound"]
     assert r["within_bound"] is True
 
@@ -404,3 +416,222 @@ def test_json_dumps_golden_bytes():
         json_dumps({"x": np.array([1.0, np.nan])})
     with pytest.raises(TypeError, match="complex"):
         json_dumps({"x": 1j})
+
+
+def test_faultpaths_earliest_ten_qubits(tmp_path, capsysbinary):
+    # 2^20 [re, im] rows, formatted in 32 chunks
+    cfg = write_config(
+        tmp_path,
+        "fp10.json",
+        {"command": "faultpaths", "params": {"mode": "earliest", "r": 1, **ghz_zoo(10)}},
+    )
+    out_path = tmp_path / "fp10.report.json"
+    code, _, err = run(capsysbinary, ["faultpaths", "--config", cfg, "--out", str(out_path)])
+    assert code == 0, err
+    r = json.loads(out_path.read_bytes())["results"]
+    zeta = matrix_from_json(r["matrix"])
+    assert zeta.data.shape == (1024, 1024)
+    assert trace_norm(zeta.data) == pytest.approx(r["trace_norm"], rel=1e-12)
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsysbinary):
+    assert cli.build_parser() is cli.build_parser()
+    cfg = write_config(
+        tmp_path, "th.json", {"command": "threshold", "params": {"L0": 100, "t": 1}, "seed": 4}
+    )
+    code, out, _ = run(
+        capsysbinary, ["threshold", "--config", cfg, "--seed", "9", "--format", "csv"]
+    )
+    assert code == 0
+    assert out.startswith(b"eps0,exponent_a\n")
+    code, out, _ = run(capsysbinary, ["threshold", "--config", cfg])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["provenance"]["seed"] == doc["config"]["seed"] == 4
+    assert doc["config"]["output"] == {"format": "json"}
+
+
+HASH_SEED_CONFIGS = {
+    "strength": {
+        "evaluator": "markovian",
+        "noisy": {"kind": "amplitude_damping", "t0": 0.1, "t1": 1.0},
+    },
+    "accuracy": ghz_zoo(6),
+    "faultpaths": {"mode": "earliest", "r": 1, **ghz_zoo(3)},
+    "truncate": {
+        "graph": {
+            "gadgets": [
+                {"own_locations": 4, "er_out": {"count": 2, "to": 1}},
+                {"own_locations": 4},
+            ],
+            "t": 1,
+        },
+        "eps": 0.3,
+    },
+    "levelred": {"levels": 2, "L0": 5, "t": 1, "eps": 0.05, "samples": 2000},
+    "threshold": {"L0": 100, "t": 1, "L": 1000, "delta0": 0.01, "eps": 1e-6},
+}
+
+
+def test_reports_byte_identical_across_hash_seeds(tmp_path):
+    # string-keyed sets and dicts iterate in an order fixed per process by
+    # PYTHONHASHSEED; no report may depend on it
+    argvs = []
+    for command, params in HASH_SEED_CONFIGS.items():
+        cfg = write_config(
+            tmp_path, f"{command}.json", {"command": command, "params": params, "seed": 3}
+        )
+        argvs.append([command, "--config", cfg, "--out", str(tmp_path / f"{command}.{{}}.json")])
+    script = (
+        "import json, os, sys\n"
+        "from ftlab.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    argv[-1] = argv[-1].format(os.environ['PYTHONHASHSEED'])\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    src = str(Path(ftlab.__file__).resolve().parents[1])
+    for hash_seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env, check=True)
+    for command in HASH_SEED_CONFIGS:
+        first = (tmp_path / f"{command}.1.json").read_bytes()
+        assert first == (tmp_path / f"{command}.3.json").read_bytes(), command
+
+
+# -- serializer parity ----------------------------------------------------------
+# The isinstance walk that exact-type dispatch and bulk array formatting
+# replaced, kept as the oracle for the bytes and the error texts.
+
+
+def _oracle_fmt_float(x):
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite value {x}")
+    return "%.17g" % x
+
+
+def oracle_dump(o):
+    if isinstance(o, (float, np.floating)):
+        return _oracle_fmt_float(o)
+    if isinstance(o, (list, tuple)):
+        return "[" + ",".join(map(oracle_dump, o)) + "]"
+    if isinstance(o, str):
+        return json.dumps(o, ensure_ascii=False)
+    if o is None:
+        return "null"
+    if isinstance(o, (bool, np.bool_)):
+        return "true" if o else "false"
+    if isinstance(o, (int, np.integer)):
+        return str(int(o))
+    if isinstance(o, np.ndarray):
+        return oracle_dump(o.tolist())
+    if isinstance(o, (set, frozenset)):
+        return oracle_dump(sorted(o))
+    if isinstance(o, Mapping):
+        return "{" + ",".join(
+            json.dumps(str(k), ensure_ascii=False) + ":" + oracle_dump(o[k])
+            for k in sorted(o, key=str)
+        ) + "}"
+    if isinstance(o, Sequence):
+        return oracle_dump(list(o))
+    raise TypeError(f"cannot serialize {type(o).__name__}")
+
+
+def test_json_dumps_array_shapes_golden_bytes():
+    assert json_dumps(np.array(2.5)) == "2.5"
+    assert json_dumps(np.zeros((0,))) == "[]"
+    assert json_dumps(np.zeros((3, 0))) == "[[],[],[]]"
+    assert json_dumps(np.arange(12.0).reshape(2, 3, 2)) == (
+        "[[[0,1],[2,3],[4,5]],[[6,7],[8,9],[10,11]]]"
+    )
+    extremes = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+    assert json_dumps(extremes) == (
+        "[-0,4.9406564584124654e-324,1.7976931348623157e+308,-1.7976931348623157e+308]"
+    )
+
+
+def test_json_dumps_array_layouts_match_oracle():
+    a = np.random.default_rng(3).normal(size=(5, 4, 2)) * 10.0 ** np.arange(-3, 5).reshape(4, 2)
+    cases = [
+        a,
+        a.astype(np.float32),
+        np.asfortranarray(a),
+        a[::-1, :, ::-1],
+        a[1:4, ::2],
+        a[:, 0, 1],
+        a.astype(np.float16)[0],
+        np.array([-0.0, 5e-324, 1.7976931348623157e308]),
+    ]
+    for x in cases:
+        assert json_dumps({"x": x}) == oracle_dump({"x": x})
+
+
+def test_json_dumps_array_larger_than_one_chunk():
+    rows = cli._CHUNK_ROWS * 2 + 3
+    pairs = np.random.default_rng(4).normal(size=(rows, 2))
+    assert json_dumps(pairs) == oracle_dump(pairs)
+    assert json_dumps(pairs[:, 0]) == oracle_dump(pairs[:, 0])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([1.0, np.nan]),
+        np.array([[1.0, 2.0], [-np.inf, np.inf]]),
+        np.array([[1.0, np.inf], [np.nan, 2.0]]).T,
+        np.array([np.inf], dtype=np.float32),
+        np.array(-np.inf),
+        math.nan,
+        np.float64(-math.inf),
+    ],
+)
+def test_json_dumps_non_finite_error_text_matches_oracle(bad):
+    with pytest.raises(ValueError) as want:
+        oracle_dump({"x": [bad]})
+    with pytest.raises(ValueError) as got:
+        json_dumps({"x": [bad]})
+    assert str(got.value) == str(want.value)
+
+
+class Level(enum.IntEnum):
+    LOW = 2
+
+
+class Tag(str):
+    pass
+
+
+def test_json_dumps_exact_types_and_subclasses_match_oracle():
+    assert json_dumps([True, 1, False, 0, 1.0]) == "[true,1,false,0,1]"
+    doc = collections.OrderedDict(
+        [("z", Level.LOW), ("a", Tag("t\u00e9\"")), ("\u2713", (np.int64(5), np.bool_(True)))]
+    )
+    assert json_dumps(doc) == oracle_dump(doc) == '{"a":"t\u00e9\\"","z":2,"\u2713":[5,true]}'
+
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+    hnp.arrays(
+        st.sampled_from([np.float64, np.float32]),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+        elements={"allow_nan": False, "allow_infinity": False},
+    ),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_trees)
+def test_json_dumps_matches_oracle_on_random_trees(tree):
+    assert json_dumps(tree) == oracle_dump(tree)
