@@ -40,7 +40,6 @@ from .circuit import (
     Circuit,
     EnvCoupling,
     EnvironmentSpec,
-    FinalMeasure,
     Location,
     circuit_from_json,
     environment_spec_from_json,

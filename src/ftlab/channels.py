@@ -1,18 +1,19 @@
 """Completely positive trace-preserving maps in Kraus form.
 
-Channels carry an explicit `support`: the ambient subsystem labels their
-Kraus factors refer to. Composition and embedding work over the union of
-supports, so single-qubit noise can be slotted into multi-qubit states
-without manual kron bookkeeping.
+A channel is one read-only (K, d, d) complex128 stack of Kraus operators,
+its subsystem dims and an explicit `support`: the ambient subsystem labels
+its Kraus factors refer to. Composition and embedding work over the union
+of supports, so single-qubit noise can be slotted into multi-qubit states
+without manual kron bookkeeping; every consumer reads the stack directly.
 
 The diamond-norm distance is reported as a certified interval. The lower
 end comes from restarted projected-gradient ascent over bipartite pure
 states (reference copy of the input space, which is enough to attain the
 maximum); the upper end is the spectral bound on the partial trace of the
-absolute Choi difference, clipped at 2. Exact SDP evaluation is out of
-scope by design.
+absolute Choi difference, clipped at 2, computed in one place,
+`_diamond_upper_from_delta`. Exact SDP evaluation is out of scope by design.
 
-The ascent works on the Kraus operators of both channels stacked into one
+The ascent works on the Kraus stacks of both channels concatenated into one
 (K, d, d) array with a +1/-1 sign per operator, and on a batch of starts at
 once; each start keeps its own step size and stopping state. The maximally
 entangled start runs first, then the Haar-random starts in batches whose
@@ -54,22 +55,25 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 @dataclass(frozen=True)
 class Channel:
-    """Kraus decomposition {K_i} with sum K_i^dag K_i = I (within 1e-10).
+    """Kraus stack {K_i} with sum K_i^dag K_i = I (within 1e-10).
 
+    `kraus` is one read-only (K, d, d) complex128 array with d = dims.total;
     `support` lists the ambient subsystem labels the Kraus factors act on,
-    in the factor order of the Kraus matrices themselves.
+    in the factor order of `dims`.
     """
 
-    kraus: tuple[Matrix, ...]
+    kraus: np.ndarray
+    dims: SubsystemDims
     support: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.kraus:
-            raise ValueError("channel needs at least one Kraus operator")
-        dims = self.kraus[0].dims
-        for k in self.kraus:
-            if k.dims != dims:
-                raise ValueError("Kraus operators disagree on dims")
+        dims = self.dims
+        if not isinstance(dims, SubsystemDims):
+            dims = SubsystemDims(tuple(dims))
+        ks = np.array(self.kraus, dtype=np.complex128)
+        d = dims.total
+        if ks.ndim != 3 or ks.shape[1:] != (d, d) or not len(ks):
+            raise ValueError(f"Kraus stack must have shape (K >= 1, {d}, {d}), got {ks.shape}")
         support = tuple(int(s) for s in self.support)
         if len(support) != len(dims):
             raise ValueError(
@@ -77,15 +81,13 @@ class Channel:
             )
         if len(set(support)) != len(support):
             raise ValueError(f"support has duplicates: {support}")
-        object.__setattr__(self, "kraus", tuple(self.kraus))
+        ks.flags.writeable = False
+        object.__setattr__(self, "kraus", ks)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "support", support)
-        acc = sum(k.data.conj().T @ k.data for k in self.kraus)
-        if np.max(np.abs(acc - np.eye(dims.total))) > TP_ATOL:
+        acc = np.einsum("kab,kac->bc", ks.conj(), ks)
+        if np.max(np.abs(acc - np.eye(d))) > TP_ATOL:
             raise ValueError("Kraus operators are not trace preserving")
-
-    @property
-    def dims(self) -> SubsystemDims:
-        return self.kraus[0].dims
 
     @property
     def dim(self) -> int:
@@ -96,21 +98,25 @@ class Channel:
     @classmethod
     def from_kraus(
         cls,
-        ops: Sequence[np.ndarray | Matrix],
+        ops: Sequence[np.ndarray | Matrix] | np.ndarray,
         dims: SubsystemDims | Sequence[int] | None = None,
         support: Sequence[int] | None = None,
     ) -> "Channel":
-        if not ops:
+        """Channel from Kraus operators given as Matrix or arrays, or one stack.
+
+        Without `dims`, they come from the first operator: its own dims if it
+        is a Matrix, else one factor of its side.
+        """
+        if not len(ops):
             raise ValueError("need at least one Kraus operator")
-        mats = []
-        for op in ops:
-            if isinstance(op, Matrix):
-                mats.append(op if dims is None else Matrix.of(op.data, dims))
-            else:
-                mats.append(Matrix.of(op, dims))
+        if dims is None:
+            first = ops[0]
+            dims = first.dims if isinstance(first, Matrix) else Matrix.of(first).dims
+        elif not isinstance(dims, SubsystemDims):
+            dims = SubsystemDims(tuple(dims))
         if support is None:
-            support = tuple(range(len(mats[0].dims)))
-        return cls(tuple(mats), tuple(support))
+            support = tuple(range(len(dims)))
+        return cls([op.data if isinstance(op, Matrix) else op for op in ops], dims, support)
 
     @classmethod
     def unitary(
@@ -119,10 +125,8 @@ class Channel:
         dims: SubsystemDims | Sequence[int] | None = None,
         support: Sequence[int] | None = None,
     ) -> "Channel":
-        ch = cls.from_kraus([u], dims, support)
-        if not ch.kraus[0].is_unitary(UNITARY_ATOL):
-            raise ValueError("operator is not unitary")
-        return ch
+        """One Kraus operator; trace preservation makes it unitary."""
+        return cls.from_kraus([u], dims, support)
 
     @classmethod
     def identity(
@@ -137,12 +141,6 @@ class Channel:
     def is_identity(self, atol: float = 1e-12) -> bool:
         j = _choi_array(self)
         return bool(np.max(np.abs(j - _choi_array(Channel.identity(self.dims)))) <= atol)
-
-    def dagger_unitary(self) -> "Channel":
-        """Inverse of a unitary channel."""
-        if len(self.kraus) != 1 or not self.kraus[0].is_unitary(UNITARY_ATOL):
-            raise ValueError("only unitary channels have a channel inverse")
-        return Channel((self.kraus[0].dagger(),), self.support)
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +159,12 @@ def _check_fits(ch: Channel, dims: SubsystemDims) -> None:
             )
 
 
-def apply_channel(ch: Channel, rho: Matrix, *, validate: bool = True) -> Matrix:
+def apply_channel(ch: Channel, rho: Matrix) -> Matrix:
     """sum_i K_i rho K_i^dag, each K_i acting on the channel's support in rho's space."""
-    if validate and not rho.is_density():
+    if not rho.is_density():
         raise ValueError("input is not a density matrix")
     _check_fits(ch, rho.dims)
-    out = apply_local(rho.data, [k.data for k in ch.kraus], ch.support, rho.dims)
-    return Matrix(out, rho.dims)
+    return Matrix(apply_local(rho.data, ch.kraus, ch.support, rho.dims), rho.dims)
 
 
 def _union_space(
@@ -183,12 +180,12 @@ def _union_space(
     return labels, SubsystemDims(tuple(local[s] for s in labels))
 
 
-def _kraus_on(ch: Channel, labels: tuple[int, ...], dims: SubsystemDims) -> list[np.ndarray]:
-    """Kraus arrays embedded into `dims`, whose subsystems carry `labels`."""
+def _kraus_on(ch: Channel, labels: tuple[int, ...], dims: SubsystemDims) -> np.ndarray:
+    """Kraus stack embedded into `dims`, whose subsystems carry `labels`."""
     positions = tuple(labels.index(s) for s in ch.support)
     if positions == tuple(range(len(dims))):
-        return [k.data for k in ch.kraus]
-    return [embed_operator(k.data, positions, dims) for k in ch.kraus]
+        return ch.kraus
+    return np.stack([embed_operator(k, positions, dims) for k in ch.kraus])
 
 
 def compose_channels(later: Channel, earlier: Channel) -> Channel:
@@ -203,8 +200,8 @@ def compose_channels(later: Channel, earlier: Channel) -> Channel:
     )
     ka = _kraus_on(later, labels, dims)
     kb = _kraus_on(earlier, labels, dims)
-    prods = [a @ b for a in ka for b in kb]
-    return Channel.from_kraus(prods, dims, labels)
+    prods = ka[:, None] @ kb[None]
+    return Channel(prods.reshape(-1, dims.total, dims.total), dims, labels)
 
 
 def embed_channel(ch: Channel, total: SubsystemDims | Sequence[int]) -> Channel:
@@ -213,7 +210,7 @@ def embed_channel(ch: Channel, total: SubsystemDims | Sequence[int]) -> Channel:
         total = SubsystemDims(tuple(total))
     _check_fits(ch, total)
     labels = tuple(range(len(total)))
-    return Channel.from_kraus(_kraus_on(ch, labels, total), total, labels)
+    return Channel(_kraus_on(ch, labels, total), total, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +222,7 @@ def _choi_array(ch: Channel) -> np.ndarray:
     d = ch.dim
     j = np.zeros((d * d, d * d), dtype=np.complex128)
     for k in ch.kraus:
-        v = k.data.reshape(-1)  # (K ⊗ I) applied to sum_i |i>|i>
+        v = k.reshape(-1)  # (K ⊗ I) applied to sum_i |i>|i>
         j += np.outer(v, v.conj())
     return j
 
@@ -244,8 +241,12 @@ class DiamondInterval(NamedTuple):
     upper: float
 
 
-def _diamond_upper_from_delta(delta_j: np.ndarray, d: int) -> float:
-    """Certified upper bound: largest eigenvalue of Tr_out |dJ|, capped at 2."""
+def _diamond_upper_from_delta(delta_j: np.ndarray) -> float:
+    """Certified upper bound: largest eigenvalue of Tr_out |dJ|, capped at 2.
+
+    `delta_j` is a Choi difference on (output ⊗ reference), side d^2.
+    """
+    d = math.isqrt(len(delta_j))
     w, u = np.linalg.eigh(delta_j)
     abs_j = (u * np.abs(w)) @ u.conj().T
     reduced = np.einsum(abs_j.reshape(d, d, d, d), [0, 1, 0, 2], [1, 2])
@@ -361,10 +362,10 @@ def diamond_distance(
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     d = a.dim
     delta_j = _choi_array(a) - _choi_array(b)
-    upper = _diamond_upper_from_delta(delta_j, d)
+    upper = _diamond_upper_from_delta(delta_j)
     if upper <= 1e-14:
         return DiamondInterval(0.0, 0.0)
-    kraus = np.stack([k.data for k in a.kraus + b.kraus])
+    kraus = np.concatenate([a.kraus, b.kraus])
     signs = np.repeat([1.0, -1.0], [len(a.kraus), len(b.kraus)])
     closed = upper * (1.0 - tol)
     entangled = np.eye(d, dtype=np.complex128).reshape(1, -1) / math.sqrt(d)
@@ -487,11 +488,9 @@ def stinespring_dilation(ch: Channel) -> tuple[Matrix, int]:
     k = len(ch.kraus)
     d = ch.dim
     if k == 1:
-        return ch.kraus[0], 1
-    iso = np.zeros((d * k, d), dtype=np.complex128)
-    for e, op in enumerate(ch.kraus):
-        # joint index (s, e) -> s * k + e
-        iso[e::k, :] = op.data
+        return Matrix(ch.kraus[0], ch.dims), 1
+    # joint index (s, e) -> s * k + e
+    iso = ch.kraus.transpose(1, 0, 2).reshape(d * k, d)
     q, _ = np.linalg.qr(iso, mode="complete")
     u = np.zeros((d * k, d * k), dtype=np.complex128)
     u[:, 0::k] = iso  # columns for env state |0>
@@ -511,40 +510,22 @@ def stinespring_dilation(ch: Channel) -> tuple[Matrix, int]:
 # ---------------------------------------------------------------------------
 
 
-def _diamond_upper(a: Channel, b: Channel) -> float:
-    if a.dims != b.dims:
-        raise ValueError("channels must share dims")
-    return _diamond_upper_from_delta(_choi_array(a) - _choi_array(b), a.dim)
-
-
-def strength_markovian(
-    noisy: Channel,
-    ideal: Channel,
-    *,
-    decompose: bool | None = None,
-) -> float:
+def strength_markovian(noisy: Channel, ideal: Channel) -> float:
     """Certified noise strength of a noisy location against its ideal.
 
-    If the ideal operation is a unitary channel (the default probes for
-    this), the noise factor N = noisy ∘ ideal^-1 is extracted and compared
-    against the identity. Otherwise the two channels are compared directly,
-    which bounds the same fault-insertion norm since composing with the
-    ideal operation cannot increase it.
+    The spectral upper bound on the diamond distance between the two
+    channels, which must share dims and support. It equals the strength of
+    the noise factor noisy ∘ ideal^-1 against the identity when the ideal is
+    unitary: composing with a unitary on the input conjugates the Choi
+    difference by a unitary on the reference factor, which keeps the
+    spectrum of Tr_out |dJ|.
 
     Returns the certified upper end of the diamond interval, so every
     downstream inequality of the form delta <= L * eps stays valid.
     """
-    if noisy.dims != ideal.dims:
-        raise ValueError("channels must share dims")
-    unitary_ideal = len(ideal.kraus) == 1 and ideal.kraus[0].is_unitary(UNITARY_ATOL)
-    if decompose is None:
-        decompose = unitary_ideal
-    if decompose:
-        if not unitary_ideal:
-            raise ValueError("ideal channel is not an invertible unitary channel")
-        n = compose_channels(noisy, ideal.dagger_unitary())
-        return _diamond_upper(n, Channel.identity(n.dims, n.support))
-    return _diamond_upper(noisy, ideal)
+    if noisy.dims != ideal.dims or noisy.support != ideal.support:
+        raise ValueError("channels must share dims and support")
+    return _diamond_upper_from_delta(_choi_array(noisy) - _choi_array(ideal))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 A circuit is a flat list of locations (state preparations, gates,
 projective measurements, and explicit identity/storage slots) tagged with
-time steps. All density-matrix evaluation runs through one walker,
+time steps, plus its read-out: the tuple of qubits measured in Z at the
+end, in label order. All density-matrix evaluation runs through one walker,
 ``_walk(c, hook)``, which applies each location's local Kraus set with
 ``matcore.apply_local`` and then calls ``hook(loc, x)`` for that location's
 noise part: nothing in ``simulate_ideal``, the channel N in
@@ -13,6 +14,9 @@ in ``faultpaths.zeta_subset`` / ``zeta_earliest``.
 pure state with per-location unitary couplings, for noise that independent
 per-location channels cannot describe; it steps the vector with the same
 kernel.
+
+Every simulator reads out through ``_readout``: the diagonal of the final
+density matrix reduced onto the measured qubits, permuted into label order.
 """
 
 from __future__ import annotations
@@ -159,26 +163,17 @@ class Location:
 
 
 @dataclass(frozen=True)
-class FinalMeasure:
-    qubit: int
-    projectors: tuple[Matrix, ...]
-
-    @classmethod
-    def z(cls, qubit: int) -> "FinalMeasure":
-        return cls(qubit, tuple(Matrix.of(p) for p in Z_PROJECTORS))
-
-
-@dataclass(frozen=True)
 class Circuit:
-    """Ordered locations on n_system qubits plus the final read-out."""
+    """Ordered locations on n_system qubits plus the final read-out: the
+    qubits measured in Z, in the order their outcomes appear in labels."""
 
     n_system: int
     locations: tuple[Location, ...]
-    final_measure: tuple[FinalMeasure, ...]
+    final_measure: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "locations", tuple(self.locations))
-        object.__setattr__(self, "final_measure", tuple(self.final_measure))
+        object.__setattr__(self, "final_measure", tuple(int(q) for q in self.final_measure))
         problems = validate_circuit(self)
         if problems:
             raise ValueError("invalid circuit: " + "; ".join(problems))
@@ -199,13 +194,13 @@ class Circuit:
         cls,
         n_system: int,
         ops: Sequence[Location],
-        final_measure: Sequence[FinalMeasure] | None = None,
+        final_measure: Sequence[int] | None = None,
     ) -> "Circuit":
-        """Re-number the given locations 1..L with one location per step."""
+        """Re-number the given locations 1..L with one location per step;
+        the read-out defaults to every qubit."""
         locs = [replace(loc, index=pos, step=pos) for pos, loc in enumerate(ops, 1)]
-        if final_measure is None:
-            final_measure = tuple(FinalMeasure.z(q) for q in range(n_system))
-        return cls(n_system, tuple(locs), tuple(final_measure))
+        read_out = range(n_system) if final_measure is None else final_measure
+        return cls(n_system, tuple(locs), read_out)
 
 
 def validate_circuit(c: Circuit) -> list[str]:
@@ -272,16 +267,13 @@ def validate_circuit(c: Circuit) -> list[str]:
         elif not 0 <= outcome < measure_arity.get(ref, 0):
             out.append(f"location {loc.index}: condition outcome {outcome} out of range")
     seen_q: set[int] = set()
-    for fm in c.final_measure:
-        if not 0 <= fm.qubit < n:
-            out.append(f"final measurement qubit {fm.qubit} out of range")
+    for q in c.final_measure:
+        if not 0 <= q < n:
+            out.append(f"final measurement qubit {q} out of range")
             continue
-        if fm.qubit in seen_q:
-            out.append(f"final measurement repeats qubit {fm.qubit}")
-        seen_q.add(fm.qubit)
-        acc = sum(p.data for p in fm.projectors)
-        if np.max(np.abs(acc - np.eye(2))) > PROJ_ATOL:
-            out.append(f"final measurement on qubit {fm.qubit} is incomplete")
+        if q in seen_q:
+            out.append(f"final measurement repeats qubit {q}")
+        seen_q.add(q)
     return out
 
 
@@ -346,32 +338,29 @@ def _noisy_hook(
                 f"noise on location {idx} acts on {ch.support}, outside its "
                 f"support {loc.support}"
             )
-    kraus = {idx: ([k.data for k in ch.kraus], ch.support) for idx, ch in noise.items()}
 
     def hook(loc: Location, x: np.ndarray) -> np.ndarray:
-        if loc.index not in kraus:
+        ch = noise.get(loc.index)
+        if ch is None:
             return x
-        return apply_local(x, *kraus[loc.index], c.dims)
+        return apply_local(x, ch.kraus, ch.support, c.dims)
 
     return hook
 
 
 def _readout(c: Circuit, rho: Matrix) -> Distribution:
-    """rho reduced onto the measured qubits, then one projector stack
-    contracted per qubit. Labels follow final_measure order; all are kept."""
-    if not c.final_measure:
+    """Z outcome probabilities of the read-out qubits: the diagonal of rho
+    reduced onto them, with axes permuted into final_measure order. Every
+    outcome is kept, negative round-off clamped to 0."""
+    qubits = c.final_measure
+    if not qubits:
         return Distribution({"": 1.0})
-    qubits = [fm.qubit for fm in c.final_measure]
     m = len(qubits)
     perm = [sorted(qubits).index(q) for q in qubits]  # partial_trace sorts its axes
-    t = partial_trace(rho, qubits).data.reshape((2,) * 2 * m)
-    t = t.transpose(perm + [m + p for p in perm])
-    for j, fm in enumerate(c.final_measure):
-        # qubit j's row and column lead each half: tr(P rho) = sum P[i, l] rho[l, i]
-        t = np.tensordot(t, np.stack([p.data for p in fm.projectors]), ([0, m - j], [2, 1]))
-    labels = itertools.product(*(range(len(fm.projectors)) for fm in c.final_measure))
-    probs = zip(labels, t.reshape(-1))
-    return Distribution({"".join(map(str, a)): max(0.0, float(p.real)) for a, p in probs})
+    diag = np.diagonal(partial_trace(rho, qubits).data).real
+    diag = diag.reshape((2,) * m).transpose(perm).reshape(-1)
+    probs = zip(itertools.product("01", repeat=m), diag)
+    return Distribution({"".join(a): max(0.0, float(p)) for a, p in probs})
 
 
 def simulate_ideal(c: Circuit) -> tuple[Matrix, Distribution]:
@@ -446,29 +435,14 @@ def environment_strength(env: EnvironmentSpec) -> float:
     return strength_unitary_couplings(c.unitary for c in env.couplings.values())
 
 
-def _completion_unitary(state: np.ndarray) -> np.ndarray:
-    """Any unitary whose first column is `state` (Gram-Schmidt fill)."""
-    d = state.size
-    cols = [state]
-    for i in range(d):
-        v = np.eye(d, dtype=np.complex128)[:, i]
-        for c in cols:
-            v = v - np.vdot(c, v) * c
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-9:
-            cols.append(v / nrm)
-        if len(cols) == d:
-            break
-    return np.stack(cols, axis=1)
-
-
 def simulate_with_environment(
     c: Circuit, env: EnvironmentSpec
 ) -> tuple[Matrix, Distribution]:
     """Joint pure-state evolution with per-location coupling unitaries.
 
     Requirements checked here: no conditioned gates (rewrite first), preps
-    must be the first operation touching their qubits, measurements must be
+    must be the first operation touching their qubits (so they act on
+    |0...0> and apply as |psi><0...0|), measurements must be
     terminal on their qubit, uncoupled, and are applied as deferred
     non-selective projections on the reduced system state. Returns the
     reduced system density matrix and the read-out distribution.
@@ -496,7 +470,9 @@ def simulate_with_environment(
                     f"prep at location {loc.index} is not the first operation "
                     "on its qubits"
                 )
-            psi = apply_local(psi, [_completion_unitary(loc.state)], loc.support, dims)
+            load = np.zeros((loc.state.size,) * 2, dtype=np.complex128)
+            load[:, 0] = loc.state
+            psi = apply_local(psi, [load], loc.support, dims)
         elif loc.kind == "gate":
             psi = apply_local(psi, [loc.gate.data], loc.support, dims)
         elif loc.kind == "measure":
@@ -668,11 +644,7 @@ def circuit_from_json(obj: Mapping) -> Circuit:
         else:
             raise ValueError(f"unknown location kind {kind!r}")
     fm = obj.get("final_measure")
-    if fm is None:
-        final = tuple(FinalMeasure.z(q) for q in range(n_system))
-    else:
-        final = tuple(FinalMeasure.z(int(q)) for q in fm)
-    return Circuit(n_system, tuple(locs), final)
+    return Circuit(n_system, tuple(locs), range(n_system) if fm is None else fm)
 
 
 def environment_spec_from_json(obj: Mapping) -> EnvironmentSpec:

@@ -446,7 +446,6 @@ def _cmd_threshold(config: dict, workers: int) -> Report:
         L0=int(params["L0"]),
         t=int(params["t"]),
         xi=float(params.get("xi", math.e)),
-        c_variant=params.get("c_variant", "encoded"),
     )
     results: dict = {
         "L0": scheme.L0,

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .faultpaths import BOUND_VARIANTS
 from .gadgets import level1_failure_exact, level1_failure_mc
 
 MAX_LEVEL = 64
@@ -17,13 +16,11 @@ BISECTION_TOL = 1e-8
 @dataclass(frozen=True)
 class SchemeParams:
     """Fault-tolerance scheme constants: locations per (largest) gadget L0,
-    tolerated fault count t, prefactor xi >= 1, and which accuracy-bound
-    variant downstream consumers pair the renormalized strength with."""
+    tolerated fault count t and prefactor xi >= 1."""
 
     L0: int
     t: int
     xi: float = math.e
-    c_variant: str = "encoded"
 
     def __post_init__(self) -> None:
         if self.t < 1:
@@ -32,8 +29,6 @@ class SchemeParams:
             raise ValueError("L0 must exceed t")
         if self.xi < 1.0:
             raise ValueError("xi must be >= 1")
-        if self.c_variant not in BOUND_VARIANTS:
-            raise ValueError(f"unknown bound variant {self.c_variant!r}")
 
     @property
     def combinations(self) -> int:

@@ -63,10 +63,52 @@ def test_channel_requires_trace_preservation():
         Channel.from_kraus([], (2,))
 
 
+def test_kraus_is_one_read_only_stack():
+    g = 1.0 - math.exp(-0.3)
+    arrays = [np.diag([1.0, math.sqrt(1.0 - g)]), np.array([[0.0, math.sqrt(g)], [0.0, 0.0]])]
+    ch = Channel.from_kraus(arrays, (2,))
+    assert isinstance(ch.kraus, np.ndarray)
+    assert ch.kraus.shape == (2, 2, 2) and ch.kraus.dtype == np.complex128
+    assert not ch.kraus.flags.writeable
+    with pytest.raises(ValueError):
+        ch.kraus[0, 0, 0] = 0.0
+    for same in (
+        Channel.from_kraus([Matrix.of(k) for k in arrays]),
+        Channel.from_kraus(np.stack(arrays), (2,)),
+        Channel.from_kraus([Matrix.of(arrays[0]), arrays[1]], (2,)),
+    ):
+        np.testing.assert_array_equal(same.kraus, ch.kraus)
+        assert same.dims == ch.dims and same.support == ch.support
+    source = np.stack(arrays).astype(np.complex128)
+    copied = Channel.from_kraus(source, (2,))
+    source[0] = 0.0
+    np.testing.assert_array_equal(copied.kraus, ch.kraus)
+    u = Channel.unitary(Matrix.of(CNOT, (2, 2)), support=(3, 1))
+    assert u.kraus.shape == (1, 4, 4) and u.dims.dims == (2, 2) and u.support == (3, 1)
+
+
+def test_kraus_stack_shape_is_checked():
+    dims = qubit_dims(1)
+    with pytest.raises(ValueError, match="at least one"):
+        Channel.from_kraus([], dims)
+    for stack, stack_dims in (
+        (np.zeros((0, 2, 2)), dims),  # empty stack
+        (np.eye(2), dims),  # one matrix, not a stack
+        (np.eye(2)[None], qubit_dims(2)),  # side disagrees with dims
+        (np.ones((1, 2, 3)), dims),  # not square
+    ):
+        with pytest.raises(ValueError, match="shape"):
+            Channel(stack, stack_dims, tuple(range(len(stack_dims))))
+    with pytest.raises(ValueError):
+        Channel.from_kraus([np.eye(2), np.eye(4)], dims)
+
+
 def test_apply_channel_examples():
     rho0 = Matrix.of(np.diag([1.0, 0.0]))
     ident = Channel.identity(qubit_dims(1))
     np.testing.assert_allclose(apply_channel(ident, rho0).data, rho0.data)
+    with pytest.raises(ValueError, match="density"):
+        apply_channel(ident, Matrix.of(np.diag([2.0, 0.0])))
 
     flip = make_noise_channel(NoiseSpec.probabilistic(1.0, SIGMA_X))
     np.testing.assert_allclose(
@@ -213,7 +255,7 @@ def noisy_cnot(spec):
 
 
 def stacked(a, b):
-    kraus = np.stack([k.data for k in a.kraus + b.kraus])
+    kraus = np.concatenate([a.kraus, b.kraus])
     return kraus, np.repeat([1.0, -1.0], [len(a.kraus), len(b.kraus)])
 
 
@@ -240,7 +282,7 @@ def test_objective_matches_per_kraus_loop():
         f, s, v = channels._objective(kraus, signs, psi)
         for r in range(3):
             mat = psi[r].reshape(d, d)
-            outs = [k.data @ mat for k in a.kraus + b.kraus]
+            outs = [k @ mat for k in kraus]
             np.testing.assert_allclose(v[r], [o.reshape(-1) for o in outs], atol=1e-15)
             delta = sum(sg * np.outer(o, o.conj()) for sg, o in zip(signs, outs))
             assert f[r] == pytest.approx(trace_norm(delta), rel=1e-12)
@@ -339,9 +381,44 @@ def test_strength_markovian_examples():
     meas = Channel.from_kraus(
         [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], (2,)
     )  # dephasing: not invertible
-    with pytest.raises(ValueError):
-        strength_markovian(meas, meas, decompose=True)
     assert strength_markovian(meas, meas) == pytest.approx(0.0, abs=1e-12)
+
+
+def decomposed_strength(noisy, ideal):
+    """Strength of the noise factor noisy ∘ ideal^-1 against the identity."""
+    inverse = Channel.unitary(ideal.kraus[0].conj().T, ideal.dims, ideal.support)
+    factor = compose_channels(noisy, inverse)
+    return strength_markovian(factor, Channel.identity(factor.dims, factor.support))
+
+
+def test_strength_markovian_matches_noise_factor_strength():
+    rng = np.random.default_rng(28)
+    for n in (1, 2):
+        d = 2**n
+        for _ in range(6):
+            ideal = Channel.unitary(haar_unitary(rng, d), qubit_dims(n))
+            kraus = random_channel(rng, d, 3).kraus
+            noisy = Channel.from_kraus(kraus, qubit_dims(n))
+            want = decomposed_strength(noisy, ideal)
+            assert strength_markovian(noisy, ideal) == pytest.approx(want, rel=1e-14, abs=0)
+            ident = Channel.identity(qubit_dims(n))
+            assert strength_markovian(noisy, ident) == decomposed_strength(noisy, ident)
+    for spec in (
+        NoiseSpec.depolarizing(0.03),
+        NoiseSpec.amplitude_damping(0.1, 1.0),
+        NoiseSpec.control_rotation(0.01),
+    ):
+        noisy = make_noise_channel(spec, support=(2,))
+        ident = Channel.identity(qubit_dims(1), (2,))
+        assert strength_markovian(noisy, ident) == decomposed_strength(noisy, ident)
+
+
+def test_strength_markovian_needs_matching_dims_and_support():
+    noisy = make_noise_channel(NoiseSpec.depolarizing(0.1), support=(0,))
+    with pytest.raises(ValueError, match="support"):
+        strength_markovian(noisy, Channel.identity(qubit_dims(1), (1,)))
+    with pytest.raises(ValueError, match="dims"):
+        strength_markovian(noisy, Channel.identity(qubit_dims(2), (0, 1)))
 
 
 def test_strength_markovian_probabilistic_bounded_by_2p():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -20,7 +21,6 @@ from ftlab.circuit import (
     Circuit,
     EnvCoupling,
     EnvironmentSpec,
-    FinalMeasure,
     Location,
     circuit_from_json,
     environment_spec_from_json,
@@ -37,6 +37,7 @@ from ftlab.matcore import (
     Matrix,
     kolmogorov_distance,
     matrix_to_json,
+    partial_trace,
     qubit_dims,
 )
 
@@ -47,8 +48,7 @@ CNOT = np.array(
 
 
 def seq(n, *ops, measure=None):
-    fm = None if measure is None else tuple(FinalMeasure.z(q) for q in measure)
-    return Circuit.sequential(n, list(ops), fm)
+    return Circuit.sequential(n, list(ops), measure)
 
 
 def haar_unitary(rng, d):
@@ -58,7 +58,7 @@ def haar_unitary(rng, d):
 
 
 def test_validate_empty_circuit_ok():
-    c = Circuit(1, (), (FinalMeasure.z(0),))
+    c = Circuit(1, (), (0,))
     assert validate_circuit(c) == []
 
 
@@ -347,7 +347,7 @@ def test_rewrite_z_conditioned_x_preserves_bell_statistics():
         Location.measure(0, 0, 0),
         Location.gate_on(0, 0, 1, SIGMA_X, condition=(4, 1)),
     ]
-    c = Circuit.sequential(2, ops, (FinalMeasure.z(1),))
+    c = Circuit.sequential(2, ops, (1,))
     _, dist = simulate_ideal(c)
     assert dist["0"] == pytest.approx(1.0, abs=1e-10)
 
@@ -373,7 +373,7 @@ def test_rewrite_x_basis_condition_on_random_gate():
             Location.measure(0, 0, 0, (plus, minus)),
             Location.gate_on(0, 0, 1, u, condition=(3, 1)),
         ]
-        c = Circuit.sequential(2, ops, (FinalMeasure.z(1),))
+        c = Circuit.sequential(2, ops, (1,))
         _, dist = simulate_ideal(c)
         r = rewrite_conditioned_gates(c)
         _, dist_r = simulate_ideal(r)
@@ -458,3 +458,95 @@ def test_environment_spec_json():
     assert env.n_env == 1
     np.testing.assert_allclose(env.initial, KET0)
     assert env.couplings[1].support == (0, 1)
+
+
+Z_PROJECTOR_STACK = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(np.complex128)
+
+
+def projector_readout(rho, qubits):
+    """The former read-out, kept as an oracle: rho reduced onto `qubits`,
+    then one Z projector stack contracted per qubit, labels in `qubits` order."""
+    if not qubits:
+        return {"": 1.0}
+    m = len(qubits)
+    perm = [sorted(qubits).index(q) for q in qubits]
+    t = partial_trace(rho, qubits).data.reshape((2,) * 2 * m)
+    t = t.transpose(perm + [m + p for p in perm])
+    for j in range(m):
+        # qubit j's row and column lead each half: tr(P rho) = sum P[i, l] rho[l, i]
+        t = np.tensordot(t, Z_PROJECTOR_STACK, ([0, m - j], [2, 1]))
+    labels = itertools.product(range(2), repeat=m)
+    return {"".join(map(str, a)): max(0.0, float(p.real)) for a, p in zip(labels, t.reshape(-1))}
+
+
+def random_noisy_circuit(rng, n, measure):
+    """Random preps, one- and two-qubit gates and waits, with zoo noise on
+    about half the locations."""
+    ops = [Location.prep(0, 0, q, KET_PLUS if rng.random() < 0.5 else KET0) for q in range(n)]
+    for _ in range(3 * n):
+        r = rng.random()
+        if r < 0.4:
+            ops.append(Location.gate_on(0, 0, int(rng.integers(n)), haar_unitary(rng, 2)))
+        elif r < 0.8 and n > 1:
+            a, b = rng.choice(n, size=2, replace=False)
+            ops.append(Location.gate_on(0, 0, (int(a), int(b)), CNOT))
+        else:
+            ops.append(Location.wait(0, 0, int(rng.integers(n))))
+    c = seq(n, *ops, measure=measure)
+    specs = [
+        NoiseSpec.depolarizing(0.05),
+        NoiseSpec.amplitude_damping(0.1, 1.0),
+        NoiseSpec.control_rotation(0.03),
+    ]
+    noise = {}
+    for loc in c.locations:
+        if rng.random() < 0.5:
+            q = loc.support[int(rng.integers(len(loc.support)))]
+            noise[loc.index] = make_noise_channel(specs[int(rng.integers(3))], support=(q,))
+    return c, noise
+
+
+def test_readout_matches_projector_contraction_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            subset = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            permuted = [int(q) for q in rng.permutation(subset)]
+            for measure in (list(range(n)), [int(q) for q in subset], permuted, []):
+                c, noise = random_noisy_circuit(rng, n, measure)
+                rho, dist = simulate_noisy(c, noise)
+                assert c.final_measure == tuple(measure)
+                assert dist.probs == projector_readout(rho, c.final_measure)
+
+
+def test_empty_readout_is_exactly_certain():
+    c = seq(2, Location.prep(0, 0, 0, KET_PLUS), measure=[])
+    assert simulate_ideal(c)[1].probs == {"": 1.0}
+
+
+def test_final_measure_range_and_repeat_checks():
+    with pytest.raises(ValueError, match="out of range"):
+        seq(2, measure=[2])
+    with pytest.raises(ValueError, match="repeats"):
+        seq(2, measure=[1, 1])
+    assert seq(3).final_measure == (0, 1, 2)
+    assert circuit_from_json({"n_system": 2, "final_measure": [1]}).final_measure == (1,)
+
+
+def test_environment_prep_loads_any_state():
+    rng = np.random.default_rng(42)
+    for _ in range(3):
+        pair = rng.normal(size=4) + 1j * rng.normal(size=4)
+        single = rng.normal(size=2) + 1j * rng.normal(size=2)
+        c = seq(
+            3,
+            Location.prep(0, 0, (2, 0), pair / np.linalg.norm(pair)),
+            Location.gate_on(0, 0, (0, 2), CNOT),
+            Location.prep(0, 0, 1, single / np.linalg.norm(single)),
+            Location.gate_on(0, 0, 1, haar_unitary(rng, 2)),
+        )
+        env = EnvironmentSpec(1, KET_PLUS, {})
+        rho_e, dist_e = simulate_with_environment(c, env)
+        rho_i, dist_i = simulate_ideal(c)
+        np.testing.assert_allclose(rho_e.data, rho_i.data, atol=1e-12)
+        assert kolmogorov_distance(dist_e, dist_i) <= 1e-12

@@ -17,7 +17,6 @@ from ftlab.circuit import (
     Circuit,
     EnvCoupling,
     EnvironmentSpec,
-    FinalMeasure,
     Location,
     environment_strength,
     simulate_ideal,
@@ -183,7 +182,7 @@ def test_accuracy_delta_environment_instance():
         Location.wait(0, 0, 0),
         Location.wait(0, 0, 0),
     ]
-    c = Circuit.sequential(1, ops, (FinalMeasure.z(0),))
+    c = Circuit.sequential(1, ops, (0,))
     env = EnvironmentSpec(1, KET0, {i: EnvCoupling((0, 1), n) for i in (1, 2, 3)})
     delta = accuracy_delta_exact(c, env)
     eps = environment_strength(env)

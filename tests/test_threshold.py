@@ -32,8 +32,6 @@ def test_scheme_params_validation():
         SchemeParams(2, 2)
     with pytest.raises(ValueError):
         SchemeParams(5, 1, xi=0.5)
-    with pytest.raises(ValueError):
-        SchemeParams(5, 1, c_variant="bogus")
 
 
 def test_renormalize_strength():
