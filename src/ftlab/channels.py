@@ -53,7 +53,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """Kraus stack {K_i} with sum K_i^dag K_i = I (within 1e-10).
 
@@ -623,7 +623,7 @@ def strength_long_range(
     return LongRangeStrength(math.sqrt(c * t0 * max(row.values())))
 
 
-@dataclass
+@dataclass(eq=False)
 class CorrelationGrid:
     """Discretized absolute two-point correlation of a Gaussian environment.
 

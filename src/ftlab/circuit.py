@@ -3,8 +3,9 @@
 A circuit is a flat list of locations (state preparations, gates,
 projective measurements, and explicit identity/storage slots) tagged with
 time steps, plus its read-out: the tuple of qubits measured in Z at the
-end, in label order. All density-matrix evaluation runs through one walker,
-``_walk(c, hook)``, which applies each location's local Kraus set with
+end, in label order. Each location carries its operation as one local
+Kraus stack on its support. All density-matrix evaluation runs through one
+walker, ``_walk(c, hook)``, which applies each location's stack with
 ``matcore.apply_local`` and then calls ``hook(loc, x)`` for that location's
 noise part: nothing in ``simulate_ideal``, the channel N in
 ``simulate_noisy``, and the fault insertion N - I on the chosen locations
@@ -79,13 +80,23 @@ FIXED_GATES: dict[str, np.ndarray] = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Location:
-    """One operation slot: (index, step, kind, support) plus its payload.
+def _support(support: int | Sequence[int]) -> tuple[int, ...]:
+    return (support,) if isinstance(support, int) else tuple(support)
 
-    kind is one of "prep" (state vector on the support), "gate" (unitary,
-    optionally conditioned on an earlier measurement outcome), "measure"
-    (projector list on the support), "identity" (explicit storage slot).
+
+def _local(op: Matrix | np.ndarray, n_qubits: int) -> np.ndarray:
+    """The array of a local operator; a bare array must fit n_qubits."""
+    return (op if isinstance(op, Matrix) else Matrix.of(op, qubit_dims(n_qubits))).data
+
+
+@dataclass(frozen=True, eq=False)
+class Location:
+    """One operation slot: (index, step, kind, support) plus one local
+    Kraus stack `ops`, a read-only (K, d, d) complex128 array with
+    d = 2^len(support). kind is one of "prep" ([|psi><0...0|], from which
+    the walker builds the reset set |psi><k|), "gate" ([U], optionally
+    conditioned on an earlier measurement outcome), "measure" (the
+    projectors), "identity" (explicit storage slot, an empty stack).
     condition = (measure location index, outcome position).
     """
 
@@ -93,9 +104,7 @@ class Location:
     step: int
     kind: str
     support: tuple[int, ...]
-    state: np.ndarray | None = None
-    gate: Matrix | None = None
-    projectors: tuple[Matrix, ...] | None = None
+    ops: np.ndarray
     condition: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
@@ -105,12 +114,11 @@ class Location:
         if len(set(support)) != len(support) or not support:
             raise ValueError(f"support must be nonempty and duplicate-free: {support}")
         object.__setattr__(self, "support", support)
-        if self.state is not None:
-            vec = np.asarray(self.state, dtype=np.complex128).reshape(-1).copy()
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
-                raise ValueError("prep state must be normalized")
-            vec.flags.writeable = False
-            object.__setattr__(self, "state", vec)
+        ops = np.array(self.ops, dtype=np.complex128)
+        ops.flags.writeable = False
+        object.__setattr__(self, "ops", ops)
+        if self.kind == "prep" and abs(np.linalg.norm(ops[0][:, 0]) - 1.0) > 1e-10:
+            raise ValueError("prep state must be normalized")
         if self.condition is not None:
             object.__setattr__(
                 self, "condition", (int(self.condition[0]), int(self.condition[1]))
@@ -120,8 +128,14 @@ class Location:
 
     @classmethod
     def prep(cls, index: int, step: int, support: int | Sequence[int], state) -> "Location":
-        sup = (support,) if isinstance(support, int) else tuple(support)
-        return cls(index, step, "prep", sup, state=state)
+        sup = _support(support)
+        vec = np.asarray(state, dtype=np.complex128).reshape(-1)
+        # |psi><0...0|, with an over-cap support refused first; a state of the
+        # wrong size stays one column, for validate_circuit to reject
+        cols = qubit_dims(len(sup)).total if vec.size == 2 ** len(sup) else 1
+        load = np.zeros((1, vec.size, cols), dtype=np.complex128)
+        load[0, :, 0] = vec
+        return cls(index, step, "prep", sup, load)
 
     @classmethod
     def gate_on(
@@ -132,10 +146,8 @@ class Location:
         u: Matrix | np.ndarray,
         condition: tuple[int, int] | None = None,
     ) -> "Location":
-        sup = (support,) if isinstance(support, int) else tuple(support)
-        if not isinstance(u, Matrix):
-            u = Matrix.of(u, qubit_dims(len(sup)))
-        return cls(index, step, "gate", sup, gate=u, condition=condition)
+        sup = _support(support)
+        return cls(index, step, "gate", sup, [_local(u, len(sup))], condition)
 
     @classmethod
     def measure(
@@ -145,21 +157,19 @@ class Location:
         support: int | Sequence[int],
         projectors: Sequence[Matrix | np.ndarray] | None = None,
     ) -> "Location":
-        sup = (support,) if isinstance(support, int) else tuple(support)
+        sup = _support(support)
         if projectors is None:
             if len(sup) != 1:
                 raise ValueError("default Z projectors are single-qubit")
             projectors = Z_PROJECTORS
-        projs = tuple(
-            p if isinstance(p, Matrix) else Matrix.of(p, qubit_dims(len(sup)))
-            for p in projectors
-        )
-        return cls(index, step, "measure", sup, projectors=projs)
+        projs = [_local(p, len(sup)) for p in projectors]
+        if len({p.shape for p in projs}) > 1:  # ragged: validate_circuit reports the mismatch
+            projs = np.empty((len(projs), 0, 0))
+        return cls(index, step, "measure", sup, projs)
 
     @classmethod
     def wait(cls, index: int, step: int, support: int | Sequence[int]) -> "Location":
-        sup = (support,) if isinstance(support, int) else tuple(support)
-        return cls(index, step, "identity", sup)
+        return cls(index, step, "identity", _support(support), np.empty((0, 0, 0)))
 
 
 @dataclass(frozen=True)
@@ -230,28 +240,23 @@ def validate_circuit(c: Circuit) -> list[str]:
             out.append(f"location {loc.index}: step {loc.step} reuses a busy qubit")
         busy |= set(loc.support)
         d = 2 ** len(loc.support)
-        if loc.kind == "prep":
-            if loc.state is None or loc.state.size != d:
-                out.append(f"location {loc.index}: prep state has wrong dimension")
-        elif loc.kind == "gate":
-            if loc.gate is None or loc.gate.side != d:
-                out.append(f"location {loc.index}: gate has wrong dimension")
-            elif not loc.gate.is_unitary(GATE_ATOL):
-                out.append(f"location {loc.index}: gate is not unitary")
+        bad_shape = loc.ops.ndim != 3 or loc.ops.shape[1:] != (d, d)
+        if loc.kind == "prep" and bad_shape:
+            out.append(f"location {loc.index}: prep state has wrong dimension")
+        elif loc.kind == "gate" and (bad_shape or len(loc.ops) != 1):
+            out.append(f"location {loc.index}: gate has wrong dimension")
+        elif loc.kind == "gate" and not Matrix.of(loc.ops[0]).is_unitary(GATE_ATOL):
+            out.append(f"location {loc.index}: gate is not unitary")
+        elif loc.kind == "measure" and not len(loc.ops):
+            out.append(f"location {loc.index}: measurement needs projectors")
+        elif loc.kind == "measure" and bad_shape:
+            out.append(f"location {loc.index}: projector dimension mismatch")
         elif loc.kind == "measure":
-            if not loc.projectors:
-                out.append(f"location {loc.index}: measurement needs projectors")
-            else:
-                bad_shape = any(p.side != d for p in loc.projectors)
-                if bad_shape:
-                    out.append(f"location {loc.index}: projector dimension mismatch")
-                else:
-                    if any(not p.is_hermitian(1e-10) for p in loc.projectors):
-                        out.append(f"location {loc.index}: projectors must be Hermitian")
-                    acc = sum(p.data for p in loc.projectors)
-                    if np.max(np.abs(acc - np.eye(d))) > PROJ_ATOL:
-                        out.append(f"location {loc.index}: projectors do not sum to I")
-                    measure_arity[loc.index] = len(loc.projectors)
+            if not np.max(np.abs(loc.ops - loc.ops.conj().transpose(0, 2, 1))) <= 1e-10:
+                out.append(f"location {loc.index}: projectors must be Hermitian")
+            if np.max(np.abs(loc.ops.sum(axis=0) - np.eye(d))) > PROJ_ATOL:
+                out.append(f"location {loc.index}: projectors do not sum to I")
+            measure_arity[loc.index] = len(loc.ops)
         if loc.condition is not None and loc.kind != "gate":
             out.append(f"location {loc.index}: only gates may be conditioned")
     by_index = {loc.index: loc for loc in locs}
@@ -285,11 +290,13 @@ def validate_circuit(c: Circuit) -> list[str]:
 def _walk(c: Circuit, hook: Callable[[Location, np.ndarray], np.ndarray]) -> np.ndarray:
     """Evolve |0...0><0...0| through every location of `c`.
 
-    A prep is its local reset Kraus set |psi><k|, a gate is [U], and a
-    measurement is the non-selective sum_a P_a x P_a unless a later gate is
-    conditioned on it, in which case the walk keeps one branch per outcome.
-    After each location, `hook(loc, x)` returns the branch state with that
-    location's noise part applied. Returns the sum over branches.
+    Each location applies its Kraus stack, and a prep its reset set
+    |psi><k| built from ops[0] = |psi><0...0|. A measurement is the
+    non-selective sum_a P_a x P_a unless a later gate is conditioned on it,
+    in which case the walk keeps one branch per outcome; a conditioned gate
+    skips the branches with another outcome, and an identity slot changes
+    nothing. After each location, `hook(loc, x)` returns the branch state
+    with that location's noise part applied. Returns the sum over branches.
     """
     dims = c.dims
     rho0 = np.zeros((dims.total, dims.total), dtype=np.complex128)
@@ -297,26 +304,21 @@ def _walk(c: Circuit, hook: Callable[[Location, np.ndarray], np.ndarray]) -> np.
     referenced = {loc.condition[0] for loc in c.locations if loc.condition is not None}
     branches: list[tuple[dict[int, int], np.ndarray]] = [({}, rho0)]
     for loc in c.locations:
-        if loc.kind == "prep":
-            reset = [np.outer(loc.state, row) for row in np.eye(loc.state.size)]
-            branches = [(rec, apply_local(x, reset, loc.support, dims)) for rec, x in branches]
-        elif loc.kind == "gate":
-            cond = loc.condition
+        if loc.kind == "measure" and loc.index in referenced:
+            branches = [
+                ({**rec, loc.index: a}, apply_local(x, loc.ops[a:a + 1], loc.support, dims))
+                for rec, x in branches
+                for a in range(len(loc.ops))
+            ]
+        elif loc.kind != "identity":
+            ops, cond = loc.ops, loc.condition
+            if loc.kind == "prep":
+                ops = [np.outer(ops[0][:, 0], row) for row in np.eye(len(ops[0]))]
             branches = [
                 (rec, x if cond and rec.get(cond[0]) != cond[1]
-                 else apply_local(x, [loc.gate.data], loc.support, dims))
+                 else apply_local(x, ops, loc.support, dims))
                 for rec, x in branches
             ]
-        elif loc.kind == "measure" and loc.index in referenced:
-            branches = [
-                ({**rec, loc.index: a}, apply_local(x, [p.data], loc.support, dims))
-                for rec, x in branches
-                for a, p in enumerate(loc.projectors)
-            ]
-        elif loc.kind == "measure":
-            projs = [p.data for p in loc.projectors]
-            branches = [(rec, apply_local(x, projs, loc.support, dims)) for rec, x in branches]
-        # identity: no state change
         branches = [(rec, hook(loc, x)) for rec, x in branches]
     return sum(x for _, x in branches)
 
@@ -451,11 +453,10 @@ def simulate_with_environment(
     n_tot = n_sys + env.n_env
     dims = qubit_dims(n_tot)
     env_range = set(range(n_sys, n_tot))
+    last_touch: dict[int, int] = {}
     for loc in c.locations:
         if loc.condition is not None:
             raise ValueError("conditioned gates unsupported here; rewrite them first")
-    last_touch: dict[int, int] = {}
-    for loc in c.locations:
         for q in loc.support:
             last_touch[q] = loc.index
     sys0 = np.zeros(2**n_sys, dtype=np.complex128)
@@ -464,17 +465,13 @@ def simulate_with_environment(
     touched: set[int] = set()
     deferred: list[Location] = []
     for loc in c.locations:
-        if loc.kind == "prep":
-            if touched & set(loc.support):
-                raise ValueError(
-                    f"prep at location {loc.index} is not the first operation "
-                    "on its qubits"
-                )
-            load = np.zeros((loc.state.size,) * 2, dtype=np.complex128)
-            load[:, 0] = loc.state
-            psi = apply_local(psi, [load], loc.support, dims)
-        elif loc.kind == "gate":
-            psi = apply_local(psi, [loc.gate.data], loc.support, dims)
+        if loc.kind == "prep" and touched & set(loc.support):
+            raise ValueError(
+                f"prep at location {loc.index} is not the first operation "
+                "on its qubits"
+            )
+        if loc.kind in ("prep", "gate"):  # a prep loads |psi><0...0|, a gate is [U]
+            psi = apply_local(psi, loc.ops, loc.support, dims)
         elif loc.kind == "measure":
             if loc.index in env.couplings:
                 raise ValueError("measurements must be ideal (no coupling)")
@@ -497,7 +494,7 @@ def simulate_with_environment(
     m = psi.reshape(2**n_sys, 2**env.n_env)
     rho_sys = m @ m.conj().T
     for loc in deferred:
-        rho_sys = apply_local(rho_sys, [p.data for p in loc.projectors], loc.support, c.dims)
+        rho_sys = apply_local(rho_sys, loc.ops, loc.support, c.dims)
     rho = Matrix(rho_sys, c.dims)
     return rho, _readout(c, rho)
 
@@ -507,14 +504,12 @@ def simulate_with_environment(
 # ---------------------------------------------------------------------------
 
 
-def _rank_one_basis(projectors: Sequence[Matrix]) -> list[np.ndarray]:
-    basis = []
-    for p in projectors:
-        w, v = np.linalg.eigh(p.data)
-        if abs(w[-1] - 1.0) > 1e-9 or np.any(np.abs(w[:-1]) > 1e-9):
-            raise ValueError("conditioning requires rank-one basis projectors")
-        basis.append(v[:, -1])
-    return basis
+def _rank_one_basis(projectors: np.ndarray) -> np.ndarray:
+    """The basis vectors b_i of rank-one projectors |b_i><b_i|, one per row."""
+    w, v = np.linalg.eigh(projectors)
+    if np.any(np.abs(w[:, -1] - 1.0) > 1e-9) or np.any(np.abs(w[:, :-1]) > 1e-9):
+        raise ValueError("conditioning requires rank-one basis projectors")
+    return v[:, :, -1]
 
 
 def rewrite_conditioned_gates(c: Circuit) -> Circuit:
@@ -555,19 +550,15 @@ def rewrite_conditioned_gates(c: Circuit) -> Circuit:
     for loc in c.locations:
         if loc.index in dependents:
             m = loc.support[0]
-            basis = _rank_one_basis(loc.projectors)
-            v = np.stack([b.conj() for b in basis], axis=0)  # maps b_i -> |i>
-            new_ops.append(Location.gate_on(0, 0, m, Matrix.of(v, (2,))))
+            v = _rank_one_basis(loc.ops).conj()  # maps b_i -> |i>
+            new_ops.append(Location.gate_on(0, 0, m, v))
             continue
         if loc.condition is not None:
             ref, want = loc.condition
             m = by_index[ref].support[0]
             proj = np.zeros((2, 2), dtype=np.complex128)
             proj[want, want] = 1.0
-            d_g = loc.gate.side
-            ctrl = np.kron(proj, loc.gate.data) + np.kron(
-                np.eye(2) - proj, np.eye(d_g)
-            )
+            ctrl = np.kron(proj, loc.ops[0]) + np.kron(np.eye(2) - proj, np.eye(len(loc.ops[0])))
             new_ops.append(Location.gate_on(0, 0, (m,) + loc.support, ctrl))
             if loc.index == last_dep[ref]:
                 new_ops.append(Location.measure(0, 0, m))
@@ -619,6 +610,8 @@ def circuit_from_json(obj: Mapping) -> Circuit:
     n_system = int(obj["n_system"])
     locs = []
     for pos, entry in enumerate(obj.get("locations", [])):
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"locations[{pos}] must be an object")
         index = pos + 1
         step = int(entry.get("step", index))
         kind = entry["kind"]
@@ -629,11 +622,8 @@ def circuit_from_json(obj: Mapping) -> Circuit:
         if kind == "prep":
             locs.append(Location.prep(index, step, support, _state_from_json(entry["state"])))
         elif kind == "gate":
-            locs.append(
-                Location.gate_on(
-                    index, step, support, gate_from_json(entry["gate"]), condition
-                )
-            )
+            gate = gate_from_json(entry["gate"])
+            locs.append(Location.gate_on(index, step, support, gate, condition))
         elif kind == "measure":
             projs = entry.get("projectors")
             if projs is not None:
@@ -662,8 +652,11 @@ def environment_spec_from_json(obj: Mapping) -> EnvironmentSpec:
         vec[0] = 1.0
     else:
         vec = vector_from_json(initial)
+    raw = obj.get("couplings", {})
+    if not isinstance(raw, Mapping):
+        raise ValueError("environment couplings must be an object")
     couplings = {}
-    for key, entry in obj.get("couplings", {}).items():
+    for key, entry in raw.items():
         couplings[int(key)] = EnvCoupling(
             support=tuple(int(q) for q in entry["support"]),
             unitary=matrix_from_json(entry["unitary"]),

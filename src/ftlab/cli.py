@@ -471,6 +471,8 @@ def _cmd_threshold(config: dict, workers: int) -> Report:
         records = [{"eps0": results["eps0"], "exponent_a": a}]
     if "pseudothreshold" in params:
         sub = params["pseudothreshold"]
+        if not isinstance(sub, Mapping):
+            raise ValueError("pseudothreshold must be an object")
         crossing, ci = pseudothreshold_mc(
             scheme,
             int(sub.get("samples", 10**5)),

@@ -6,14 +6,15 @@ A gadget graph is a topologically ordered list of gadgets; each gadget owns
 some locations outright and may emit error-recovery (ER) segments consumed
 by later gadgets. An extended gadget spans its incoming ER segments, its own
 locations, and its outgoing ER segments, so neighbours overlap on the shared
-segment; truncation resolves every overlap into a partition.
+segment; truncation resolves every overlap into a partition. The graph
+stores its locations once, as a table of parts: one id set per own block
+and per segment.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -23,23 +24,6 @@ MC_BUDGET = 10**9
 
 class BudgetExceededError(ValueError):
     """Monte Carlo leaf-draw budget exceeded."""
-
-
-@dataclass(frozen=True)
-class ERSegment:
-    """Error-recovery locations handed from gadget `pred` to gadget `succ`."""
-
-    count: int
-    pred: int
-    succ: int
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("segment must contain at least one location")
-        if self.succ <= self.pred:
-            raise ValueError(
-                f"segment must point forward in time, got {self.pred} -> {self.succ}"
-            )
 
 
 @dataclass(frozen=True)
@@ -67,21 +51,18 @@ class GadgetGraph:
     its consumer), which is the only sharing shape supported.
 
     The locations split into parts: part i < n_gadgets is gadget i's own
-    block, part n_gadgets + s is segment s. The sweep tables built once per
-    graph (per-gadget in/out segments, extents, per-part id sets and a
-    location -> part index) turn every lookup below into an index.
+    block, part n_gadgets + s is segment s. The tables derived once per
+    graph (part id sets, each segment's consumer, per-gadget in/out
+    segments and extents, and a location -> part index whose entry 0 is
+    unused) turn every lookup of the sweep into an index.
     """
 
     gadgets: tuple[Gadget, ...]
-    segments: tuple[ERSegment, ...] = field(init=False)
-    _own_ids: tuple[tuple[int, ...], ...] = field(init=False)
-    _seg_ids: tuple[tuple[int, ...], ...] = field(init=False)
-    # sweep tables, derived from `gadgets`; _part_of[id] is the part
-    # holding location id (entry 0 is unused)
+    _parts: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    _succ: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _in: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _extent: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _part_sets: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
     _part_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -90,40 +71,41 @@ class GadgetGraph:
             raise ValueError("graph needs at least one gadget")
         object.__setattr__(self, "gadgets", gadgets)
         n = len(gadgets)
-        segments: list[ERSegment] = []
-        own_ids: list[tuple[int, ...]] = []
-        seg_ids: list[tuple[int, ...]] = []
+        own: list[range] = []
+        segs: list[range] = []
+        succ: list[int] = []
+        seg_in: list[list[int]] = [[] for _ in range(n)]
+        seg_out: list[list[int]] = [[] for _ in range(n)]
         next_id = 1
         for i, g in enumerate(gadgets):
-            own_ids.append(tuple(range(next_id, next_id + g.own_locations)))
+            own.append(range(next_id, next_id + g.own_locations))
             next_id += g.own_locations
             for count, to in g.er_out:
                 if not 0 <= to < n:
                     raise ValueError(f"gadget {i} links to unknown gadget {to}")
-                segments.append(ERSegment(count, i, to))
-                seg_ids.append(tuple(range(next_id, next_id + count)))
+                if count < 1:
+                    raise ValueError("segment must contain at least one location")
+                if to <= i:
+                    raise ValueError(f"segment must point forward in time, got {i} -> {to}")
+                seg_in[to].append(len(succ))
+                seg_out[i].append(len(succ))
+                succ.append(to)
+                segs.append(range(next_id, next_id + count))
                 next_id += count
-        seg_in: list[list[int]] = [[] for _ in range(n)]
-        seg_out: list[list[int]] = [[] for _ in range(n)]
-        for k, s in enumerate(segments):
-            seg_in[s.succ].append(k)
-            seg_out[s.pred].append(k)
-        extent = tuple(
-            tuple(sorted(chain(own_ids[i], *(seg_ids[k] for k in seg_in[i] + seg_out[i]))))
-            for i in range(n)
-        )
-        parts = own_ids + seg_ids
+        parts = tuple(map(frozenset, own + segs))
         part_of = np.zeros(next_id, dtype=np.intp)
         for p, ids in enumerate(parts):
             part_of[list(ids)] = p
         part_of.flags.writeable = False
-        object.__setattr__(self, "segments", tuple(segments))
-        object.__setattr__(self, "_own_ids", tuple(own_ids))
-        object.__setattr__(self, "_seg_ids", tuple(seg_ids))
+        extent = tuple(
+            tuple(sorted(parts[i].union(*(parts[n + s] for s in seg_in[i] + seg_out[i]))))
+            for i in range(n)
+        )
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_succ", tuple(succ))
         object.__setattr__(self, "_in", tuple(map(tuple, seg_in)))
         object.__setattr__(self, "_out", tuple(map(tuple, seg_out)))
         object.__setattr__(self, "_extent", extent)
-        object.__setattr__(self, "_part_sets", tuple(map(frozenset, parts)))
         object.__setattr__(self, "_part_of", part_of)
 
     @property
@@ -135,16 +117,10 @@ class GadgetGraph:
         return len(self._part_of) - 1
 
     def own_ids(self, gadget: int) -> tuple[int, ...]:
-        return self._own_ids[gadget]
+        return tuple(sorted(self._parts[gadget]))
 
     def segment_ids(self, segment: int) -> tuple[int, ...]:
-        return self._seg_ids[segment]
-
-    def segments_in(self, gadget: int) -> tuple[int, ...]:
-        return self._in[gadget]
-
-    def segments_out(self, gadget: int) -> tuple[int, ...]:
-        return self._out[gadget]
+        return tuple(sorted(self._parts[self.n_gadgets + segment]))
 
     def extent(self, gadget: int) -> tuple[int, ...]:
         """Full extended-gadget extent: in-segments + own + out-segments."""
@@ -201,7 +177,7 @@ def truncate_and_classify(g: GadgetGraph, f: FaultConfig, t: int) -> Classificat
         unknown = sorted(i for i in f.faulty if not 1 <= i <= total)
         raise ValueError(f"fault ids outside 1..{total}: {unknown}")
     n = g.n_gadgets
-    segments, parts = g.segments, g._part_sets
+    succ, parts = g._succ, g._parts
     faulty = np.fromiter(f.faulty, dtype=np.intp, count=len(f.faulty))
     counts = np.bincount(g._part_of[faulty], minlength=len(parts)).tolist()
     bad = [False] * n
@@ -210,7 +186,7 @@ def truncate_and_classify(g: GadgetGraph, f: FaultConfig, t: int) -> Classificat
         for s in g._in[i]:
             c += counts[n + s]
         for s in g._out[i]:
-            if not bad[segments[s].succ]:
+            if not bad[succ[s]]:
                 c += counts[n + s]
         bad[i] = c > t
     truncated = []
@@ -218,7 +194,7 @@ def truncate_and_classify(g: GadgetGraph, f: FaultConfig, t: int) -> Classificat
         chosen = [parts[i]]
         if bad[i]:
             chosen.extend(parts[n + s] for s in g._in[i])
-        chosen.extend(parts[n + s] for s in g._out[i] if not bad[segments[s].succ])
+        chosen.extend(parts[n + s] for s in g._out[i] if not bad[succ[s]])
         truncated.append(frozenset().union(*chosen))
     if sum(map(len, truncated)) != total or len(frozenset().union(*truncated)) != total:
         raise AssertionError("truncated sets failed to partition the locations")
@@ -369,7 +345,9 @@ def gadget_graph_from_json(obj: Mapping) -> tuple[GadgetGraph, int]:
     if not isinstance(raw, Sequence) or not raw:
         raise ValueError("config needs a nonempty gadgets list")
     gadgets = []
-    for entry in raw:
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"gadgets[{i}] must be an object")
         er_raw = entry.get("er_out", [])
         if isinstance(er_raw, Mapping):
             er_raw = [er_raw]

@@ -92,14 +92,13 @@ def qubit_dims(n: int) -> SubsystemDims:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matrix:
     """Square complex matrix with explicit subsystem structure.
 
     `data` is stored as an immutable row-major complex128 array whose side
-    equals `dims.total`. Arithmetic helpers return new Matrix instances with
-    the same dims; anything that changes the factor structure goes through
-    `tensor` / `partial_trace`.
+    equals `dims.total`; anything that changes the factor structure goes
+    through `tensor` / `partial_trace`.
     """
 
     data: np.ndarray
@@ -159,42 +158,8 @@ class Matrix:
         g = self.data.conj().T @ self.data
         return bool(np.max(np.abs(g - np.eye(self.side))) <= atol)
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def dagger(self) -> "Matrix":
-        return Matrix(self.data.conj().T, self.dims)
-
     def trace(self) -> complex:
         return complex(np.trace(self.data))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_dims(other)
-        return Matrix(self.data + other.data, self.dims)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_dims(other)
-        return Matrix(self.data - other.data, self.dims)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._check_same_dims(other)
-        return Matrix(self.data @ other.data, self.dims)
-
-    def __mul__(self, scalar: complex) -> "Matrix":
-        return Matrix(self.data * scalar, self.dims)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(-self.data, self.dims)
-
-    def allclose(self, other: "Matrix", atol: float = 1e-10) -> bool:
-        return self.dims == other.dims and bool(
-            np.max(np.abs(self.data - other.data)) <= atol
-        )
-
-    def _check_same_dims(self, other: "Matrix") -> None:
-        if self.dims != other.dims:
-            raise ValueError(f"dims mismatch: {self.dims.dims} vs {other.dims.dims}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from ftlab.channels import (
     SIGMA_X,
     SIGMA_Z,
     Channel,
+    CorrelationGrid,
     NoiseSpec,
     make_noise_channel,
     stinespring_dilation,
@@ -79,7 +81,7 @@ def test_validate_collects_violations_without_raising():
     bad_meas = SimpleNamespace(
         n_system=1,
         locations=(
-            Location(1, 1, "measure", (0,), projectors=(half, Matrix.of(np.diag([0.0, 0.5])))),
+            Location.measure(1, 1, (0,), (half, Matrix.of(np.diag([0.0, 0.5])))),
         ),
         final_measure=(),
     )
@@ -91,6 +93,117 @@ def test_validate_collects_violations_without_raising():
             2,
             Location.gate_on(0, 0, 0, np.diag([1.0, 0.5])),  # not unitary
         )
+
+
+Z = Location.measure
+
+# every validate_circuit message, as the circuit constructor reports it
+VALIDATE_MESSAGES = {
+    "prep_dim": (
+        lambda: seq(1, Location.prep(0, 0, 0, np.ones(4) / 2)),
+        "invalid circuit: location 1: prep state has wrong dimension",
+    ),
+    "gate_dim": (
+        lambda: seq(1, Location.gate_on(0, 0, 0, Matrix.of(CNOT))),
+        "invalid circuit: location 1: gate has wrong dimension",
+    ),
+    "gate_array_dim": (
+        lambda: seq(1, Location.gate_on(0, 0, 0, CNOT)),
+        "matrix side 4 does not match dims total 2",
+    ),
+    "measure_dim": (
+        lambda: seq(1, Z(0, 0, 0, [Matrix.of(np.eye(4))])),
+        "invalid circuit: location 1: projector dimension mismatch",
+    ),
+    "measure_ragged": (
+        lambda: seq(1, Z(0, 0, 0, [Matrix.of(np.eye(4)), Matrix.of(np.eye(2))])),
+        "invalid circuit: location 1: projector dimension mismatch",
+    ),
+    "gate_not_unitary": (
+        lambda: seq(1, Location.gate_on(0, 0, 0, np.diag([1.0, 0.5]))),
+        "invalid circuit: location 1: gate is not unitary",
+    ),
+    "measure_empty": (
+        lambda: seq(1, Z(0, 0, 0, [])),
+        "invalid circuit: location 1: measurement needs projectors",
+    ),
+    "measure_not_hermitian": (
+        lambda: seq(1, Z(0, 0, 0, [np.array([[1, 1], [0, 0]]), np.array([[0, -1], [0, 1]])])),
+        "invalid circuit: location 1: projectors must be Hermitian",
+    ),
+    "measure_not_identity": (
+        lambda: seq(1, Z(0, 0, 0, [np.diag([0.5, 0.0]), np.diag([0.0, 0.5])])),
+        "invalid circuit: location 1: projectors do not sum to I",
+    ),
+    "condition_on_measure": (
+        lambda: seq(1, Z(0, 0, 0), replace(Z(0, 0, 0), condition=(1, 0))),
+        "invalid circuit: location 2: only gates may be conditioned",
+    ),
+    "condition_on_gate": (
+        lambda: seq(
+            2, Location.gate_on(0, 0, 0, HADAMARD), Location.gate_on(0, 0, 1, HADAMARD, (1, 0))
+        ),
+        "invalid circuit: location 2: condition references non-measurement 1",
+    ),
+    "condition_later_step": (
+        lambda: Circuit(2, (Z(1, 1, 0), Location.gate_on(2, 1, 1, HADAMARD, (1, 0))), (0, 1)),
+        "invalid circuit: location 2: condition references a later step",
+    ),
+    "condition_outcome_range": (
+        lambda: seq(2, Z(0, 0, 0), Location.gate_on(0, 0, 1, HADAMARD, (1, 2))),
+        "invalid circuit: location 2: condition outcome 2 out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_MESSAGES))
+def test_validate_messages_word_for_word(case):
+    build, message = VALIDATE_MESSAGES[case]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_location_ops_is_one_read_only_stack():
+    rng = np.random.default_rng(5)
+    u = haar_unitary(rng, 4)
+    gate = Location.gate_on(1, 1, (0, 1), u)
+    assert gate.ops.shape == (1, 4, 4) and gate.ops.dtype == np.complex128
+    assert not gate.ops.flags.writeable
+    with pytest.raises(ValueError):
+        gate.ops[0, 0, 0] = 0.0
+    same = Location.gate_on(1, 1, (0, 1), Matrix.of(u, (2, 2)))
+    np.testing.assert_array_equal(same.ops, gate.ops)
+    projs = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    meas = Location.measure(1, 1, 0, projs)
+    assert meas.ops.shape == (2, 2, 2)
+    np.testing.assert_array_equal(meas.ops, np.stack(projs))
+    same = Location.measure(1, 1, 0, [Matrix.of(p) for p in projs])
+    np.testing.assert_array_equal(same.ops, meas.ops)
+    np.testing.assert_array_equal(Location.measure(1, 1, 0).ops, meas.ops)
+    assert Location.wait(1, 1, (2, 0)).ops.size == 0
+    psi = haar_unitary(rng, 4)[:, 0]
+    prep = Location.prep(1, 1, (0, 1), psi)
+    assert prep.ops.shape[1:] == (4, 4)
+    np.testing.assert_array_equal(prep.ops[0], np.outer(psi, [1, 0, 0, 0]))
+    with pytest.raises(ValueError, match="prep state must be normalized"):
+        Location.prep(1, 1, 0, [1.0, 1.0])
+
+
+def test_array_dataclasses_compare_by_identity_and_hash():
+    grid = np.ones((1, 1, 1, 1))
+    pairs = [
+        (Matrix.of(np.eye(2)), Matrix.of(np.eye(2))),
+        (Channel.identity((2,)), Channel.identity((2,))),
+        (Location.gate_on(1, 1, 0, HADAMARD), Location.gate_on(1, 1, 0, HADAMARD)),
+        (CorrelationGrid(grid, 1.0, ((0,),)), CorrelationGrid(grid, 1.0, ((0,),))),
+    ]
+    for a, b in pairs:
+        assert a == a
+        assert (a == b) is False
+        assert a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
 
 
 def test_simulate_ideal_prep_and_measure():

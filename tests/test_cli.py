@@ -120,6 +120,18 @@ REFUSALS = {
         {"circuit": _h_chain(13, 2)},
         "total dimension 8192 exceeds cap 4096",
     ),
+    "prep_13_qubits": (
+        "accuracy",
+        {
+            "circuit": {
+                "n_system": 13,
+                "locations": [
+                    {"kind": "prep", "support": list(range(13)), "state": [[1, 0]] + [[0, 0]] * 8191}
+                ],
+            }
+        },
+        "total dimension 8192 exceeds cap 4096",
+    ),
 }
 
 
@@ -135,6 +147,35 @@ def test_cap_refusal_exits_3(tmp_path, capsysbinary, case):
     assert set(msg) == {"error", "exit"}
     assert msg["exit"] == 3
     assert reason in msg["error"]
+
+
+MALFORMED = {
+    "locations_string": ("accuracy", {"circuit": {"n_system": 1, "locations": "ab"}}, "locations"),
+    "locations_list": ("accuracy", {"circuit": {"n_system": 1, "locations": [[1]]}}, "locations"),
+    "gadgets_int": ("truncate", {"graph": {"gadgets": [3]}, "faults": []}, "gadgets"),
+    "couplings_list": (
+        "strength",
+        {"evaluator": "environment", "environment": {"n_env": 1, "couplings": [1]}},
+        "couplings",
+    ),
+    "pseudothreshold_string": (
+        "threshold", {"L0": 7, "t": 1, "pseudothreshold": "x"}, "pseudothreshold"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_non_object_config_entry_exits_2(tmp_path, capsysbinary, case):
+    command, params, key = MALFORMED[case]
+    cfg = write_config(tmp_path, "cfg.json", {"command": command, "params": params})
+    code, out, err = run(capsysbinary, [command, "--config", cfg])
+    assert code == 2
+    assert out == b""
+    assert err.count(b"\n") == 1 and err.endswith(b"\n")
+    msg = json.loads(err)
+    assert set(msg) == {"error", "exit"}
+    assert msg["exit"] == 2
+    assert key in msg["error"]
 
 
 def test_memory_error_exits_3(tmp_path, capsysbinary, monkeypatch):

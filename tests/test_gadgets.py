@@ -23,6 +23,22 @@ from ftlab.gadgets import (
 CHAIN = GadgetGraph((Gadget(2, ((1, 1),)), Gadget(2)))
 
 
+@pytest.mark.parametrize(
+    "gadgets, message",
+    [
+        ((), "graph needs at least one gadget"),
+        ((Gadget(1, ((1, 5),)), Gadget(1)), "gadget 0 links to unknown gadget 5"),
+        ((Gadget(1, ((0, 1),)), Gadget(1)), "segment must contain at least one location"),
+        ((Gadget(1), Gadget(1, ((1, 0),))), "segment must point forward in time, got 1 -> 0"),
+        ((Gadget(1, ((1, 0),)),), "segment must point forward in time, got 0 -> 0"),
+    ],
+)
+def test_graph_construction_errors(gadgets, message):
+    with pytest.raises(ValueError) as info:
+        GadgetGraph(gadgets)
+    assert str(info.value) == message
+
+
 def test_graph_numbering_and_extents():
     assert CHAIN.total_locations == 5
     assert CHAIN.own_ids(0) == (1, 2)
