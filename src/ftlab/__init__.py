@@ -7,13 +7,11 @@ renormalization, all behind one deterministic CLI."""
 from .matcore import (
     DimensionCapError,
     Distribution,
-    Matrix,
     SubsystemDims,
     kolmogorov_distance,
     operator_norm,
     partial_trace,
     qubit_dims,
-    tensor,
     trace_norm,
 )
 from .channels import (

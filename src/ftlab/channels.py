@@ -5,6 +5,10 @@ its subsystem dims and an explicit `support`: the ambient subsystem labels
 its Kraus factors refer to. Composition and embedding work over the union
 of supports, so single-qubit noise can be slotted into multi-qubit states
 without manual kron bookkeeping; every consumer reads the stack directly.
+Every other operator is a plain complex128 array: `apply_channel` takes a
+density matrix with its subsystem dims, `choi_matrix` and
+`stinespring_dilation` return arrays, and a noise spec, a Hamiltonian term
+or a coupling stores its operator as a read-only array.
 
 The diamond-norm distance is reported as a certified interval. The lower
 end comes from restarted projected-gradient ascent over bipartite pure
@@ -31,13 +35,17 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .matcore import (
-    Matrix,
     SubsystemDims,
     apply_local,
     embed_operator,
+    is_density,
+    is_hermitian,
+    is_unitary,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
+    qubit_dims,
+    read_only,
 )
 
 TP_ATOL = 1e-10
@@ -67,10 +75,8 @@ class Channel:
     support: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = self.dims
-        if not isinstance(dims, SubsystemDims):
-            dims = SubsystemDims(tuple(dims))
-        ks = np.array(self.kraus, dtype=np.complex128)
+        dims = SubsystemDims(self.dims)
+        ks = read_only(self.kraus)
         d = dims.total
         if ks.ndim != 3 or ks.shape[1:] != (d, d) or not len(ks):
             raise ValueError(f"Kraus stack must have shape (K >= 1, {d}, {d}), got {ks.shape}")
@@ -81,7 +87,6 @@ class Channel:
             )
         if len(set(support)) != len(support):
             raise ValueError(f"support has duplicates: {support}")
-        ks.flags.writeable = False
         object.__setattr__(self, "kraus", ks)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "support", support)
@@ -98,30 +103,28 @@ class Channel:
     @classmethod
     def from_kraus(
         cls,
-        ops: Sequence[np.ndarray | Matrix] | np.ndarray,
+        ops: Sequence[np.ndarray] | np.ndarray,
         dims: SubsystemDims | Sequence[int] | None = None,
         support: Sequence[int] | None = None,
     ) -> "Channel":
-        """Channel from Kraus operators given as Matrix or arrays, or one stack.
+        """Channel from a list of Kraus arrays or one stack.
 
-        Without `dims`, they come from the first operator: its own dims if it
-        is a Matrix, else one factor of its side.
+        Without `dims`, the operators are one factor of their side (a 1 x 1
+        operator acts on the scalar space).
         """
         if not len(ops):
             raise ValueError("need at least one Kraus operator")
         if dims is None:
-            first = ops[0]
-            dims = first.dims if isinstance(first, Matrix) else Matrix.of(first).dims
-        elif not isinstance(dims, SubsystemDims):
-            dims = SubsystemDims(tuple(dims))
+            side = len(ops[0])
+            dims = (side,) if side > 1 else ()
         if support is None:
             support = tuple(range(len(dims)))
-        return cls([op.data if isinstance(op, Matrix) else op for op in ops], dims, support)
+        return cls(ops, dims, support)
 
     @classmethod
     def unitary(
         cls,
-        u: np.ndarray | Matrix,
+        u: np.ndarray,
         dims: SubsystemDims | Sequence[int] | None = None,
         support: Sequence[int] | None = None,
     ) -> "Channel":
@@ -134,13 +137,12 @@ class Channel:
         dims: SubsystemDims | Sequence[int],
         support: Sequence[int] | None = None,
     ) -> "Channel":
-        if not isinstance(dims, SubsystemDims):
-            dims = SubsystemDims(tuple(dims))
+        dims = SubsystemDims(dims)
         return cls.from_kraus([np.eye(dims.total)], dims, support)
 
     def is_identity(self, atol: float = 1e-12) -> bool:
-        j = _choi_array(self)
-        return bool(np.max(np.abs(j - _choi_array(Channel.identity(self.dims)))) <= atol)
+        j = choi_matrix(self)
+        return bool(np.max(np.abs(j - choi_matrix(Channel.identity(self.dims)))) <= atol)
 
 
 # ---------------------------------------------------------------------------
@@ -159,25 +161,16 @@ def _check_fits(ch: Channel, dims: SubsystemDims) -> None:
             )
 
 
-def apply_channel(ch: Channel, rho: Matrix) -> Matrix:
-    """sum_i K_i rho K_i^dag, each K_i acting on the channel's support in rho's space."""
-    if not rho.is_density():
+def apply_channel(
+    ch: Channel, rho: np.ndarray, dims: SubsystemDims | Sequence[int]
+) -> np.ndarray:
+    """sum_i K_i rho K_i^dag, each K_i acting on the channel's support in
+    rho's space, whose subsystems have dimensions `dims`."""
+    if not is_density(rho):
         raise ValueError("input is not a density matrix")
-    _check_fits(ch, rho.dims)
-    return Matrix(apply_local(rho.data, ch.kraus, ch.support, rho.dims), rho.dims)
-
-
-def _union_space(
-    parts: Sequence[tuple[tuple[int, ...], SubsystemDims]], what: str
-) -> tuple[tuple[int, ...], SubsystemDims]:
-    """Sorted union of the labels in (support, dims) pairs, and their dims."""
-    local: dict[int, int] = {}
-    for support, dims in parts:
-        for s, d in zip(support, dims):
-            if local.setdefault(s, d) != d:
-                raise ValueError(f"{what} disagree on dim of subsystem {s}")
-    labels = tuple(sorted(local))
-    return labels, SubsystemDims(tuple(local[s] for s in labels))
+    dims = SubsystemDims(dims)
+    _check_fits(ch, dims)
+    return apply_local(rho, ch.kraus, ch.support, dims)
 
 
 def _kraus_on(ch: Channel, labels: tuple[int, ...], dims: SubsystemDims) -> np.ndarray:
@@ -195,9 +188,13 @@ def compose_channels(later: Channel, earlier: Channel) -> Channel:
     labels. The Kraus set of the composite is the full pairwise product, and
     trace preservation is re-verified on construction.
     """
-    labels, dims = _union_space(
-        [(ch.support, ch.dims) for ch in (later, earlier)], "channels"
-    )
+    local: dict[int, int] = {}
+    for ch in (later, earlier):
+        for s, d in zip(ch.support, ch.dims):
+            if local.setdefault(s, d) != d:
+                raise ValueError(f"channels disagree on dim of subsystem {s}")
+    labels = tuple(sorted(local))
+    dims = SubsystemDims(tuple(local[s] for s in labels))
     ka = _kraus_on(later, labels, dims)
     kb = _kraus_on(earlier, labels, dims)
     prods = ka[:, None] @ kb[None]
@@ -206,8 +203,7 @@ def compose_channels(later: Channel, earlier: Channel) -> Channel:
 
 def embed_channel(ch: Channel, total: SubsystemDims | Sequence[int]) -> Channel:
     """Extend the channel with identity factors to act on the full space."""
-    if not isinstance(total, SubsystemDims):
-        total = SubsystemDims(tuple(total))
+    total = SubsystemDims(total)
     _check_fits(ch, total)
     labels = tuple(range(len(total)))
     return Channel(_kraus_on(ch, labels, total), total, labels)
@@ -218,22 +214,19 @@ def embed_channel(ch: Channel, total: SubsystemDims | Sequence[int]) -> Channel:
 # ---------------------------------------------------------------------------
 
 
-def _choi_array(ch: Channel) -> np.ndarray:
+def choi_matrix(ch: Channel) -> np.ndarray:
+    """Choi operator: the channel applied to one half of the unnormalized
+    maximally entangled state. Output factors first, reference copy second,
+    so its subsystem dims are ch.dims twice. Trace equals the input
+    dimension; tracing out the output factors gives the identity on the
+    reference copy.
+    """
     d = ch.dim
     j = np.zeros((d * d, d * d), dtype=np.complex128)
     for k in ch.kraus:
         v = k.reshape(-1)  # (K ⊗ I) applied to sum_i |i>|i>
         j += np.outer(v, v.conj())
     return j
-
-
-def choi_matrix(ch: Channel) -> Matrix:
-    """Choi operator: the channel applied to one half of the unnormalized
-    maximally entangled state. Output factors first, reference copy second.
-    Trace equals the input dimension; tracing out the output factors gives
-    the identity on the reference copy.
-    """
-    return Matrix(_choi_array(ch), ch.dims.concat(ch.dims))
 
 
 class DiamondInterval(NamedTuple):
@@ -361,7 +354,7 @@ def diamond_distance(
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     d = a.dim
-    delta_j = _choi_array(a) - _choi_array(b)
+    delta_j = choi_matrix(a) - choi_matrix(b)
     upper = _diamond_upper_from_delta(delta_j)
     if upper <= 1e-14:
         return DiamondInterval(0.0, 0.0)
@@ -386,22 +379,25 @@ def diamond_distance(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSpec:
-    """Parameter record for the built-in single-location noise models."""
+    """Parameter record for the built-in single-location noise models;
+    `e_op` is stored as a read-only complex128 array."""
 
     kind: str
     delta_theta: float | None = None
     t0: float | None = None
     t1: float | None = None
     p: float | None = None
-    e_op: Matrix | None = None
+    e_op: np.ndarray | None = None
 
     KINDS = ("control_rotation", "amplitude_damping", "probabilistic", "depolarizing")
 
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if self.e_op is not None:
+            object.__setattr__(self, "e_op", read_only(self.e_op))
         if self.kind == "control_rotation":
             if self.delta_theta is None:
                 raise ValueError("control_rotation needs delta_theta")
@@ -415,7 +411,7 @@ class NoiseSpec:
                 raise ValueError("probabilistic needs p and e_op")
             if not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"p out of range: {self.p}")
-            if not self.e_op.is_unitary(UNITARY_ATOL):
+            if not is_unitary(self.e_op, UNITARY_ATOL):
                 raise ValueError("e_op must satisfy E^dag E = I")
         elif self.kind == "depolarizing":
             if self.p is None:
@@ -432,9 +428,7 @@ class NoiseSpec:
         return cls("amplitude_damping", t0=float(t0), t1=float(t1))
 
     @classmethod
-    def probabilistic(cls, p: float, e_op: Matrix | np.ndarray) -> "NoiseSpec":
-        if not isinstance(e_op, Matrix):
-            e_op = Matrix.of(e_op)
+    def probabilistic(cls, p: float, e_op: np.ndarray) -> "NoiseSpec":
         return cls("probabilistic", p=float(p), e_op=e_op)
 
     @classmethod
@@ -462,9 +456,8 @@ def make_noise_channel(spec: NoiseSpec, support: Sequence[int] | None = None) ->
         return Channel.from_kraus([m0, m1], (2,), support)
     if spec.kind == "probabilistic":
         e = spec.e_op
-        ident = np.eye(e.side)
-        ks = [math.sqrt(1.0 - spec.p) * ident, math.sqrt(spec.p) * e.data]
-        return Channel.from_kraus(ks, e.dims, support)
+        ks = [math.sqrt(1.0 - spec.p) * np.eye(len(e)), math.sqrt(spec.p) * e]
+        return Channel.from_kraus(ks, None, support)
     if spec.kind == "depolarizing":
         p = spec.p
         ks = [
@@ -477,7 +470,7 @@ def make_noise_channel(spec: NoiseSpec, support: Sequence[int] | None = None) ->
     raise ValueError(f"unknown noise kind {spec.kind!r}")
 
 
-def stinespring_dilation(ch: Channel) -> tuple[Matrix, int]:
+def stinespring_dilation(ch: Channel) -> tuple[np.ndarray, int]:
     """Unitary dilation on (system ⊗ environment), environment appended last.
 
     The environment dimension equals the Kraus count; starting it in |0> and
@@ -488,7 +481,7 @@ def stinespring_dilation(ch: Channel) -> tuple[Matrix, int]:
     k = len(ch.kraus)
     d = ch.dim
     if k == 1:
-        return Matrix(ch.kraus[0], ch.dims), 1
+        return ch.kraus[0], 1
     # joint index (s, e) -> s * k + e
     iso = ch.kraus.transpose(1, 0, 2).reshape(d * k, d)
     q, _ = np.linalg.qr(iso, mode="complete")
@@ -498,11 +491,9 @@ def stinespring_dilation(ch: Channel) -> tuple[Matrix, int]:
     for col in range(d * k):
         if col % k != 0:
             u[:, col] = q[:, next(rest)]
-    dims = SubsystemDims(ch.dims.dims + (k,))
-    mat = Matrix(u, dims)
-    if not mat.is_unitary(1e-9):
+    if not is_unitary(u, 1e-9):
         raise AssertionError("dilation completion failed to be unitary")
-    return mat, k
+    return u, k
 
 
 # ---------------------------------------------------------------------------
@@ -525,26 +516,30 @@ def strength_markovian(noisy: Channel, ideal: Channel) -> float:
     """
     if noisy.dims != ideal.dims or noisy.support != ideal.support:
         raise ValueError("channels must share dims and support")
-    return _diamond_upper_from_delta(_choi_array(noisy) - _choi_array(ideal))
+    return _diamond_upper_from_delta(choi_matrix(noisy) - choi_matrix(ideal))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianTerm:
-    """One interaction term: Hermitian operator on `support`, tagged by the
-    circuit location (int) or unordered location pair (tuple) it belongs to.
+    """One interaction term: Hermitian operator on the qubits `support`,
+    tagged by the circuit location (int) or unordered location pair (tuple)
+    it belongs to. `op` is stored as a read-only complex128 array of side
+    2^len(support).
     """
 
     support: tuple[int, ...]
-    op: Matrix
+    op: np.ndarray
     label: int | tuple[int, int]
 
     def __post_init__(self) -> None:
         support = tuple(int(s) for s in self.support)
         if len(set(support)) != len(support):
             raise ValueError(f"support has duplicates: {support}")
-        if len(support) != len(self.op.dims):
-            raise ValueError("support length must match operator factor count")
-        if not self.op.is_hermitian():
+        op = read_only(self.op)
+        d = qubit_dims(len(support)).total
+        if op.shape != (d, d):
+            raise ValueError(f"matrix side {len(op)} does not match dims total {d}")
+        if not is_hermitian(op):
             raise ValueError("Hamiltonian term must be Hermitian")
         label = self.label
         if isinstance(label, (tuple, list)):
@@ -555,16 +550,18 @@ class HamiltonianTerm:
         else:
             label = int(label)
         object.__setattr__(self, "support", support)
+        object.__setattr__(self, "op", op)
         object.__setattr__(self, "label", label)
 
 
 def _grouped_norm(terms: Sequence[HamiltonianTerm]) -> float:
     """Operator norm of the sum of the terms, embedded on their union support."""
-    labels, dims = _union_space([(t.support, t.op.dims) for t in terms], "terms")
+    labels = sorted({s for t in terms for s in t.support})
+    dims = qubit_dims(len(labels))
     acc = np.zeros((dims.total, dims.total), dtype=np.complex128)
     for t in terms:
         positions = tuple(labels.index(s) for s in t.support)
-        acc += embed_operator(t.op.data, positions, dims)
+        acc += embed_operator(t.op, positions, dims)
     return operator_norm(acc)
 
 
@@ -572,8 +569,7 @@ def strength_local_hamiltonian(terms: Sequence[HamiltonianTerm], t0: float) -> f
     """t0 times the largest per-location norm of the summed coupling terms.
 
     Terms sharing a location label are summed (on the union of their
-    supports) before taking the norm. Larger local dimensions pass through
-    unchanged, which is how leakage levels are handled.
+    supports) before taking the norm.
     """
     if not terms:
         raise ValueError("no Hamiltonian terms given")
@@ -617,7 +613,7 @@ def strength_long_range(
     for t in terms:
         if not isinstance(t.label, tuple):
             raise ValueError("long-range strength needs pair labels")
-        nrm = operator_norm(t.op.data)
+        nrm = operator_norm(t.op)
         for j in t.label:
             row[j] = row.get(j, 0.0) + nrm
     return LongRangeStrength(math.sqrt(c * t0 * max(row.values())))
@@ -682,7 +678,7 @@ def strength_gaussian(grid: CorrelationGrid, c: float = 2.0 * math.e) -> float:
     return math.sqrt(worst)
 
 
-def strength_unitary_couplings(couplings: Iterable[Matrix]) -> float:
+def strength_unitary_couplings(couplings: Iterable[np.ndarray]) -> float:
     """max ||N - I||_inf over joint system-environment coupling unitaries.
 
     This is the trivial-interaction-picture upper bound on the
@@ -693,7 +689,7 @@ def strength_unitary_couplings(couplings: Iterable[Matrix]) -> float:
     seen = False
     for n in couplings:
         seen = True
-        worst = max(worst, operator_norm(n.data - np.eye(n.side)))
+        worst = max(worst, operator_norm(n - np.eye(len(n))))
     if not seen:
         raise ValueError("no couplings given")
     return worst
@@ -747,18 +743,10 @@ def hamiltonian_terms_from_json(obj: Sequence) -> list[HamiltonianTerm]:
     if not isinstance(obj, Sequence) or isinstance(obj, (str, bytes)):
         raise ValueError("expected a list of Hamiltonian terms")
     terms = []
-    for entry in obj:
-        label = entry["label"]
-        if isinstance(label, Sequence):
-            label = (int(label[0]), int(label[1]))
-        else:
-            label = int(label)
-        support = tuple(int(q) for q in entry["support"])
-        op = matrix_from_json(entry["op"])
-        # one qubit factor per support index, not one big factor
-        op = Matrix.of(op.data, (2,) * len(support))
-        terms.append(HamiltonianTerm(support, op, label))
-    return terms
+    return [
+        HamiltonianTerm(entry["support"], matrix_from_json(entry["op"]), entry["label"])
+        for entry in obj
+    ]
 
 
 def correlation_grid_from_json(obj: Mapping) -> CorrelationGrid:

@@ -16,8 +16,11 @@ pure state with per-location unitary couplings, for noise that independent
 per-location channels cannot describe; it steps the vector with the same
 kernel.
 
-Every simulator reads out through ``_readout``: the diagonal of the final
-density matrix reduced onto the measured qubits, permuted into label order.
+Operators are plain complex128 arrays on the qubits of a location's
+support; the simulators return the final density matrix as an array whose
+subsystem dims are ``c.dims``. Every simulator reads out through
+``_readout``: the diagonal of the final density matrix reduced onto the
+measured qubits, permuted into label order, without copying the matrix.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ import numpy as np
 
 from .matcore import (
     Distribution,
-    Matrix,
     SubsystemDims,
     apply_local,
+    is_unitary,
     matrix_from_json,
     partial_trace,
     qubit_dims,
+    read_only,
     vector_from_json,
 )
 from .channels import SIGMA_X, SIGMA_Y, SIGMA_Z, Channel, strength_unitary_couplings
@@ -84,11 +88,6 @@ def _support(support: int | Sequence[int]) -> tuple[int, ...]:
     return (support,) if isinstance(support, int) else tuple(support)
 
 
-def _local(op: Matrix | np.ndarray, n_qubits: int) -> np.ndarray:
-    """The array of a local operator; a bare array must fit n_qubits."""
-    return (op if isinstance(op, Matrix) else Matrix.of(op, qubit_dims(n_qubits))).data
-
-
 @dataclass(frozen=True, eq=False)
 class Location:
     """One operation slot: (index, step, kind, support) plus one local
@@ -97,7 +96,8 @@ class Location:
     the walker builds the reset set |psi><k|), "gate" ([U], optionally
     conditioned on an earlier measurement outcome), "measure" (the
     projectors), "identity" (explicit storage slot, an empty stack).
-    condition = (measure location index, outcome position).
+    condition = (measure location index, outcome position). A stack of the
+    wrong size is kept as given, for validate_circuit to report.
     """
 
     index: int
@@ -114,15 +114,15 @@ class Location:
         if len(set(support)) != len(support) or not support:
             raise ValueError(f"support must be nonempty and duplicate-free: {support}")
         object.__setattr__(self, "support", support)
-        ops = np.array(self.ops, dtype=np.complex128)
-        ops.flags.writeable = False
+        ops = read_only(self.ops)
         object.__setattr__(self, "ops", ops)
         if self.kind == "prep" and abs(np.linalg.norm(ops[0][:, 0]) - 1.0) > 1e-10:
             raise ValueError("prep state must be normalized")
         if self.condition is not None:
-            object.__setattr__(
-                self, "condition", (int(self.condition[0]), int(self.condition[1]))
-            )
+            condition = tuple(int(x) for x in self.condition)
+            if len(condition) != 2:
+                raise ValueError(f"condition must be [measure index, outcome], got {condition}")
+            object.__setattr__(self, "condition", condition)
 
     # -- constructors --------------------------------------------------------
 
@@ -143,11 +143,10 @@ class Location:
         index: int,
         step: int,
         support: int | Sequence[int],
-        u: Matrix | np.ndarray,
+        u: np.ndarray,
         condition: tuple[int, int] | None = None,
     ) -> "Location":
-        sup = _support(support)
-        return cls(index, step, "gate", sup, [_local(u, len(sup))], condition)
+        return cls(index, step, "gate", _support(support), [u], condition)
 
     @classmethod
     def measure(
@@ -155,17 +154,16 @@ class Location:
         index: int,
         step: int,
         support: int | Sequence[int],
-        projectors: Sequence[Matrix | np.ndarray] | None = None,
+        projectors: Sequence[np.ndarray] | None = None,
     ) -> "Location":
         sup = _support(support)
         if projectors is None:
             if len(sup) != 1:
                 raise ValueError("default Z projectors are single-qubit")
             projectors = Z_PROJECTORS
-        projs = [_local(p, len(sup)) for p in projectors]
-        if len({p.shape for p in projs}) > 1:  # ragged: validate_circuit reports the mismatch
-            projs = np.empty((len(projs), 0, 0))
-        return cls(index, step, "measure", sup, projs)
+        if len({np.shape(p) for p in projectors}) > 1:  # ragged: validate_circuit reports it
+            projectors = np.empty((len(projectors), 0, 0))
+        return cls(index, step, "measure", sup, projectors)
 
     @classmethod
     def wait(cls, index: int, step: int, support: int | Sequence[int]) -> "Location":
@@ -245,7 +243,7 @@ def validate_circuit(c: Circuit) -> list[str]:
             out.append(f"location {loc.index}: prep state has wrong dimension")
         elif loc.kind == "gate" and (bad_shape or len(loc.ops) != 1):
             out.append(f"location {loc.index}: gate has wrong dimension")
-        elif loc.kind == "gate" and not Matrix.of(loc.ops[0]).is_unitary(GATE_ATOL):
+        elif loc.kind == "gate" and not is_unitary(loc.ops[0], GATE_ATOL):
             out.append(f"location {loc.index}: gate is not unitary")
         elif loc.kind == "measure" and not len(loc.ops):
             out.append(f"location {loc.index}: measurement needs projectors")
@@ -350,7 +348,7 @@ def _noisy_hook(
     return hook
 
 
-def _readout(c: Circuit, rho: Matrix) -> Distribution:
+def _readout(c: Circuit, rho: np.ndarray) -> Distribution:
     """Z outcome probabilities of the read-out qubits: the diagonal of rho
     reduced onto them, with axes permuted into final_measure order. Every
     outcome is kept, negative round-off clamped to 0."""
@@ -359,27 +357,27 @@ def _readout(c: Circuit, rho: Matrix) -> Distribution:
         return Distribution({"": 1.0})
     m = len(qubits)
     perm = [sorted(qubits).index(q) for q in qubits]  # partial_trace sorts its axes
-    diag = np.diagonal(partial_trace(rho, qubits).data).real
+    diag = np.diagonal(partial_trace(rho, qubits, c.dims)).real
     diag = diag.reshape((2,) * m).transpose(perm).reshape(-1)
     probs = zip(itertools.product("01", repeat=m), diag)
     return Distribution({"".join(a): max(0.0, float(p)) for a, p in probs})
 
 
-def simulate_ideal(c: Circuit) -> tuple[Matrix, Distribution]:
+def simulate_ideal(c: Circuit) -> tuple[np.ndarray, Distribution]:
     """Final density matrix (before read-out) and read-out distribution."""
-    rho = Matrix(_walk(c, lambda loc, x: x), c.dims)
+    rho = _walk(c, lambda loc, x: x)
     return rho, _readout(c, rho)
 
 
 def simulate_noisy(
     c: Circuit, noise: Mapping[int, Channel]
-) -> tuple[Matrix, Distribution]:
+) -> tuple[np.ndarray, Distribution]:
     """Like simulate_ideal with a noise channel applied after each location.
 
     `noise` maps location indices to channels whose support must stay inside
     the location's support; missing indices mean noiseless locations.
     """
-    rho = Matrix(_walk(c, _noisy_hook(c, noise)), c.dims)
+    rho = _walk(c, _noisy_hook(c, noise))
     return rho, _readout(c, rho)
 
 
@@ -388,27 +386,30 @@ def simulate_noisy(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvCoupling:
     """Unitary fault operator on (part of) a location's support plus
     environment qubits; indices are global (environment block appended
-    after the system block)."""
+    after the system block). `unitary` is stored as a read-only complex128
+    array of side 2^len(support)."""
 
     support: tuple[int, ...]
-    unitary: Matrix
+    unitary: np.ndarray
 
     def __post_init__(self) -> None:
         support = tuple(int(q) for q in self.support)
         if len(set(support)) != len(support) or not support:
             raise ValueError("coupling support must be nonempty and duplicate-free")
         object.__setattr__(self, "support", support)
-        if self.unitary.side != 2 ** len(support):
+        u = read_only(self.unitary)
+        object.__setattr__(self, "unitary", u)
+        if u.shape != (2 ** len(support),) * 2:
             raise ValueError("coupling unitary dimension mismatch")
-        if not self.unitary.is_unitary(GATE_ATOL):
+        if not is_unitary(u, GATE_ATOL):
             raise ValueError("coupling must be unitary")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvironmentSpec:
     """Shared environment: qubit count, initial pure state, per-location
     coupling unitaries keyed by location index."""
@@ -420,12 +421,11 @@ class EnvironmentSpec:
     def __post_init__(self) -> None:
         if self.n_env < 1:
             raise ValueError("n_env must be >= 1")
-        vec = np.asarray(self.initial, dtype=np.complex128).reshape(-1).copy()
+        vec = read_only(self.initial).reshape(-1)
         if vec.size != 2**self.n_env:
             raise ValueError("environment state dimension mismatch")
         if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
             raise ValueError("environment state must be normalized")
-        vec.flags.writeable = False
         object.__setattr__(self, "initial", vec)
         object.__setattr__(self, "couplings", dict(self.couplings))
 
@@ -439,7 +439,7 @@ def environment_strength(env: EnvironmentSpec) -> float:
 
 def simulate_with_environment(
     c: Circuit, env: EnvironmentSpec
-) -> tuple[Matrix, Distribution]:
+) -> tuple[np.ndarray, Distribution]:
     """Joint pure-state evolution with per-location coupling unitaries.
 
     Requirements checked here: no conditioned gates (rewrite first), preps
@@ -490,13 +490,12 @@ def simulate_with_environment(
                     f"coupling at location {loc.index} acts on {coupling.support}, "
                     f"outside support plus environment"
                 )
-            psi = apply_local(psi, [coupling.unitary.data], coupling.support, dims)
+            psi = apply_local(psi, [coupling.unitary], coupling.support, dims)
     m = psi.reshape(2**n_sys, 2**env.n_env)
     rho_sys = m @ m.conj().T
     for loc in deferred:
         rho_sys = apply_local(rho_sys, loc.ops, loc.support, c.dims)
-    rho = Matrix(rho_sys, c.dims)
-    return rho, _readout(c, rho)
+    return rho_sys, _readout(c, rho_sys)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +583,7 @@ def gate_from_json(obj) -> np.ndarray:
         if m:
             return rz(float(m.group(1)))
         raise ValueError(f"unknown gate name {obj!r}")
-    return matrix_from_json(obj).data
+    return matrix_from_json(obj)
 
 
 def _state_from_json(obj) -> np.ndarray:
@@ -616,14 +615,11 @@ def circuit_from_json(obj: Mapping) -> Circuit:
         step = int(entry.get("step", index))
         kind = entry["kind"]
         support = tuple(int(q) for q in entry["support"])
-        condition = entry.get("condition")
-        if condition is not None:
-            condition = (int(condition[0]), int(condition[1]))
         if kind == "prep":
             locs.append(Location.prep(index, step, support, _state_from_json(entry["state"])))
         elif kind == "gate":
             gate = gate_from_json(entry["gate"])
-            locs.append(Location.gate_on(index, step, support, gate, condition))
+            locs.append(Location.gate_on(index, step, support, gate, entry.get("condition")))
         elif kind == "measure":
             projs = entry.get("projectors")
             if projs is not None:

@@ -382,8 +382,8 @@ def _cmd_faultpaths(config: dict, workers: int) -> Report:
         results = {"mode": mode, "r": int(params["r"])}
     else:
         raise ValueError(f"unknown faultpaths mode {mode!r}")
-    results["trace_norm"] = trace_norm(zeta.data)
-    results["matrix"] = complex_pairs(zeta.data)
+    results["trace_norm"] = trace_norm(zeta)
+    results["matrix"] = complex_pairs(zeta)
     rec = {k: v for k, v in results.items() if k not in ("matrix", "subset")}
     return _report("faultpaths", config, results, [rec])
 

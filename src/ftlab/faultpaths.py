@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .matcore import Distribution, Matrix, kolmogorov_distance
+from .matcore import kolmogorov_distance
 from .channels import Channel
 from .circuit import (
     Circuit,
@@ -52,7 +52,7 @@ def zeta_subset(
     noise: Mapping[int, Channel],
     subset: Iterable[int],
     complement: str = "noisy",
-) -> Matrix:
+) -> np.ndarray:
     """Fault-path sum with fault insertions N - I exactly on `subset`.
 
     complement="noisy" applies the full noisy operation at every other
@@ -83,10 +83,10 @@ def zeta_subset(
             return noisy(loc, x) - x
         return noisy(loc, x) if complement == "noisy" else x
 
-    return Matrix(_walk(c, hook), c.dims)
+    return _walk(c, hook)
 
 
-def zeta_earliest(c: Circuit, noise: Mapping[int, Channel], r: int) -> Matrix:
+def zeta_earliest(c: Circuit, noise: Mapping[int, Channel], r: int) -> np.ndarray:
     """Group of all fault paths whose earliest fault sits at location r.
 
     Ideal before r, a fault insertion N - I at r, the full noisy operation
@@ -103,7 +103,7 @@ def zeta_earliest(c: Circuit, noise: Mapping[int, Channel], r: int) -> Matrix:
             return x
         return noisy(loc, x) - x if loc.index == r else noisy(loc, x)
 
-    return Matrix(_walk(c, hook), c.dims)
+    return _walk(c, hook)
 
 
 def accuracy_delta_exact(

@@ -116,12 +116,6 @@ class GadgetGraph:
     def total_locations(self) -> int:
         return len(self._part_of) - 1
 
-    def own_ids(self, gadget: int) -> tuple[int, ...]:
-        return tuple(sorted(self._parts[gadget]))
-
-    def segment_ids(self, segment: int) -> tuple[int, ...]:
-        return tuple(sorted(self._parts[self.n_gadgets + segment]))
-
     def extent(self, gadget: int) -> tuple[int, ...]:
         """Full extended-gadget extent: in-segments + own + out-segments."""
         return self._extent[gadget]

@@ -2,11 +2,13 @@
 
 Everything downstream (channels, circuit simulation, fault-path sums) works
 with operators on a tensor product of small subsystems. This module pins the
-conventions once: row-major complex128 storage, explicit per-subsystem
-dimensions, and a hard cap on the total dimension so a desk-scale run cannot
-silently allocate gigabytes. Local operators act on states and density
-matrices through `apply_local`, which contracts only the axes they touch;
-`embed_operator` builds the full-space matrix where one is really needed.
+conventions once: an operator is a plain row-major complex128 ndarray, its
+per-subsystem dimensions travel as a `SubsystemDims` passed to the functions
+that need them (`partial_trace`, `apply_local`, `embed_operator`), and a hard
+cap on the total dimension keeps a desk-scale run from silently allocating
+gigabytes. Local operators act on states and density matrices through
+`apply_local`, which contracts only the axes they touch; `embed_operator`
+builds the full-space matrix where one is really needed.
 """
 
 from __future__ import annotations
@@ -76,90 +78,12 @@ class SubsystemDims:
                 raise ValueError(f"subsystem index {i} out of range for {self.dims}")
         return SubsystemDims(tuple(self.dims[i] for i in kept))
 
-    def concat(self, other: "SubsystemDims") -> "SubsystemDims":
-        return SubsystemDims(self.dims + other.dims)
-
 
 def qubit_dims(n: int) -> SubsystemDims:
     """n qubit factors."""
     if n < 0:
         raise ValueError("qubit count must be >= 0")
     return SubsystemDims((2,) * n)
-
-
-# ---------------------------------------------------------------------------
-# Matrices
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Matrix:
-    """Square complex matrix with explicit subsystem structure.
-
-    `data` is stored as an immutable row-major complex128 array whose side
-    equals `dims.total`; anything that changes the factor structure goes
-    through `tensor` / `partial_trace`.
-    """
-
-    data: np.ndarray
-    dims: SubsystemDims
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] != self.dims.total:
-            raise ValueError(
-                f"matrix side {arr.shape[0]} does not match dims total {self.dims.total}"
-            )
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def of(cls, data, dims: SubsystemDims | Sequence[int] | None = None) -> "Matrix":
-        """Wrap an array. Without dims, the matrix is one subsystem."""
-        arr = np.asarray(data, dtype=np.complex128)
-        if dims is None:
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-            d = arr.shape[0]
-            dims = SubsystemDims(() if d == 1 else (d,))
-        elif not isinstance(dims, SubsystemDims):
-            dims = SubsystemDims(tuple(dims))
-        return cls(arr, dims)
-
-    @classmethod
-    def identity(cls, dims: SubsystemDims | Sequence[int]) -> "Matrix":
-        if not isinstance(dims, SubsystemDims):
-            dims = SubsystemDims(tuple(dims))
-        return cls(np.eye(dims.total, dtype=np.complex128), dims)
-
-    # -- predicates ---------------------------------------------------------
-
-    @property
-    def side(self) -> int:
-        return self.data.shape[0]
-
-    def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
-        return bool(np.max(np.abs(self.data - self.data.conj().T)) <= atol)
-
-    def is_density(self) -> bool:
-        """Hermitian within 1e-12, eigenvalues >= -1e-12, trace 1 within 1e-10."""
-        if not self.is_hermitian():
-            return False
-        if abs(self.trace() - 1.0) > TRACE_ATOL:
-            return False
-        return bool(np.min(np.linalg.eigvalsh(self.data)) >= PSD_EIG_FLOOR)
-
-    def is_unitary(self, atol: float = 1e-10) -> bool:
-        g = self.data.conj().T @ self.data
-        return bool(np.max(np.abs(g - np.eye(self.side))) <= atol)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.data))
 
 
 # ---------------------------------------------------------------------------
@@ -195,55 +119,73 @@ class Distribution:
 # ---------------------------------------------------------------------------
 
 
-def tensor(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; factor lists concatenate (a's subsystems first)."""
-    dims = a.dims.concat(b.dims)  # cap enforced here
-    return Matrix(np.kron(a.data, b.data), dims)
+def read_only(x) -> np.ndarray:
+    """A read-only complex128 copy of `x`: how value types store operators."""
+    arr = np.array(x, dtype=np.complex128)
+    arr.flags.writeable = False
+    return arr
 
 
-def partial_trace(m: Matrix, keep: Iterable[int]) -> Matrix:
-    """Trace out every subsystem not listed in `keep`.
+def is_hermitian(x: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
+    return bool(np.max(np.abs(x - x.conj().T)) <= atol)
+
+
+def is_density(x: np.ndarray) -> bool:
+    """Hermitian within 1e-12, eigenvalues >= -1e-12, trace 1 within 1e-10."""
+    if not is_hermitian(x):
+        return False
+    if abs(np.trace(x) - 1.0) > TRACE_ATOL:
+        return False
+    return bool(np.min(np.linalg.eigvalsh(x)) >= PSD_EIG_FLOOR)
+
+
+def is_unitary(x: np.ndarray, atol: float = 1e-10) -> bool:
+    g = x.conj().T @ x
+    return bool(np.max(np.abs(g - np.eye(len(g)))) <= atol)
+
+
+def partial_trace(
+    x: np.ndarray, keep: Iterable[int], dims: SubsystemDims | Sequence[int]
+) -> np.ndarray:
+    """Trace out every subsystem of `x`, factored as `dims`, not listed in `keep`.
 
     The result's factors appear in their original order regardless of the
-    order of `keep`. Keeping everything is a copy; keeping nothing yields the
-    1x1 matrix holding the full trace.
+    order of `keep`. Keeping everything returns `x` reshaped, not a copy;
+    keeping nothing yields the 1x1 matrix holding the full trace.
     """
-    dims = m.dims.dims
+    dims = SubsystemDims(dims)
     n = len(dims)
     kept = sorted(set(int(i) for i in keep))
-    for i in kept:
-        if not 0 <= i < n:
-            raise ValueError(f"subsystem index {i} out of range for {dims}")
+    side = dims.restrict(kept).total  # rejects an index out of range
     kept_set = set(kept)
-    t = m.data.reshape(dims + dims)
+    t = np.asarray(x, dtype=np.complex128).reshape(dims.dims * 2)
     row_labels = list(range(n))
     col_labels = [i if i not in kept_set else n + i for i in range(n)]
     out_labels = kept + [n + i for i in kept]
     reduced = np.einsum(t, row_labels + col_labels, out_labels)
-    side = math.prod(dims[i] for i in kept) if kept else 1
-    return Matrix(reduced.reshape(side, side), m.dims.restrict(kept))
+    return reduced.reshape(side, side)
 
 
-def singular_values(m: Matrix | np.ndarray) -> np.ndarray:
+def singular_values(m: np.ndarray) -> np.ndarray:
     """Descending singular values via Hermitian eigendecomposition.
 
     Hermitian inputs (the usual case: densities, differences of densities)
     use |eig(M)| directly; squaring through M^dag M would cost half the
     available precision near zero.
     """
-    arr = m.data if isinstance(m, Matrix) else np.asarray(m, dtype=np.complex128)
-    if np.max(np.abs(arr - arr.conj().T)) <= HERMITIAN_ATOL:
+    arr = np.asarray(m, dtype=np.complex128)
+    if is_hermitian(arr):
         return np.sort(np.abs(np.linalg.eigvalsh(arr)))[::-1]
     w = np.linalg.eigvalsh(arr.conj().T @ arr)
     return np.sqrt(np.clip(w, 0.0, None))[::-1]
 
 
-def trace_norm(m: Matrix | np.ndarray) -> float:
+def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values."""
     return float(np.sum(singular_values(m)))
 
 
-def operator_norm(m: Matrix | np.ndarray) -> float:
+def operator_norm(m: np.ndarray) -> float:
     """Largest singular value."""
     sv = singular_values(m)
     return float(sv[0]) if sv.size else 0.0
@@ -258,8 +200,7 @@ def kolmogorov_distance(p: Distribution, q: Distribution) -> float:
 def _local_setup(op: np.ndarray, support: Sequence[int], dims: SubsystemDims | Sequence[int]):
     """Validated (op as complex128, support, all dims, support dims) for a
     local operator (or a stack of them) factoring over `support`."""
-    if not isinstance(dims, SubsystemDims):
-        dims = SubsystemDims(tuple(dims))
+    dims = SubsystemDims(dims)
     support = tuple(int(i) for i in support)
     if len(set(support)) != len(support):
         raise ValueError(f"support has duplicates: {support}")
@@ -356,13 +297,16 @@ def vector_from_json(obj) -> np.ndarray:
         raise ValueError(f"expected a list of [re, im] pairs: {exc}") from None
 
 
-def matrix_to_json(m: "Matrix | np.ndarray") -> list[list[float]]:
-    return complex_pairs(m.data if isinstance(m, Matrix) else m).tolist()
+def matrix_to_json(m: np.ndarray) -> list[list[float]]:
+    return complex_pairs(m).tolist()
 
 
-def matrix_from_json(obj, dims: "SubsystemDims | None" = None) -> Matrix:
+def matrix_from_json(obj) -> np.ndarray:
+    """Square complex128 matrix; an empty one or a side over DIM_CAP is refused."""
     flat = vector_from_json(obj)
     side = math.isqrt(flat.size)
     if side * side != flat.size:
         raise ValueError(f"{flat.size} entries do not fill a square matrix")
-    return Matrix.of(flat.reshape(side, side), dims)
+    if side != 1:
+        SubsystemDims((side,))  # as one factor: refuses side 0 and a side over DIM_CAP
+    return flat.reshape(side, side)

@@ -50,7 +50,7 @@ from ftlab.gadgets import (
     level_reduce_mc,
     truncate_and_classify,
 )
-from ftlab.matcore import Matrix, matrix_to_json, qubit_dims
+from ftlab.matcore import matrix_to_json, qubit_dims
 from ftlab.threshold import (
     SchemeParams,
     pseudothreshold_mc,
@@ -141,7 +141,7 @@ def test_criterion_02_environment_accuracy_bound():
                 u = np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * pq
                 e = n_sys + int(rng.integers(n_env))
                 q = int(rng.choice(loc.support))
-                couplings[loc.index] = EnvCoupling((q, e), Matrix.of(u, (2, 2)))
+                couplings[loc.index] = EnvCoupling((q, e), u)
         env = EnvironmentSpec(n_env, init, couplings)
         delta = accuracy_delta_exact(c, env)
         eps = environment_strength(env)
@@ -172,15 +172,15 @@ def test_criterion_03_fault_path_exactness():
         c, noise = _random_faultpath_instance(rng, n_loc, n_qubits)
         rho_i, _ = simulate_ideal(c)
         rho_n, _ = simulate_noisy(c, noise)
-        diff = rho_n.data - rho_i.data
+        diff = rho_n - rho_i
 
-        total = sum(zeta_earliest(c, noise, r).data for r in range(1, c.size + 1))
+        total = sum(zeta_earliest(c, noise, r) for r in range(1, c.size + 1))
         assert np.max(np.abs(total - diff)) <= 1e-10
 
         signed = np.zeros_like(diff)
         for r in range(1, c.size + 1):
             for subset in itertools.combinations(range(1, c.size + 1), r):
-                signed = signed + (-1) ** (r + 1) * zeta_subset(c, noise, set(subset)).data
+                signed = signed + (-1) ** (r + 1) * zeta_subset(c, noise, set(subset))
         assert np.max(np.abs(signed - diff)) <= 1e-9
     verdict(3, "earliest-fault and signed-subset sums reproduce rho_noisy")
 

@@ -31,7 +31,6 @@ from ftlab.channels import (
     strength_unitary_couplings,
 )
 from ftlab.matcore import (
-    Matrix,
     matrix_to_json,
     operator_norm,
     partial_trace,
@@ -72,18 +71,14 @@ def test_kraus_is_one_read_only_stack():
     assert not ch.kraus.flags.writeable
     with pytest.raises(ValueError):
         ch.kraus[0, 0, 0] = 0.0
-    for same in (
-        Channel.from_kraus([Matrix.of(k) for k in arrays]),
-        Channel.from_kraus(np.stack(arrays), (2,)),
-        Channel.from_kraus([Matrix.of(arrays[0]), arrays[1]], (2,)),
-    ):
+    for same in (Channel.from_kraus(arrays), Channel.from_kraus(np.stack(arrays), (2,))):
         np.testing.assert_array_equal(same.kraus, ch.kraus)
         assert same.dims == ch.dims and same.support == ch.support
     source = np.stack(arrays).astype(np.complex128)
     copied = Channel.from_kraus(source, (2,))
     source[0] = 0.0
     np.testing.assert_array_equal(copied.kraus, ch.kraus)
-    u = Channel.unitary(Matrix.of(CNOT, (2, 2)), support=(3, 1))
+    u = Channel.unitary(CNOT, (2, 2), (3, 1))
     assert u.kraus.shape == (1, 4, 4) and u.dims.dims == (2, 2) and u.support == (3, 1)
 
 
@@ -104,22 +99,22 @@ def test_kraus_stack_shape_is_checked():
 
 
 def test_apply_channel_examples():
-    rho0 = Matrix.of(np.diag([1.0, 0.0]))
+    rho0 = np.diag([1.0, 0.0])
     ident = Channel.identity(qubit_dims(1))
-    np.testing.assert_allclose(apply_channel(ident, rho0).data, rho0.data)
+    np.testing.assert_allclose(apply_channel(ident, rho0, (2,)), rho0)
     with pytest.raises(ValueError, match="density"):
-        apply_channel(ident, Matrix.of(np.diag([2.0, 0.0])))
+        apply_channel(ident, np.diag([2.0, 0.0]), (2,))
 
     flip = make_noise_channel(NoiseSpec.probabilistic(1.0, SIGMA_X))
     np.testing.assert_allclose(
-        apply_channel(flip, rho0).data, np.diag([0.0, 1.0]), atol=1e-12
+        apply_channel(flip, rho0, (2,)), np.diag([0.0, 1.0]), atol=1e-12
     )
 
     ad = make_noise_channel(NoiseSpec.amplitude_damping(0.3, 1.0))
     g = 1.0 - math.exp(-0.3)
-    rho1 = Matrix.of(np.diag([0.0, 1.0]))
+    rho1 = np.diag([0.0, 1.0])
     np.testing.assert_allclose(
-        apply_channel(ad, rho1).data, np.diag([g, 1.0 - g]), atol=1e-12
+        apply_channel(ad, rho1, (2,)), np.diag([g, 1.0 - g]), atol=1e-12
     )
 
 
@@ -128,14 +123,14 @@ def test_compose_identity_and_double_flip():
     ch = random_channel(rng, 2)
     ident = Channel.identity(qubit_dims(1))
     np.testing.assert_allclose(
-        choi_matrix(compose_channels(ident, ch)).data, choi_matrix(ch).data, atol=1e-10
+        choi_matrix(compose_channels(ident, ch)), choi_matrix(ch), atol=1e-10
     )
     p = 0.2
     flip = make_noise_channel(NoiseSpec.probabilistic(p, SIGMA_X))
     twice = compose_channels(flip, flip)
     expect = make_noise_channel(NoiseSpec.probabilistic(2 * p * (1 - p), SIGMA_X))
     np.testing.assert_allclose(
-        choi_matrix(twice).data, choi_matrix(expect).data, atol=1e-10
+        choi_matrix(twice), choi_matrix(expect), atol=1e-10
     )
 
 
@@ -145,23 +140,21 @@ def test_embed_channel_acts_locally():
     big = embed_channel(ch, qubit_dims(3))
     states = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(3)]
     states = [v / np.linalg.norm(v) for v in states]
-    rho = Matrix.of(
-        np.kron(
-            np.kron(np.outer(states[0], states[0].conj()), np.outer(states[1], states[1].conj())),
-            np.outer(states[2], states[2].conj()),
-        ),
-        qubit_dims(3),
+    dims = qubit_dims(3)
+    rho = np.kron(
+        np.kron(np.outer(states[0], states[0].conj()), np.outer(states[1], states[1].conj())),
+        np.outer(states[2], states[2].conj()),
     )
-    out = apply_channel(big, rho)
+    out = apply_channel(big, rho, dims)
     np.testing.assert_allclose(
-        partial_trace(out, [0]).data, np.outer(states[0], states[0].conj()), atol=1e-10
+        partial_trace(out, [0], dims), np.outer(states[0], states[0].conj()), atol=1e-10
     )
     np.testing.assert_allclose(
-        partial_trace(out, [2]).data, np.outer(states[2], states[2].conj()), atol=1e-10
+        partial_trace(out, [2], dims), np.outer(states[2], states[2].conj()), atol=1e-10
     )
     local = make_noise_channel(NoiseSpec.depolarizing(0.4))
-    small = apply_channel(local, Matrix.of(np.outer(states[1], states[1].conj())))
-    np.testing.assert_allclose(partial_trace(out, [1]).data, small.data, atol=1e-10)
+    small = apply_channel(local, np.outer(states[1], states[1].conj()), (2,))
+    np.testing.assert_allclose(partial_trace(out, [1], dims), small, atol=1e-10)
 
 
 def test_embed_commutes_with_compose():
@@ -171,24 +164,24 @@ def test_embed_commutes_with_compose():
     total = qubit_dims(2)
     lhs = compose_channels(embed_channel(a, total), embed_channel(b, total))
     rhs = embed_channel(compose_channels(a, b), total)
-    np.testing.assert_allclose(choi_matrix(lhs).data, choi_matrix(rhs).data, atol=1e-10)
+    np.testing.assert_allclose(choi_matrix(lhs), choi_matrix(rhs), atol=1e-10)
 
 
 def test_choi_matrix_examples():
     ident = Channel.identity(qubit_dims(1))
     np.testing.assert_allclose(
-        choi_matrix(ident).data, 2.0 * np.outer(BELL, BELL.conj()), atol=1e-12
+        choi_matrix(ident), 2.0 * np.outer(BELL, BELL.conj()), atol=1e-12
     )
     # uniform mixture over {I, X, Y, Z} with weight 3/4 on the Paulis
     dep = make_noise_channel(NoiseSpec.depolarizing(0.75))
-    np.testing.assert_allclose(choi_matrix(dep).data, np.eye(4) / 2, atol=1e-12)
+    np.testing.assert_allclose(choi_matrix(dep), np.eye(4) / 2, atol=1e-12)
 
     p = 0.3
     prob = make_noise_channel(NoiseSpec.probabilistic(p, SIGMA_X))
     x_chan = Channel.unitary(SIGMA_X, (2,))
     np.testing.assert_allclose(
-        choi_matrix(prob).data,
-        (1 - p) * choi_matrix(ident).data + p * choi_matrix(x_chan).data,
+        choi_matrix(prob),
+        (1 - p) * choi_matrix(ident) + p * choi_matrix(x_chan),
         atol=1e-12,
     )
 
@@ -198,9 +191,9 @@ def test_choi_matrix_is_positive_with_identity_marginal():
     for _ in range(5):
         ch = random_channel(rng, 3)
         j = choi_matrix(ch)
-        assert np.min(np.linalg.eigvalsh(j.data)) >= -1e-10
+        assert np.min(np.linalg.eigvalsh(j)) >= -1e-10
         np.testing.assert_allclose(
-            partial_trace(j, [1]).data, np.eye(3), atol=1e-10
+            partial_trace(j, [1], (3, 3)), np.eye(3), atol=1e-10
         )
 
 
@@ -450,11 +443,11 @@ def test_stinespring_dilation_reproduces_channel():
     rho = np.diag([0.7, 0.3]).astype(np.complex128)
     joint_in = np.kron(rho, np.zeros((3, 3)))
     joint_in[np.ix_([0, 3], [0, 3])] = rho  # rho tensor |0><0|_env
-    u = iso.data
+    u = iso
     joint = u @ np.kron(rho, np.diag([1.0, 0.0, 0.0])) @ u.conj().T
     reduced = joint.reshape(2, 3, 2, 3).trace(axis1=1, axis2=3)
     np.testing.assert_allclose(
-        reduced, apply_channel(ch, Matrix.of(rho)).data, atol=1e-10
+        reduced, apply_channel(ch, rho, (2,)), atol=1e-10
     )
     unit = Channel.unitary(haar_unitary(rng, 2), (2,))
     _, n_env_u = stinespring_dilation(unit)
@@ -462,11 +455,14 @@ def test_stinespring_dilation_reproduces_channel():
 
 
 def test_strength_local_hamiltonian():
-    zero = HamiltonianTerm((0,), Matrix.of(np.zeros((2, 2))), 1)
+    zero = HamiltonianTerm((0,), np.zeros((2, 2)), 1)
     assert strength_local_hamiltonian([zero], 1.0) == 0.0
+    # terms are qubit-only: the side must be 2^len(support)
+    with pytest.raises(ValueError, match="matrix side 4 does not match dims total 2"):
+        HamiltonianTerm((0,), np.eye(4), 1)
 
     lam = 0.37
-    zx = HamiltonianTerm((0, 1), Matrix.of(lam * np.kron(SIGMA_Z, SIGMA_X), (2, 2)), 2)
+    zx = HamiltonianTerm((0, 1), lam * np.kron(SIGMA_Z, SIGMA_X), 2)
     assert strength_local_hamiltonian([zx], 1.0) == pytest.approx(lam, rel=1e-12)
 
     rng = np.random.default_rng(29)
@@ -475,8 +471,8 @@ def test_strength_local_hamiltonian():
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = 0.7 * (b + b.conj().T) / operator_norm(b + b.conj().T)
     terms = [
-        HamiltonianTerm((0,), Matrix.of(a), 5),
-        HamiltonianTerm((0,), Matrix.of(b), 5),
+        HamiltonianTerm((0,), a, 5),
+        HamiltonianTerm((0,), b, 5),
     ]
     expect = np.max(np.abs(np.linalg.eigvalsh(a + b)))
     assert strength_local_hamiltonian(terms, 2.0) == pytest.approx(2.0 * expect, rel=1e-10)
@@ -486,30 +482,30 @@ def test_strength_local_hamiltonian():
 
 def test_strength_local_hamiltonian_different_supports_same_label():
     # same gate label, terms on different qubits: embedded on the union
-    h0 = HamiltonianTerm((0,), Matrix.of(0.4 * SIGMA_Z), 1)
-    h1 = HamiltonianTerm((1,), Matrix.of(0.4 * SIGMA_Z), 1)
+    h0 = HamiltonianTerm((0,), 0.4 * SIGMA_Z, 1)
+    h1 = HamiltonianTerm((1,), 0.4 * SIGMA_Z, 1)
     # ||0.4 Z x I + 0.4 I x Z|| = 0.8
     assert strength_local_hamiltonian([h0, h1], 1.0) == pytest.approx(0.8, rel=1e-12)
 
 
 def test_strength_long_range():
-    zero = HamiltonianTerm((0, 1), Matrix.of(np.zeros((4, 4)), (2, 2)), (0, 1))
+    zero = HamiltonianTerm((0, 1), np.zeros((4, 4)), (0, 1))
     assert float(strength_long_range([zero], 1.0)) == 0.0
 
     h = 0.05
-    single = HamiltonianTerm((0, 1), Matrix.of(h * np.kron(SIGMA_X, SIGMA_X), (2, 2)), (0, 1))
+    single = HamiltonianTerm((0, 1), h * np.kron(SIGMA_X, SIGMA_X), (0, 1))
     val = strength_long_range([single], 1.0)
     assert float(val) == pytest.approx(math.sqrt(2 * math.e * h), rel=1e-12)
     assert val.within_validity
 
     star = [
-        HamiltonianTerm((0, k), Matrix.of(0.01 * np.kron(SIGMA_Z, SIGMA_Z), (2, 2)), (0, k))
+        HamiltonianTerm((0, k), 0.01 * np.kron(SIGMA_Z, SIGMA_Z), (0, k))
         for k in range(1, 5)
     ]
     val = strength_long_range(star, 1.0)
     assert float(val) == pytest.approx(0.46632879631942487, rel=1e-12)
     assert float(val) == pytest.approx(math.sqrt(2 * math.e * 0.04), rel=1e-12)
-    big = HamiltonianTerm((0, 1), Matrix.of(5.0 * np.kron(SIGMA_X, SIGMA_X), (2, 2)), (0, 1))
+    big = HamiltonianTerm((0, 1), 5.0 * np.kron(SIGMA_X, SIGMA_X), (0, 1))
     assert not strength_long_range([big], 1.0).within_validity
 
 
@@ -540,14 +536,14 @@ def test_strength_gaussian():
 
 
 def test_strength_monotone_in_coupling_norms():
-    base = HamiltonianTerm((0,), Matrix.of(0.2 * SIGMA_X), 1)
-    bigger = HamiltonianTerm((0,), Matrix.of(0.5 * SIGMA_X), 1)
+    base = HamiltonianTerm((0,), 0.2 * SIGMA_X, 1)
+    bigger = HamiltonianTerm((0,), 0.5 * SIGMA_X, 1)
     assert strength_local_hamiltonian([bigger], 1.0) >= strength_local_hamiltonian([base], 1.0)
-    pair_s = HamiltonianTerm((0, 1), Matrix.of(0.2 * np.kron(SIGMA_X, SIGMA_X), (2, 2)), (0, 1))
-    pair_b = HamiltonianTerm((0, 1), Matrix.of(0.5 * np.kron(SIGMA_X, SIGMA_X), (2, 2)), (0, 1))
+    pair_s = HamiltonianTerm((0, 1), 0.2 * np.kron(SIGMA_X, SIGMA_X), (0, 1))
+    pair_b = HamiltonianTerm((0, 1), 0.5 * np.kron(SIGMA_X, SIGMA_X), (0, 1))
     assert float(strength_long_range([pair_b], 1.0)) >= float(strength_long_range([pair_s], 1.0))
-    u_s = Matrix.of(np.diag([1.0, np.exp(0.1j)]))
-    u_b = Matrix.of(np.diag([1.0, np.exp(0.3j)]))
+    u_s = np.diag([1.0, np.exp(0.1j)])
+    u_b = np.diag([1.0, np.exp(0.3j)])
     assert strength_unitary_couplings([u_b]) >= strength_unitary_couplings([u_s])
 
 
@@ -561,8 +557,8 @@ def test_noise_spec_json_round_trip():
     for spec in specs:
         back = noise_spec_from_json(noise_spec_to_json(spec))
         np.testing.assert_allclose(
-            choi_matrix(make_noise_channel(back)).data,
-            choi_matrix(make_noise_channel(spec)).data,
+            choi_matrix(make_noise_channel(back)),
+            choi_matrix(make_noise_channel(spec)),
             atol=1e-12,
         )
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from ftlab.channels import (
     SIGMA_Z,
     Channel,
     CorrelationGrid,
+    HamiltonianTerm,
     NoiseSpec,
     make_noise_channel,
     stinespring_dilation,
@@ -24,6 +26,7 @@ from ftlab.circuit import (
     EnvCoupling,
     EnvironmentSpec,
     Location,
+    _readout,
     circuit_from_json,
     environment_spec_from_json,
     environment_strength,
@@ -36,7 +39,6 @@ from ftlab.circuit import (
     validate_circuit,
 )
 from ftlab.matcore import (
-    Matrix,
     kolmogorov_distance,
     matrix_to_json,
     partial_trace,
@@ -77,11 +79,11 @@ def test_validate_collects_violations_without_raising():
     problems = validate_circuit(clash)
     assert any("busy" in p for p in problems)
 
-    half = Matrix.of(np.diag([0.5, 0.0]))
+    half = np.diag([0.5, 0.0])
     bad_meas = SimpleNamespace(
         n_system=1,
         locations=(
-            Location.measure(1, 1, (0,), (half, Matrix.of(np.diag([0.0, 0.5])))),
+            Location.measure(1, 1, (0,), (half, np.diag([0.0, 0.5]))),
         ),
         final_measure=(),
     )
@@ -104,19 +106,19 @@ VALIDATE_MESSAGES = {
         "invalid circuit: location 1: prep state has wrong dimension",
     ),
     "gate_dim": (
-        lambda: seq(1, Location.gate_on(0, 0, 0, Matrix.of(CNOT))),
+        lambda: seq(2, Location.gate_on(0, 0, (0, 1), HADAMARD)),
         "invalid circuit: location 1: gate has wrong dimension",
     ),
     "gate_array_dim": (
         lambda: seq(1, Location.gate_on(0, 0, 0, CNOT)),
-        "matrix side 4 does not match dims total 2",
+        "invalid circuit: location 1: gate has wrong dimension",
     ),
     "measure_dim": (
-        lambda: seq(1, Z(0, 0, 0, [Matrix.of(np.eye(4))])),
+        lambda: seq(1, Z(0, 0, 0, [np.eye(4)])),
         "invalid circuit: location 1: projector dimension mismatch",
     ),
     "measure_ragged": (
-        lambda: seq(1, Z(0, 0, 0, [Matrix.of(np.eye(4)), Matrix.of(np.eye(2))])),
+        lambda: seq(1, Z(0, 0, 0, [np.eye(4), np.eye(2)])),
         "invalid circuit: location 1: projector dimension mismatch",
     ),
     "gate_not_unitary": (
@@ -172,14 +174,10 @@ def test_location_ops_is_one_read_only_stack():
     assert not gate.ops.flags.writeable
     with pytest.raises(ValueError):
         gate.ops[0, 0, 0] = 0.0
-    same = Location.gate_on(1, 1, (0, 1), Matrix.of(u, (2, 2)))
-    np.testing.assert_array_equal(same.ops, gate.ops)
     projs = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     meas = Location.measure(1, 1, 0, projs)
     assert meas.ops.shape == (2, 2, 2)
     np.testing.assert_array_equal(meas.ops, np.stack(projs))
-    same = Location.measure(1, 1, 0, [Matrix.of(p) for p in projs])
-    np.testing.assert_array_equal(same.ops, meas.ops)
     np.testing.assert_array_equal(Location.measure(1, 1, 0).ops, meas.ops)
     assert Location.wait(1, 1, (2, 0)).ops.size == 0
     psi = haar_unitary(rng, 4)[:, 0]
@@ -192,11 +190,15 @@ def test_location_ops_is_one_read_only_stack():
 
 def test_array_dataclasses_compare_by_identity_and_hash():
     grid = np.ones((1, 1, 1, 1))
+    coupling = EnvCoupling((0, 1), np.eye(4))
     pairs = [
-        (Matrix.of(np.eye(2)), Matrix.of(np.eye(2))),
         (Channel.identity((2,)), Channel.identity((2,))),
         (Location.gate_on(1, 1, 0, HADAMARD), Location.gate_on(1, 1, 0, HADAMARD)),
         (CorrelationGrid(grid, 1.0, ((0,),)), CorrelationGrid(grid, 1.0, ((0,),))),
+        (NoiseSpec.probabilistic(0.1, SIGMA_X), NoiseSpec.probabilistic(0.1, SIGMA_X)),
+        (HamiltonianTerm((0,), SIGMA_Z, 1), HamiltonianTerm((0,), SIGMA_Z, 1)),
+        (coupling, EnvCoupling((0, 1), np.eye(4))),
+        (EnvironmentSpec(1, KET0, {1: coupling}), EnvironmentSpec(1, KET0, {1: coupling})),
     ]
     for a, b in pairs:
         assert a == a
@@ -204,6 +206,19 @@ def test_array_dataclasses_compare_by_identity_and_hash():
         assert a != b
         assert hash(a) == hash(a)
         assert len({a, b}) == 2
+
+
+def test_operator_fields_are_read_only_copies():
+    source = SIGMA_X.copy()
+    stored = [
+        NoiseSpec.probabilistic(0.1, source).e_op,
+        HamiltonianTerm((0,), source, 1).op,
+        EnvCoupling((0,), source).unitary,
+    ]
+    source[:] = 0.0
+    for op in stored:
+        assert op.dtype == np.complex128 and not op.flags.writeable
+        np.testing.assert_array_equal(op, SIGMA_X)
 
 
 def test_simulate_ideal_prep_and_measure():
@@ -232,7 +247,7 @@ def test_simulate_ideal_bell_pair():
     assert dist["01"] == 0.0 and dist["10"] == 0.0
     bell = np.zeros(4, dtype=np.complex128)
     bell[[0, 3]] = 1 / math.sqrt(2)
-    np.testing.assert_allclose(rho.data, np.outer(bell, bell.conj()), atol=1e-12)
+    np.testing.assert_allclose(rho, np.outer(bell, bell.conj()), atol=1e-12)
 
 
 def test_simulate_ideal_mixes_unreferenced_and_conditioned_measurements():
@@ -255,7 +270,7 @@ def test_simulate_ideal_mixes_unreferenced_and_conditioned_measurements():
         assert dist[label] == pytest.approx(0.25, abs=1e-12)
     assert sorted(dist.probs) == sorted(f"{i:03b}" for i in range(8))
     want = np.kron(np.diag([0.5, 0, 0, 0.5]), np.eye(2) / 2)
-    np.testing.assert_allclose(rho.data, want, atol=1e-12)
+    np.testing.assert_allclose(rho, want, atol=1e-12)
 
 
 def test_simulate_noisy_identity_matches_ideal():
@@ -273,7 +288,7 @@ def test_simulate_noisy_identity_matches_ideal():
             2: Channel.identity(qubit_dims(1), (1,)),
         },
     )
-    np.testing.assert_allclose(rho_n.data, rho_i.data, atol=1e-10)
+    np.testing.assert_allclose(rho_n, rho_i, atol=1e-10)
     assert kolmogorov_distance(dist_n, dist_i) <= 1e-10
 
 
@@ -316,7 +331,7 @@ def test_simulate_noisy_rejects_nonlocal_noise():
 def _dilation_coupling(ch, sys_qubit, env_qubit):
     u, n_env = stinespring_dilation(ch)
     assert n_env == 2, "test channels must have two Kraus operators"
-    return EnvCoupling((sys_qubit, env_qubit), Matrix.of(u.data, (2, 2)))
+    return EnvCoupling((sys_qubit, env_qubit), u)
 
 
 def test_markovian_dilation_consistency():
@@ -341,7 +356,7 @@ def test_markovian_dilation_consistency():
         {idx: _dilation_coupling(ch, 0, idx) for idx, ch in chans.items()},
     )
     rho_e, dist_e = simulate_with_environment(c, env)
-    np.testing.assert_allclose(rho_e.data, rho_n.data, atol=1e-9)
+    np.testing.assert_allclose(rho_e, rho_n, atol=1e-9)
     assert kolmogorov_distance(dist_e, dist_n) <= 1e-9
 
 
@@ -352,23 +367,22 @@ def test_environment_identity_couplings_match_ideal():
         Location.gate_on(0, 0, 0, HADAMARD),
         measure=[0],
     )
-    eye4 = Matrix.of(np.eye(4, dtype=np.complex128), (2, 2))
+    eye4 = np.eye(4, dtype=np.complex128)
     env = EnvironmentSpec(
         1, KET0, {1: EnvCoupling((0, 1), eye4), 2: EnvCoupling((0, 1), eye4)}
     )
     assert environment_strength(env) == pytest.approx(0.0, abs=1e-12)
     rho_e, dist_e = simulate_with_environment(c, env)
     rho_i, dist_i = simulate_ideal(c)
-    np.testing.assert_allclose(rho_e.data, rho_i.data, atol=1e-10)
+    np.testing.assert_allclose(rho_e, rho_i, atol=1e-10)
     assert kolmogorov_distance(dist_e, dist_i) <= 1e-10
 
 
 def test_environment_coupling_within_double_linear_bound():
     zz = np.kron(SIGMA_Z, SIGMA_X)
     for theta in (0.01, 0.05):
-        n = Matrix.of(
-            np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * zz, (2, 2)
-        )  # exp(-i theta Z (x) X), since (Z (x) X)^2 = I
+        # exp(-i theta Z (x) X), since (Z (x) X)^2 = I
+        n = np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * zz
         c = seq(
             1,
             Location.prep(0, 0, 0, KET_PLUS),
@@ -403,14 +417,14 @@ def _tomography_offdiag(env_initial, theta):
             Location.wait(0, 0, 0),
             measure=[0],
         )
-        n = Matrix.of(_induced_pauli_z_coupling(theta), (2, 2))
+        n = _induced_pauli_z_coupling(theta)
         env = EnvironmentSpec(
             2,
             env_initial,
             {2: EnvCoupling((0, 1), n), 3: EnvCoupling((0, 2), n)},
         )
         rho, _ = simulate_with_environment(c, env)
-        results[name] = rho.data
+        results[name] = rho
     phi_01 = (
         results["+"]
         + 1j * results["y"]
@@ -472,8 +486,8 @@ def test_rewrite_z_conditioned_x_preserves_bell_statistics():
 
 def test_rewrite_x_basis_condition_on_random_gate():
     rng = np.random.default_rng(32)
-    plus = Matrix.of(0.5 * np.array([[1, 1], [1, 1]], dtype=np.complex128))
-    minus = Matrix.of(0.5 * np.array([[1, -1], [-1, 1]], dtype=np.complex128))
+    plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=np.complex128)
+    minus = 0.5 * np.array([[1, -1], [-1, 1]], dtype=np.complex128)
     for _ in range(3):
         u = haar_unitary(rng, 2)
         alpha = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -496,21 +510,18 @@ def test_rewrite_x_basis_condition_on_random_gate():
         env = EnvironmentSpec(
             1,
             KET0,
-            {1: EnvCoupling((0, r.n_system), Matrix.of(np.eye(4), (2, 2)))},
+            {1: EnvCoupling((0, r.n_system), np.eye(4))},
         )
         _, dist_e = simulate_with_environment(r, env)
         assert kolmogorov_distance(dist_e, dist) <= 1e-10
 
 
 def test_rewrite_rejects_multi_qubit_control():
-    bell_projs = tuple(
-        Matrix.of(p, (2, 2))
-        for p in (
-            np.diag([1.0, 0, 0, 0]),
-            np.diag([0, 1.0, 0, 0]),
-            np.diag([0, 0, 1.0, 0]),
-            np.diag([0, 0, 0, 1.0]),
-        )
+    bell_projs = (
+        np.diag([1.0, 0, 0, 0]),
+        np.diag([0, 1.0, 0, 0]),
+        np.diag([0, 0, 1.0, 0]),
+        np.diag([0, 0, 0, 1.0]),
     )
     ops = [
         Location.prep(0, 0, 0, KET0),
@@ -576,14 +587,14 @@ def test_environment_spec_json():
 Z_PROJECTOR_STACK = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(np.complex128)
 
 
-def projector_readout(rho, qubits):
+def projector_readout(rho, qubits, dims):
     """The former read-out, kept as an oracle: rho reduced onto `qubits`,
     then one Z projector stack contracted per qubit, labels in `qubits` order."""
     if not qubits:
         return {"": 1.0}
     m = len(qubits)
     perm = [sorted(qubits).index(q) for q in qubits]
-    t = partial_trace(rho, qubits).data.reshape((2,) * 2 * m)
+    t = partial_trace(rho, qubits, dims).reshape((2,) * 2 * m)
     t = t.transpose(perm + [m + p for p in perm])
     for j in range(m):
         # qubit j's row and column lead each half: tr(P rho) = sum P[i, l] rho[l, i]
@@ -629,7 +640,22 @@ def test_readout_matches_projector_contraction_bit_for_bit():
                 c, noise = random_noisy_circuit(rng, n, measure)
                 rho, dist = simulate_noisy(c, noise)
                 assert c.final_measure == tuple(measure)
-                assert dist.probs == projector_readout(rho, c.final_measure)
+                assert dist.probs == projector_readout(rho, c.final_measure, c.dims)
+
+
+def test_readout_allocates_no_copy_of_rho():
+    # a full read-out keeps every qubit: its reduced matrix is rho itself
+    n = 8
+    c = seq(n, *(Location.gate_on(0, 0, q, HADAMARD) for q in range(n)))
+    rho, dist = simulate_ideal(c)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert _readout(c, rho).probs == dist.probs
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < rho.nbytes / 2
 
 
 def test_empty_readout_is_exactly_certain():
@@ -661,5 +687,5 @@ def test_environment_prep_loads_any_state():
         env = EnvironmentSpec(1, KET_PLUS, {})
         rho_e, dist_e = simulate_with_environment(c, env)
         rho_i, dist_i = simulate_ideal(c)
-        np.testing.assert_allclose(rho_e.data, rho_i.data, atol=1e-12)
+        np.testing.assert_allclose(rho_e, rho_i, atol=1e-12)
         assert kolmogorov_distance(dist_e, dist_i) <= 1e-12

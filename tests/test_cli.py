@@ -149,6 +149,27 @@ def test_cap_refusal_exits_3(tmp_path, capsysbinary, case):
     assert reason in msg["error"]
 
 
+def _z_term_params(label):
+    """A long_range strength config with one Z term under `label`."""
+    z = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
+    return {
+        "evaluator": "long_range",
+        "t0": 1.0,
+        "terms": [{"support": [0], "op": z, "label": label}],
+    }
+
+
+def _conditioned_x(condition):
+    """Two qubits: measure qubit 0, then X on qubit 1 under `condition`."""
+    return {
+        "n_system": 2,
+        "locations": [
+            {"kind": "measure", "support": [0]},
+            {"kind": "gate", "support": [1], "gate": "X", "condition": condition},
+        ],
+    }
+
+
 MALFORMED = {
     "locations_string": ("accuracy", {"circuit": {"n_system": 1, "locations": "ab"}}, "locations"),
     "locations_list": ("accuracy", {"circuit": {"n_system": 1, "locations": [[1]]}}, "locations"),
@@ -161,6 +182,11 @@ MALFORMED = {
     "pseudothreshold_string": (
         "threshold", {"L0": 7, "t": 1, "pseudothreshold": "x"}, "pseudothreshold"
     ),
+    # pair lists of the wrong length
+    "label_short": ("strength", _z_term_params([1]), "label"),
+    "label_long": ("strength", _z_term_params([1, 2, 3]), "label"),
+    "condition_short": ("accuracy", {"circuit": _conditioned_x([1])}, "condition"),
+    "condition_long": ("accuracy", {"circuit": _conditioned_x([1, 0, 0])}, "condition"),
 }
 
 
@@ -471,8 +497,8 @@ def test_faultpaths_earliest_ten_qubits(tmp_path, capsysbinary):
     assert code == 0, err
     r = json.loads(out_path.read_bytes())["results"]
     zeta = matrix_from_json(r["matrix"])
-    assert zeta.data.shape == (1024, 1024)
-    assert trace_norm(zeta.data) == pytest.approx(r["trace_norm"], rel=1e-12)
+    assert zeta.shape == (1024, 1024)
+    assert trace_norm(zeta) == pytest.approx(r["trace_norm"], rel=1e-12)
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsysbinary):

@@ -32,7 +32,7 @@ from ftlab.faultpaths import (
     zeta_earliest,
     zeta_subset,
 )
-from ftlab.matcore import Matrix, qubit_dims, trace_norm
+from ftlab.matcore import qubit_dims, trace_norm
 
 
 def haar_unitary(rng, d):
@@ -74,7 +74,7 @@ def test_zeta_subset_identity_noise_is_zero():
     }
     for complement in ("noisy", "ideal"):
         z = zeta_subset(c, noise, {1}, complement=complement)
-        np.testing.assert_allclose(z.data, 0.0, atol=1e-14)
+        np.testing.assert_allclose(z, 0.0, atol=1e-14)
 
 
 def test_zeta_subset_single_location_strength():
@@ -103,20 +103,20 @@ def test_zeta_subset_signed_reconstruction_both_conventions():
         c, noise = random_instance(rng, n_loc, n_qubits)
         rho_i, _ = simulate_ideal(c)
         rho_n, _ = simulate_noisy(c, noise)
-        diff = rho_n.data - rho_i.data
+        diff = rho_n - rho_i
 
         locs = range(1, c.size + 1)
         total = np.zeros_like(diff)
         for r in range(1, c.size + 1):
             for subset in itertools.combinations(locs, r):
                 sign = (-1) ** (r + 1)
-                total = total + sign * zeta_subset(c, noise, set(subset)).data
+                total = total + sign * zeta_subset(c, noise, set(subset))
         np.testing.assert_allclose(total, diff, atol=1e-9)
 
         total = np.zeros_like(diff)
         for r in range(1, c.size + 1):
             for subset in itertools.combinations(locs, r):
-                total = total + zeta_subset(c, noise, set(subset), complement="ideal").data
+                total = total + zeta_subset(c, noise, set(subset), complement="ideal")
         np.testing.assert_allclose(total, diff, atol=1e-9)
 
 
@@ -127,7 +127,7 @@ def test_zeta_earliest_identity_noise():
         2: Channel.identity(qubit_dims(1), (0,)),
     }
     for r in (1, 2):
-        np.testing.assert_allclose(zeta_earliest(c, noise, r).data, 0.0, atol=1e-14)
+        np.testing.assert_allclose(zeta_earliest(c, noise, r), 0.0, atol=1e-14)
 
 
 def test_zeta_earliest_telescopes():
@@ -136,8 +136,8 @@ def test_zeta_earliest_telescopes():
         c, noise = random_instance(rng, n_loc)
         rho_i, _ = simulate_ideal(c)
         rho_n, _ = simulate_noisy(c, noise)
-        total = sum(zeta_earliest(c, noise, r).data for r in range(1, n_loc + 1))
-        np.testing.assert_allclose(total, rho_n.data - rho_i.data, atol=1e-10)
+        total = sum(zeta_earliest(c, noise, r) for r in range(1, n_loc + 1))
+        np.testing.assert_allclose(total, rho_n - rho_i, atol=1e-10)
 
 
 def test_zeta_earliest_norm_bounded_by_strength():
@@ -168,7 +168,7 @@ def test_accuracy_delta_bounded_by_zeta_norm_and_linear_bound():
         delta = accuracy_delta_exact(c, noise)
         rho_i, _ = simulate_ideal(c)
         rho_n, _ = simulate_noisy(c, noise)
-        assert delta <= trace_norm(Matrix.of(rho_n.data - rho_i.data)) + 1e-10
+        assert delta <= trace_norm(rho_n - rho_i) + 1e-10
         eps = instance_strength(c, noise)
         assert delta <= accuracy_bound(c.size, eps, "linear") + 1e-12
 
@@ -176,7 +176,7 @@ def test_accuracy_delta_bounded_by_zeta_norm_and_linear_bound():
 def test_accuracy_delta_environment_instance():
     theta = 0.04
     zz = np.kron(np.diag([1.0, -1.0]), SIGMA_X)
-    n = Matrix.of(np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * zz, (2, 2))
+    n = np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * zz
     ops = [
         Location.prep(0, 0, 0, KET_PLUS),
         Location.wait(0, 0, 0),
@@ -282,7 +282,7 @@ def test_zeta_caps():
     # a single call is one composition walk, so any r up to L is fine;
     # identity noise makes every fault insertion vanish
     big = zeta_subset(c5, noise5, {1, 2, 3, 4, 5})
-    assert np.allclose(big.data, 0.0)
+    assert np.allclose(big, 0.0)
 
 
 @pytest.mark.parametrize(

@@ -41,9 +41,8 @@ def test_graph_construction_errors(gadgets, message):
 
 def test_graph_numbering_and_extents():
     assert CHAIN.total_locations == 5
-    assert CHAIN.own_ids(0) == (1, 2)
-    assert CHAIN.segment_ids(0) == (3,)
-    assert CHAIN.own_ids(1) == (4, 5)
+    # own blocks first, then segments
+    assert CHAIN._parts == (frozenset({1, 2}), frozenset({4, 5}), frozenset({3}))
     assert CHAIN.extent(0) == (1, 2, 3)
     assert CHAIN.extent(1) == (3, 4, 5)
     twin = GadgetGraph((Gadget(2, ((1, 1),)), Gadget(2)))

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ftlab import matcore
 from ftlab.matcore import (
     DIM_CAP,
     DimensionCapError,
     Distribution,
-    Matrix,
     SubsystemDims,
     apply_local,
     embed_operator,
+    is_density,
+    is_hermitian,
+    is_unitary,
     kolmogorov_distance,
     matrix_from_json,
     matrix_to_json,
@@ -16,7 +21,6 @@ from ftlab.matcore import (
     partial_trace,
     qubit_dims,
     singular_values,
-    tensor,
     trace_norm,
     vector_from_json,
     vector_to_json,
@@ -36,46 +40,33 @@ def random_matrix(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
 
-def test_tensor_identities():
-    i2 = Matrix.identity(qubit_dims(1))
-    out = tensor(i2, i2)
-    np.testing.assert_allclose(out.data, np.eye(4))
-    assert out.dims.dims == (2, 2)
-
-    zz = tensor(Matrix.of(SZ), Matrix.of(SZ))
-    np.testing.assert_allclose(np.diag(zz.data), [1, -1, -1, 1])
-
-    p0 = Matrix.of(np.diag([1.0, 0.0]))
-    p1 = Matrix.of(np.diag([0.0, 1.0]))
-    p01 = tensor(p0, p1)
-    expect = np.zeros((4, 4))
-    expect[1, 1] = 1.0
-    np.testing.assert_allclose(p01.data, expect)
-
-
 def test_partial_trace_bell_and_product():
-    bell = Matrix.of(BELL, qubit_dims(2))
-    np.testing.assert_allclose(partial_trace(bell, [0]).data, np.eye(2) / 2, atol=1e-12)
+    np.testing.assert_allclose(partial_trace(BELL, [0], qubit_dims(2)), np.eye(2) / 2, atol=1e-12)
 
     rng = np.random.default_rng(3)
     v = random_pure(rng, 2)
     rho = np.outer(v, v.conj())
     sigma = np.diag([0.25, 0.75]).astype(np.complex128)
-    prod = tensor(Matrix.of(rho), Matrix.of(sigma))
-    np.testing.assert_allclose(partial_trace(prod, [0]).data, rho * np.trace(sigma), atol=1e-12)
+    prod = np.kron(rho, sigma)
+    np.testing.assert_allclose(
+        partial_trace(prod, [0], (2, 2)), rho * np.trace(sigma), atol=1e-12
+    )
+    np.testing.assert_allclose(partial_trace(prod, [1], (2, 2)), sigma, atol=1e-12)
 
-    kept = partial_trace(prod, [0, 1])
-    np.testing.assert_allclose(kept.data, prod.data)
+    kept = partial_trace(prod, [0, 1], (2, 2))
+    np.testing.assert_allclose(kept, prod)
 
 
 def test_partial_trace_preserves_trace_and_validates_indices():
     rng = np.random.default_rng(4)
-    m = Matrix.of(random_matrix(rng, 8), qubit_dims(3))
-    for keep in ([0], [1, 2], [0, 2]):
-        reduced = partial_trace(m, keep)
-        assert abs(reduced.trace() - m.trace()) <= 1e-10
-    with pytest.raises(ValueError):
-        partial_trace(m, [3])
+    m = random_matrix(rng, 12)
+    dims = SubsystemDims((2, 3, 2))
+    for keep in ([0], [1, 2], [0, 2], []):
+        reduced = partial_trace(m, keep, dims)
+        assert reduced.shape == (dims.restrict(keep).total,) * 2
+        assert abs(np.trace(reduced) - np.trace(m)) <= 1e-10
+    with pytest.raises(ValueError, match="out of range"):
+        partial_trace(m, [3], dims)
 
 
 def test_trace_norm_basics():
@@ -162,10 +153,12 @@ def test_distribution_validation():
 
 
 def test_matrix_density_checks():
-    rho = Matrix.of(np.eye(2) / 2)
-    assert rho.is_density()
-    assert not Matrix.of(np.diag([1.5, -0.5])).is_density()
-    assert not Matrix.of(np.array([[0.5, 0.3], [0.2, 0.5]])).is_density()
+    assert is_density(np.eye(2) / 2)
+    assert not is_density(np.diag([1.5, -0.5]))
+    assert not is_density(np.array([[0.5, 0.3], [0.2, 0.5]]))
+    assert not is_density(np.eye(2))  # trace 2
+    assert is_hermitian(SZ) and not is_hermitian(np.array([[0, 1], [0, 0]]))
+    assert is_unitary(SZ) and not is_unitary(np.diag([1.0, 0.5]))
 
 
 def test_dimension_cap():
@@ -235,6 +228,37 @@ def test_apply_local_matches_dense_embedding(dims, support, vector):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+@st.composite
+def local_actions(draw):
+    """(dims, support, Kraus stack, x): 1-4 factors of dimension 2 or 3, a
+    support in any order, K = 1..4, x a vector or a matrix."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=4)))
+    order = draw(st.permutations(range(len(dims))))
+    support = tuple(order[: draw(st.integers(1, len(dims)))])
+    d_sup = int(np.prod([dims[i] for i in support]))
+    k = draw(st.integers(1, 4))
+    d = int(np.prod(dims))
+    shape = (d,) if draw(st.booleans()) else (d, d)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = rng.normal(size=(k, d_sup, d_sup)) + 1j * rng.normal(size=(k, d_sup, d_sup))
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return dims, support, ops, x
+
+
+@given(local_actions())
+@settings(max_examples=60, deadline=None)
+def test_apply_local_matches_dense_reference(case):
+    dims, support, ops, x = case
+    full = [embed_operator(k, support, dims) for k in ops]
+    if x.ndim == 1:
+        want = sum(f @ x for f in full)
+    else:
+        want = sum(f @ x @ f.conj().T for f in full)
+    got = apply_local(x, ops, support, dims)
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def test_apply_local_rejects_mismatched_shapes():
     x = np.eye(8, dtype=np.complex128)
     with pytest.raises(ValueError):
@@ -245,12 +269,18 @@ def test_apply_local_rejects_mismatched_shapes():
         apply_local(np.eye(4), [np.eye(2)], (0,), qubit_dims(3))
 
 
-def test_json_round_trip():
+def test_json_round_trip(monkeypatch):
     rng = np.random.default_rng(13)
-    m = Matrix.of(random_matrix(rng, 3))
+    m = random_matrix(rng, 3)
     again = matrix_from_json(matrix_to_json(m))
-    np.testing.assert_allclose(again.data, m.data)
+    assert again.dtype == np.complex128
+    np.testing.assert_array_equal(again, m)
     v = random_pure(rng, 4)
     np.testing.assert_allclose(vector_from_json(vector_to_json(v)), v)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="square"):
         matrix_from_json([[1.0, 0.0]] * 3)  # 3 entries, not square
+    with pytest.raises(ValueError, match=r"must be >= 2, got \(0,\)"):
+        matrix_from_json([])  # empty
+    monkeypatch.setattr(matcore, "DIM_CAP", 2)
+    with pytest.raises(DimensionCapError, match="total dimension 3 exceeds cap 2"):
+        matrix_from_json(matrix_to_json(m))
