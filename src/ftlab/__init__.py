@@ -6,7 +6,6 @@ renormalization, all behind one deterministic CLI."""
 
 from .matcore import (
     DimensionCapError,
-    Distribution,
     SubsystemDims,
     kolmogorov_distance,
     operator_norm,

@@ -457,7 +457,8 @@ def make_noise_channel(spec: NoiseSpec, support: Sequence[int] | None = None) ->
     if spec.kind == "probabilistic":
         e = spec.e_op
         ks = [math.sqrt(1.0 - spec.p) * np.eye(len(e)), math.sqrt(spec.p) * e]
-        return Channel.from_kraus(ks, None, support)
+        k = len(e).bit_length() - 1  # a 2^k-sided e_op acts on k qubits
+        return Channel.from_kraus(ks, qubit_dims(k) if len(e) == 2**k else None, support)
     if spec.kind == "depolarizing":
         p = spec.p
         ks = [
@@ -730,11 +731,7 @@ def noise_map_from_json(obj: Mapping) -> dict[int, Channel]:
         raise ValueError("noise map must be an object keyed by location index")
     out: dict[int, Channel] = {}
     for key, entry in obj.items():
-        spec = noise_spec_from_json(entry)
-        support = entry.get("support")
-        out[int(key)] = make_noise_channel(
-            spec, tuple(int(q) for q in support) if support is not None else None
-        )
+        out[int(key)] = make_noise_channel(noise_spec_from_json(entry), entry.get("support"))
     return out
 
 
@@ -742,7 +739,6 @@ def hamiltonian_terms_from_json(obj: Sequence) -> list[HamiltonianTerm]:
     """Terms as [{support, op, label}]; label an int or a two-int list."""
     if not isinstance(obj, Sequence) or isinstance(obj, (str, bytes)):
         raise ValueError("expected a list of Hamiltonian terms")
-    terms = []
     return [
         HamiltonianTerm(entry["support"], matrix_from_json(entry["op"]), entry["label"])
         for entry in obj

@@ -3,9 +3,9 @@
 A circuit is a flat list of locations (state preparations, gates,
 projective measurements, and explicit identity/storage slots) tagged with
 time steps, plus its read-out: the tuple of qubits measured in Z at the
-end, in label order. Each location carries its operation as one local
-Kraus stack on its support. All density-matrix evaluation runs through one
-walker, ``_walk(c, hook)``, which applies each location's stack with
+end. Each location carries its operation as one local Kraus stack on its
+support. All density-matrix evaluation runs through one walker,
+``_walk(c, hook)``, which applies each location's stack with
 ``matcore.apply_local`` and then calls ``hook(loc, x)`` for that location's
 noise part: nothing in ``simulate_ideal``, the channel N in
 ``simulate_noisy``, and the fault insertion N - I on the chosen locations
@@ -17,15 +17,15 @@ per-location channels cannot describe; it steps the vector with the same
 kernel.
 
 Operators are plain complex128 arrays on the qubits of a location's
-support; the simulators return the final density matrix as an array whose
-subsystem dims are ``c.dims``. Every simulator reads out through
-``_readout``: the diagonal of the final density matrix reduced onto the
-measured qubits, permuted into label order, without copying the matrix.
+support; the simulators return the final density matrix, an array with
+subsystem dims ``c.dims``, and the read-out from ``_readout``: the diagonal
+of that matrix reduced onto the measured qubits, without a copy, as a
+float64 array whose index i is the outcome whose bits, in ``final_measure``
+order with the first qubit most significant, spell i.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass, replace
@@ -34,7 +34,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .matcore import (
-    Distribution,
     SubsystemDims,
     apply_local,
     is_unitary,
@@ -48,6 +47,7 @@ from .channels import SIGMA_X, SIGMA_Y, SIGMA_Z, Channel, strength_unitary_coupl
 
 GATE_ATOL = 1e-10
 PROJ_ATOL = 1e-10
+PROB_SUM_ATOL = 1e-10
 
 HADAMARD = (SIGMA_X + SIGMA_Z) / math.sqrt(2.0)
 CNOT = np.array(
@@ -92,8 +92,8 @@ def _support(support: int | Sequence[int]) -> tuple[int, ...]:
 class Location:
     """One operation slot: (index, step, kind, support) plus one local
     Kraus stack `ops`, a read-only (K, d, d) complex128 array with
-    d = 2^len(support). kind is one of "prep" ([|psi><0...0|], from which
-    the walker builds the reset set |psi><k|), "gate" ([U], optionally
+    d = 2^len(support). kind is one of "prep" ([|psi><0...0|]; the walker
+    resets the support to |psi><psi|), "gate" ([U], optionally
     conditioned on an earlier measurement outcome), "measure" (the
     projectors), "identity" (explicit storage slot, an empty stack).
     condition = (measure location index, outcome position). A stack of the
@@ -173,7 +173,7 @@ class Location:
 @dataclass(frozen=True)
 class Circuit:
     """Ordered locations on n_system qubits plus the final read-out: the
-    qubits measured in Z, in the order their outcomes appear in labels."""
+    qubits measured in Z, the first one the most significant outcome bit."""
 
     n_system: int
     locations: tuple[Location, ...]
@@ -288,8 +288,8 @@ def validate_circuit(c: Circuit) -> list[str]:
 def _walk(c: Circuit, hook: Callable[[Location, np.ndarray], np.ndarray]) -> np.ndarray:
     """Evolve |0...0><0...0| through every location of `c`.
 
-    Each location applies its Kraus stack, and a prep its reset set
-    |psi><k| built from ops[0] = |psi><0...0|. A measurement is the
+    Each location applies its Kraus stack, and a prep resets its support
+    to |psi><psi| with psi = ops[0][:, 0] (`_reset`). A measurement is the
     non-selective sum_a P_a x P_a unless a later gate is conditioned on it,
     in which case the walk keeps one branch per outcome; a conditioned gate
     skips the branches with another outcome, and an identity slot changes
@@ -308,17 +308,29 @@ def _walk(c: Circuit, hook: Callable[[Location, np.ndarray], np.ndarray]) -> np.
                 for rec, x in branches
                 for a in range(len(loc.ops))
             ]
+        elif loc.kind == "prep":
+            psi = loc.ops[0][:, 0]
+            branches = [(rec, _reset(x, loc.support, psi, c.n_system)) for rec, x in branches]
         elif loc.kind != "identity":
-            ops, cond = loc.ops, loc.condition
-            if loc.kind == "prep":
-                ops = [np.outer(ops[0][:, 0], row) for row in np.eye(len(ops[0]))]
+            cond = loc.condition
             branches = [
                 (rec, x if cond and rec.get(cond[0]) != cond[1]
-                 else apply_local(x, ops, loc.support, dims))
+                 else apply_local(x, loc.ops, loc.support, dims))
                 for rec, x in branches
             ]
         branches = [(rec, hook(loc, x)) for rec, x in branches]
     return sum(x for _, x in branches)
+
+
+def _reset(x: np.ndarray, support: Sequence[int], psi: np.ndarray, n: int) -> np.ndarray:
+    """The prep channel sum_k |psi><k| x |k><psi| on the qubits `support` of
+    the n-qubit x, psi factored over them as listed, at O(d^2) cost."""
+    rest = [q for q in range(n) if q not in support]
+    y = partial_trace(x, rest, qubit_dims(n)).reshape((2,) * 2 * len(rest))
+    p = np.outer(psi, psi.conj()).reshape((2,) * 2 * len(support))
+    y_axes = rest + [n + q for q in rest]
+    p_axes = [*support, *(n + q for q in support)]
+    return np.einsum(y, y_axes, p, p_axes, range(2 * n)).reshape(x.shape)
 
 
 def _noisy_hook(
@@ -348,30 +360,30 @@ def _noisy_hook(
     return hook
 
 
-def _readout(c: Circuit, rho: np.ndarray) -> Distribution:
-    """Z outcome probabilities of the read-out qubits: the diagonal of rho
-    reduced onto them, with axes permuted into final_measure order. Every
-    outcome is kept, negative round-off clamped to 0."""
+def _readout(c: Circuit, rho: np.ndarray) -> np.ndarray:
+    """Z read-out probabilities in the module docstring's order: the diagonal of
+    rho reduced onto the read-out qubits, round-off below 0 clamped; empty is [1.0]."""
     qubits = c.final_measure
     if not qubits:
-        return Distribution({"": 1.0})
-    m = len(qubits)
+        return np.ones(1)
     perm = [sorted(qubits).index(q) for q in qubits]  # partial_trace sorts its axes
     diag = np.diagonal(partial_trace(rho, qubits, c.dims)).real
-    diag = diag.reshape((2,) * m).transpose(perm).reshape(-1)
-    probs = zip(itertools.product("01", repeat=m), diag)
-    return Distribution({"".join(a): max(0.0, float(p)) for a, p in probs})
+    probs = np.maximum(diag.reshape((2,) * len(qubits)).transpose(perm).reshape(-1), 0.0)
+    total = math.fsum(probs)
+    if not (probs.max() <= 1.0 + 1e-12 and abs(total - 1.0) <= PROB_SUM_ATOL):
+        raise ValueError(f"read-out probabilities out of range: max {probs.max()}, sum {total}")
+    return probs
 
 
-def simulate_ideal(c: Circuit) -> tuple[np.ndarray, Distribution]:
-    """Final density matrix (before read-out) and read-out distribution."""
+def simulate_ideal(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """Final density matrix (before read-out) and read-out probabilities."""
     rho = _walk(c, lambda loc, x: x)
     return rho, _readout(c, rho)
 
 
 def simulate_noisy(
     c: Circuit, noise: Mapping[int, Channel]
-) -> tuple[np.ndarray, Distribution]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Like simulate_ideal with a noise channel applied after each location.
 
     `noise` maps location indices to channels whose support must stay inside
@@ -439,7 +451,7 @@ def environment_strength(env: EnvironmentSpec) -> float:
 
 def simulate_with_environment(
     c: Circuit, env: EnvironmentSpec
-) -> tuple[np.ndarray, Distribution]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Joint pure-state evolution with per-location coupling unitaries.
 
     Requirements checked here: no conditioned gates (rewrite first), preps
@@ -447,7 +459,7 @@ def simulate_with_environment(
     |0...0> and apply as |psi><0...0|), measurements must be
     terminal on their qubit, uncoupled, and are applied as deferred
     non-selective projections on the reduced system state. Returns the
-    reduced system density matrix and the read-out distribution.
+    reduced system density matrix and the read-out probabilities.
     """
     n_sys = c.n_system
     n_tot = n_sys + env.n_env
@@ -616,19 +628,19 @@ def circuit_from_json(obj: Mapping) -> Circuit:
         kind = entry["kind"]
         support = tuple(int(q) for q in entry["support"])
         if kind == "prep":
-            locs.append(Location.prep(index, step, support, _state_from_json(entry["state"])))
+            loc = Location.prep(index, step, support, _state_from_json(entry["state"]))
         elif kind == "gate":
-            gate = gate_from_json(entry["gate"])
-            locs.append(Location.gate_on(index, step, support, gate, entry.get("condition")))
+            loc = Location.gate_on(index, step, support, gate_from_json(entry["gate"]))
         elif kind == "measure":
             projs = entry.get("projectors")
             if projs is not None:
                 projs = [matrix_from_json(p) for p in projs]
-            locs.append(Location.measure(index, step, support, projs))
+            loc = Location.measure(index, step, support, projs)
         elif kind == "identity":
-            locs.append(Location.wait(index, step, support))
+            loc = Location.wait(index, step, support)
         else:
             raise ValueError(f"unknown location kind {kind!r}")
+        locs.append(replace(loc, condition=entry.get("condition")))
     fm = obj.get("final_measure")
     return Circuit(n_system, tuple(locs), range(n_system) if fm is None else fm)
 

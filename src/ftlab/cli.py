@@ -209,7 +209,7 @@ def emit_report(report: Report, fmt: str) -> bytes:
             "provenance": report.provenance(),
             "results": report.results,
         }
-        jsonschema.validate(doc, _schema("report"))
+        _validate(doc, "report")
         return (json_dumps(doc) + "\n").encode("utf-8")
     if fmt == "csv":
         header = list(report.csv_header) or (
@@ -226,15 +226,26 @@ def emit_report(report: Report, fmt: str) -> bytes:
 # -- config handling -----------------------------------------------------------
 
 
-def _schema(name: str) -> dict:
+@cache
+def _validator(name: str):
+    """The shipped schema `name`, checked against its meta-schema once."""
     text = resources.files("ftlab").joinpath(f"schemas/{name}.schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(instance, name: str) -> None:
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(instance))
+    if error is not None:
+        raise error
 
 
 def _load_config(path: str, args: argparse.Namespace) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
-    jsonschema.validate(config, _schema("config"))
+    _validate(config, "config")
     if config.get("command", args.command) != args.command:
         raise ValueError(
             f"config is for command {config['command']!r}, invoked as {args.command!r}"

@@ -8,14 +8,15 @@ that need them (`partial_trace`, `apply_local`, `embed_operator`), and a hard
 cap on the total dimension keeps a desk-scale run from silently allocating
 gigabytes. Local operators act on states and density matrices through
 `apply_local`, which contracts only the axes they touch; `embed_operator`
-builds the full-space matrix where one is really needed.
+builds the full-space matrix where one is really needed. A measurement
+read-out is a plain float64 array of outcome probabilities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +27,6 @@ DIM_CAP = 2**12
 HERMITIAN_ATOL = 1e-12
 PSD_EIG_FLOOR = -1e-12
 TRACE_ATOL = 1e-10
-PROB_SUM_ATOL = 1e-10
 
 
 class DimensionCapError(ValueError):
@@ -84,34 +84,6 @@ def qubit_dims(n: int) -> SubsystemDims:
     if n < 0:
         raise ValueError("qubit count must be >= 0")
     return SubsystemDims((2,) * n)
-
-
-# ---------------------------------------------------------------------------
-# Outcome distributions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """Probabilities over string-labelled measurement outcomes."""
-
-    probs: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        fixed = {str(k): float(v) for k, v in dict(self.probs).items()}
-        for k, v in fixed.items():
-            if v < -1e-12 or v > 1.0 + 1e-12:
-                raise ValueError(f"probability of outcome {k!r} out of range: {v}")
-        total = sum(fixed.values())
-        if abs(total - 1.0) > PROB_SUM_ATOL:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-        object.__setattr__(self, "probs", fixed)
-
-    def __getitem__(self, outcome: str) -> float:
-        return self.probs.get(outcome, 0.0)
-
-    def outcomes(self) -> tuple[str, ...]:
-        return tuple(sorted(self.probs))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +163,12 @@ def operator_norm(m: np.ndarray) -> float:
     return float(sv[0]) if sv.size else 0.0
 
 
-def kolmogorov_distance(p: Distribution, q: Distribution) -> float:
-    """Sum of |p - q| over the union of outcomes (missing outcomes read 0),
-    rounded once by `math.fsum`, so no hash-seeded set order can move it."""
-    return math.fsum(abs(p[k] - q[k]) for k in sorted(set(p.probs) | set(q.probs)))
+def kolmogorov_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """Sum of |p - q| over two outcome-probability arrays of the same shape,
+    rounded once by `math.fsum`, so no summation order can move it."""
+    if np.shape(p) != np.shape(q):
+        raise ValueError(f"outcome arrays differ in shape: {np.shape(p)} vs {np.shape(q)}")
+    return math.fsum(np.abs(np.subtract(p, q)))
 
 
 def _local_setup(op: np.ndarray, support: Sequence[int], dims: SubsystemDims | Sequence[int]):

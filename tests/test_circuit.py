@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -6,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftlab.channels import (
     SIGMA_X,
@@ -27,6 +28,7 @@ from ftlab.circuit import (
     EnvironmentSpec,
     Location,
     _readout,
+    _reset,
     circuit_from_json,
     environment_spec_from_json,
     environment_strength,
@@ -39,6 +41,7 @@ from ftlab.circuit import (
     validate_circuit,
 )
 from ftlab.matcore import (
+    apply_local,
     kolmogorov_distance,
     matrix_to_json,
     partial_trace,
@@ -224,12 +227,12 @@ def test_operator_fields_are_read_only_copies():
 def test_simulate_ideal_prep_and_measure():
     c = seq(1, Location.prep(0, 0, 0, KET0), measure=[0])
     _, dist = simulate_ideal(c)
-    assert dist["0"] == pytest.approx(1.0, abs=1e-12)
+    assert dist[0b0] == pytest.approx(1.0, abs=1e-12)
 
     c = seq(1, Location.prep(0, 0, 0, KET0), Location.gate_on(0, 0, 0, HADAMARD), measure=[0])
     _, dist = simulate_ideal(c)
-    assert dist["0"] == pytest.approx(0.5, abs=1e-12)
-    assert dist["1"] == pytest.approx(0.5, abs=1e-12)
+    assert dist[0b0] == pytest.approx(0.5, abs=1e-12)
+    assert dist[0b1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_simulate_ideal_bell_pair():
@@ -242,9 +245,9 @@ def test_simulate_ideal_bell_pair():
         measure=[0, 1],
     )
     rho, dist = simulate_ideal(c)
-    assert dist["00"] == pytest.approx(0.5, abs=1e-12)
-    assert dist["11"] == pytest.approx(0.5, abs=1e-12)
-    assert dist["01"] == 0.0 and dist["10"] == 0.0
+    assert dist[0b00] == pytest.approx(0.5, abs=1e-12)
+    assert dist[0b11] == pytest.approx(0.5, abs=1e-12)
+    assert dist[0b01] == 0.0 and dist[0b10] == 0.0
     bell = np.zeros(4, dtype=np.complex128)
     bell[[0, 3]] = 1 / math.sqrt(2)
     np.testing.assert_allclose(rho, np.outer(bell, bell.conj()), atol=1e-12)
@@ -266,9 +269,9 @@ def test_simulate_ideal_mixes_unreferenced_and_conditioned_measurements():
         measure=[2, 0, 1],
     )
     rho, dist = simulate_ideal(c)
-    for label in ("000", "100", "011", "111"):
-        assert dist[label] == pytest.approx(0.25, abs=1e-12)
-    assert sorted(dist.probs) == sorted(f"{i:03b}" for i in range(8))
+    for i in (0b000, 0b100, 0b011, 0b111):
+        assert dist[i] == pytest.approx(0.25, abs=1e-12)
+    assert dist.shape == (8,)
     want = np.kron(np.diag([0.5, 0, 0, 0.5]), np.eye(2) / 2)
     np.testing.assert_allclose(rho, want, atol=1e-12)
 
@@ -297,8 +300,8 @@ def test_simulate_noisy_single_bitflip_location():
     c = seq(1, Location.prep(0, 0, 0, KET0), measure=[0])
     flip = make_noise_channel(NoiseSpec.probabilistic(p, SIGMA_X))
     _, dist = simulate_noisy(c, {1: flip})
-    assert dist["0"] == pytest.approx(1 - p, abs=1e-12)
-    assert dist["1"] == pytest.approx(p, abs=1e-12)
+    assert dist[0b0] == pytest.approx(1 - p, abs=1e-12)
+    assert dist[0b1] == pytest.approx(p, abs=1e-12)
 
 
 def test_simulate_noisy_depolarizing_within_linear_bound():
@@ -476,7 +479,7 @@ def test_rewrite_z_conditioned_x_preserves_bell_statistics():
     ]
     c = Circuit.sequential(2, ops, (1,))
     _, dist = simulate_ideal(c)
-    assert dist["0"] == pytest.approx(1.0, abs=1e-10)
+    assert dist[0b0] == pytest.approx(1.0, abs=1e-10)
 
     r = rewrite_conditioned_gates(c)
     assert all(loc.condition is None for loc in r.locations)
@@ -561,8 +564,8 @@ def test_circuit_json_named_gates():
     }
     c = circuit_from_json(cfg)
     _, dist = simulate_ideal(c)
-    assert dist["00"] == pytest.approx(0.5, abs=1e-12)
-    assert dist["11"] == pytest.approx(0.5, abs=1e-12)
+    assert dist[0b00] == pytest.approx(0.5, abs=1e-12)
+    assert dist[0b11] == pytest.approx(0.5, abs=1e-12)
 
     np.testing.assert_allclose(gate_from_json("Rz(0.3)"), rz(0.3))
     np.testing.assert_allclose(
@@ -589,9 +592,10 @@ Z_PROJECTOR_STACK = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(
 
 def projector_readout(rho, qubits, dims):
     """The former read-out, kept as an oracle: rho reduced onto `qubits`,
-    then one Z projector stack contracted per qubit, labels in `qubits` order."""
+    then one Z projector stack contracted per qubit, outcomes indexed with
+    the first of `qubits` most significant."""
     if not qubits:
-        return {"": 1.0}
+        return np.array([1.0])
     m = len(qubits)
     perm = [sorted(qubits).index(q) for q in qubits]
     t = partial_trace(rho, qubits, dims).reshape((2,) * 2 * m)
@@ -599,8 +603,7 @@ def projector_readout(rho, qubits, dims):
     for j in range(m):
         # qubit j's row and column lead each half: tr(P rho) = sum P[i, l] rho[l, i]
         t = np.tensordot(t, Z_PROJECTOR_STACK, ([0, m - j], [2, 1]))
-    labels = itertools.product(range(2), repeat=m)
-    return {"".join(map(str, a)): max(0.0, float(p.real)) for a, p in zip(labels, t.reshape(-1))}
+    return np.array([max(0.0, float(p.real)) for p in t.reshape(-1)])
 
 
 def random_noisy_circuit(rng, n, measure):
@@ -640,7 +643,8 @@ def test_readout_matches_projector_contraction_bit_for_bit():
                 c, noise = random_noisy_circuit(rng, n, measure)
                 rho, dist = simulate_noisy(c, noise)
                 assert c.final_measure == tuple(measure)
-                assert dist.probs == projector_readout(rho, c.final_measure, c.dims)
+                assert dist.dtype == np.float64
+                assert np.array_equal(dist, projector_readout(rho, c.final_measure, c.dims))
 
 
 def test_readout_allocates_no_copy_of_rho():
@@ -651,7 +655,7 @@ def test_readout_allocates_no_copy_of_rho():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        assert _readout(c, rho).probs == dist.probs
+        assert np.array_equal(_readout(c, rho), dist)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -660,7 +664,55 @@ def test_readout_allocates_no_copy_of_rho():
 
 def test_empty_readout_is_exactly_certain():
     c = seq(2, Location.prep(0, 0, 0, KET_PLUS), measure=[])
-    assert simulate_ideal(c)[1].probs == {"": 1.0}
+    probs = simulate_ideal(c)[1]
+    assert probs.dtype == np.float64 and probs.tolist() == [1.0]
+    # no rounding of the noisy trace reaches delta
+    c, noise = random_noisy_circuit(np.random.default_rng(5), 3, [])
+    assert kolmogorov_distance(simulate_noisy(c, noise)[1], simulate_ideal(c)[1]) == 0.0
+
+
+def test_readout_rejects_unnormalized_rho():
+    c = seq(1, Location.prep(0, 0, 0, KET0), measure=[0])
+    rho, _ = simulate_ideal(c)
+    with pytest.raises(ValueError, match="out of range: max 2.0, sum 2.0"):
+        _readout(c, 2 * rho)
+    with pytest.raises(ValueError, match="out of range: max 0.7, sum 1.4"):
+        _readout(c, np.diag([0.7, 0.7]).astype(np.complex128))
+
+
+@given(
+    st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.permutations(range(n)))),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_prep_reset_matches_reset_set(n_order, k, seed):
+    # a prep is the channel sum_k |psi><k| x |k><psi|, here on any x
+    n, order = n_order
+    support = tuple(order[: min(k, n)])
+    rng = np.random.default_rng(seed)
+    d, d_sup = 2**n, 2 ** len(support)
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    psi = rng.normal(size=d_sup) + 1j * rng.normal(size=d_sup)
+    psi /= np.linalg.norm(psi)
+    want = apply_local(x, [np.outer(psi, row) for row in np.eye(d_sup)], support, qubit_dims(n))
+    got = _reset(x, support, psi, n)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_prep_costs_no_superoperator():
+    # the reset set of a 5-qubit prep as one superoperator is 16 MiB
+    state = np.full(32, 1 / math.sqrt(32), dtype=np.complex128)
+    c = seq(5, Location.prep(0, 0, (3, 1, 4, 0, 2), state))
+    tracemalloc.start()
+    try:
+        rho, dist = simulate_ideal(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    np.testing.assert_allclose(rho, np.full((32, 32), 1 / 32), atol=1e-15)
+    np.testing.assert_allclose(dist, np.full(32, 1 / 32), atol=1e-15)
 
 
 def test_final_measure_range_and_repeat_checks():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import ftlab
 from ftlab import cli
 from ftlab.cli import Report, emit_report, json_dumps, main
-from ftlab.matcore import matrix_from_json, trace_norm
+from ftlab.matcore import matrix_from_json, matrix_to_json, trace_norm
 
 
 def write_config(tmp_path, name, payload):
@@ -170,6 +170,17 @@ def _conditioned_x(condition):
     }
 
 
+def _conditioned_measure(condition):
+    """One qubit measured twice, the second measurement under `condition`."""
+    return {
+        "n_system": 1,
+        "locations": [
+            {"kind": "measure", "support": [0]},
+            {"kind": "measure", "support": [0], "condition": condition},
+        ],
+    }
+
+
 MALFORMED = {
     "locations_string": ("accuracy", {"circuit": {"n_system": 1, "locations": "ab"}}, "locations"),
     "locations_list": ("accuracy", {"circuit": {"n_system": 1, "locations": [[1]]}}, "locations"),
@@ -187,6 +198,17 @@ MALFORMED = {
     "label_long": ("strength", _z_term_params([1, 2, 3]), "label"),
     "condition_short": ("accuracy", {"circuit": _conditioned_x([1])}, "condition"),
     "condition_long": ("accuracy", {"circuit": _conditioned_x([1, 0, 0])}, "condition"),
+    # a condition on an entry that is not a gate
+    "condition_on_measure": (
+        "accuracy",
+        {"circuit": _conditioned_measure([1, 0])},
+        "invalid circuit: location 2: only gates may be conditioned",
+    ),
+    "condition_short_on_measure": (
+        "accuracy",
+        {"circuit": _conditioned_measure([1])},
+        "condition must be [measure index, outcome], got (1,)",
+    ),
 }
 
 
@@ -403,6 +425,33 @@ def ghz_zoo(n):
         for i, loc in enumerate(locs)
     }
     return {"circuit": {"n_system": n, "locations": locs}, "noise": noise}
+
+
+@pytest.mark.parametrize("support", [[0, 1], None])
+def test_accuracy_two_qubit_probabilistic_noise(tmp_path, capsysbinary, support):
+    # X on the control of a Bell pair's CNOT with probability p moves 2p of
+    # the read-out weight from 00/11 to 01/10
+    p = 0.1
+    x_i = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
+    noise = {"kind": "probabilistic", "p": p, "e_op": matrix_to_json(x_i)}
+    if support is not None:
+        noise["support"] = support
+    circuit = {
+        "n_system": 2,
+        "locations": [
+            {"kind": "prep", "support": [0], "state": "+"},
+            {"kind": "prep", "support": [1], "state": "0"},
+            {"kind": "gate", "support": [0, 1], "gate": "CNOT"},
+        ],
+    }
+    cfg = write_config(
+        tmp_path,
+        "acc2q.json",
+        {"command": "accuracy", "params": {"circuit": circuit, "noise": {"3": noise}}},
+    )
+    code, out, err = run(capsysbinary, ["accuracy", "--config", cfg])
+    assert code == 0, err
+    assert json.loads(out)["results"]["delta"] == pytest.approx(2 * p, abs=1e-12)
 
 
 def test_accuracy_command_ten_qubits(tmp_path, capsysbinary):

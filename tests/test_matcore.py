@@ -7,7 +7,6 @@ from ftlab import matcore
 from ftlab.matcore import (
     DIM_CAP,
     DimensionCapError,
-    Distribution,
     SubsystemDims,
     apply_local,
     embed_operator,
@@ -120,13 +119,13 @@ def test_singular_values_match_svd():
 
 
 def test_kolmogorov_distance():
-    p = Distribution({"0": 0.6, "1": 0.4})
-    q = Distribution({"0": 0.5, "1": 0.5})
+    p = np.array([0.6, 0.4])
+    q = np.array([0.5, 0.5])
     assert kolmogorov_distance(p, p) == 0.0
     assert kolmogorov_distance(p, q) == pytest.approx(0.2)
-    r = Distribution({"a": 1.0})
-    s = Distribution({"b": 1.0})
-    assert kolmogorov_distance(r, s) == pytest.approx(2.0)
+    assert kolmogorov_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
+    with pytest.raises(ValueError, match="differ in shape"):
+        kolmogorov_distance(np.array([1.0]), np.array([1.0, 0.0]))
 
 
 def test_kolmogorov_bounded_by_trace_norm():
@@ -138,18 +137,9 @@ def test_kolmogorov_bounded_by_trace_norm():
         rho /= np.trace(rho).real
         sig = b @ b.conj().T
         sig /= np.trace(sig).real
-        p = Distribution({str(i): float(rho[i, i].real) for i in range(4)})
-        q = Distribution({str(i): float(sig[i, i].real) for i in range(4)})
+        p = np.diagonal(rho).real
+        q = np.diagonal(sig).real
         assert kolmogorov_distance(p, q) <= trace_norm(rho - sig) + 1e-9
-
-
-def test_distribution_validation():
-    with pytest.raises(ValueError):
-        Distribution({"0": 0.7, "1": 0.7})
-    with pytest.raises(ValueError):
-        Distribution({"0": -0.1, "1": 1.1})
-    d = Distribution({"0": 1.0})
-    assert d["missing"] == 0.0
 
 
 def test_matrix_density_checks():
