@@ -19,11 +19,11 @@ absolute Choi difference, clipped at 2, computed in one place,
 
 The ascent works on the Kraus stacks of both channels concatenated into one
 (K, d, d) array with a +1/-1 sign per operator, and on a batch of starts at
-once; each start keeps its own step size and stopping state. The maximally
-entangled start runs first, then the Haar-random starts in batches whose
-stacked d^2 x d^2 arrays stay within `_ASCENT_CHUNK_BYTES` (64 MiB). The
-search returns as soon as the interval is closed, lower >= upper*(1 - tol),
-checked after the first start and after each batch.
+once; each start keeps its own step size and stopping state, and an objective
+call costs it a reduced QR and an eigh of side min(K, d^2), not d^2. The
+maximally entangled start runs first, then the Haar-random starts in batches
+sized by `_ASCENT_CHUNK_BYTES`. The search returns once the interval is closed,
+lower >= upper*(1 - tol), checked after the first start and after each batch.
 """
 
 from __future__ import annotations
@@ -247,7 +247,8 @@ def _diamond_upper_from_delta(delta_j: np.ndarray) -> float:
     return min(2.0, max(0.0, bound))
 
 
-# Bytes of one stacked (starts, d^2, d^2) complex array in the batched ascent.
+# Random-start batch budget in bytes of one (starts, d^2, d^2) complex array; per start
+# the ascent holds (d^2, K) and min(K, d^2)-sided arrays, not the d^2 x d^2 operator.
 _ASCENT_CHUNK_BYTES = 64 << 20
 
 
@@ -255,29 +256,29 @@ def _objective(kraus, signs, psi):
     """Trace norms of ((A - B) ⊗ I)(|psi><psi|) for a batch of starts.
 
     `kraus` stacks the Kraus operators of A and B as (K, d, d) with `signs`
-    +1 for A and -1 for B; `psi` is (R, d^2). Returns the values (R,), the
-    sign operators S (R, d^2, d^2) and the output vectors v_k = vec(K_k psi)
-    as (R, K, d^2).
+    +1 for A and -1 for B; `psi` is (R, d^2). With V = [vec(K_k psi)] = Q R by
+    reduced QR, the values are sum |w| for (w, Y) = eigh(R diag(signs) R^dag);
+    also returns S V = Q Y sign(w) Y^dag R, S the sign operator, as (R, d^2, K).
     """
     n, d, _ = kraus.shape
     v = (kraus.reshape(n * d, d) @ psi.reshape(-1, d, d)).reshape(-1, n, d * d)
-    m = (v.transpose(0, 2, 1) * signs) @ v.conj()
-    w, u = np.linalg.eigh(m)
-    s = (u * np.sign(w)[:, None, :]) @ u.conj().transpose(0, 2, 1)
-    return np.abs(w).sum(axis=1), s, v
+    q, r = np.linalg.qr(v.transpose(0, 2, 1))
+    w, y = np.linalg.eigh((r * signs) @ r.conj().transpose(0, 2, 1))
+    sv = q @ ((y * np.sign(w)[:, None, :]) @ (y.conj().transpose(0, 2, 1) @ r))
+    return np.abs(w).sum(axis=1), sv
 
 
 def _ascend(kraus, signs, psi, tol, max_iter=400):
     """Projected-gradient ascent from each row of `psi` (R, d^2); final values (R,).
 
     Every start keeps its own step size and stops on its own, so each row
-    follows the trajectory it would follow alone.
+    follows the trajectory it would follow alone; it carries S V per start.
     """
     n, d, _ = kraus.shape
     # Heisenberg lift: sum_k s_k K_k^dag X_k as one (d, K*d) @ (K*d, d) product
     lift = (kraus.conj() * signs[:, None, None]).transpose(2, 0, 1).reshape(d, n * d)
     psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
-    f, s, v = _objective(kraus, signs, psi)
+    f, sv = _objective(kraus, signs, psi)
     step = np.ones(len(psi))
     active = np.ones(len(psi), dtype=bool)
     for _ in range(max_iter):
@@ -285,8 +286,7 @@ def _ascend(kraus, signs, psi, tol, max_iter=400):
         if not idx.size:
             break
         # gradient direction: H_S psi with H_S the Heisenberg lift of the sign
-        sv = s[idx] @ v[idx].transpose(0, 2, 1)
-        g = (lift @ sv.transpose(0, 2, 1).reshape(-1, n * d, d)).reshape(-1, d * d)
+        g = (lift @ sv[idx].transpose(0, 2, 1).reshape(-1, n * d, d)).reshape(-1, d * d)
         p = psi[idx]
         r = g - (p.conj()[:, None, :] @ g[:, :, None])[:, :, 0] * p
         flat = np.linalg.norm(r, axis=1) <= 1e-13 * np.maximum(1.0, f[idx])
@@ -295,11 +295,11 @@ def _ascend(kraus, signs, psi, tol, max_iter=400):
         while idx.size:
             cand = psi[idx] + step[idx, None] * r
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            f2, s2, v2 = _objective(kraus, signs, cand)
+            f2, sv2 = _objective(kraus, signs, cand)
             up = f2 > f[idx]
             acc = idx[up]
             gain = f2[up] - f[acc]
-            psi[acc], f[acc], s[acc], v[acc] = cand[up], f2[up], s2[up], v2[up]
+            psi[acc], f[acc], sv[acc] = cand[up], f2[up], sv2[up]
             step[acc] = np.minimum(step[acc] * 2.0, 64.0)
             active[acc[gain <= tol * np.maximum(f[acc], 1e-30)]] = False
             idx, r = idx[~up], r[~up]
@@ -332,8 +332,8 @@ def diamond_distance(
         Most ascent starts to run. The first start is the maximally
         entangled state (already optimal for Pauli-mixture and
         unitary-rotation channels); the rest are Haar-random bipartite pure
-        states seeded `[seed, i]`, run as batches of up to
-        `_ASCENT_CHUNK_BYTES` (64 MiB) of stacked d^2 x d^2 arrays.
+        states seeded `[seed, i]`, run in batches of
+        `_ASCENT_CHUNK_BYTES // (16 d^4)` starts.
     tol : float
         Relative-improvement stopping threshold for the ascent, in (0, 1).
         The search also returns as soon as the interval is closed,

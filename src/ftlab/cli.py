@@ -298,9 +298,10 @@ def _cmd_strength(config: dict, workers: int) -> Report:
     elif ev == "diamond":
         a = make_noise_channel(noise_spec_from_json(params["a"]))
         b = make_noise_channel(noise_spec_from_json(params["b"]))
-        lo, hi = diamond_distance(
-            a, b, restarts=int(params.get("restarts", 32)), seed=config["seed"]
-        )
+        restarts = params.get("restarts", 32)
+        if type(restarts) is not int:  # a bool, float or string is refused, not cast
+            raise ValueError(f"restarts must be an integer, got {restarts!r}")
+        lo, hi = diamond_distance(a, b, restarts=restarts, seed=config["seed"])
         results = {"evaluator": ev, "lower": lo, "upper": hi}
     elif ev == "local_hamiltonian":
         terms = hamiltonian_terms_from_json(params["terms"])

@@ -15,7 +15,9 @@ read-out is a plain float64 array of outcome probabilities.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -265,10 +267,22 @@ def vector_to_json(v: np.ndarray) -> list[list[float]]:
 
 
 def vector_from_json(obj) -> np.ndarray:
+    """Complex128 vector from a list of `[re, im]` pairs of finite JSON numbers.
+
+    The pairs are read in bulk. A string, null or nested entry, a pair of
+    another length, a non-finite entry or an int beyond float range is
+    refused; bools read as 0 and 1.
+    """
     try:
-        return np.array([complex(re, im) for re, im in obj], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+        if set(map(len, obj)) - {2}:
+            raise ValueError("a pair must have two entries")
+        # array("d") takes ints, floats and bools only, so a string or null is refused
+        flat = np.frombuffer(array("d", chain.from_iterable(obj)), np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"expected a list of [re, im] pairs: {exc}") from None
+    if not np.isfinite(flat).all():
+        raise ValueError("expected a list of [re, im] pairs of finite numbers")
+    return flat
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[float]]:

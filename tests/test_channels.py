@@ -267,21 +267,53 @@ def count_objective_rows(monkeypatch):
 
 def test_objective_matches_per_kraus_loop():
     rng = np.random.default_rng(31)
-    for d in (2, 4):
-        a, b = random_channel(rng, d, 3), random_channel(rng, d, 2)
-        kraus, signs = stacked(a, b)
+    cases = [stacked(random_channel(rng, d, 3), random_channel(rng, d, 2)) for d in (2, 4)]
+    cases.append(stacked(*noisy_cnot(NoiseSpec.depolarizing(0.05))))  # K = 17 >= d^2 = 16
+    u, w = haar_unitary(rng, 4), haar_unitary(rng, 4)
+    cases.append(stacked(Channel.unitary(u, (4,)), Channel.unitary(w, (4,))))  # K = 2
+    # the same unitary channel as two equal Kraus operators: V has rank 2 < K = 3
+    twice_u = Channel.from_kraus(np.stack([u, u]) / np.sqrt(2), (4,))
+    cases.append(stacked(twice_u, Channel.unitary(w, (4,))))
+    for kraus, signs in cases:
+        d = kraus.shape[1]
         psi = rng.normal(size=(3, d * d)) + 1j * rng.normal(size=(3, d * d))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        f, s, v = channels._objective(kraus, signs, psi)
+        f, sv = channels._objective(kraus, signs, psi)
+        assert sv.shape == (3, d * d, len(kraus))
         for r in range(3):
             mat = psi[r].reshape(d, d)
-            outs = [k @ mat for k in kraus]
-            np.testing.assert_allclose(v[r], [o.reshape(-1) for o in outs], atol=1e-15)
+            outs = [(k @ mat).reshape(-1) for k in kraus]
             delta = sum(sg * np.outer(o, o.conj()) for sg, o in zip(signs, outs))
             assert f[r] == pytest.approx(trace_norm(delta), rel=1e-12)
-            # S is the sign of delta: Hermitian, with tr(S delta) = ||delta||_1
-            np.testing.assert_allclose(s[r], s[r].conj().T, atol=1e-12)
-            assert np.trace(s[r] @ delta).real == pytest.approx(f[r], rel=1e-12)
+            # S is the sign of delta, from its full eigendecomposition
+            ev, vecs = np.linalg.eigh(delta)
+            sign = (vecs * np.sign(ev)) @ vecs.conj().T
+            np.testing.assert_allclose(sv[r], sign @ np.stack(outs, axis=1), atol=1e-12)
+
+
+# Lower ends at restarts=32, seed=0, as computed with the dense d^2 x d^2
+# objective (one eigh of the full output operator per start).
+DENSE_ASCENT_LOWER = {
+    "ad_qubit": 0.19032516392806298,
+    "ad_cnot": 0.659359907795136,
+    "random0": 1.9477562358569505,
+    "random1": 1.9316898945319627,
+    "random2": 1.9784239819534684,
+}
+
+
+def test_ascent_lower_ends_match_dense_objective():
+    ad = make_noise_channel(NoiseSpec.amplitude_damping(0.1, 1.0))
+    pairs = {
+        "ad_qubit": (ad, Channel.identity(qubit_dims(1))),
+        "ad_cnot": noisy_cnot(NoiseSpec.amplitude_damping(0.2, 1.0)),
+    }
+    rng = np.random.default_rng(34)
+    for i in range(3):
+        pairs[f"random{i}"] = (random_channel(rng, 4, 3), random_channel(rng, 4, 2))
+    for name, (a, b) in pairs.items():
+        lower = diamond_distance(a, b, restarts=32, seed=0).lower
+        assert abs(lower - DENSE_ASCENT_LOWER[name]) <= 1e-14, name
 
 
 def test_ascent_batch_matches_each_start_alone():

@@ -181,6 +181,18 @@ def _conditioned_measure(condition):
     }
 
 
+def _diamond_restarts(restarts):
+    """A diamond strength config asking for `restarts` ascent starts."""
+    dep = {"kind": "depolarizing", "p": 0.1}
+    ident = {"kind": "control_rotation", "delta_theta": 0.0}
+    return {"evaluator": "diamond", "a": dep, "b": ident, "restarts": restarts}
+
+
+def _couplings(*entry):
+    """A unitary_couplings config whose 2 x 2 matrix starts with `entry`."""
+    return {"evaluator": "unitary_couplings", "couplings": [[list(entry), [0, 0], [0, 0], [1, 0]]]}
+
+
 MALFORMED = {
     "locations_string": ("accuracy", {"circuit": {"n_system": 1, "locations": "ab"}}, "locations"),
     "locations_list": ("accuracy", {"circuit": {"n_system": 1, "locations": [[1]]}}, "locations"),
@@ -209,6 +221,14 @@ MALFORMED = {
         {"circuit": _conditioned_measure([1])},
         "condition must be [measure index, outcome], got (1,)",
     ),
+    # restarts is taken as given, never cast to an int
+    "restarts_float": ("strength", _diamond_restarts(2.7), "restarts must be an integer, got 2.7"),
+    "restarts_bool": ("strength", _diamond_restarts(True), "restarts must be an integer, got True"),
+    "restarts_string": ("strength", _diamond_restarts("8"), "restarts must be an integer, got '8'"),
+    # matrix entries must be finite numbers within float range
+    "coupling_nan": ("strength", _couplings(math.nan, 0), "pairs of finite numbers"),
+    "coupling_infinity": ("strength", _couplings(0, math.inf), "pairs of finite numbers"),
+    "coupling_huge_int": ("strength", _couplings(10**400, 0), "int too large to convert to float"),
 }
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,6 +259,40 @@ def test_apply_local_rejects_mismatched_shapes():
         apply_local(x, [np.eye(2)], (0, 0), qubit_dims(3))
     with pytest.raises(ValueError):
         apply_local(np.eye(4), [np.eye(2)], (0,), qubit_dims(3))
+
+
+BAD_PAIR_LISTS = {
+    "string_entry": [[1.0, 0.0], ["1.5", 0.0]],
+    "string_pair": ["ab"],
+    "string": "ab",
+    "null_entry": [[None, 0.0]],
+    "null": None,
+    "one_element_pair": [[1.0]],
+    "three_element_pair": [[1.0, 0.0, 0.0]],
+    "ragged": [[1.0, 0.0], [1.0]],
+    "nested_pair": [[[1.0], [0.0]]],
+    "mapping_pair": [{"re": 1.0, "im": 0.0}],
+    "number": 1.0,
+    "nan": [[1.0, 0.0], [math.nan, 0.0]],
+    "infinity": [[0.0, math.inf]],
+    "minus_infinity": [[-math.inf, 0.0]],
+    "huge_int": [[10**400, 0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PAIR_LISTS))
+def test_vector_from_json_refuses_bad_pairs(case):
+    with pytest.raises(ValueError, match=r"expected a list of \[re, im\] pairs"):
+        vector_from_json(BAD_PAIR_LISTS[case])
+
+
+def test_vector_from_json_reads_numbers_and_bools():
+    pairs = [[1, -0.0], [True, False], [-0.0, 2.5], [2**70, -1]]
+    v = vector_from_json(pairs)
+    expected = np.array([complex(re, im) for re, im in pairs])
+    assert v.dtype == np.complex128
+    assert v.tobytes() == expected.tobytes()  # bit for bit, signs of zero included
+    assert vector_from_json([]).shape == (0,)
 
 
 def test_json_round_trip(monkeypatch):
