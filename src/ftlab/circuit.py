@@ -4,17 +4,14 @@ A circuit is a flat list of locations (state preparations, gates,
 projective measurements, and explicit identity/storage slots) tagged with
 time steps, plus its read-out: the tuple of qubits measured in Z at the
 end. Each location carries its operation as one local Kraus stack on its
-support. All density-matrix evaluation runs through one walker,
-``_walk(c, hook)``, which applies each location's stack with
-``matcore.apply_local`` and then calls ``hook(loc, x)`` for that location's
-noise part: nothing in ``simulate_ideal``, the channel N in
-``simulate_noisy``, and the fault insertion N - I on the chosen locations
-in ``faultpaths.zeta_subset`` / ``zeta_earliest``.
-
-``simulate_with_environment`` instead evolves a joint system-environment
-pure state with per-location unitary couplings, for noise that independent
-per-location channels cannot describe; it steps the vector with the same
-kernel.
+support. Every state evolves in one walker, ``_walk(c, after, x)``, which
+applies each location's stack with ``matcore.apply_local`` and then the
+entry of the table ``after`` for that location, its noise as data: nothing
+in ``simulate_ideal``, the channel N in ``simulate_noisy``, the fault
+insertion N - I on the chosen locations in ``faultpaths.zeta_subset`` /
+``zeta_earliest``, and a unitary coupling to explicit environment qubits in
+``simulate_with_environment``, which walks a joint system-environment pure
+state for noise that independent per-location channels cannot describe.
 
 Operators are plain complex128 arrays on the qubits of a location's
 support; the simulators return the final density matrix, an array with
@@ -29,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -92,8 +89,8 @@ def _support(support: int | Sequence[int]) -> tuple[int, ...]:
 class Location:
     """One operation slot: (index, step, kind, support) plus one local
     Kraus stack `ops`, a read-only (K, d, d) complex128 array with
-    d = 2^len(support). kind is one of "prep" ([|psi><0...0|]; the walker
-    resets the support to |psi><psi|), "gate" ([U], optionally
+    d = 2^len(support). kind is one of "prep" (psi as a (1, d, 1) column;
+    the walker resets the support to |psi><psi|), "gate" ([U], optionally
     conditioned on an earlier measurement outcome), "measure" (the
     projectors), "identity" (explicit storage slot, an empty stack).
     condition = (measure location index, outcome position). A stack of the
@@ -128,14 +125,8 @@ class Location:
 
     @classmethod
     def prep(cls, index: int, step: int, support: int | Sequence[int], state) -> "Location":
-        sup = _support(support)
-        vec = np.asarray(state, dtype=np.complex128).reshape(-1)
-        # |psi><0...0|, with an over-cap support refused first; a state of the
-        # wrong size stays one column, for validate_circuit to reject
-        cols = qubit_dims(len(sup)).total if vec.size == 2 ** len(sup) else 1
-        load = np.zeros((1, vec.size, cols), dtype=np.complex128)
-        load[0, :, 0] = vec
-        return cls(index, step, "prep", sup, load)
+        column = np.asarray(state, dtype=np.complex128).reshape(1, -1, 1)
+        return cls(index, step, "prep", _support(support), column)
 
     @classmethod
     def gate_on(
@@ -239,7 +230,7 @@ def validate_circuit(c: Circuit) -> list[str]:
         busy |= set(loc.support)
         d = 2 ** len(loc.support)
         bad_shape = loc.ops.ndim != 3 or loc.ops.shape[1:] != (d, d)
-        if loc.kind == "prep" and bad_shape:
+        if loc.kind == "prep" and loc.ops.shape != (1, d, 1):
             out.append(f"location {loc.index}: prep state has wrong dimension")
         elif loc.kind == "gate" and (bad_shape or len(loc.ops) != 1):
             out.append(f"location {loc.index}: gate has wrong dimension")
@@ -285,22 +276,35 @@ def validate_circuit(c: Circuit) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _walk(c: Circuit, hook: Callable[[Location, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Evolve |0...0><0...0| through every location of `c`.
+def _walk(
+    c: Circuit,
+    after: Mapping[int, tuple[Sequence[int], np.ndarray]],
+    x: np.ndarray | None = None,
+) -> np.ndarray:
+    """Evolve `x`, by default |0...0><0...0| on c's qubits, through `c`.
 
     Each location applies its Kraus stack, and a prep resets its support
-    to |psi><psi| with psi = ops[0][:, 0] (`_reset`). A measurement is the
+    to |psi><psi| with psi = ops[0, :, 0] (`_reset`). A measurement is the
     non-selective sum_a P_a x P_a unless a later gate is conditioned on it,
     in which case the walk keeps one branch per outcome; a conditioned gate
     skips the branches with another outcome, and an identity slot changes
-    nothing. After each location, `hook(loc, x)` returns the branch state
-    with that location's noise part applied. Returns the sum over branches.
+    nothing. Then, where `after` maps the location's index to (support,
+    ops), every branch takes `apply_local(x, ops, support)`: a Kraus stack
+    (a noise channel, a coupling [U]) or a superoperator (a fault
+    insertion). Returns the sum over branches.
+
+    `x` may instead be a state vector on c's qubits followed by others (an
+    environment); its size gives the dims. A prep then puts psi on its
+    qubits, which must still be |0...0>, a measurement is left to the
+    caller, and nothing may be conditioned.
     """
-    dims = c.dims
-    rho0 = np.zeros((dims.total, dims.total), dtype=np.complex128)
-    rho0[0, 0] = 1.0
+    if x is None:
+        x = np.zeros((c.dims.total,) * 2, dtype=np.complex128)
+        x[0, 0] = 1.0
+    n = len(x).bit_length() - 1
+    dims = qubit_dims(n)
     referenced = {loc.condition[0] for loc in c.locations if loc.condition is not None}
-    branches: list[tuple[dict[int, int], np.ndarray]] = [({}, rho0)]
+    branches: list[tuple[dict[int, int], np.ndarray]] = [({}, x)]
     for loc in c.locations:
         if loc.kind == "measure" and loc.index in referenced:
             branches = [
@@ -309,34 +313,40 @@ def _walk(c: Circuit, hook: Callable[[Location, np.ndarray], np.ndarray]) -> np.
                 for a in range(len(loc.ops))
             ]
         elif loc.kind == "prep":
-            psi = loc.ops[0][:, 0]
-            branches = [(rec, _reset(x, loc.support, psi, c.n_system)) for rec, x in branches]
-        elif loc.kind != "identity":
+            psi = loc.ops[0, :, 0]
+            branches = [(rec, _reset(x, loc.support, psi, n)) for rec, x in branches]
+        elif loc.kind == "gate" or (loc.kind == "measure" and x.ndim == 2):
             cond = loc.condition
             branches = [
                 (rec, x if cond and rec.get(cond[0]) != cond[1]
                  else apply_local(x, loc.ops, loc.support, dims))
                 for rec, x in branches
             ]
-        branches = [(rec, hook(loc, x)) for rec, x in branches]
+        if loc.index in after:
+            support, ops = after[loc.index]
+            branches = [(rec, apply_local(x, ops, support, dims)) for rec, x in branches]
     return sum(x for _, x in branches)
 
 
 def _reset(x: np.ndarray, support: Sequence[int], psi: np.ndarray, n: int) -> np.ndarray:
     """The prep channel sum_k |psi><k| x |k><psi| on the qubits `support` of
-    the n-qubit x, psi factored over them as listed, at O(d^2) cost."""
+    the n-qubit matrix x, psi factored over them as listed, at O(d^2) cost.
+    On a state vector x whose qubits `support` are still |0...0>, it puts
+    psi there, (|psi><0...0| (x) I) x, without forming that operator."""
     rest = [q for q in range(n) if q not in support]
-    y = partial_trace(x, rest, qubit_dims(n)).reshape((2,) * 2 * len(rest))
-    p = np.outer(psi, psi.conj()).reshape((2,) * 2 * len(support))
-    y_axes = rest + [n + q for q in rest]
-    p_axes = [*support, *(n + q for q in support)]
-    return np.einsum(y, y_axes, p, p_axes, range(2 * n)).reshape(x.shape)
+    if x.ndim == 1:
+        y = x.reshape((2,) * n)[tuple(0 if q in support else slice(None) for q in range(n))]
+    else:
+        y = partial_trace(x, rest, qubit_dims(n)).reshape((2,) * 2 * len(rest))
+    p = psi if x.ndim == 1 else np.outer(psi, psi.conj())
+    y_axes = [q + side * n for side in range(x.ndim) for q in rest]
+    p_axes = [q + side * n for side in range(x.ndim) for q in support]
+    p = p.reshape((2,) * len(p_axes))
+    return np.einsum(y, y_axes, p, p_axes, range(x.ndim * n)).reshape(x.shape)
 
 
-def _noisy_hook(
-    c: Circuit, noise: Mapping[int, Channel]
-) -> Callable[[Location, np.ndarray], np.ndarray]:
-    """Hook applying noise[loc.index] after each location (none if absent).
+def _noise_terms(c: Circuit, noise: Mapping[int, Channel]) -> dict[int, tuple]:
+    """The `_walk` table applying noise[i] after location i: {i: (support, kraus)}.
 
     Every key must name a location of `c`, and every channel must act inside
     its location's support.
@@ -350,14 +360,7 @@ def _noisy_hook(
                 f"noise on location {idx} acts on {ch.support}, outside its "
                 f"support {loc.support}"
             )
-
-    def hook(loc: Location, x: np.ndarray) -> np.ndarray:
-        ch = noise.get(loc.index)
-        if ch is None:
-            return x
-        return apply_local(x, ch.kraus, ch.support, c.dims)
-
-    return hook
+    return {idx: (ch.support, ch.kraus) for idx, ch in noise.items()}
 
 
 def _readout(c: Circuit, rho: np.ndarray) -> np.ndarray:
@@ -377,7 +380,7 @@ def _readout(c: Circuit, rho: np.ndarray) -> np.ndarray:
 
 def simulate_ideal(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
     """Final density matrix (before read-out) and read-out probabilities."""
-    rho = _walk(c, lambda loc, x: x)
+    rho = _walk(c, {})
     return rho, _readout(c, rho)
 
 
@@ -389,7 +392,7 @@ def simulate_noisy(
     `noise` maps location indices to channels whose support must stay inside
     the location's support; missing indices mean noiseless locations.
     """
-    rho = _walk(c, _noisy_hook(c, noise))
+    rho = _walk(c, _noise_terms(c, noise))
     return rho, _readout(c, rho)
 
 
@@ -454,56 +457,44 @@ def simulate_with_environment(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint pure-state evolution with per-location coupling unitaries.
 
-    Requirements checked here: no conditioned gates (rewrite first), preps
-    must be the first operation touching their qubits (so they act on
-    |0...0> and apply as |psi><0...0|), measurements must be
-    terminal on their qubit, uncoupled, and are applied as deferred
-    non-selective projections on the reduced system state. Returns the
-    reduced system density matrix and the read-out probabilities.
+    Requirements, checked in one pass before any evolution: no conditioned
+    gates (rewrite first); a prep must be the first operation touching its
+    qubits, so it acts on |0...0>; a measurement must be terminal on its
+    qubits and uncoupled; a coupling must act inside its location's support
+    plus the environment. `_walk` then evolves |0...0> (x) env.initial with
+    each coupling [U] applied after its location. Measurements are deferred
+    and applied as non-selective projections on the reduced system state.
+    Returns the reduced system density matrix and the read-out probabilities.
     """
     n_sys = c.n_system
-    n_tot = n_sys + env.n_env
-    dims = qubit_dims(n_tot)
-    env_range = set(range(n_sys, n_tot))
-    last_touch: dict[int, int] = {}
-    for loc in c.locations:
-        if loc.condition is not None:
-            raise ValueError("conditioned gates unsupported here; rewrite them first")
-        for q in loc.support:
-            last_touch[q] = loc.index
-    sys0 = np.zeros(2**n_sys, dtype=np.complex128)
-    sys0[0] = 1.0
-    psi = np.kron(sys0, env.initial)
+    qubit_dims(n_sys + env.n_env)  # an over-cap joint space is refused before any work
     touched: set[int] = set()
     deferred: list[Location] = []
     for loc in c.locations:
+        if loc.condition is not None:
+            raise ValueError("conditioned gates unsupported here; rewrite them first")
+        stale = [m.index for m in deferred if set(m.support) & set(loc.support)]
+        if stale:
+            raise ValueError(f"measurement at location {stale[0]} must be terminal on its qubits")
         if loc.kind == "prep" and touched & set(loc.support):
             raise ValueError(
-                f"prep at location {loc.index} is not the first operation "
-                "on its qubits"
+                f"prep at location {loc.index} is not the first operation on its qubits"
             )
-        if loc.kind in ("prep", "gate"):  # a prep loads |psi><0...0|, a gate is [U]
-            psi = apply_local(psi, loc.ops, loc.support, dims)
-        elif loc.kind == "measure":
+        if loc.kind == "measure":
             if loc.index in env.couplings:
                 raise ValueError("measurements must be ideal (no coupling)")
-            if any(last_touch[q] != loc.index for q in loc.support):
-                raise ValueError(
-                    f"measurement at location {loc.index} must be terminal on "
-                    "its qubits"
-                )
             deferred.append(loc)
         touched |= set(loc.support)
         coupling = env.couplings.get(loc.index)
-        if coupling is not None:
-            allowed = set(loc.support) | env_range
-            if not set(coupling.support) <= allowed:
-                raise ValueError(
-                    f"coupling at location {loc.index} acts on {coupling.support}, "
-                    f"outside support plus environment"
-                )
-            psi = apply_local(psi, [coupling.unitary], coupling.support, dims)
-    m = psi.reshape(2**n_sys, 2**env.n_env)
+        allowed = set(loc.support) | set(range(n_sys, n_sys + env.n_env))
+        if coupling is not None and not set(coupling.support) <= allowed:
+            raise ValueError(
+                f"coupling at location {loc.index} acts on {coupling.support}, "
+                f"outside support plus environment"
+            )
+    x = np.kron(np.eye(1, 2**n_sys, dtype=np.complex128)[0], env.initial)
+    after = {i: (cp.support, cp.unitary[None]) for i, cp in env.couplings.items()}
+    m = _walk(c, after, x).reshape(2**n_sys, 2**env.n_env)
     rho_sys = m @ m.conj().T
     for loc in deferred:
         rho_sys = apply_local(rho_sys, loc.ops, loc.support, c.dims)

@@ -23,9 +23,10 @@ numpy scalars are read with `.item()` first, and a cell that would need
 quoting raises ValueError.
 
 Exit codes: 0 success, 2 config/validation error, 3 refused work (the
-`DIM_CAP` dimension cap, an exhaustive-enumeration cap, the Monte Carlo
-budget, or, as a last resort, running out of memory). Errors print a single
-JSON object {"error": reason, "exit": code} to stderr.
+`DIM_CAP` dimension cap, an exhaustive-enumeration cap, the diamond
+ascent's `RESTARTS_CAP`, the Monte Carlo budget, or, as a last resort,
+running out of memory). Errors print a single JSON object
+{"error": reason, "exit": code} to stderr.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ from .matcore import DimensionCapError, complex_pairs, matrix_from_json, trace_n
 from .threshold import SchemeParams, pseudothreshold_mc, threshold_report, threshold_value
 
 COMMANDS = ("strength", "accuracy", "faultpaths", "truncate", "levelred", "threshold")
+RESTARTS_CAP = 4096  # most diamond-ascent starts a config may ask for
 
 
 # -- deterministic serialization ----------------------------------------------
@@ -187,7 +189,6 @@ class Report:
     config: dict
     results: dict
     records: list[dict] = field(default_factory=list)
-    csv_header: tuple[str, ...] = ()
     seed: int = 0
 
     def provenance(self) -> dict:
@@ -212,9 +213,7 @@ def emit_report(report: Report, fmt: str) -> bytes:
         _validate(doc, "report")
         return (json_dumps(doc) + "\n").encode("utf-8")
     if fmt == "csv":
-        header = list(report.csv_header) or (
-            list(report.records[0].keys()) if report.records else []
-        )
+        header = list(report.records[0]) if report.records else []
         buf = io.StringIO()
         buf.write(",".join(header) + "\n")
         for rec in report.records:
@@ -301,6 +300,8 @@ def _cmd_strength(config: dict, workers: int) -> Report:
         restarts = params.get("restarts", 32)
         if type(restarts) is not int:  # a bool, float or string is refused, not cast
             raise ValueError(f"restarts must be an integer, got {restarts!r}")
+        if restarts > RESTARTS_CAP:
+            raise ExhaustiveCapError(f"diamond ascent capped at restarts <= {RESTARTS_CAP}")
         lo, hi = diamond_distance(a, b, restarts=restarts, seed=config["seed"])
         results = {"evaluator": ev, "lower": lo, "upper": hi}
     elif ev == "local_hamiltonian":

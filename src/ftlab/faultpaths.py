@@ -6,7 +6,8 @@ subset terms (as their action on the circuit's initial state), the
 earliest-fault grouping whose terms telescope exactly to
 rho_noisy - rho_ideal, the closed-form accuracy bounds, and the signed
 inclusion-exclusion coefficients together with an exhaustive lattice
-verifier for the counting identities behind them.
+verifier for the counting identities behind them. Each term is one linear
+`circuit._walk`, so circuits with conditioned gates expand exactly too.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .matcore import kolmogorov_distance
+from .matcore import kolmogorov_distance, superoperator
 from .channels import Channel
 from .circuit import (
     Circuit,
     EnvironmentSpec,
-    _noisy_hook,
+    _noise_terms,
     _walk,
     simulate_ideal,
     simulate_noisy,
@@ -39,12 +40,22 @@ class ExhaustiveCapError(ValueError):
     """Request exceeds the exhaustive-enumeration caps."""
 
 
-def _require_unconditioned(c: Circuit) -> None:
-    if any(loc.condition is not None for loc in c.locations):
-        raise ValueError(
-            "fault-path expansion needs a condition-free circuit; apply "
-            "rewrite_conditioned_gates first"
-        )
+def _fault_walk(
+    c: Circuit, noise: Mapping[int, Channel], chosen: set[int], keep: Iterable[int]
+) -> np.ndarray:
+    """Walk `c` with the fault insertion N - I, one superoperator on the
+    channel's support, after each `chosen` location, and the channel N after
+    each other location in `keep`. A chosen location without noise makes
+    the term exactly zero."""
+    terms = _noise_terms(c, noise)
+    if not chosen <= terms.keys():
+        return np.zeros((c.dims.total,) * 2, dtype=np.complex128)
+    after = {i: terms[i] for i in keep if i in terms}
+    for i in chosen:
+        support, kraus = terms[i]
+        d = kraus.shape[-1]
+        after[i] = (support, superoperator(kraus) - np.eye(d * d).reshape((d,) * 4))
+    return _walk(c, after)
 
 
 def zeta_subset(
@@ -61,7 +72,6 @@ def zeta_subset(
     is exactly `subset`. The result is the term applied to the circuit's
     initial state; it is generally not a density matrix.
     """
-    _require_unconditioned(c)
     if complement not in ("noisy", "ideal"):
         raise ValueError(f"unknown complement convention {complement!r}")
     chosen = {int(i) for i in subset}
@@ -76,14 +86,7 @@ def zeta_subset(
         raise ExhaustiveCapError(
             f"subset evaluation capped at L <= {SUBSET_LOCATION_CAP} locations"
         )
-    noisy = _noisy_hook(c, noise)
-
-    def hook(loc, x):
-        if loc.index in chosen:
-            return noisy(loc, x) - x
-        return noisy(loc, x) if complement == "noisy" else x
-
-    return _walk(c, hook)
+    return _fault_walk(c, noise, chosen, range(1, c.size + 1) if complement == "noisy" else ())
 
 
 def zeta_earliest(c: Circuit, noise: Mapping[int, Channel], r: int) -> np.ndarray:
@@ -93,17 +96,9 @@ def zeta_earliest(c: Circuit, noise: Mapping[int, Channel], r: int) -> np.ndarra
     after r. Summed over r = 1..L this telescopes exactly to
     rho_noisy - rho_ideal.
     """
-    _require_unconditioned(c)
     if not 1 <= r <= c.size:
         raise ValueError(f"location index {r} outside 1..{c.size}")
-    noisy = _noisy_hook(c, noise)
-
-    def hook(loc, x):
-        if loc.index < r:
-            return x
-        return noisy(loc, x) - x if loc.index == r else noisy(loc, x)
-
-    return _walk(c, hook)
+    return _fault_walk(c, noise, {r}, range(r + 1, c.size + 1))
 
 
 def accuracy_delta_exact(

@@ -7,9 +7,10 @@ per-subsystem dimensions travel as a `SubsystemDims` passed to the functions
 that need them (`partial_trace`, `apply_local`, `embed_operator`), and a hard
 cap on the total dimension keeps a desk-scale run from silently allocating
 gigabytes. Local operators act on states and density matrices through
-`apply_local`, which contracts only the axes they touch; `embed_operator`
-builds the full-space matrix where one is really needed. A measurement
-read-out is a plain float64 array of outcome probabilities.
+`apply_local`, which contracts only the axes they touch (a Kraus stack, or
+for a matrix its `superoperator`); `embed_operator` builds the full-space
+matrix where one is really needed. A measurement read-out is a plain
+float64 array of outcome probabilities.
 """
 
 from __future__ import annotations
@@ -219,6 +220,13 @@ def embed_operator(
     return np.ascontiguousarray(full.reshape(d, d))
 
 
+def superoperator(ks: np.ndarray) -> np.ndarray:
+    """The map x -> sum_k K_k x K_k^dag of a (K, d, d) Kraus stack, as a
+    (d, d, d, d) array with axes (out_row, out_col, in_row, in_col)."""
+    ks = np.asarray(ks, dtype=np.complex128)
+    return np.einsum("kab,kcd->acbd", ks, ks.conj())
+
+
 def apply_local(
     x: np.ndarray,
     ops: Sequence[np.ndarray],
@@ -235,18 +243,21 @@ def apply_local(
     are contracted, so a matrix costs O(d^2 d_sup^2), not O(d^3).
 
     A 1-D `x` is a state vector and takes the left action only,
-    sum_k K_k x. `dims` may be any subsystem dimensions, not just qubits.
-    The result has the shape of `x`.
+    sum_k K_k x. For a matrix `x`, `ops` may instead be any linear map on
+    the support as a (d_sup, d_sup, d_sup, d_sup) array, laid out as
+    `superoperator` returns it. `dims` may be any subsystem dimensions, not
+    just qubits. The result has the shape of `x`.
     """
     ks, support, dims, sup_dims = _local_setup(ops, support, dims)
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim not in (1, 2) or x.shape != (math.prod(dims),) * x.ndim:
         raise ValueError(f"shape {x.shape} is neither a vector nor a matrix on {dims}")
+    if ks.ndim == 4 and x.ndim == 1:
+        raise ValueError("a superoperator acts on a matrix, not a state vector")
     if x.ndim == 1:
         op, axes = ks.sum(axis=0), list(support)
     else:
-        # superoperator sum_k K_k (x) conj(K_k), axes (out_row, out_col, in_row, in_col)
-        op = np.einsum("kab,kcd->acbd", ks, ks.conj())
+        op = ks if ks.ndim == 4 else superoperator(ks)
         axes = list(support) + [len(dims) + i for i in support]
     op = op.reshape(sup_dims * (2 * x.ndim))
     return _contract(op, x.reshape(dims * x.ndim), axes).reshape(x.shape)

@@ -185,8 +185,8 @@ def test_location_ops_is_one_read_only_stack():
     assert Location.wait(1, 1, (2, 0)).ops.size == 0
     psi = haar_unitary(rng, 4)[:, 0]
     prep = Location.prep(1, 1, (0, 1), psi)
-    assert prep.ops.shape[1:] == (4, 4)
-    np.testing.assert_array_equal(prep.ops[0], np.outer(psi, [1, 0, 0, 0]))
+    assert prep.ops.shape == (1, 4, 1)
+    np.testing.assert_array_equal(prep.ops[0, :, 0], psi)
     with pytest.raises(ValueError, match="prep state must be normalized"):
         Location.prep(1, 1, 0, [1.0, 1.0])
 
@@ -741,3 +741,64 @@ def test_environment_prep_loads_any_state():
         rho_i, dist_i = simulate_ideal(c)
         np.testing.assert_allclose(rho_e, rho_i, atol=1e-12)
         assert kolmogorov_distance(dist_e, dist_i) <= 1e-12
+
+
+def _dense(op, support, n):
+    """`op` on the ordered qubits `support` as a dense n-qubit matrix, by np.kron."""
+    rest = [q for q in range(n) if q not in support]
+    order = list(support) + rest
+    full = np.kron(op, np.eye(2 ** len(rest))).reshape((2,) * 2 * n)
+    perm = [order.index(q) for q in range(n)]
+    return full.transpose(perm + [n + p for p in perm]).reshape(2**n, 2**n)
+
+
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_environment_run_matches_dense_joint_evolution(n_sys, n_env, seed):
+    # random preps (each before any other use of its qubits), gates, terminal
+    # measurements and couplings, against |psi> stepped by dense operators
+    rng = np.random.default_rng(seed)
+    n = n_sys + n_env
+    unprepared = [int(q) for q in rng.permutation(n_sys) if rng.random() < 0.7]
+    live = [q for q in range(n_sys) if q not in unprepared]
+    ops = []
+    for _ in range(int(rng.integers(1, 7))):
+        if unprepared and (not live or rng.random() < 0.4):
+            k = min(len(unprepared), int(rng.integers(1, 3)))
+            support = [unprepared.pop() for _ in range(k)]
+            ops.append(Location.prep(0, 0, support, haar_unitary(rng, 2 ** len(support))[:, 0]))
+            live += support
+        else:
+            k = min(len(live), int(rng.integers(1, 3)))
+            support = [int(q) for q in rng.choice(live, k, replace=False)]
+            ops.append(Location.gate_on(0, 0, support, haar_unitary(rng, 2 ** len(support))))
+    measured = [q for q in live if rng.random() < 0.5]
+    ops += [Location.measure(0, 0, q) for q in measured]
+    c = seq(n_sys, *ops)
+    couplings = {}
+    for loc in c.locations:
+        if loc.kind != "measure" and rng.random() < 0.6:
+            sys_part = [q for q in loc.support if rng.random() < 0.7]
+            env_part = [n_sys + e for e in range(n_env) if not sys_part or rng.random() < 0.6]
+            support = tuple(sys_part + env_part)
+            couplings[loc.index] = EnvCoupling(support, haar_unitary(rng, 2 ** len(support)))
+    env_state = haar_unitary(rng, 2**n_env)[:, 0]
+    env = EnvironmentSpec(n_env, env_state, couplings)
+
+    psi = np.kron(np.eye(2**n_sys)[0], env_state)
+    for loc in c.locations:
+        if loc.kind == "prep":
+            zero_row = np.eye(2 ** len(loc.support))[0]
+            psi = _dense(np.outer(loc.ops[0, :, 0], zero_row), loc.support, n) @ psi
+        elif loc.kind == "gate":
+            psi = _dense(loc.ops[0], loc.support, n) @ psi
+        if loc.index in couplings:
+            psi = _dense(couplings[loc.index].unitary, couplings[loc.index].support, n) @ psi
+    m = psi.reshape(2**n_sys, 2**n_env)
+    want = m @ m.conj().T
+    for q in measured:
+        projs = [_dense(np.diag(row), [q], n_sys) for row in np.eye(2)]
+        want = sum(p @ want @ p for p in projs)
+    rho, dist = simulate_with_environment(c, env)
+    np.testing.assert_allclose(rho, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dist, np.diagonal(want).real, rtol=0, atol=1e-12)

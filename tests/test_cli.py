@@ -94,6 +94,13 @@ def _h_chain(n_system, count):
     return {"n_system": n_system, "locations": locs}
 
 
+def _diamond_restarts(restarts):
+    """A diamond strength config asking for `restarts` ascent starts."""
+    dep = {"kind": "depolarizing", "p": 0.1}
+    ident = {"kind": "control_rotation", "delta_theta": 0.0}
+    return {"evaluator": "diamond", "a": dep, "b": ident, "restarts": restarts}
+
+
 REFUSALS = {
     "ie_check_L0_13": (
         "faultpaths",
@@ -132,6 +139,7 @@ REFUSALS = {
         },
         "total dimension 8192 exceeds cap 4096",
     ),
+    "diamond_restarts_4097": ("strength", _diamond_restarts(4097), "restarts <= 4096"),
 }
 
 
@@ -179,13 +187,6 @@ def _conditioned_measure(condition):
             {"kind": "measure", "support": [0], "condition": condition},
         ],
     }
-
-
-def _diamond_restarts(restarts):
-    """A diamond strength config asking for `restarts` ascent starts."""
-    dep = {"kind": "depolarizing", "p": 0.1}
-    ident = {"kind": "control_rotation", "delta_theta": 0.0}
-    return {"evaluator": "diamond", "a": dep, "b": ident, "restarts": restarts}
 
 
 def _couplings(*entry):
@@ -487,14 +488,13 @@ def test_accuracy_command_ten_qubits(tmp_path, capsysbinary):
 
 
 def test_emit_report_csv_edge_cases():
-    rep = Report("threshold", {"command": "threshold"}, {}, [], ("a", "b"), 0)
-    assert emit_report(rep, "csv") == b"a,b\n"
+    # the header is the first record's keys, so no records give an empty header
+    assert emit_report(Report("threshold", {"command": "threshold"}, {}, [], 0), "csv") == b"\n"
     rep = Report(
         "threshold",
         {"command": "threshold"},
         {},
         [{"a": True, "b": None}, {"a": False, "b": 0.5}],
-        (),
         0,
     )
     assert emit_report(rep, "csv") == b"a,b\n1,\n0,0.5\n"
@@ -503,16 +503,13 @@ def test_emit_report_csv_edge_cases():
         {"command": "threshold"},
         {},
         [{"a": np.float64(0.1), "b": np.int64(3), "c": np.bool_(False)}],
-        (),
         0,
     )
     assert emit_report(rep, "csv") == b"a,b,c\n0.10000000000000001,3,0\n"
     with pytest.raises(ValueError):
-        emit_report(
-            Report("threshold", {}, {}, [{"a": "x,y"}], (), 0), "csv"
-        )
+        emit_report(Report("threshold", {}, {}, [{"a": "x,y"}], 0), "csv")
     with pytest.raises(ValueError):
-        emit_report(Report("threshold", {}, {}, [], (), 0), "toml")
+        emit_report(Report("threshold", {}, {}, [], 0), "toml")
 
 
 def test_json_float_round_trip_exact():
@@ -568,6 +565,29 @@ def test_faultpaths_earliest_ten_qubits(tmp_path, capsysbinary):
     zeta = matrix_from_json(r["matrix"])
     assert zeta.shape == (1024, 1024)
     assert trace_norm(zeta) == pytest.approx(r["trace_norm"], rel=1e-12)
+
+
+def test_faultpaths_on_conditioned_circuit_exits_0(tmp_path, capsysbinary):
+    # a measurement feeding a conditioned X, noise on every location
+    circuit = {
+        "n_system": 2,
+        "locations": [
+            {"kind": "prep", "support": [0], "state": "+"},
+            {"kind": "prep", "support": [1], "state": "0"},
+            {"kind": "measure", "support": [0]},
+            {"kind": "gate", "support": [1], "gate": "X", "condition": [3, 1]},
+        ],
+    }
+    noise = {str(i): {"kind": "depolarizing", "p": 0.01, "support": [(i + 1) % 2]} for i in range(1, 5)}
+    for params in ({"mode": "earliest", "r": 3}, {"mode": "subset", "subset": [2, 4]}):
+        cfg = write_config(
+            tmp_path,
+            "fp.json",
+            {"command": "faultpaths", "params": {"circuit": circuit, "noise": noise, **params}},
+        )
+        code, out, err = run(capsysbinary, ["faultpaths", "--config", cfg])
+        assert code == 0, err
+        assert json.loads(out)["results"]["trace_norm"] > 0.0
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsysbinary):

@@ -306,16 +306,39 @@ def test_every_noisy_walk_rejects_unknown_or_nonlocal_noise(evaluate):
         evaluate(c, {1: make_noise_channel(dep, support=(1,))})
 
 
-def test_zeta_requires_condition_free_circuit():
+def conditioned_instance(rng):
+    """A measurement of qubit 0 feeding a conditioned X on qubit 1, with
+    probabilistic noise on every location."""
     ops = [
-        Location.prep(0, 0, 0, KET0),
+        Location.prep(0, 0, 0, KET_PLUS),
         Location.prep(0, 0, 1, KET0),
+        Location.gate_on(0, 0, 0, haar_unitary(rng, 2)),
         Location.measure(0, 0, 0),
-        Location.gate_on(0, 0, 1, SIGMA_X, condition=(3, 1)),
+        Location.gate_on(0, 0, 1, SIGMA_X, condition=(4, 1)),
+        Location.gate_on(0, 0, 1, haar_unitary(rng, 2)),
     ]
     c = Circuit.sequential(2, ops)
-    noise = {i: Channel.identity(qubit_dims(1), c.location(i).support[:1]) for i in (1, 2, 3, 4)}
-    with pytest.raises(ValueError, match="rewrite_conditioned_gates"):
-        zeta_subset(c, noise, {1})
-    with pytest.raises(ValueError, match="rewrite_conditioned_gates"):
-        zeta_earliest(c, noise, 1)
+    noise = {
+        loc.index: make_noise_channel(
+            NoiseSpec.probabilistic(float(rng.uniform(0.01, 0.1)), haar_unitary(rng, 2)),
+            support=loc.support,
+        )
+        for loc in c.locations
+    }
+    return c, noise
+
+
+def test_fault_paths_are_exact_on_conditioned_circuits():
+    rng = np.random.default_rng(45)
+    locs = range(1, 7)
+    for _ in range(3):
+        c, noise = conditioned_instance(rng)
+        rho_i, _ = simulate_ideal(c)
+        rho_n, _ = simulate_noisy(c, noise)
+        earliest = sum(zeta_earliest(c, noise, r) for r in locs)
+        np.testing.assert_allclose(earliest, rho_n - rho_i, rtol=0, atol=1e-14)
+        signed = rho_i
+        for k in locs:
+            for subset in itertools.combinations(locs, k):
+                signed = signed + (-1) ** (k + 1) * zeta_subset(c, noise, set(subset))
+        np.testing.assert_allclose(signed, rho_n, rtol=0, atol=1e-14)

@@ -22,6 +22,7 @@ from ftlab.matcore import (
     partial_trace,
     qubit_dims,
     singular_values,
+    superoperator,
     trace_norm,
     vector_from_json,
     vector_to_json,
@@ -249,6 +250,8 @@ def test_apply_local_matches_dense_reference(case):
     got = apply_local(x, ops, support, dims)
     assert got.shape == x.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    if x.ndim == 2:  # the stack's superoperator is the same map, contracted the same way
+        np.testing.assert_array_equal(apply_local(x, superoperator(ops), support, dims), got)
 
 
 def test_apply_local_rejects_mismatched_shapes():
@@ -259,6 +262,8 @@ def test_apply_local_rejects_mismatched_shapes():
         apply_local(x, [np.eye(2)], (0, 0), qubit_dims(3))
     with pytest.raises(ValueError):
         apply_local(np.eye(4), [np.eye(2)], (0,), qubit_dims(3))
+    with pytest.raises(ValueError, match="superoperator acts on a matrix"):
+        apply_local(np.ones(8), superoperator([np.eye(2)]), (0,), qubit_dims(3))
 
 
 BAD_PAIR_LISTS = {
