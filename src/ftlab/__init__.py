@@ -41,7 +41,6 @@ from .circuit import (
     circuit_from_json,
     environment_spec_from_json,
     environment_strength,
-    rewrite_conditioned_gates,
     simulate_ideal,
     simulate_noisy,
     simulate_with_environment,

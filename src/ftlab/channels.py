@@ -35,6 +35,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .matcore import (
+    VALIDATION_ATOL,
     SubsystemDims,
     apply_local,
     embed_operator,
@@ -47,9 +48,6 @@ from .matcore import (
     qubit_dims,
     read_only,
 )
-
-TP_ATOL = 1e-10
-UNITARY_ATOL = 1e-10
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -91,7 +89,7 @@ class Channel:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "support", support)
         acc = np.einsum("kab,kac->bc", ks.conj(), ks)
-        if np.max(np.abs(acc - np.eye(d))) > TP_ATOL:
+        if np.max(np.abs(acc - np.eye(d))) > VALIDATION_ATOL:
             raise ValueError("Kraus operators are not trace preserving")
 
     @property
@@ -411,7 +409,7 @@ class NoiseSpec:
                 raise ValueError("probabilistic needs p and e_op")
             if not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"p out of range: {self.p}")
-            if not is_unitary(self.e_op, UNITARY_ATOL):
+            if not is_unitary(self.e_op):
                 raise ValueError("e_op must satisfy E^dag E = I")
         elif self.kind == "depolarizing":
             if self.p is None:

@@ -12,6 +12,11 @@ insertion N - I on the chosen locations in ``faultpaths.zeta_subset`` /
 ``zeta_earliest``, and a unitary coupling to explicit environment qubits in
 ``simulate_with_environment``, which walks a joint system-environment pure
 state for noise that independent per-location channels cannot describe.
+Classical control is handled in the walker, once for all four callers: a
+measurement that a later gate is conditioned on splits the walk into one
+branch per outcome, a conditioned gate acts only on the branches with its
+outcome, and each caller sums the branch states it gets back (the
+environment run sums their partial traces over the environment).
 
 Operators are plain complex128 arrays on the qubits of a location's
 support; the simulators return the final density matrix, an array with
@@ -31,6 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .matcore import (
+    VALIDATION_ATOL,
     SubsystemDims,
     apply_local,
     is_unitary,
@@ -41,10 +47,6 @@ from .matcore import (
     vector_from_json,
 )
 from .channels import SIGMA_X, SIGMA_Y, SIGMA_Z, Channel, strength_unitary_couplings
-
-GATE_ATOL = 1e-10
-PROJ_ATOL = 1e-10
-PROB_SUM_ATOL = 1e-10
 
 HADAMARD = (SIGMA_X + SIGMA_Z) / math.sqrt(2.0)
 CNOT = np.array(
@@ -113,7 +115,7 @@ class Location:
         object.__setattr__(self, "support", support)
         ops = read_only(self.ops)
         object.__setattr__(self, "ops", ops)
-        if self.kind == "prep" and abs(np.linalg.norm(ops[0][:, 0]) - 1.0) > 1e-10:
+        if self.kind == "prep" and abs(np.linalg.norm(ops[0][:, 0]) - 1.0) > VALIDATION_ATOL:
             raise ValueError("prep state must be normalized")
         if self.condition is not None:
             condition = tuple(int(x) for x in self.condition)
@@ -234,16 +236,16 @@ def validate_circuit(c: Circuit) -> list[str]:
             out.append(f"location {loc.index}: prep state has wrong dimension")
         elif loc.kind == "gate" and (bad_shape or len(loc.ops) != 1):
             out.append(f"location {loc.index}: gate has wrong dimension")
-        elif loc.kind == "gate" and not is_unitary(loc.ops[0], GATE_ATOL):
+        elif loc.kind == "gate" and not is_unitary(loc.ops[0]):
             out.append(f"location {loc.index}: gate is not unitary")
         elif loc.kind == "measure" and not len(loc.ops):
             out.append(f"location {loc.index}: measurement needs projectors")
         elif loc.kind == "measure" and bad_shape:
             out.append(f"location {loc.index}: projector dimension mismatch")
         elif loc.kind == "measure":
-            if not np.max(np.abs(loc.ops - loc.ops.conj().transpose(0, 2, 1))) <= 1e-10:
+            if not np.max(np.abs(loc.ops - loc.ops.conj().transpose(0, 2, 1))) <= VALIDATION_ATOL:
                 out.append(f"location {loc.index}: projectors must be Hermitian")
-            if np.max(np.abs(loc.ops.sum(axis=0) - np.eye(d))) > PROJ_ATOL:
+            if np.max(np.abs(loc.ops.sum(axis=0) - np.eye(d))) > VALIDATION_ATOL:
                 out.append(f"location {loc.index}: projectors do not sum to I")
             measure_arity[loc.index] = len(loc.ops)
         if loc.condition is not None and loc.kind != "gate":
@@ -280,30 +282,31 @@ def _walk(
     c: Circuit,
     after: Mapping[int, tuple[Sequence[int], np.ndarray]],
     x: np.ndarray | None = None,
-) -> np.ndarray:
+) -> list[np.ndarray]:
     """Evolve `x`, by default |0...0><0...0| on c's qubits, through `c`.
 
     Each location applies its Kraus stack, and a prep resets its support
     to |psi><psi| with psi = ops[0, :, 0] (`_reset`). A measurement is the
     non-selective sum_a P_a x P_a unless a later gate is conditioned on it,
-    in which case the walk keeps one branch per outcome; a conditioned gate
-    skips the branches with another outcome, and an identity slot changes
-    nothing. Then, where `after` maps the location's index to (support,
-    ops), every branch takes `apply_local(x, ops, support)`: a Kraus stack
-    (a noise channel, a coupling [U]) or a superoperator (a fault
-    insertion). Returns the sum over branches.
+    in which case the walk keeps one branch per outcome, P_a x P_a; a
+    conditioned gate skips the branches with another outcome, and an
+    identity slot changes nothing. Then, where `after` maps the location's
+    index to (support, ops), every branch takes `apply_local(x, ops,
+    support)`: a Kraus stack (a noise channel, a coupling [U]) or a
+    superoperator (a fault insertion). Returns the branch states, whose
+    sum is the evolved `x`.
 
     `x` may instead be a state vector on c's qubits followed by others (an
     environment); its size gives the dims. A prep then puts psi on its
-    qubits, which must still be |0...0>, a measurement is left to the
-    caller, and nothing may be conditioned.
+    qubits, which must still be |0...0>, a branch is P_a x, and a
+    measurement no gate is conditioned on is left to the caller.
     """
     if x is None:
         x = np.zeros((c.dims.total,) * 2, dtype=np.complex128)
         x[0, 0] = 1.0
     n = len(x).bit_length() - 1
     dims = qubit_dims(n)
-    referenced = {loc.condition[0] for loc in c.locations if loc.condition is not None}
+    referenced = _referenced(c)
     branches: list[tuple[dict[int, int], np.ndarray]] = [({}, x)]
     for loc in c.locations:
         if loc.kind == "measure" and loc.index in referenced:
@@ -325,7 +328,12 @@ def _walk(
         if loc.index in after:
             support, ops = after[loc.index]
             branches = [(rec, apply_local(x, ops, support, dims)) for rec, x in branches]
-    return sum(x for _, x in branches)
+    return [x for _, x in branches]
+
+
+def _referenced(c: Circuit) -> set[int]:
+    """Indices of the measurements that some gate of `c` is conditioned on."""
+    return {loc.condition[0] for loc in c.locations if loc.condition is not None}
 
 
 def _reset(x: np.ndarray, support: Sequence[int], psi: np.ndarray, n: int) -> np.ndarray:
@@ -373,14 +381,14 @@ def _readout(c: Circuit, rho: np.ndarray) -> np.ndarray:
     diag = np.diagonal(partial_trace(rho, qubits, c.dims)).real
     probs = np.maximum(diag.reshape((2,) * len(qubits)).transpose(perm).reshape(-1), 0.0)
     total = math.fsum(probs)
-    if not (probs.max() <= 1.0 + 1e-12 and abs(total - 1.0) <= PROB_SUM_ATOL):
+    if not (probs.max() <= 1.0 + 1e-12 and abs(total - 1.0) <= VALIDATION_ATOL):
         raise ValueError(f"read-out probabilities out of range: max {probs.max()}, sum {total}")
     return probs
 
 
 def simulate_ideal(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
     """Final density matrix (before read-out) and read-out probabilities."""
-    rho = _walk(c, {})
+    rho = sum(_walk(c, {}))
     return rho, _readout(c, rho)
 
 
@@ -392,7 +400,7 @@ def simulate_noisy(
     `noise` maps location indices to channels whose support must stay inside
     the location's support; missing indices mean noiseless locations.
     """
-    rho = _walk(c, _noise_terms(c, noise))
+    rho = sum(_walk(c, _noise_terms(c, noise)))
     return rho, _readout(c, rho)
 
 
@@ -420,7 +428,7 @@ class EnvCoupling:
         object.__setattr__(self, "unitary", u)
         if u.shape != (2 ** len(support),) * 2:
             raise ValueError("coupling unitary dimension mismatch")
-        if not is_unitary(u, GATE_ATOL):
+        if not is_unitary(u):
             raise ValueError("coupling must be unitary")
 
 
@@ -439,7 +447,7 @@ class EnvironmentSpec:
         vec = read_only(self.initial).reshape(-1)
         if vec.size != 2**self.n_env:
             raise ValueError("environment state dimension mismatch")
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+        if abs(np.linalg.norm(vec) - 1.0) > VALIDATION_ATOL:
             raise ValueError("environment state must be normalized")
         object.__setattr__(self, "initial", vec)
         object.__setattr__(self, "couplings", dict(self.couplings))
@@ -457,22 +465,24 @@ def simulate_with_environment(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint pure-state evolution with per-location coupling unitaries.
 
-    Requirements, checked in one pass before any evolution: no conditioned
-    gates (rewrite first); a prep must be the first operation touching its
-    qubits, so it acts on |0...0>; a measurement must be terminal on its
-    qubits and uncoupled; a coupling must act inside its location's support
+    Requirements, checked in one pass before any evolution: a prep must be
+    the first operation touching its qubits, so it acts on |0...0>; a
+    measurement must be uncoupled, and terminal on its qubits unless a gate
+    is conditioned on it; a coupling must act inside its location's support
     plus the environment. `_walk` then evolves |0...0> (x) env.initial with
-    each coupling [U] applied after its location. Measurements are deferred
-    and applied as non-selective projections on the reduced system state.
-    Returns the reduced system density matrix and the read-out probabilities.
+    each coupling [U] applied after its location, one branch P_a |psi> per
+    outcome a of a measurement that gates are conditioned on. The reduced
+    system state is the sum over branches of Tr_env |psi_b><psi_b|; the
+    other measurements are deferred and applied to it as non-selective
+    projections. Returns the reduced system density matrix and the
+    read-out probabilities.
     """
     n_sys = c.n_system
     qubit_dims(n_sys + env.n_env)  # an over-cap joint space is refused before any work
+    referenced = _referenced(c)
     touched: set[int] = set()
     deferred: list[Location] = []
     for loc in c.locations:
-        if loc.condition is not None:
-            raise ValueError("conditioned gates unsupported here; rewrite them first")
         stale = [m.index for m in deferred if set(m.support) & set(loc.support)]
         if stale:
             raise ValueError(f"measurement at location {stale[0]} must be terminal on its qubits")
@@ -483,7 +493,8 @@ def simulate_with_environment(
         if loc.kind == "measure":
             if loc.index in env.couplings:
                 raise ValueError("measurements must be ideal (no coupling)")
-            deferred.append(loc)
+            if loc.index not in referenced:
+                deferred.append(loc)
         touched |= set(loc.support)
         coupling = env.couplings.get(loc.index)
         allowed = set(loc.support) | set(range(n_sys, n_sys + env.n_env))
@@ -494,79 +505,12 @@ def simulate_with_environment(
             )
     x = np.kron(np.eye(1, 2**n_sys, dtype=np.complex128)[0], env.initial)
     after = {i: (cp.support, cp.unitary[None]) for i, cp in env.couplings.items()}
-    m = _walk(c, after, x).reshape(2**n_sys, 2**env.n_env)
+    # the branches side by side, so one product sums Tr_env over them
+    m = np.hstack([psi.reshape(2**n_sys, -1) for psi in _walk(c, after, x)])
     rho_sys = m @ m.conj().T
     for loc in deferred:
         rho_sys = apply_local(rho_sys, loc.ops, loc.support, c.dims)
     return rho_sys, _readout(c, rho_sys)
-
-
-# ---------------------------------------------------------------------------
-# Conditioned-gate rewrite
-# ---------------------------------------------------------------------------
-
-
-def _rank_one_basis(projectors: np.ndarray) -> np.ndarray:
-    """The basis vectors b_i of rank-one projectors |b_i><b_i|, one per row."""
-    w, v = np.linalg.eigh(projectors)
-    if np.any(np.abs(w[:, -1] - 1.0) > 1e-9) or np.any(np.abs(w[:, :-1]) > 1e-9):
-        raise ValueError("conditioning requires rank-one basis projectors")
-    return v[:, :, -1]
-
-
-def rewrite_conditioned_gates(c: Circuit) -> Circuit:
-    """Eliminate classical conditioning by a unitary rewrite.
-
-    Each single-qubit measurement that feeds conditions becomes: a basis
-    change to the computational basis at the original slot, controlled
-    unitaries in place of the conditioned gates, and a terminal Z
-    measurement of the control qubit right after the last dependent gate.
-    The read-out distribution is unchanged. Circuits without conditions are
-    returned as-is.
-    """
-    dependents: dict[int, list[int]] = {}
-    for loc in c.locations:
-        if loc.condition is not None:
-            dependents.setdefault(loc.condition[0], []).append(loc.index)
-    if not dependents:
-        return c
-    by_index = {loc.index: loc for loc in c.locations}
-    last_dep = {ref: max(deps) for ref, deps in dependents.items()}
-    for ref, deps in dependents.items():
-        src = by_index[ref]
-        if len(src.support) != 1:
-            raise ValueError("multi-qubit-controlled conditions are unsupported")
-        m = src.support[0]
-        for loc in c.locations:
-            if src.index < loc.index <= last_dep[ref] and loc.index not in deps:
-                if m in loc.support:
-                    raise ValueError(
-                        f"qubit {m} is used at location {loc.index} before its "
-                        "conditioned gates resolve"
-                    )
-        for dep in deps:
-            g = by_index[dep]
-            if m in g.support:
-                raise ValueError("conditioned gate may not act on the control qubit")
-    new_ops: list[Location] = []
-    for loc in c.locations:
-        if loc.index in dependents:
-            m = loc.support[0]
-            v = _rank_one_basis(loc.ops).conj()  # maps b_i -> |i>
-            new_ops.append(Location.gate_on(0, 0, m, v))
-            continue
-        if loc.condition is not None:
-            ref, want = loc.condition
-            m = by_index[ref].support[0]
-            proj = np.zeros((2, 2), dtype=np.complex128)
-            proj[want, want] = 1.0
-            ctrl = np.kron(proj, loc.ops[0]) + np.kron(np.eye(2) - proj, np.eye(len(loc.ops[0])))
-            new_ops.append(Location.gate_on(0, 0, (m,) + loc.support, ctrl))
-            if loc.index == last_dep[ref]:
-                new_ops.append(Location.measure(0, 0, m))
-            continue
-        new_ops.append(loc)
-    return Circuit.sequential(c.n_system, new_ops, c.final_measure)
 
 
 # ---------------------------------------------------------------------------

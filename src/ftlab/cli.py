@@ -405,7 +405,7 @@ def _cmd_truncate(config: dict, workers: int) -> Report:
     params = config["params"]
     graph, t = gadget_graph_from_json(params["graph"])
     if "faults" in params:
-        fc = FaultConfig(frozenset(int(i) for i in params["faults"]))
+        fc = FaultConfig(params["faults"])
     else:
         fc = sample_fault_config(graph, float(params["eps"]), config["seed"])
     cls = truncate_and_classify(graph, fc, t)
@@ -578,7 +578,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         TypeError,
         KeyError,
         OSError,
-        json.JSONDecodeError,
         jsonschema.ValidationError,
     ) as exc:
         reason = str(exc) if str(exc) else type(exc).__name__

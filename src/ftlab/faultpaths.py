@@ -55,7 +55,7 @@ def _fault_walk(
         support, kraus = terms[i]
         d = kraus.shape[-1]
         after[i] = (support, superoperator(kraus) - np.eye(d * d).reshape((d,) * 4))
-    return _walk(c, after)
+    return sum(_walk(c, after))
 
 
 def zeta_subset(

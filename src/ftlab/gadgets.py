@@ -123,6 +123,9 @@ class GadgetGraph:
 
 @dataclass(frozen=True)
 class FaultConfig:
+    """The faulty location ids, given as any iterable of ints and stored
+    as a frozenset."""
+
     faulty: frozenset[int]
 
     def __post_init__(self) -> None:
@@ -147,7 +150,7 @@ def sample_fault_config(g: GadgetGraph, eps: float, seed) -> FaultConfig:
         raise ValueError(f"fault probability out of range: {eps}")
     rng = np.random.default_rng(seed)
     hits = rng.random(g.total_locations) < eps
-    return FaultConfig(frozenset(int(i) + 1 for i in np.nonzero(hits)[0]))
+    return FaultConfig((np.nonzero(hits)[0] + 1).tolist())
 
 
 def truncate_and_classify(g: GadgetGraph, f: FaultConfig, t: int) -> Classification:

@@ -26,10 +26,12 @@ import numpy as np
 # Total Hilbert-space dimension cap (12 qubits).
 DIM_CAP = 2**12
 
-# Tolerances used by validation predicates.
+# Tolerances used by validation predicates. VALIDATION_ATOL is the one
+# tolerance of the 1e-10 checks: unit trace, unitarity, trace preservation,
+# projectors, normalized states and read-out probabilities that sum to 1.
 HERMITIAN_ATOL = 1e-12
 PSD_EIG_FLOOR = -1e-12
-TRACE_ATOL = 1e-10
+VALIDATION_ATOL = 1e-10
 
 
 class DimensionCapError(ValueError):
@@ -109,12 +111,12 @@ def is_density(x: np.ndarray) -> bool:
     """Hermitian within 1e-12, eigenvalues >= -1e-12, trace 1 within 1e-10."""
     if not is_hermitian(x):
         return False
-    if abs(np.trace(x) - 1.0) > TRACE_ATOL:
+    if abs(np.trace(x) - 1.0) > VALIDATION_ATOL:
         return False
     return bool(np.min(np.linalg.eigvalsh(x)) >= PSD_EIG_FLOOR)
 
 
-def is_unitary(x: np.ndarray, atol: float = 1e-10) -> bool:
+def is_unitary(x: np.ndarray, atol: float = VALIDATION_ATOL) -> bool:
     g = x.conj().T @ x
     return bool(np.max(np.abs(g - np.eye(len(g)))) <= atol)
 

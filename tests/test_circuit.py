@@ -33,7 +33,6 @@ from ftlab.circuit import (
     environment_spec_from_json,
     environment_strength,
     gate_from_json,
-    rewrite_conditioned_gates,
     rz,
     simulate_ideal,
     simulate_noisy,
@@ -464,91 +463,80 @@ def test_entangled_environment_beats_every_product_fit():
         assert z_prod == pytest.approx(want, abs=1e-10)
 
 
-def test_rewrite_no_conditions_is_identity():
-    c = seq(1, Location.prep(0, 0, 0, KET0), Location.gate_on(0, 0, 0, HADAMARD))
-    assert rewrite_conditioned_gates(c) is c
+def _identity_couplings(c, n_env=1):
+    """An identity coupling of each non-measurement location's first qubit
+    to every environment qubit."""
+    return {
+        loc.index: EnvCoupling(
+            (loc.support[0], *range(c.n_system, c.n_system + n_env)), np.eye(2 ** (1 + n_env))
+        )
+        for loc in c.locations
+        if loc.kind != "measure"
+    }
 
 
-def test_rewrite_z_conditioned_x_preserves_bell_statistics():
-    ops = [
-        Location.prep(0, 0, 0, KET_PLUS),
-        Location.prep(0, 0, 1, KET0),
-        Location.gate_on(0, 0, (0, 1), CNOT),
-        Location.measure(0, 0, 0),
-        Location.gate_on(0, 0, 1, SIGMA_X, condition=(4, 1)),
-    ]
-    c = Circuit.sequential(2, ops, (1,))
-    _, dist = simulate_ideal(c)
-    assert dist[0b0] == pytest.approx(1.0, abs=1e-10)
-
-    r = rewrite_conditioned_gates(c)
-    assert all(loc.condition is None for loc in r.locations)
-    _, dist_r = simulate_ideal(r)
-    assert kolmogorov_distance(dist_r, dist) <= 1e-10
-
-
-def test_rewrite_x_basis_condition_on_random_gate():
+def test_environment_runs_conditioned_circuits():
+    # with identity couplings the environment run equals the ideal walk:
+    # a Z measurement feeding X (q1 copies q0), an X-basis measurement
+    # feeding a random gate, and a two-qubit measurement with four outcomes
+    # feeding X; each measured qubit is reused afterwards
     rng = np.random.default_rng(32)
     plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=np.complex128)
     minus = 0.5 * np.array([[1, -1], [-1, 1]], dtype=np.complex128)
+    circuits = [
+        seq(
+            2,
+            Location.prep(0, 0, 0, KET_PLUS),
+            Location.prep(0, 0, 1, KET0),
+            Location.measure(0, 0, 0),
+            Location.gate_on(0, 0, 1, SIGMA_X, condition=(3, 1)),
+            Location.gate_on(0, 0, 0, HADAMARD),
+        ),
+        seq(
+            3,
+            Location.prep(0, 0, (0, 1), haar_unitary(rng, 4)[:, 0]),
+            Location.prep(0, 0, 2, KET0),
+            Location.measure(0, 0, (0, 1), np.eye(4)[:, None, :] * np.eye(4)[:, :, None]),
+            Location.gate_on(0, 0, 2, SIGMA_X, condition=(3, 2)),
+            Location.gate_on(0, 0, (1, 2), CNOT),
+            measure=[2, 1],
+        ),
+    ]
     for _ in range(3):
-        u = haar_unitary(rng, 2)
-        alpha = rng.normal(size=2) + 1j * rng.normal(size=2)
-        alpha /= np.linalg.norm(alpha)
-        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psi /= np.linalg.norm(psi)
-        ops = [
-            Location.prep(0, 0, 0, alpha),
-            Location.prep(0, 0, 1, psi),
-            Location.measure(0, 0, 0, (plus, minus)),
-            Location.gate_on(0, 0, 1, u, condition=(3, 1)),
-        ]
-        c = Circuit.sequential(2, ops, (1,))
-        _, dist = simulate_ideal(c)
-        r = rewrite_conditioned_gates(c)
-        _, dist_r = simulate_ideal(r)
-        assert kolmogorov_distance(dist_r, dist) <= 1e-10
-        # the rewritten circuit is condition-free, so the joint simulator
-        # accepts it
-        env = EnvironmentSpec(
-            1,
-            KET0,
-            {1: EnvCoupling((0, r.n_system), np.eye(4))},
+        circuits.append(
+            seq(
+                2,
+                Location.prep(0, 0, 0, haar_unitary(rng, 2)[:, 0]),
+                Location.prep(0, 0, 1, haar_unitary(rng, 2)[:, 0]),
+                Location.measure(0, 0, 0, (plus, minus)),
+                Location.gate_on(0, 0, 1, haar_unitary(rng, 2), condition=(3, 1)),
+                Location.gate_on(0, 0, (1, 0), CNOT),
+                measure=[1],
+            )
         )
-        _, dist_e = simulate_with_environment(r, env)
-        assert kolmogorov_distance(dist_e, dist) <= 1e-10
+    for c in circuits:
+        for n_env in (1, 2):
+            env = EnvironmentSpec(n_env, np.eye(2**n_env)[0], _identity_couplings(c, n_env))
+            rho_e, dist_e = simulate_with_environment(c, env)
+            rho_i, dist_i = simulate_ideal(c)
+            np.testing.assert_allclose(rho_e, rho_i, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dist_e, dist_i, rtol=0, atol=1e-12)
 
 
-def test_rewrite_rejects_multi_qubit_control():
-    bell_projs = (
-        np.diag([1.0, 0, 0, 0]),
-        np.diag([0, 1.0, 0, 0]),
-        np.diag([0, 0, 1.0, 0]),
-        np.diag([0, 0, 0, 1.0]),
-    )
+def test_environment_refuses_a_reused_unreferenced_measurement():
+    # q0's measurement feeds no gate, so it is deferred and must be terminal;
+    # reusing a measured qubit is fine when a gate is conditioned on it
     ops = [
-        Location.prep(0, 0, 0, KET0),
-        Location.prep(0, 0, 1, KET0),
-        Location.prep(0, 0, 2, KET0),
-        Location.measure(0, 0, (0, 1), bell_projs),
-        Location.gate_on(0, 0, 2, SIGMA_X, condition=(4, 1)),
-    ]
-    c = Circuit.sequential(3, ops)
-    with pytest.raises(ValueError):
-        rewrite_conditioned_gates(c)
-
-
-def test_environment_rejects_conditioned_gates():
-    ops = [
-        Location.prep(0, 0, 0, KET0),
-        Location.prep(0, 0, 1, KET0),
+        Location.prep(0, 0, 0, KET_PLUS),
         Location.measure(0, 0, 0),
-        Location.gate_on(0, 0, 1, SIGMA_X, condition=(3, 1)),
+        Location.gate_on(0, 0, 0, HADAMARD),
     ]
-    c = Circuit.sequential(2, ops)
     env = EnvironmentSpec(1, KET0, {})
-    with pytest.raises(ValueError, match="rewrite"):
-        simulate_with_environment(c, env)
+    with pytest.raises(ValueError, match="measurement at location 2 must be terminal"):
+        simulate_with_environment(seq(1, *ops), env)
+    ops.append(Location.gate_on(0, 0, 0, SIGMA_X, condition=(2, 1)))
+    rho, _ = simulate_with_environment(seq(1, *ops), env)
+    np.testing.assert_allclose(rho, simulate_ideal(seq(1, *ops))[0], rtol=0, atol=1e-12)
 
 
 def test_circuit_json_named_gates():
@@ -755,23 +743,39 @@ def _dense(op, support, n):
 @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_environment_run_matches_dense_joint_evolution(n_sys, n_env, seed):
-    # random preps (each before any other use of its qubits), gates, terminal
-    # measurements and couplings, against |psi> stepped by dense operators
+    # random preps (each before any other use of its qubits), gates, one
+    # measurement in a random basis feeding a conditioned gate, its qubit
+    # reused afterwards, terminal measurements and couplings, against one
+    # |psi> per outcome stepped by dense operators
     rng = np.random.default_rng(seed)
     n = n_sys + n_env
     unprepared = [int(q) for q in rng.permutation(n_sys) if rng.random() < 0.7]
     live = [q for q in range(n_sys) if q not in unprepared]
     ops = []
-    for _ in range(int(rng.integers(1, 7))):
-        if unprepared and (not live or rng.random() < 0.4):
-            k = min(len(unprepared), int(rng.integers(1, 3)))
-            support = [unprepared.pop() for _ in range(k)]
-            ops.append(Location.prep(0, 0, support, haar_unitary(rng, 2 ** len(support))[:, 0]))
-            live += support
-        else:
-            k = min(len(live), int(rng.integers(1, 3)))
-            support = [int(q) for q in rng.choice(live, k, replace=False)]
-            ops.append(Location.gate_on(0, 0, support, haar_unitary(rng, 2 ** len(support))))
+
+    def random_ops(count):
+        for _ in range(count):
+            if unprepared and (not live or rng.random() < 0.4):
+                k = min(len(unprepared), int(rng.integers(1, 3)))
+                support = [unprepared.pop() for _ in range(k)]
+                ops.append(Location.prep(0, 0, support, haar_unitary(rng, 2 ** len(support))[:, 0]))
+                live.extend(support)
+            else:
+                ops.append(random_gate())
+
+    def random_gate(condition=None):
+        k = min(len(live), int(rng.integers(1, 3)))
+        support = [int(q) for q in rng.choice(live, k, replace=False)]
+        return Location.gate_on(0, 0, support, haar_unitary(rng, 2**k), condition)
+
+    random_ops(int(rng.integers(1, 4)))
+    control = int(rng.choice(live))
+    basis = haar_unitary(rng, 2)
+    ops.append(Location.measure(0, 0, control, [np.outer(b, b.conj()) for b in basis.T]))
+    ref = len(ops)  # the measurement's index
+    ops.append(random_gate(condition=(ref, int(rng.integers(2)))))
+    ops.append(Location.gate_on(0, 0, control, haar_unitary(rng, 2)))
+    random_ops(int(rng.integers(0, 3)))
     measured = [q for q in live if rng.random() < 0.5]
     ops += [Location.measure(0, 0, q) for q in measured]
     c = seq(n_sys, *ops)
@@ -785,17 +789,23 @@ def test_environment_run_matches_dense_joint_evolution(n_sys, n_env, seed):
     env_state = haar_unitary(rng, 2**n_env)[:, 0]
     env = EnvironmentSpec(n_env, env_state, couplings)
 
-    psi = np.kron(np.eye(2**n_sys)[0], env_state)
+    branches = [(None, np.kron(np.eye(2**n_sys)[0], env_state))]
     for loc in c.locations:
-        if loc.kind == "prep":
+        if loc.index == ref:
+            projs = [_dense(p, loc.support, n) for p in loc.ops]
+            branches = [(a, p @ psi) for _, psi in branches for a, p in enumerate(projs)]
+        elif loc.kind == "prep":
             zero_row = np.eye(2 ** len(loc.support))[0]
-            psi = _dense(np.outer(loc.ops[0, :, 0], zero_row), loc.support, n) @ psi
+            prep = _dense(np.outer(loc.ops[0, :, 0], zero_row), loc.support, n)
+            branches = [(a, prep @ psi) for a, psi in branches]
         elif loc.kind == "gate":
-            psi = _dense(loc.ops[0], loc.support, n) @ psi
+            u = _dense(loc.ops[0], loc.support, n)
+            outcome = loc.condition[1] if loc.condition else None
+            branches = [(a, u @ psi if outcome in (None, a) else psi) for a, psi in branches]
         if loc.index in couplings:
-            psi = _dense(couplings[loc.index].unitary, couplings[loc.index].support, n) @ psi
-    m = psi.reshape(2**n_sys, 2**n_env)
-    want = m @ m.conj().T
+            u = _dense(couplings[loc.index].unitary, couplings[loc.index].support, n)
+            branches = [(a, u @ psi) for a, psi in branches]
+    want = sum(m @ m.conj().T for m in (psi.reshape(2**n_sys, 2**n_env) for _, psi in branches))
     for q in measured:
         projs = [_dense(np.diag(row), [q], n_sys) for row in np.eye(2)]
         want = sum(p @ want @ p for p in projs)

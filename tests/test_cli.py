@@ -3,6 +3,7 @@ import enum
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -588,6 +589,56 @@ def test_faultpaths_on_conditioned_circuit_exits_0(tmp_path, capsysbinary):
         code, out, err = run(capsysbinary, ["faultpaths", "--config", cfg])
         assert code == 0, err
         assert json.loads(out)["results"]["trace_norm"] > 0.0
+
+
+def test_environment_accuracy_on_conditioned_circuit_exits_0(tmp_path, capsysbinary):
+    # q1 copies q0's outcome through a conditioned X, which is then undone
+    # by a CNOT; couplings exp(-i theta Z (x) X) to one environment qubit
+    theta = 0.05
+    zx = np.kron(np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    u = matrix_to_json(np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * zx)
+    circuit = {
+        "n_system": 2,
+        "locations": [
+            {"kind": "prep", "support": [0], "state": "+"},
+            {"kind": "prep", "support": [1], "state": "0"},
+            {"kind": "measure", "support": [0]},
+            {"kind": "gate", "support": [1], "gate": "X", "condition": [3, 1]},
+            {"kind": "gate", "support": [0, 1], "gate": "CNOT"},
+        ],
+    }
+    couplings = {"1": {"support": [0, 2], "unitary": u}, "4": {"support": [1, 2], "unitary": u}}
+    cfg = write_config(
+        tmp_path,
+        "acc.json",
+        {
+            "command": "accuracy",
+            "params": {"circuit": circuit, "environment": {"n_env": 1, "couplings": couplings}},
+        },
+    )
+    code, out, err = run(capsysbinary, ["accuracy", "--config", cfg])
+    assert code == 0, err
+    r = json.loads(out)["results"]
+    assert r["variant"] == "non_markovian" and r["within_bound"]
+    assert 0.0 < r["delta"] <= r["bound"]
+
+
+README_CONFIGS = re.findall(
+    r"```json\n(.*?)```", (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.S
+)
+
+
+@pytest.mark.parametrize("text", README_CONFIGS, ids=lambda text: json.loads(text)["command"])
+def test_readme_example_config_runs(tmp_path, capsysbinary, text):
+    path = tmp_path / "example.json"
+    path.write_text(text)
+    code, out, err = run(capsysbinary, [json.loads(text)["command"], "--config", str(path)])
+    assert code == 0, err
+    assert json.loads(out)["command"] == json.loads(text)["command"]
+
+
+def test_readme_has_example_configs():
+    assert len(README_CONFIGS) >= 3
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsysbinary):
