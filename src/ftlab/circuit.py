@@ -15,7 +15,8 @@ state for noise that independent per-location channels cannot describe.
 Classical control is handled in the walker, once for all four callers: a
 measurement that a later gate is conditioned on splits the walk into one
 branch per outcome, a conditioned gate acts only on the branches with its
-outcome, and each caller sums the branch states it gets back (the
+outcome, a density matrix's branches are summed again once no gate reads
+that outcome, and each caller sums the branch states it gets back (the
 environment run sums their partial traces over the environment).
 
 Operators are plain complex128 arrays on the qubits of a location's
@@ -173,6 +174,7 @@ class Circuit:
     final_measure: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        qubit_dims(max(self.n_system, 0))  # refuse an over-cap circuit before its read-out
         object.__setattr__(self, "locations", tuple(self.locations))
         object.__setattr__(self, "final_measure", tuple(int(q) for q in self.final_measure))
         problems = validate_circuit(self)
@@ -290,15 +292,19 @@ def _walk(
     non-selective sum_a P_a x P_a unless a later gate is conditioned on it,
     in which case the walk keeps one branch per outcome, P_a x P_a; a
     conditioned gate skips the branches with another outcome, and an
-    identity slot changes nothing. Then, where `after` maps the location's
-    index to (support, ops), every branch takes `apply_local(x, ops,
-    support)`: a Kraus stack (a noise channel, a coupling [U]) or a
-    superoperator (a fault insertion). Returns the branch states, whose
-    sum is the evolved `x`.
+    identity slot changes nothing. Once the last gate conditioned on a
+    measurement has acted, the branches that differ only in its outcome
+    are summed (`_merge`). Then, where `after` maps the location's index
+    to (support, ops), every branch takes `apply_local(x, ops, support)`:
+    a Kraus stack (a noise channel, a coupling [U]) or a superoperator (a
+    fault insertion). Returns the branch states, whose sum is the evolved
+    `x`.
 
     `x` may instead be a state vector on c's qubits followed by others (an
-    environment); its size gives the dims. A prep then puts psi on its
-    qubits, which must still be |0...0>, a branch is P_a x, and a
+    environment); its size gives the dims. A branch is then P_a x, a prep
+    splits each branch into its nonzero parts (|psi><k| (x) I) x, one per
+    basis state k of its support, branches are never summed but, past d of
+    them with the same outcomes, refactored into d (`_merge`), and a
     measurement no gate is conditioned on is left to the caller.
     """
     if x is None:
@@ -306,15 +312,19 @@ def _walk(
         x[0, 0] = 1.0
     n = len(x).bit_length() - 1
     dims = qubit_dims(n)
-    referenced = _referenced(c)
+    readers = _last_readers(c)
     branches: list[tuple[dict[int, int], np.ndarray]] = [({}, x)]
     for loc in c.locations:
-        if loc.kind == "measure" and loc.index in referenced:
+        if loc.kind == "measure" and loc.index in readers:
             branches = [
                 ({**rec, loc.index: a}, apply_local(x, loc.ops[a:a + 1], loc.support, dims))
                 for rec, x in branches
                 for a in range(len(loc.ops))
             ]
+        elif loc.kind == "prep" and x.ndim == 1:
+            kets = np.einsum("i,kj->kij", loc.ops[0, :, 0], np.eye(loc.ops.shape[1]))[:, None]
+            branches = [(rec, y) for rec, x in branches for k in kets
+                        if (y := apply_local(x, k, loc.support, dims)).any()]
         elif loc.kind == "prep":
             psi = loc.ops[0, :, 0]
             branches = [(rec, _reset(x, loc.support, psi, n)) for rec, x in branches]
@@ -325,43 +335,59 @@ def _walk(
                  else apply_local(x, loc.ops, loc.support, dims))
                 for rec, x in branches
             ]
+        if x.ndim == 2 and loc.index in readers.values() or len(branches) > len(x):
+            branches = _merge(branches, {m for m, i in readers.items() if i <= loc.index}, len(x))
         if loc.index in after:
             support, ops = after[loc.index]
             branches = [(rec, apply_local(x, ops, support, dims)) for rec, x in branches]
     return [x for _, x in branches]
 
 
-def _referenced(c: Circuit) -> set[int]:
-    """Indices of the measurements that some gate of `c` is conditioned on."""
-    return {loc.condition[0] for loc in c.locations if loc.condition is not None}
+def _merge(branches: list[tuple[dict, np.ndarray]], closed: set[int], d: int) -> list:
+    """Group the branches by their outcomes of the measurements not in
+    `closed`. A group of matrices becomes their sum. A group of more than
+    d vectors psi_b becomes the d rows of conj(R), R from the QR
+    factorization of the stacked conj(psi_b): the same sum of |psi><psi|."""
+    groups: dict[tuple, list[np.ndarray]] = {}
+    for rec, y in branches:
+        groups.setdefault(tuple((m, a) for m, a in rec.items() if m not in closed), []).append(y)
+    out = []
+    for key, ys in groups.items():
+        if ys[0].ndim == 2:
+            ys = [sum(ys)]
+        elif len(ys) > d:
+            ys = list(np.linalg.qr(np.conj(ys), mode="r").conj())
+        out += [(dict(key), y) for y in ys]
+    return out
+
+
+def _last_readers(c: Circuit) -> dict[int, int]:
+    """Each measurement some gate of `c` is conditioned on -> the last such gate."""
+    return {loc.condition[0]: loc.index for loc in c.locations if loc.condition is not None}
 
 
 def _reset(x: np.ndarray, support: Sequence[int], psi: np.ndarray, n: int) -> np.ndarray:
     """The prep channel sum_k |psi><k| x |k><psi| on the qubits `support` of
-    the n-qubit matrix x, psi factored over them as listed, at O(d^2) cost.
-    On a state vector x whose qubits `support` are still |0...0>, it puts
-    psi there, (|psi><0...0| (x) I) x, without forming that operator."""
+    the n-qubit matrix x, psi factored over them as listed, at O(d^2) cost."""
     rest = [q for q in range(n) if q not in support]
-    if x.ndim == 1:
-        y = x.reshape((2,) * n)[tuple(0 if q in support else slice(None) for q in range(n))]
-    else:
-        y = partial_trace(x, rest, qubit_dims(n)).reshape((2,) * 2 * len(rest))
-    p = psi if x.ndim == 1 else np.outer(psi, psi.conj())
-    y_axes = [q + side * n for side in range(x.ndim) for q in rest]
-    p_axes = [q + side * n for side in range(x.ndim) for q in support]
-    p = p.reshape((2,) * len(p_axes))
-    return np.einsum(y, y_axes, p, p_axes, range(x.ndim * n)).reshape(x.shape)
+    y = partial_trace(x, rest, qubit_dims(n)).reshape((2,) * 2 * len(rest))
+    p = np.outer(psi, psi.conj()).reshape((2,) * 2 * len(support))
+    y_axes = rest + [q + n for q in rest]
+    p_axes = list(support) + [q + n for q in support]
+    return np.einsum(y, y_axes, p, p_axes, range(2 * n)).reshape(x.shape)
 
 
 def _noise_terms(c: Circuit, noise: Mapping[int, Channel]) -> dict[int, tuple]:
     """The `_walk` table applying noise[i] after location i: {i: (support, kraus)}.
 
-    Every key must name a location of `c`, and every channel must act inside
-    its location's support.
+    Every key must name a location of `c`, and every channel must act on
+    qubits inside its location's support.
     """
     for idx, ch in noise.items():
         if not 1 <= idx <= c.size:
             raise ValueError(f"noise references unknown location {idx}")
+        if set(ch.dims) != {2}:
+            raise ValueError(f"noise on location {idx} has factor dims {ch.dims.dims}, not qubits")
         loc = c.location(idx)
         if not set(ch.support) <= set(loc.support):
             raise ValueError(
@@ -465,37 +491,29 @@ def simulate_with_environment(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint pure-state evolution with per-location coupling unitaries.
 
-    Requirements, checked in one pass before any evolution: a prep must be
-    the first operation touching its qubits, so it acts on |0...0>; a
-    measurement must be uncoupled, and terminal on its qubits unless a gate
-    is conditioned on it; a coupling must act inside its location's support
-    plus the environment. `_walk` then evolves |0...0> (x) env.initial with
-    each coupling [U] applied after its location, one branch P_a |psi> per
-    outcome a of a measurement that gates are conditioned on. The reduced
-    system state is the sum over branches of Tr_env |psi_b><psi_b|; the
-    other measurements are deferred and applied to it as non-selective
-    projections. Returns the reduced system density matrix and the
-    read-out probabilities.
+    Requirements, checked in one pass before any evolution: a measurement
+    that no gate is conditioned on must be uncoupled and terminal on its
+    qubits; a coupling must act inside its location's support plus the
+    environment. `_walk` then evolves |0...0> (x) env.initial with each
+    coupling [U] applied after its location, one branch P_a |psi> per
+    outcome a of a measurement that gates are conditioned on and one per
+    basis state k of a prep's support. The reduced system state is the sum
+    over branches of Tr_env |psi_b><psi_b|; the other measurements are
+    deferred and applied to it as non-selective projections. Returns the
+    reduced system density matrix and the read-out probabilities.
     """
     n_sys = c.n_system
     qubit_dims(n_sys + env.n_env)  # an over-cap joint space is refused before any work
-    referenced = _referenced(c)
-    touched: set[int] = set()
+    readers = _last_readers(c)
     deferred: list[Location] = []
     for loc in c.locations:
         stale = [m.index for m in deferred if set(m.support) & set(loc.support)]
         if stale:
             raise ValueError(f"measurement at location {stale[0]} must be terminal on its qubits")
-        if loc.kind == "prep" and touched & set(loc.support):
-            raise ValueError(
-                f"prep at location {loc.index} is not the first operation on its qubits"
-            )
-        if loc.kind == "measure":
+        if loc.kind == "measure" and loc.index not in readers:
             if loc.index in env.couplings:
                 raise ValueError("measurements must be ideal (no coupling)")
-            if loc.index not in referenced:
-                deferred.append(loc)
-        touched |= set(loc.support)
+            deferred.append(loc)
         coupling = env.couplings.get(loc.index)
         allowed = set(loc.support) | set(range(n_sys, n_sys + env.n_env))
         if coupling is not None and not set(coupling.support) <= allowed:
@@ -589,12 +607,9 @@ def environment_spec_from_json(obj: Mapping) -> EnvironmentSpec:
     if not isinstance(obj, Mapping):
         raise ValueError("environment spec must be an object")
     n_env = int(obj["n_env"])
+    side = qubit_dims(max(n_env, 0)).total  # an over-cap environment is refused here
     initial = obj.get("initial")
-    if initial is None:
-        vec = np.zeros(2**n_env, dtype=np.complex128)
-        vec[0] = 1.0
-    else:
-        vec = vector_from_json(initial)
+    vec = np.eye(1, side, dtype=np.complex128)[0] if initial is None else vector_from_json(initial)
     raw = obj.get("couplings", {})
     if not isinstance(raw, Mapping):
         raise ValueError("environment couplings must be an object")

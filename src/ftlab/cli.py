@@ -22,10 +22,11 @@ raises TypeError. Reports end with one LF. A CSV cell is empty for None,
 numpy scalars are read with `.item()` first, and a cell that would need
 quoting raises ValueError.
 
-Exit codes: 0 success, 2 config/validation error, 3 refused work (the
-`DIM_CAP` dimension cap, an exhaustive-enumeration cap, the diamond
-ascent's `RESTARTS_CAP`, the Monte Carlo budget, or, as a last resort,
-running out of memory). Errors print a single JSON object
+Exit codes: 0 success, 2 config/validation error (the command-line
+overrides are validated with the config), 3 refused work (the `DIM_CAP`
+dimension cap, the `ie_check` lattice cap, the Monte Carlo leaf budget or
+the gadget-graph size cap, the diamond ascent's `RESTARTS_CAP`, or, as a
+last resort, running out of memory). Errors print a single JSON object
 {"error": reason, "exit": code} to stderr.
 """
 
@@ -69,7 +70,6 @@ from .circuit import (
     gate_from_json,
 )
 from .faultpaths import (
-    SUBSET_SIZE_CAP,
     ExhaustiveCapError,
     accuracy_bound,
     accuracy_delta_exact,
@@ -242,8 +242,15 @@ def _validate(instance, name: str) -> None:
 
 
 def _load_config(path: str, args: argparse.Namespace) -> dict:
+    """The config file with the command-line overrides applied, validated once."""
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
+    if isinstance(config, dict):
+        flags = {"seed": args.seed, "workers": args.workers}
+        config.update((k, v) for k, v in flags.items() if v is not None)
+        flags = {k: v for k, v in (("path", args.out), ("format", args.format)) if v is not None}
+        if flags and isinstance(config.setdefault("output", {}), dict):
+            config["output"].update(flags)
     _validate(config, "config")
     if config.get("command", args.command) != args.command:
         raise ValueError(
@@ -251,17 +258,8 @@ def _load_config(path: str, args: argparse.Namespace) -> dict:
         )
     config["command"] = args.command
     config.setdefault("params", {})
-    if args.seed is not None:
-        config["seed"] = args.seed
     config.setdefault("seed", 0)
-    out = config.setdefault("output", {})
-    if args.out is not None:
-        out["path"] = args.out
-    if args.format is not None:
-        out["format"] = args.format
-    out.setdefault("format", "json")
-    if args.workers is not None:
-        config["workers"] = args.workers
+    config.setdefault("output", {}).setdefault("format", "json")
     return config
 
 
@@ -377,10 +375,6 @@ def _cmd_faultpaths(config: dict, workers: int) -> Report:
     c = circuit_from_json(params["circuit"])
     noise = noise_map_from_json(params.get("noise", {}))
     if mode == "subset":
-        if len(set(params["subset"])) > SUBSET_SIZE_CAP:
-            raise ExhaustiveCapError(
-                f"subset requests capped at r <= {SUBSET_SIZE_CAP}"
-            )
         zeta = zeta_subset(
             c, noise, [int(i) for i in params["subset"]],
             complement=params.get("complement", "noisy"),

@@ -30,10 +30,7 @@ from .circuit import (
     simulate_with_environment,
 )
 
-# Exhaustive-enumeration guards.
-SUBSET_LOCATION_CAP = 16
-SUBSET_SIZE_CAP = 4
-LATTICE_CAP = 12
+LATTICE_CAP = 12  # largest L0 that verify_ie_identity enumerates
 
 
 class ExhaustiveCapError(ValueError):
@@ -79,13 +76,6 @@ def zeta_subset(
         raise ValueError("subset must be nonempty")
     if not chosen <= set(range(1, c.size + 1)):
         raise ValueError(f"subset {sorted(chosen)} outside 1..{c.size}")
-    # A single subset evaluation is one O(L) composition walk; only the
-    # location count needs a cap here. The r <= SUBSET_SIZE_CAP guard lives
-    # at the CLI, where a large r invites C(L, r)-sized enumerations.
-    if c.size > SUBSET_LOCATION_CAP:
-        raise ExhaustiveCapError(
-            f"subset evaluation capped at L <= {SUBSET_LOCATION_CAP} locations"
-        )
     return _fault_walk(c, noise, chosen, range(1, c.size + 1) if complement == "noisy" else ())
 
 

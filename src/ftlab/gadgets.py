@@ -20,10 +20,20 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 MC_BUDGET = 10**9
+GRAPH_LOCATION_CAP = 10**6  # most locations a gadget graph may number
 
 
 class BudgetExceededError(ValueError):
-    """Monte Carlo leaf-draw budget exceeded."""
+    """Monte Carlo leaf-draw budget or gadget-graph size cap exceeded."""
+
+
+def _check_budget(samples: int, leaves_per_sample: int) -> None:
+    """Refuse, before any draw, a run of more than MC_BUDGET leaves."""
+    if samples * leaves_per_sample > MC_BUDGET:
+        raise BudgetExceededError(
+            f"{samples} samples x {leaves_per_sample} leaves exceeds the "
+            f"{MC_BUDGET} leaf budget; use the exact iterated map instead"
+        )
 
 
 @dataclass(frozen=True)
@@ -92,6 +102,10 @@ class GadgetGraph:
                 succ.append(to)
                 segs.append(range(next_id, next_id + count))
                 next_id += count
+        if next_id - 1 > GRAPH_LOCATION_CAP:
+            raise BudgetExceededError(
+                f"gadget graph has {next_id - 1} locations, over the {GRAPH_LOCATION_CAP} cap"
+            )
         parts = tuple(map(frozenset, own + segs))
         part_of = np.zeros(next_id, dtype=np.intp)
         for p, ids in enumerate(parts):
@@ -225,11 +239,12 @@ def level1_failure_mc(
     L0: int, t: int, eps: float, samples: int, seed
 ) -> tuple[float, float]:
     """Sampled fraction of gadgets with > t of L0 iid faults, plus its
-    binomial standard error."""
+    binomial standard error; samples x L0 counts against MC_BUDGET."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"fault probability out of range: {eps}")
+    _check_budget(samples, L0)
     rng = np.random.default_rng(seed)
     hits = 0
     done = 0
@@ -289,11 +304,7 @@ def level_reduce_mc(
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"fault probability out of range: {eps}")
     leaves_per_sample = L0**levels
-    if samples * leaves_per_sample > MC_BUDGET:
-        raise BudgetExceededError(
-            f"{samples} samples x {leaves_per_sample} leaves exceeds the "
-            f"{MC_BUDGET} leaf budget; use the exact iterated map instead"
-        )
+    _check_budget(samples, leaves_per_sample)
     chunk = max(1, min(samples, (1 << 22) // leaves_per_sample or 1))
     tasks = [
         (idx, min(chunk, samples - idx * chunk))

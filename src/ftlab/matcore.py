@@ -85,9 +85,12 @@ class SubsystemDims:
 
 
 def qubit_dims(n: int) -> SubsystemDims:
-    """n qubit factors."""
+    """n qubit factors; an over-cap n is refused before any factor is built."""
     if n < 0:
         raise ValueError("qubit count must be >= 0")
+    if n >= DIM_CAP.bit_length():
+        total = 2**n if n < 64 else f"2^{n}"  # a huge 2^n is not spelled out
+        raise DimensionCapError(f"total dimension {total} exceeds cap {DIM_CAP}")
     return SubsystemDims((2,) * n)
 
 

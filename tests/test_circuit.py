@@ -29,6 +29,7 @@ from ftlab.circuit import (
     Location,
     _readout,
     _reset,
+    _walk,
     circuit_from_json,
     environment_spec_from_json,
     environment_strength,
@@ -740,75 +741,182 @@ def _dense(op, support, n):
     return full.transpose(perm + [n + p for p in perm]).reshape(2**n, 2**n)
 
 
+def _joint_reference(c, env, ref=None):
+    """The environment run's reduced state from dense joint density matrices,
+    one per outcome of the measurement `ref`: preps as the reset channel
+    sum_k |psi><k| . |k><psi|, gates and couplings as U . U^dag, and the
+    other measurements applied to the reduced state at the end."""
+    n_sys = c.n_system
+    n = n_sys + env.n_env
+    psi0 = np.kron(np.eye(2**n_sys)[0], env.initial)
+    branches = [(None, np.outer(psi0, psi0.conj()))]
+    deferred = []
+    for loc in c.locations:
+        if loc.index == ref:
+            projs = [_dense(p, loc.support, n) for p in loc.ops]
+            branches = [(a, p @ rho @ p) for _, rho in branches for a, p in enumerate(projs)]
+        elif loc.kind == "measure":
+            deferred.append(loc)
+        elif loc.kind == "prep":
+            d = 2 ** len(loc.support)
+            kraus = [_dense(np.outer(loc.ops[0, :, 0], row), loc.support, n) for row in np.eye(d)]
+            branches = [(a, sum(k @ rho @ k.conj().T for k in kraus)) for a, rho in branches]
+        elif loc.kind == "gate":
+            u = _dense(loc.ops[0], loc.support, n)
+            outcome = loc.condition[1] if loc.condition else None
+            branches = [(a, u @ rho @ u.conj().T if outcome in (None, a) else rho)
+                        for a, rho in branches]
+        if loc.index in env.couplings:
+            cp = env.couplings[loc.index]
+            u = _dense(cp.unitary, cp.support, n)
+            branches = [(a, u @ rho @ u.conj().T) for a, rho in branches]
+    want = partial_trace(sum(rho for _, rho in branches), range(n_sys), qubit_dims(n))
+    for loc in deferred:
+        want = sum(_dense(p, loc.support, n_sys) @ want @ _dense(p, loc.support, n_sys)
+                   for p in loc.ops)
+    return want
+
+
 @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_environment_run_matches_dense_joint_evolution(n_sys, n_env, seed):
-    # random preps (each before any other use of its qubits), gates, one
-    # measurement in a random basis feeding a conditioned gate, its qubit
-    # reused afterwards, terminal measurements and couplings, against one
-    # |psi> per outcome stepped by dense operators
+    # random preps (on fresh or on used qubits), gates, one measurement in a
+    # random basis feeding a conditioned gate, its qubit reused afterwards,
+    # terminal measurements and couplings (on the conditioned measurement
+    # too), against dense joint density matrices, one per outcome
     rng = np.random.default_rng(seed)
-    n = n_sys + n_env
-    unprepared = [int(q) for q in rng.permutation(n_sys) if rng.random() < 0.7]
-    live = [q for q in range(n_sys) if q not in unprepared]
     ops = []
 
     def random_ops(count):
         for _ in range(count):
-            if unprepared and (not live or rng.random() < 0.4):
-                k = min(len(unprepared), int(rng.integers(1, 3)))
-                support = [unprepared.pop() for _ in range(k)]
-                ops.append(Location.prep(0, 0, support, haar_unitary(rng, 2 ** len(support))[:, 0]))
-                live.extend(support)
+            k = int(rng.integers(1, min(n_sys, 2) + 1))
+            support = [int(q) for q in rng.choice(n_sys, k, replace=False)]
+            if rng.random() < 0.4:
+                ops.append(Location.prep(0, 0, support, haar_unitary(rng, 2**k)[:, 0]))
             else:
-                ops.append(random_gate())
-
-    def random_gate(condition=None):
-        k = min(len(live), int(rng.integers(1, 3)))
-        support = [int(q) for q in rng.choice(live, k, replace=False)]
-        return Location.gate_on(0, 0, support, haar_unitary(rng, 2**k), condition)
+                ops.append(Location.gate_on(0, 0, support, haar_unitary(rng, 2**k)))
 
     random_ops(int(rng.integers(1, 4)))
-    control = int(rng.choice(live))
+    control = int(rng.integers(n_sys))
     basis = haar_unitary(rng, 2)
     ops.append(Location.measure(0, 0, control, [np.outer(b, b.conj()) for b in basis.T]))
     ref = len(ops)  # the measurement's index
-    ops.append(random_gate(condition=(ref, int(rng.integers(2)))))
-    ops.append(Location.gate_on(0, 0, control, haar_unitary(rng, 2)))
-    random_ops(int(rng.integers(0, 3)))
-    measured = [q for q in live if rng.random() < 0.5]
+    k = int(rng.integers(1, n_sys + 1))
+    support = [int(q) for q in rng.choice(n_sys, k, replace=False)]
+    ops.append(Location.gate_on(0, 0, support, haar_unitary(rng, 2**k), (ref, int(rng.integers(2)))))
+    ops.append(Location.prep(0, 0, control, haar_unitary(rng, 2)[:, 0]))
+    random_ops(int(rng.integers(0, 4)))
+    measured = [q for q in range(n_sys) if rng.random() < 0.5]
     ops += [Location.measure(0, 0, q) for q in measured]
     c = seq(n_sys, *ops)
     couplings = {}
     for loc in c.locations:
-        if loc.kind != "measure" and rng.random() < 0.6:
+        if (loc.kind != "measure" or loc.index == ref) and rng.random() < 0.6:
             sys_part = [q for q in loc.support if rng.random() < 0.7]
             env_part = [n_sys + e for e in range(n_env) if not sys_part or rng.random() < 0.6]
             support = tuple(sys_part + env_part)
             couplings[loc.index] = EnvCoupling(support, haar_unitary(rng, 2 ** len(support)))
-    env_state = haar_unitary(rng, 2**n_env)[:, 0]
-    env = EnvironmentSpec(n_env, env_state, couplings)
-
-    branches = [(None, np.kron(np.eye(2**n_sys)[0], env_state))]
-    for loc in c.locations:
-        if loc.index == ref:
-            projs = [_dense(p, loc.support, n) for p in loc.ops]
-            branches = [(a, p @ psi) for _, psi in branches for a, p in enumerate(projs)]
-        elif loc.kind == "prep":
-            zero_row = np.eye(2 ** len(loc.support))[0]
-            prep = _dense(np.outer(loc.ops[0, :, 0], zero_row), loc.support, n)
-            branches = [(a, prep @ psi) for a, psi in branches]
-        elif loc.kind == "gate":
-            u = _dense(loc.ops[0], loc.support, n)
-            outcome = loc.condition[1] if loc.condition else None
-            branches = [(a, u @ psi if outcome in (None, a) else psi) for a, psi in branches]
-        if loc.index in couplings:
-            u = _dense(couplings[loc.index].unitary, couplings[loc.index].support, n)
-            branches = [(a, u @ psi) for a, psi in branches]
-    want = sum(m @ m.conj().T for m in (psi.reshape(2**n_sys, 2**n_env) for _, psi in branches))
-    for q in measured:
-        projs = [_dense(np.diag(row), [q], n_sys) for row in np.eye(2)]
-        want = sum(p @ want @ p for p in projs)
+    env = EnvironmentSpec(n_env, haar_unitary(rng, 2**n_env)[:, 0], couplings)
+    want = _joint_reference(c, env, ref)
     rho, dist = simulate_with_environment(c, env)
     np.testing.assert_allclose(rho, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dist, np.diagonal(want).real, rtol=0, atol=1e-12)
+
+
+def test_environment_reprep_keeps_at_most_d_branches():
+    # a qubit re-prepared 12 times, each time after a coupling entangles it
+    # with the environment: every prep splits each branch in two, and the
+    # walk refactors them so no more than d = 8 remain, not 2^12
+    rng = np.random.default_rng(7)
+    ops, couplings = [], {}
+    for i in range(12):
+        ops += [Location.prep(0, 0, 0, haar_unitary(rng, 2)[:, 0]), Location.wait(0, 0, (0, 1))]
+        couplings[2 * i + 2] = EnvCoupling((0, 1, 2), haar_unitary(rng, 8))
+    c = seq(2, *ops, Location.gate_on(0, 0, (0, 1), CNOT))
+    env = EnvironmentSpec(1, KET0, couplings)
+    after = {i: (cp.support, cp.unitary[None]) for i, cp in couplings.items()}
+    assert len(_walk(c, after, np.eye(8)[0].astype(np.complex128))) <= 8
+    tracemalloc.start()
+    try:
+        rho, _ = simulate_with_environment(c, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    np.testing.assert_allclose(rho, _joint_reference(c, env), rtol=0, atol=1e-12)
+
+
+def test_environment_refuses_a_coupled_deferred_measurement():
+    # a measurement no gate reads is deferred, so a coupling after it has no
+    # place; a coupling after a measurement the walk branches on is fine
+    ops = [Location.prep(0, 0, 0, KET_PLUS), Location.measure(0, 0, 0)]
+    env = EnvironmentSpec(1, KET0, {2: EnvCoupling((0, 1), CNOT)})
+    with pytest.raises(ValueError, match=r"measurements must be ideal \(no coupling\)"):
+        simulate_with_environment(seq(1, *ops), env)
+    c = seq(1, *ops, Location.gate_on(0, 0, 0, SIGMA_X, condition=(2, 1)))
+    rho, _ = simulate_with_environment(c, env)
+    np.testing.assert_allclose(rho, _joint_reference(c, env, ref=2), rtol=0, atol=1e-12)
+
+
+def _conditioned_chain(n, m):
+    """n qubits in |+>; then m times: measure qubit j, an X on qubit j + 1
+    conditioned on outcome 1, and an H on qubit j (j cycling over n)."""
+    ops = [Location.prep(0, 0, q, KET_PLUS) for q in range(n)]
+    for j in range(m):
+        q = j % n
+        ops.append(Location.measure(0, 0, q))
+        ops.append(Location.gate_on(0, 0, (q + 1) % n, SIGMA_X, condition=(len(ops), 1)))
+        ops.append(Location.gate_on(0, 0, q, HADAMARD))
+    return seq(n, *ops)
+
+
+def _branch_sum(c):
+    """Sum over every outcome record of the measurements that gates are
+    conditioned on, each branch walked to the end on its own."""
+    dims = qubit_dims(c.n_system)
+    referenced = {loc.condition[0] for loc in c.locations if loc.condition}
+    rho = np.zeros((dims.total,) * 2, dtype=np.complex128)
+    rho[0, 0] = 1.0
+    states = [({}, rho)]
+    for loc in c.locations:
+        if loc.kind == "measure" and loc.index in referenced:
+            states = [({**rec, loc.index: a}, apply_local(x, p[None], loc.support, dims))
+                      for rec, x in states for a, p in enumerate(loc.ops)]
+        elif loc.kind == "prep":
+            d = 2 ** len(loc.support)
+            kraus = [np.outer(loc.ops[0, :, 0], row) for row in np.eye(d)]
+            states = [(rec, apply_local(x, kraus, loc.support, dims)) for rec, x in states]
+        elif loc.kind in ("gate", "measure"):
+            cond = loc.condition
+            states = [(rec, x if cond and rec[cond[0]] != cond[1]
+                       else apply_local(x, loc.ops, loc.support, dims)) for rec, x in states]
+    return sum(x for _, x in states)
+
+
+def test_density_walk_merges_branches_no_gate_reads():
+    # the walk sums the two outcomes of each measurement once its
+    # conditioned X has acted, so it holds two branches, not 2^m
+    c = _conditioned_chain(4, 6)
+    assert len(_walk(c, {})) == 1
+    np.testing.assert_allclose(simulate_ideal(c)[0], _branch_sum(c), rtol=0, atol=1e-14)
+    # two measurements read by back-to-back gates, the first read again later
+    c = seq(
+        3,
+        *(Location.prep(0, 0, q, KET_PLUS) for q in range(3)),
+        Location.measure(0, 0, 0),
+        Location.measure(0, 0, 1),
+        Location.gate_on(0, 0, 2, HADAMARD, condition=(4, 1)),
+        Location.gate_on(0, 0, 2, rz(0.7), condition=(5, 1)),
+        Location.gate_on(0, 0, 2, HADAMARD, condition=(4, 0)),
+        Location.gate_on(0, 0, 1, HADAMARD),
+    )
+    np.testing.assert_allclose(simulate_ideal(c)[0], _branch_sum(c), rtol=0, atol=1e-14)
+    c = _conditioned_chain(7, 8)
+    tracemalloc.start()
+    try:
+        rho, _ = simulate_ideal(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * rho.nbytes  # the 256 unmerged branches alone are 256 rho
+    np.testing.assert_allclose(rho, _branch_sum(c), rtol=0, atol=1e-14)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -108,16 +109,6 @@ REFUSALS = {
         {"mode": "ie_check", "L0": 13, "t": 1},
         "capped at L0 <= 12",
     ),
-    "subset_r5": (
-        "faultpaths",
-        {"circuit": _h_chain(1, 5), "mode": "subset", "subset": [1, 2, 3, 4, 5]},
-        "capped at r <= 4",
-    ),
-    "subset_17_locations": (
-        "faultpaths",
-        {"circuit": _h_chain(1, 17), "mode": "subset", "subset": [1]},
-        "capped at L <= 16 locations",
-    ),
     "levelred_budget": (
         "levelred",
         {"levels": 10, "L0": 5, "t": 1, "eps": 0.01, "samples": 10**6},
@@ -141,14 +132,43 @@ REFUSALS = {
         "total dimension 8192 exceeds cap 4096",
     ),
     "diamond_restarts_4097": ("strength", _diamond_restarts(4097), "restarts <= 4096"),
+    "n_system_2e7": (
+        "accuracy",
+        {"circuit": {"n_system": 2e7, "locations": []}},
+        "total dimension 2^20000000 exceeds cap 4096",
+    ),
+    "n_env_24": (
+        "strength",
+        {"evaluator": "environment", "environment": {"n_env": 24, "couplings": {}}},
+        "total dimension 16777216 exceeds cap 4096",
+    ),
+    "graph_2e6_locations": (
+        "truncate",
+        {"graph": {"gadgets": [{"own_locations": 2e6}]}, "eps": 0.01},
+        "gadget graph has 2000000 locations, over the 1000000 cap",
+    ),
+    "pseudothreshold_budget": (
+        "threshold",
+        {"L0": 7, "t": 1, "pseudothreshold": {"samples": 10**12, "mode": "mc"}},
+        "1000000000000 samples x 7 leaves exceeds the 1000000000 leaf budget",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))
 def test_cap_refusal_exits_3(tmp_path, capsysbinary, case):
+    # refused before the work is allocated: under 1 MiB traced beyond the
+    # parsed config (prep_13_qubits spells out 8192 amplitudes)
     command, params, reason = REFUSALS[case]
     cfg = write_config(tmp_path, "cfg.json", {"command": command, "params": params})
-    code, out, err = run(capsysbinary, [command, "--config", cfg])
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsysbinary.readouterr()
+    assert peak < 2**20 + 16 * os.path.getsize(cfg)
     assert code == 3
     assert out == b""
     assert err.count(b"\n") == 1 and err.endswith(b"\n")
@@ -156,6 +176,39 @@ def test_cap_refusal_exits_3(tmp_path, capsysbinary, case):
     assert set(msg) == {"error", "exit"}
     assert msg["exit"] == 3
     assert reason in msg["error"]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"circuit": _h_chain(1, 5), "mode": "subset", "subset": [1, 2, 3, 4, 5]},
+        {"circuit": _h_chain(1, 17), "mode": "subset", "subset": [1]},
+    ],
+    ids=["subset_r5", "subset_17_locations"],
+)
+def test_subset_of_any_size_exits_0(tmp_path, capsysbinary, params):
+    # one subset is one walk: r = 5 and L = 17 once exited 3 under caps
+    cfg = write_config(tmp_path, "cfg.json", {"command": "faultpaths", "params": params})
+    code, out, err = run(capsysbinary, ["faultpaths", "--config", cfg])
+    assert code == 0, err
+    assert json.loads(out)["results"]["trace_norm"] == 0.0  # no noise: every insertion is 0
+
+
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--seed", "-1", "-1 is less than the minimum of 0"),
+        ("--workers", "0", "0 is less than the minimum of 1"),
+        ("--out", "", "should be non-empty"),
+    ],
+    ids=["seed_-1", "workers_0", "out_empty"],
+)
+def test_cli_overrides_pass_the_schema(tmp_path, capsysbinary, flag, value, reason):
+    # a flag is checked like the config key it overrides, and exits 2 the same way
+    cfg = write_config(tmp_path, "th.json", {"command": "threshold", "params": {"L0": 100, "t": 1}})
+    code, out, err = run(capsysbinary, ["threshold", "--config", cfg, flag, value])
+    assert code == 2 and out == b""
+    assert reason in json.loads(err)["error"]
 
 
 def _z_term_params(label):
@@ -589,6 +642,32 @@ def test_faultpaths_on_conditioned_circuit_exits_0(tmp_path, capsysbinary):
         code, out, err = run(capsysbinary, ["faultpaths", "--config", cfg])
         assert code == 0, err
         assert json.loads(out)["results"]["trace_norm"] > 0.0
+
+
+def test_environment_accuracy_with_reprepared_qubit_exits_0(tmp_path, capsysbinary):
+    # q0 is measured into q1 by a CNOT, then prepared again and reused;
+    # couplings exp(-i theta Z (x) X) to one environment qubit
+    theta = 0.05
+    zx = np.kron(np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    u = matrix_to_json(np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * zx)
+    circuit = {
+        "n_system": 2,
+        "locations": [
+            {"kind": "prep", "support": [0], "state": "+"},
+            {"kind": "prep", "support": [1], "state": "0"},
+            {"kind": "gate", "support": [0, 1], "gate": "CNOT"},
+            {"kind": "prep", "support": [0], "state": "+"},
+            {"kind": "gate", "support": [0], "gate": "H"},
+        ],
+    }
+    couplings = {"3": {"support": [0, 2], "unitary": u}, "5": {"support": [0, 2], "unitary": u}}
+    params = {"circuit": circuit, "environment": {"n_env": 1, "couplings": couplings}}
+    cfg = write_config(tmp_path, "acc.json", {"command": "accuracy", "params": params})
+    code, out, err = run(capsysbinary, ["accuracy", "--config", cfg])
+    assert code == 0, err
+    r = json.loads(out)["results"]
+    assert r["variant"] == "non_markovian" and r["within_bound"]
+    assert 0.0 < r["delta"] <= r["bound"]
 
 
 def test_environment_accuracy_on_conditioned_circuit_exits_0(tmp_path, capsysbinary):

@@ -269,18 +269,17 @@ def test_verify_ie_identity_caps_and_preconditions():
         verify_ie_identity(4, 4)  # t must stay below L0
 
 
-def test_zeta_caps():
+def test_zeta_subset_has_no_location_or_size_cap():
+    # one subset is one walk, whatever L and r: 17 locations and r = 5 run;
+    # identity noise makes every fault insertion vanish
     ops = [Location.prep(0, 0, 0, KET0)] + [Location.wait(0, 0, 0) for _ in range(16)]
     c17 = Circuit.sequential(1, ops)
     noise = {
         i: Channel.identity(qubit_dims(1), (0,)) for i in range(1, 18)
     }
-    with pytest.raises(ExhaustiveCapError):
-        zeta_subset(c17, noise, {1})
+    assert np.array_equal(zeta_subset(c17, noise, {1}), np.zeros((2, 2)))
     c5 = Circuit.sequential(1, ops[:5])
     noise5 = {i: noise[i] for i in range(1, 6)}
-    # a single call is one composition walk, so any r up to L is fine;
-    # identity noise makes every fault insertion vanish
     big = zeta_subset(c5, noise5, {1, 2, 3, 4, 5})
     assert np.allclose(big, 0.0)
 
@@ -304,6 +303,9 @@ def test_every_noisy_walk_rejects_unknown_or_nonlocal_noise(evaluate):
         evaluate(c, {99: make_noise_channel(dep, support=(0,))})
     with pytest.raises(ValueError, match="outside its support"):
         evaluate(c, {1: make_noise_channel(dep, support=(1,))})
+    qutrit = make_noise_channel(NoiseSpec.probabilistic(0.1, np.eye(3)[[1, 2, 0]]), support=(0,))
+    with pytest.raises(ValueError, match=r"noise on location 1 has factor dims \(3,\), not qubits"):
+        evaluate(c, {1: qutrit})
 
 
 def conditioned_instance(rng):
