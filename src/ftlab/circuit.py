@@ -491,19 +491,23 @@ def simulate_with_environment(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint pure-state evolution with per-location coupling unitaries.
 
-    Requirements, checked in one pass before any evolution: a measurement
-    that no gate is conditioned on must be uncoupled and terminal on its
-    qubits; a coupling must act inside its location's support plus the
-    environment. `_walk` then evolves |0...0> (x) env.initial with each
-    coupling [U] applied after its location, one branch P_a |psi> per
-    outcome a of a measurement that gates are conditioned on and one per
-    basis state k of a prep's support. The reduced system state is the sum
-    over branches of Tr_env |psi_b><psi_b|; the other measurements are
-    deferred and applied to it as non-selective projections. Returns the
-    reduced system density matrix and the read-out probabilities.
+    Requirements, checked in one pass before any evolution: every coupling
+    must name a location of `c`; a measurement that no gate is conditioned
+    on must be uncoupled and terminal on its qubits; a coupling must act
+    inside its location's support plus the environment. `_walk` then
+    evolves |0...0> (x) env.initial with each coupling [U] applied after
+    its location, one branch P_a |psi> per outcome a of a measurement that
+    gates are conditioned on and one per basis state k of a prep's
+    support. The reduced system state is the sum over branches of
+    Tr_env |psi_b><psi_b|; the other measurements are deferred and applied
+    to it as non-selective projections. Returns the reduced system density
+    matrix and the read-out probabilities.
     """
     n_sys = c.n_system
     qubit_dims(n_sys + env.n_env)  # an over-cap joint space is refused before any work
+    for idx in env.couplings:
+        if not 1 <= idx <= c.size:
+            raise ValueError(f"environment references unknown location {idx}")
     readers = _last_readers(c)
     deferred: list[Location] = []
     for loc in c.locations:

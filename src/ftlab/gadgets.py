@@ -9,6 +9,13 @@ locations, and its outgoing ER segments, so neighbours overlap on the shared
 segment; truncation resolves every overlap into a partition. The graph
 stores its locations once, as a table of parts: one id set per own block
 and per segment.
+
+A gadget's truncated set depends only on its own bad flag and on which of
+its outgoing segments a bad successor claims. The sweep packs those flags
+into a small int key (bit 0 the gadget's own flag, bit b + 1 set when out
+segment b is claimed) and looks the set up in a per-gadget memo on the
+graph, building it only on a miss; gadget i's memo holds at most
+2^(1 + |out_i|) sets.
 """
 
 from __future__ import annotations
@@ -64,7 +71,9 @@ class GadgetGraph:
     block, part n_gadgets + s is segment s. The tables derived once per
     graph (part id sets, each segment's consumer, per-gadget in/out
     segments and extents, and a location -> part index whose entry 0 is
-    unused) turn every lookup of the sweep into an index.
+    unused) turn every lookup of the sweep into an index. `_memo[i]` maps
+    gadget i's truncation key to its truncated set; it fills as sweeps run
+    and takes no part in equality or hashing.
     """
 
     gadgets: tuple[Gadget, ...]
@@ -74,6 +83,7 @@ class GadgetGraph:
     _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _extent: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _part_of: np.ndarray = field(init=False, repr=False, compare=False)
+    _memo: tuple[dict[int, frozenset[int]], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gadgets = tuple(self.gadgets)
@@ -86,9 +96,12 @@ class GadgetGraph:
         succ: list[int] = []
         seg_in: list[list[int]] = [[] for _ in range(n)]
         seg_out: list[list[int]] = [[] for _ in range(n)]
+        layout, sizes = [0], [1]  # part ids in location order; entry 0 is unused
         next_id = 1
         for i, g in enumerate(gadgets):
             own.append(range(next_id, next_id + g.own_locations))
+            layout.append(i)
+            sizes.append(g.own_locations)
             next_id += g.own_locations
             for count, to in g.er_out:
                 if not 0 <= to < n:
@@ -99,6 +112,8 @@ class GadgetGraph:
                     raise ValueError(f"segment must point forward in time, got {i} -> {to}")
                 seg_in[to].append(len(succ))
                 seg_out[i].append(len(succ))
+                layout.append(n + len(succ))
+                sizes.append(count)
                 succ.append(to)
                 segs.append(range(next_id, next_id + count))
                 next_id += count
@@ -107,9 +122,7 @@ class GadgetGraph:
                 f"gadget graph has {next_id - 1} locations, over the {GRAPH_LOCATION_CAP} cap"
             )
         parts = tuple(map(frozenset, own + segs))
-        part_of = np.zeros(next_id, dtype=np.intp)
-        for p, ids in enumerate(parts):
-            part_of[list(ids)] = p
+        part_of = np.repeat(np.array(layout, dtype=np.intp), sizes)
         part_of.flags.writeable = False
         extent = tuple(
             tuple(sorted(parts[i].union(*(parts[n + s] for s in seg_in[i] + seg_out[i]))))
@@ -121,6 +134,7 @@ class GadgetGraph:
         object.__setattr__(self, "_out", tuple(map(tuple, seg_out)))
         object.__setattr__(self, "_extent", extent)
         object.__setattr__(self, "_part_of", part_of)
+        object.__setattr__(self, "_memo", tuple({} for _ in range(n)))
 
     @property
     def n_gadgets(self) -> int:
@@ -143,7 +157,7 @@ class FaultConfig:
     faulty: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "faulty", frozenset(int(i) for i in self.faulty))
+        object.__setattr__(self, "faulty", frozenset(map(int, self.faulty)))
 
 
 @dataclass(frozen=True)
@@ -178,8 +192,12 @@ def truncate_and_classify(g: GadgetGraph, f: FaultConfig, t: int) -> Classificat
     good gadgets only ever shed locations, so they stay good.
 
     The faults are counted once per part (own block or segment) through the
-    graph's location -> part index; the sweep then adds part counts, and
-    each truncated set is the union of the graph's precomputed part sets.
+    graph's location -> part index, and the sweep adds part counts. Gadget
+    i's truncated set is fixed by a key of 1 + |out_i| bits: bit 0 is its
+    own bad flag, bit b + 1 is set when out segment b goes to a bad
+    successor. The set is looked up by that key in the graph's memo and
+    built as a union of part sets only on a miss, so gadget i's memo holds
+    at most 2^(1 + |out_i|) sets.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -192,21 +210,28 @@ def truncate_and_classify(g: GadgetGraph, f: FaultConfig, t: int) -> Classificat
     faulty = np.fromiter(f.faulty, dtype=np.intp, count=len(f.faulty))
     counts = np.bincount(g._part_of[faulty], minlength=len(parts)).tolist()
     bad = [False] * n
+    truncated = [frozenset()] * n
     for i in reversed(range(n)):
         c = counts[i]
         for s in g._in[i]:
             c += counts[n + s]
-        for s in g._out[i]:
-            if not bad[succ[s]]:
+        key = 0
+        for b, s in enumerate(g._out[i]):
+            if bad[succ[s]]:
+                key |= 2 << b
+            else:
                 c += counts[n + s]
         bad[i] = c > t
-    truncated = []
-    for i in range(n):
-        chosen = [parts[i]]
-        if bad[i]:
-            chosen.extend(parts[n + s] for s in g._in[i])
-        chosen.extend(parts[n + s] for s in g._out[i] if not bad[succ[s]])
-        truncated.append(frozenset().union(*chosen))
+        key |= bad[i]
+        memo = g._memo[i]
+        ids = memo.get(key)
+        if ids is None:
+            chosen = [parts[i]]
+            if bad[i]:
+                chosen.extend(parts[n + s] for s in g._in[i])
+            chosen.extend(parts[n + s] for s in g._out[i] if not bad[succ[s]])
+            ids = memo[key] = frozenset().union(*chosen)
+        truncated[i] = ids
     if sum(map(len, truncated)) != total or len(frozenset().union(*truncated)) != total:
         raise AssertionError("truncated sets failed to partition the locations")
     statuses = tuple("bad" if b else "good" for b in bad)
@@ -267,10 +292,16 @@ def _reduce_chunk(
     m: int, levels: int, L0: int, t: int, eps: float, rng: np.random.Generator
 ) -> list[int]:
     fail = rng.binomial(L0, eps, size=(m, L0 ** (levels - 1))) > t
-    counts = [int(fail.sum())]
+    counts = [int(np.count_nonzero(fail))]
     for _ in range(levels - 1):
-        fail = fail.reshape(m, -1, L0).sum(axis=2) > t
-        counts.append(int(fail.sum()))
+        # a node's failed-child count is at most L0, so it fits the narrowest
+        # unsigned type holding L0
+        children = fail.view(np.uint8).reshape(m, -1, L0)
+        acc = children[:, :, 0].astype(np.min_scalar_type(L0))
+        for k in range(1, L0):
+            acc += children[:, :, k]
+        fail = acc > t
+        counts.append(int(np.count_nonzero(fail)))
     return counts
 
 

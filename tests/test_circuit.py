@@ -858,6 +858,15 @@ def test_environment_refuses_a_coupled_deferred_measurement():
     np.testing.assert_allclose(rho, _joint_reference(c, env, ref=2), rtol=0, atol=1e-12)
 
 
+def test_environment_refuses_a_coupling_at_an_unknown_location():
+    # such a coupling would count towards environment_strength yet never act
+    c = seq(1, Location.prep(0, 0, 0, KET0))
+    for idx in (0, 2, 99):
+        env = EnvironmentSpec(1, KET0, {idx: EnvCoupling((0, 1), CNOT)})
+        with pytest.raises(ValueError, match=f"^environment references unknown location {idx}$"):
+            simulate_with_environment(c, env)
+
+
 def _conditioned_chain(n, m):
     """n qubits in |+>; then m times: measure qubit j, an X on qubit j + 1
     conditioned on outcome 1, and an H on qubit j (j cycling over n)."""

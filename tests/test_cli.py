@@ -276,6 +276,18 @@ MALFORMED = {
         {"circuit": _conditioned_measure([1])},
         "condition must be [measure index, outcome], got (1,)",
     ),
+    # a coupling keyed by a location the circuit does not have
+    "coupling_unknown_location": (
+        "accuracy",
+        {
+            "circuit": _h_chain(1, 1),
+            "environment": {
+                "n_env": 1,
+                "couplings": {"99": {"support": [0, 1], "unitary": matrix_to_json(np.eye(4))}},
+            },
+        },
+        "environment references unknown location 99",
+    ),
     # restarts is taken as given, never cast to an int
     "restarts_float": ("strength", _diamond_restarts(2.7), "restarts must be an integer, got 2.7"),
     "restarts_bool": ("strength", _diamond_restarts(True), "restarts must be an integer, got True"),

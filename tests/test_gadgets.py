@@ -10,6 +10,7 @@ from ftlab.gadgets import (
     FaultConfig,
     Gadget,
     GadgetGraph,
+    _reduce_chunk,
     gadget_graph_from_json,
     iterate_failure_map,
     level1_failure_exact,
@@ -208,6 +209,31 @@ def test_truncate_matches_reference_sweep_on_sampled_chain():
     assert 0 < any_bad < 500  # both outcomes occur
 
 
+def test_truncate_memo_matches_reference_and_stays_bounded():
+    # 0 to 3 out segments per gadget, skip links and a doubled segment
+    gadgets = (
+        Gadget(1, ((1, 1), (1, 2), (2, 3))),
+        Gadget(2, ((1, 2), (1, 4))),
+        Gadget(1, ((1, 3),)),
+        Gadget(1, ((1, 4), (1, 5), (1, 6))),
+        Gadget(2, ((2, 5),)),
+        Gadget(1, ((1, 6), (1, 6))),
+        Gadget(1),
+    )
+    graph = GadgetGraph(gadgets)
+    rng = np.random.default_rng(15)
+    for _ in range(2400):
+        faults = sample_fault_config(graph, float(rng.uniform(0.02, 0.3)), rng).faulty
+        assert_matches_reference(graph, faults, int(rng.integers(0, 3)))
+    sizes = [len(memo) for memo in graph._memo]
+    bounds = [2 ** (1 + len(out)) for out in graph._out]
+    assert all(size <= bound for size, bound in zip(sizes, bounds)), (sizes, bounds)
+    assert sizes[3] > 4  # three out segments: keys beyond one claimed segment occur
+    twin = GadgetGraph(gadgets)
+    assert not any(twin._memo)
+    assert twin == graph and hash(twin) == hash(graph)
+
+
 def test_truncate_rejects_unknown_ids():
     with pytest.raises(ValueError, match=r"fault ids outside 1\.\.5: \[0, 99\]"):
         truncate_and_classify(CHAIN, FaultConfig(frozenset({0, 3, 99})), 1)
@@ -282,6 +308,35 @@ def test_level_reduce_mc_above_fixed_point_non_decreasing():
     assert exact[0] <= exact[1] <= exact[2]
     for a, b in zip(rows, rows[1:]):
         assert b.probability >= a.probability - 3 * (a.stderr + b.stderr)
+
+
+def reference_fold(m, levels, L0, t, eps, rng):
+    """Per-level failure counts folded with int64 sums over the child axis."""
+    fail = rng.binomial(L0, eps, size=(m, L0 ** (levels - 1))) > t
+    counts = [int(fail.sum())]
+    for _ in range(levels - 1):
+        fail = fail.reshape(m, -1, L0).sum(axis=2) > t
+        counts.append(int(fail.sum()))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "m, levels, L0, t, eps",
+    [
+        (64, 3, 7, 1, 0.2),
+        (64, 3, 5, 0, 0.05),
+        (3, 2, 300, 0, 0.001),
+        # every one of 300 children fails: a uint8 count would wrap to 44
+        (3, 2, 300, 100, 0.5),
+        (8, 2, 300, 100, 0.335),
+    ],
+)
+def test_reduce_chunk_matches_int64_fold(m, levels, L0, t, eps):
+    for seed in range(3):
+        got = _reduce_chunk(m, levels, L0, t, eps, np.random.default_rng([seed, L0]))
+        want = reference_fold(m, levels, L0, t, eps, np.random.default_rng([seed, L0]))
+        assert got == want
+        assert all(type(c) is int for c in got)
 
 
 def test_level_reduce_mc_budget_and_workers():
