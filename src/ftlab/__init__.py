@@ -20,13 +20,10 @@ from .channels import (
     HamiltonianTerm,
     LongRangeStrength,
     NoiseSpec,
-    apply_channel,
     choi_matrix,
     compose_channels,
     diamond_distance,
-    embed_channel,
     make_noise_channel,
-    stinespring_dilation,
     strength_gaussian,
     strength_local_hamiltonian,
     strength_long_range,

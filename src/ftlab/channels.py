@@ -2,13 +2,12 @@
 
 A channel is one read-only (K, d, d) complex128 stack of Kraus operators,
 its subsystem dims and an explicit `support`: the ambient subsystem labels
-its Kraus factors refer to. Composition and embedding work over the union
-of supports, so single-qubit noise can be slotted into multi-qubit states
-without manual kron bookkeeping; every consumer reads the stack directly.
-Every other operator is a plain complex128 array: `apply_channel` takes a
-density matrix with its subsystem dims, `choi_matrix` and
-`stinespring_dilation` return arrays, and a noise spec, a Hamiltonian term
-or a coupling stores its operator as a read-only array.
+its Kraus factors refer to. Composition works over the union of the two
+supports, so single-qubit noise composes with a multi-qubit gate without
+manual kron bookkeeping; every consumer reads the stack directly.
+Every other operator is a plain complex128 array: `choi_matrix` returns
+one, and a noise spec, a Hamiltonian term or a coupling stores its operator
+as a read-only array.
 
 The diamond-norm distance is reported as a certified interval. The lower
 end comes from restarted projected-gradient ascent over bipartite pure
@@ -23,7 +22,8 @@ once; each start keeps its own step size and stopping state, and an objective
 call costs it a reduced QR and an eigh of side min(K, d^2), not d^2. The
 maximally entangled start runs first, then the Haar-random starts in batches
 sized by `_ASCENT_CHUNK_BYTES`. The search returns once the interval is closed,
-lower >= upper*(1 - tol), checked after the first start and after each batch.
+lower >= upper*(1 - ASCENT_TOL), checked after the first start and after each
+batch.
 """
 
 from __future__ import annotations
@@ -37,13 +37,10 @@ import numpy as np
 from .matcore import (
     VALIDATION_ATOL,
     SubsystemDims,
-    apply_local,
     embed_operator,
-    is_density,
     is_hermitian,
     is_unitary,
     matrix_from_json,
-    matrix_to_json,
     operator_norm,
     qubit_dims,
     read_only,
@@ -89,7 +86,7 @@ class Channel:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "support", support)
         acc = np.einsum("kab,kac->bc", ks.conj(), ks)
-        if np.max(np.abs(acc - np.eye(d))) > VALIDATION_ATOL:
+        if not np.max(np.abs(acc - np.eye(d))) <= VALIDATION_ATOL:  # NaN fails too
             raise ValueError("Kraus operators are not trace preserving")
 
     @property
@@ -138,37 +135,10 @@ class Channel:
         dims = SubsystemDims(dims)
         return cls.from_kraus([np.eye(dims.total)], dims, support)
 
-    def is_identity(self, atol: float = 1e-12) -> bool:
-        j = choi_matrix(self)
-        return bool(np.max(np.abs(j - choi_matrix(Channel.identity(self.dims)))) <= atol)
-
 
 # ---------------------------------------------------------------------------
-# Application, composition, embedding
+# Composition
 # ---------------------------------------------------------------------------
-
-
-def _check_fits(ch: Channel, dims: SubsystemDims) -> None:
-    """The channel's support, read as positions in dims, matches its factors."""
-    for pos, s in enumerate(ch.support):
-        if not 0 <= s < len(dims):
-            raise ValueError(f"channel support index {s} out of range for {dims.dims}")
-        if dims[s] != ch.dims[pos]:
-            raise ValueError(
-                f"subsystem {s} has dim {dims[s]}, channel factor expects {ch.dims[pos]}"
-            )
-
-
-def apply_channel(
-    ch: Channel, rho: np.ndarray, dims: SubsystemDims | Sequence[int]
-) -> np.ndarray:
-    """sum_i K_i rho K_i^dag, each K_i acting on the channel's support in
-    rho's space, whose subsystems have dimensions `dims`."""
-    if not is_density(rho):
-        raise ValueError("input is not a density matrix")
-    dims = SubsystemDims(dims)
-    _check_fits(ch, dims)
-    return apply_local(rho, ch.kraus, ch.support, dims)
 
 
 def _kraus_on(ch: Channel, labels: tuple[int, ...], dims: SubsystemDims) -> np.ndarray:
@@ -197,14 +167,6 @@ def compose_channels(later: Channel, earlier: Channel) -> Channel:
     kb = _kraus_on(earlier, labels, dims)
     prods = ka[:, None] @ kb[None]
     return Channel(prods.reshape(-1, dims.total, dims.total), dims, labels)
-
-
-def embed_channel(ch: Channel, total: SubsystemDims | Sequence[int]) -> Channel:
-    """Extend the channel with identity factors to act on the full space."""
-    total = SubsystemDims(total)
-    _check_fits(ch, total)
-    labels = tuple(range(len(total)))
-    return Channel(_kraus_on(ch, labels, total), total, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +211,10 @@ def _diamond_upper_from_delta(delta_j: np.ndarray) -> float:
 # the ascent holds (d^2, K) and min(K, d^2)-sided arrays, not the d^2 x d^2 operator.
 _ASCENT_CHUNK_BYTES = 64 << 20
 
+# Relative-improvement stopping threshold of the ascent; the interval counts as
+# closed once lower >= upper * (1 - ASCENT_TOL).
+ASCENT_TOL = 1e-10
+
 
 def _objective(kraus, signs, psi):
     """Trace norms of ((A - B) ⊗ I)(|psi><psi|) for a batch of starts.
@@ -266,7 +232,7 @@ def _objective(kraus, signs, psi):
     return np.abs(w).sum(axis=1), sv
 
 
-def _ascend(kraus, signs, psi, tol, max_iter=400):
+def _ascend(kraus, signs, psi, max_iter=400):
     """Projected-gradient ascent from each row of `psi` (R, d^2); final values (R,).
 
     Every start keeps its own step size and stops on its own, so each row
@@ -299,7 +265,7 @@ def _ascend(kraus, signs, psi, tol, max_iter=400):
             gain = f2[up] - f[acc]
             psi[acc], f[acc], sv[acc] = cand[up], f2[up], sv2[up]
             step[acc] = np.minimum(step[acc] * 2.0, 64.0)
-            active[acc[gain <= tol * np.maximum(f[acc], 1e-30)]] = False
+            active[acc[gain <= ASCENT_TOL * np.maximum(f[acc], 1e-30)]] = False
             idx, r = idx[~up], r[~up]
             step[idx] *= 0.5
             spent = step[idx] < 1e-12
@@ -317,7 +283,6 @@ def diamond_distance(
     a: Channel,
     b: Channel,
     restarts: int = 32,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> DiamondInterval:
     """Certified interval for the diamond-norm distance between two channels.
@@ -331,12 +296,10 @@ def diamond_distance(
         entangled state (already optimal for Pauli-mixture and
         unitary-rotation channels); the rest are Haar-random bipartite pure
         states seeded `[seed, i]`, run in batches of
-        `_ASCENT_CHUNK_BYTES // (16 d^4)` starts.
-    tol : float
-        Relative-improvement stopping threshold for the ascent, in (0, 1).
-        The search also returns as soon as the interval is closed,
-        `lower >= upper * (1 - tol)`, checked after the first start and
-        after each batch, so a closed interval costs one ascent.
+        `_ASCENT_CHUNK_BYTES // (16 d^4)` starts. The search returns as
+        soon as the interval is closed, `lower >= upper * (1 - ASCENT_TOL)`,
+        checked after the first start and after each batch, so a closed
+        interval costs one ascent.
     seed : int
         Seeds the random restarts; fixed seed makes the result reproducible.
 
@@ -349,8 +312,6 @@ def diamond_distance(
         raise ValueError("channels must share dims")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     d = a.dim
     delta_j = choi_matrix(a) - choi_matrix(b)
     upper = _diamond_upper_from_delta(delta_j)
@@ -358,9 +319,9 @@ def diamond_distance(
         return DiamondInterval(0.0, 0.0)
     kraus = np.concatenate([a.kraus, b.kraus])
     signs = np.repeat([1.0, -1.0], [len(a.kraus), len(b.kraus)])
-    closed = upper * (1.0 - tol)
+    closed = upper * (1.0 - ASCENT_TOL)
     entangled = np.eye(d, dtype=np.complex128).reshape(1, -1) / math.sqrt(d)
-    best = float(_ascend(kraus, signs, entangled, tol)[0])
+    best = float(_ascend(kraus, signs, entangled)[0])
     chunk = max(1, _ASCENT_CHUNK_BYTES // (16 * d**4))
     for first in range(1, restarts, chunk):
         if best >= closed:
@@ -368,7 +329,7 @@ def diamond_distance(
         starts = np.stack(
             [_haar_start(seed, i, d) for i in range(first, min(first + chunk, restarts))]
         )
-        best = max(best, float(np.max(_ascend(kraus, signs, starts, tol))))
+        best = max(best, float(np.max(_ascend(kraus, signs, starts))))
     return DiamondInterval(min(best, upper), upper)
 
 
@@ -467,32 +428,6 @@ def make_noise_channel(spec: NoiseSpec, support: Sequence[int] | None = None) ->
         ]
         return Channel.from_kraus(ks, (2,), support)
     raise ValueError(f"unknown noise kind {spec.kind!r}")
-
-
-def stinespring_dilation(ch: Channel) -> tuple[np.ndarray, int]:
-    """Unitary dilation on (system ⊗ environment), environment appended last.
-
-    The environment dimension equals the Kraus count; starting it in |0> and
-    tracing it out after the unitary reproduces the channel. For a single
-    Kraus operator the channel is unitary already and the environment is
-    trivial (dimension 1).
-    """
-    k = len(ch.kraus)
-    d = ch.dim
-    if k == 1:
-        return ch.kraus[0], 1
-    # joint index (s, e) -> s * k + e
-    iso = ch.kraus.transpose(1, 0, 2).reshape(d * k, d)
-    q, _ = np.linalg.qr(iso, mode="complete")
-    u = np.zeros((d * k, d * k), dtype=np.complex128)
-    u[:, 0::k] = iso  # columns for env state |0>
-    rest = iter(range(d, d * k))
-    for col in range(d * k):
-        if col % k != 0:
-            u[:, col] = q[:, next(rest)]
-    if not is_unitary(u, 1e-9):
-        raise AssertionError("dilation completion failed to be unitary")
-    return u, k
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +573,9 @@ class CorrelationGrid:
             raise ValueError(
                 f"delta_abs must have shape (cells, paulis, cells, paulis), got {arr.shape}"
             )
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):  # NaN fails too
             raise ValueError("delta_abs entries must be nonnegative")
-        if self.cell_volume <= 0:
+        if not self.cell_volume > 0:
             raise ValueError("cell_volume must be positive")
         regions = tuple(tuple(int(i) for i in r) for r in self.gate_regions)
         if not regions or any(not r for r in regions):
@@ -695,17 +630,6 @@ def strength_unitary_couplings(couplings: Iterable[np.ndarray]) -> float:
 
 
 # -- JSON interchange ---------------------------------------------------------
-
-
-def noise_spec_to_json(spec: NoiseSpec) -> dict:
-    out: dict = {"kind": spec.kind}
-    for name in ("delta_theta", "t0", "t1", "p"):
-        val = getattr(spec, name)
-        if val is not None:
-            out[name] = val
-    if spec.e_op is not None:
-        out["e_op"] = matrix_to_json(spec.e_op)
-    return out
 
 
 def noise_spec_from_json(obj: Mapping) -> NoiseSpec:

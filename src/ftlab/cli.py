@@ -241,10 +241,21 @@ def _validate(instance, name: str) -> None:
         raise error
 
 
+def _refuse_constant(name: str):
+    raise ValueError(
+        f"config holds the non-finite number {name}: scalars must be finite numbers, "
+        "and matrices lists of [re, im] pairs of finite numbers"
+    )
+
+
 def _load_config(path: str, args: argparse.Namespace) -> dict:
-    """The config file with the command-line overrides applied, validated once."""
+    """The config file with the command-line overrides applied, validated once.
+
+    JSON has no NaN or Infinity; the literals Python's parser would accept
+    are refused here, before any work.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+        config = json.load(fh, parse_constant=_refuse_constant)
     if isinstance(config, dict):
         flags = {"seed": args.seed, "workers": args.workers}
         config.update((k, v) for k, v in flags.items() if v is not None)

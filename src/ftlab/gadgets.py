@@ -70,10 +70,10 @@ class GadgetGraph:
     The locations split into parts: part i < n_gadgets is gadget i's own
     block, part n_gadgets + s is segment s. The tables derived once per
     graph (part id sets, each segment's consumer, per-gadget in/out
-    segments and extents, and a location -> part index whose entry 0 is
-    unused) turn every lookup of the sweep into an index. `_memo[i]` maps
-    gadget i's truncation key to its truncated set; it fills as sweeps run
-    and takes no part in equality or hashing.
+    segments, and a location -> part index whose entry 0 is unused) turn
+    every lookup of the sweep into an index. `_memo[i]` maps gadget i's
+    truncation key to its truncated set; it fills as sweeps run and takes
+    no part in equality or hashing.
     """
 
     gadgets: tuple[Gadget, ...]
@@ -81,7 +81,6 @@ class GadgetGraph:
     _succ: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _in: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _extent: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _part_of: np.ndarray = field(init=False, repr=False, compare=False)
     _memo: tuple[dict[int, frozenset[int]], ...] = field(init=False, repr=False, compare=False)
 
@@ -124,15 +123,10 @@ class GadgetGraph:
         parts = tuple(map(frozenset, own + segs))
         part_of = np.repeat(np.array(layout, dtype=np.intp), sizes)
         part_of.flags.writeable = False
-        extent = tuple(
-            tuple(sorted(parts[i].union(*(parts[n + s] for s in seg_in[i] + seg_out[i]))))
-            for i in range(n)
-        )
         object.__setattr__(self, "_parts", parts)
         object.__setattr__(self, "_succ", tuple(succ))
         object.__setattr__(self, "_in", tuple(map(tuple, seg_in)))
         object.__setattr__(self, "_out", tuple(map(tuple, seg_out)))
-        object.__setattr__(self, "_extent", extent)
         object.__setattr__(self, "_part_of", part_of)
         object.__setattr__(self, "_memo", tuple({} for _ in range(n)))
 
@@ -143,10 +137,6 @@ class GadgetGraph:
     @property
     def total_locations(self) -> int:
         return len(self._part_of) - 1
-
-    def extent(self, gadget: int) -> tuple[int, ...]:
-        """Full extended-gadget extent: in-segments + own + out-segments."""
-        return self._extent[gadget]
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ DIM_CAP = 2**12
 # tolerance of the 1e-10 checks: unit trace, unitarity, trace preservation,
 # projectors, normalized states and read-out probabilities that sum to 1.
 HERMITIAN_ATOL = 1e-12
-PSD_EIG_FLOOR = -1e-12
 VALIDATION_ATOL = 1e-10
 
 
@@ -106,22 +105,13 @@ def read_only(x) -> np.ndarray:
     return arr
 
 
-def is_hermitian(x: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    return bool(np.max(np.abs(x - x.conj().T)) <= atol)
+def is_hermitian(x: np.ndarray) -> bool:
+    return bool(np.max(np.abs(x - x.conj().T)) <= HERMITIAN_ATOL)
 
 
-def is_density(x: np.ndarray) -> bool:
-    """Hermitian within 1e-12, eigenvalues >= -1e-12, trace 1 within 1e-10."""
-    if not is_hermitian(x):
-        return False
-    if abs(np.trace(x) - 1.0) > VALIDATION_ATOL:
-        return False
-    return bool(np.min(np.linalg.eigvalsh(x)) >= PSD_EIG_FLOOR)
-
-
-def is_unitary(x: np.ndarray, atol: float = VALIDATION_ATOL) -> bool:
+def is_unitary(x: np.ndarray) -> bool:
     g = x.conj().T @ x
-    return bool(np.max(np.abs(g - np.eye(len(g)))) <= atol)
+    return bool(np.max(np.abs(g - np.eye(len(g)))) <= VALIDATION_ATOL)
 
 
 def partial_trace(
@@ -276,10 +266,6 @@ def complex_pairs(a: np.ndarray) -> np.ndarray:
     """Row-major `(size, 2)` float64 array of `[re, im]` rows: the JSON form as an array."""
     flat = np.ascontiguousarray(a, dtype=np.complex128).reshape(-1)
     return flat.view(np.float64).reshape(-1, 2)
-
-
-def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return complex_pairs(v).tolist()
 
 
 def vector_from_json(obj) -> np.ndarray:

@@ -16,7 +16,6 @@ from ftlab.channels import (
     HamiltonianTerm,
     NoiseSpec,
     make_noise_channel,
-    stinespring_dilation,
     strength_markovian,
 )
 from ftlab.circuit import (
@@ -332,8 +331,14 @@ def test_simulate_noisy_rejects_nonlocal_noise():
 
 
 def _dilation_coupling(ch, sys_qubit, env_qubit):
-    u, n_env = stinespring_dilation(ch)
-    assert n_env == 2, "test channels must have two Kraus operators"
+    """Stinespring unitary of a two-Kraus qubit channel on (system, environment):
+    its environment-|0> columns are the isometry sum_k K_k ⊗ |k>, and QR
+    completes the other columns."""
+    assert len(ch.kraus) == 2, "test channels must have two Kraus operators"
+    iso = ch.kraus.transpose(1, 0, 2).reshape(4, 2)  # row s * 2 + k
+    u = np.empty((4, 4), dtype=np.complex128)
+    u[:, 0::2] = iso
+    u[:, 1::2] = np.linalg.qr(iso, mode="complete")[0][:, 2:]
     return EnvCoupling((sys_qubit, env_qubit), u)
 
 

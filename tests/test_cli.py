@@ -465,6 +465,105 @@ def test_strength_markovian_command(tmp_path, capsysbinary):
     assert doc["results"]["strength"] == pytest.approx(2 * math.sin(0.05), rel=1e-6)
 
 
+PAULI_Z = [[1, 0], [0, 0], [0, 0], [-1, 0]]
+PAULI_X = [[0, 0], [1, 0], [1, 0], [0, 0]]
+ZZ = matrix_to_json(np.diag([1.0, -1.0, -1.0, 1.0]))
+
+
+def _grid_params(**extra):
+    """Two one-cell regions, one Pauli index, |Delta| 1 from cell 0 and 3 from cell 1."""
+    delta = np.ones((2, 1, 2, 1))
+    delta[1] = 3.0
+    grid = {"delta_abs": delta.tolist(), "cell_volume": 0.1, "gate_regions": [[0], [1]]}
+    return {"evaluator": "gaussian", "grid": grid, **extra}
+
+
+# evaluator params -> expected results, each worked out by hand
+STRENGTHS = {
+    # location 1 sums Z on qubit 0 and X on qubit 1: t0 ||Z ⊗ I + I ⊗ X|| = 2 t0
+    "local_hamiltonian": (
+        {
+            "evaluator": "local_hamiltonian",
+            "t0": 0.3,
+            "terms": [
+                {"support": [0], "op": PAULI_Z, "label": 1},
+                {"support": [1], "op": PAULI_X, "label": 1},
+                {"support": [0], "op": matrix_to_json(0.5 * np.eye(2)), "label": 2},
+            ],
+        },
+        {"strength": 0.6},
+    ),
+    # one unit pair term: sqrt(c t0 ||ZZ||) = sqrt(2e) by default, outside eps^2 <= e
+    "long_range_default_c": (
+        {"evaluator": "long_range", "t0": 1.0, "terms": [{"support": [0, 1], "op": ZZ, "label": [0, 1]}]},
+        {"strength": math.sqrt(2 * math.e), "within_validity": False},
+    ),
+    "long_range_c_1": (
+        {
+            "evaluator": "long_range",
+            "t0": 0.5,
+            "c": 1.0,
+            "terms": [{"support": [0, 1], "op": ZZ, "label": [0, 1]}],
+        },
+        {"strength": math.sqrt(0.5), "within_validity": True},
+    ),
+    # worst region is cell 1: c * (3 + 3) * 0.1^2 with c = 2e
+    "gaussian": (_grid_params(), {"strength": math.sqrt(2 * math.e * 0.06)}),
+    "gaussian_c_1": (_grid_params(c=1.0), {"strength": math.sqrt(0.06)}),
+    # against the ideal X, the flip (1 - p) I + p X is (1 - p) times I against X: 2 (1 - p)
+    "markovian_ideal": (
+        {
+            "evaluator": "markovian",
+            "noisy": {"kind": "probabilistic", "p": 0.25, "e_op": PAULI_X},
+            "ideal": "X",
+        },
+        {"strength": 1.5},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRENGTHS))
+def test_strength_evaluators_match_hand_values(tmp_path, capsysbinary, case):
+    params, want = STRENGTHS[case]
+    cfg = write_config(tmp_path, "st.json", {"command": "strength", "params": params})
+    code, out, err = run(capsysbinary, ["strength", "--config", cfg])
+    assert code == 0 and err == b""
+    results = json.loads(out)["results"]
+    assert results["evaluator"] == params["evaluator"]
+    for key, value in want.items():
+        assert results[key] == (pytest.approx(value, rel=1e-12) if type(value) is float else value)
+
+
+NON_FINITE = {
+    "strength_nan": (
+        "strength",
+        {"evaluator": "markovian", "noisy": {"kind": "control_rotation", "delta_theta": math.nan}},
+        "NaN",
+    ),
+    "accuracy_nan": (
+        "accuracy",
+        {
+            "circuit": {**_h_chain(1, 2), "final_measure": [0]},
+            "noise": {"2": {"kind": "control_rotation", "delta_theta": math.nan}},
+        },
+        "NaN",
+    ),
+    "threshold_infinity": ("threshold", {"L0": 7, "t": 1, "eps": -math.inf}, "-Infinity"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_config_number_exits_2_before_any_work(tmp_path, capsysbinary, monkeypatch, case):
+    command, params, literal = NON_FINITE[case]
+    cfg = write_config(tmp_path, "cfg.json", {"command": command, "params": params})
+    assert literal in Path(cfg).read_text()  # json.dumps writes the literal Python reads back
+    monkeypatch.setitem(cli._RUNNERS, command, None)  # never reached
+    code, out, err = run(capsysbinary, [command, "--config", cfg])
+    assert code == 2 and out == b""
+    msg = json.loads(err)
+    assert msg["exit"] == 2 and msg["error"].startswith(f"config holds the non-finite number {literal}:")
+
+
 def test_accuracy_command_within_bound(tmp_path, capsysbinary):
     cfg = write_config(
         tmp_path,

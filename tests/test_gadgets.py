@@ -44,8 +44,8 @@ def test_graph_numbering_and_extents():
     assert CHAIN.total_locations == 5
     # own blocks first, then segments
     assert CHAIN._parts == (frozenset({1, 2}), frozenset({4, 5}), frozenset({3}))
-    assert CHAIN.extent(0) == (1, 2, 3)
-    assert CHAIN.extent(1) == (3, 4, 5)
+    # extents: gadget 0 is own block 0 + out segment 0, gadget 1 is in segment 0 + own block 1
+    assert CHAIN._in == ((), (0,)) and CHAIN._out == ((0,), ()) and CHAIN._succ == (1,)
     twin = GadgetGraph((Gadget(2, ((1, 1),)), Gadget(2)))
     assert twin == CHAIN and hash(twin) == hash(CHAIN)
     assert twin != GadgetGraph((Gadget(2, ((2, 1),)), Gadget(2)))
@@ -156,12 +156,8 @@ def reference_sweep(g, faulty, t):
     truncated = [set(ids) for ids in own]
     for pred, succ, seg in segs:
         truncated[succ if bad[succ] else pred] |= seg
-    extents = [
-        tuple(sorted(own[i].union(*(seg for p, s, seg in segs if i in (p, s)))))
-        for i in range(len(own))
-    ]
     statuses = tuple("bad" if b else "good" for b in bad)
-    return statuses, tuple(map(frozenset, truncated)), extents
+    return statuses, tuple(map(frozenset, truncated))
 
 
 # skip links, two segments between one pair, and gadgets with two or three
@@ -175,7 +171,7 @@ SMALL_GRAPHS = [
 
 def assert_matches_reference(g, faults, t):
     c = truncate_and_classify(g, FaultConfig(faults), t)
-    statuses, truncated, _ = reference_sweep(g, faults, t)
+    statuses, truncated = reference_sweep(g, faults, t)
     assert c.statuses == statuses, (sorted(faults), t)
     assert c.truncated == truncated, (sorted(faults), t)
     return c
@@ -184,7 +180,6 @@ def assert_matches_reference(g, faults, t):
 @pytest.mark.parametrize("graph", SMALL_GRAPHS)
 def test_truncate_matches_reference_sweep_exhaustively(graph):
     n = graph.total_locations
-    assert [graph.extent(i) for i in range(graph.n_gadgets)] == reference_sweep(graph, set(), 0)[2]
     for t in (0, 1, 2):
         for bits in range(1 << n):
             assert_matches_reference(graph, frozenset(i + 1 for i in range(n) if bits >> i & 1), t)
@@ -201,7 +196,6 @@ def test_truncate_matches_reference_sweep_on_sampled_chain():
             er_out += ((1, i + 2),)
         gadgets.append(Gadget(int(rng.integers(3, 7)), er_out))
     graph = GadgetGraph(tuple(gadgets))
-    assert [graph.extent(i) for i in range(n)] == reference_sweep(graph, set(), 0)[2]
     any_bad = 0
     for i in range(500):
         faults = sample_fault_config(graph, 0.05, [3, i]).faulty
@@ -363,7 +357,7 @@ def test_gadget_graph_from_json():
     )
     assert t == 1
     assert graph.total_locations == 10
-    assert graph.extent(1) == (5, 6, 7, 8, 9, 10)
+    assert graph._parts == (frozenset(range(1, 5)), frozenset(range(7, 11)), frozenset({5, 6}))
 
     graph2, _ = gadget_graph_from_json(
         {

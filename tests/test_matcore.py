@@ -11,8 +11,8 @@ from ftlab.matcore import (
     DimensionCapError,
     SubsystemDims,
     apply_local,
+    complex_pairs,
     embed_operator,
-    is_density,
     is_hermitian,
     is_unitary,
     kolmogorov_distance,
@@ -25,7 +25,6 @@ from ftlab.matcore import (
     superoperator,
     trace_norm,
     vector_from_json,
-    vector_to_json,
 )
 
 SZ = np.diag([1.0, -1.0]).astype(np.complex128)
@@ -146,10 +145,6 @@ def test_kolmogorov_bounded_by_trace_norm():
 
 
 def test_matrix_density_checks():
-    assert is_density(np.eye(2) / 2)
-    assert not is_density(np.diag([1.5, -0.5]))
-    assert not is_density(np.array([[0.5, 0.3], [0.2, 0.5]]))
-    assert not is_density(np.eye(2))  # trace 2
     assert is_hermitian(SZ) and not is_hermitian(np.array([[0, 1], [0, 0]]))
     assert is_unitary(SZ) and not is_unitary(np.diag([1.0, 0.5]))
 
@@ -307,7 +302,7 @@ def test_json_round_trip(monkeypatch):
     assert again.dtype == np.complex128
     np.testing.assert_array_equal(again, m)
     v = random_pure(rng, 4)
-    np.testing.assert_allclose(vector_from_json(vector_to_json(v)), v)
+    np.testing.assert_allclose(vector_from_json(complex_pairs(v).tolist()), v)
     with pytest.raises(ValueError, match="square"):
         matrix_from_json([[1.0, 0.0]] * 3)  # 3 entries, not square
     with pytest.raises(ValueError, match=r"must be >= 2, got \(0,\)"):
