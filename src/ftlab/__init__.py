@@ -32,7 +32,6 @@ from .channels import (
 )
 from .circuit import (
     Circuit,
-    EnvCoupling,
     EnvironmentSpec,
     Location,
     circuit_from_json,

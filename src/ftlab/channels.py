@@ -41,6 +41,7 @@ from .matcore import (
     is_hermitian,
     is_unitary,
     matrix_from_json,
+    number_from_json,
     operator_norm,
     qubit_dims,
     read_only,
@@ -673,6 +674,6 @@ def correlation_grid_from_json(obj: Mapping) -> CorrelationGrid:
         raise ValueError("correlation grid must be an object")
     return CorrelationGrid(
         delta_abs=np.asarray(obj["delta_abs"], dtype=float),
-        cell_volume=float(obj["cell_volume"]),
+        cell_volume=number_from_json(obj["cell_volume"], "cell_volume"),
         gate_regions=tuple(tuple(int(i) for i in r) for r in obj["gate_regions"]),
     )

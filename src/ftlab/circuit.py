@@ -9,9 +9,10 @@ applies each location's stack with ``matcore.apply_local`` and then the
 entry of the table ``after`` for that location, its noise as data: nothing
 in ``simulate_ideal``, the channel N in ``simulate_noisy``, the fault
 insertion N - I on the chosen locations in ``faultpaths.zeta_subset`` /
-``zeta_earliest``, and a unitary coupling to explicit environment qubits in
-``simulate_with_environment``, which walks a joint system-environment pure
-state for noise that independent per-location channels cannot describe.
+``zeta_earliest``, and a coupling to explicit environment qubits, a
+one-operator ``Channel``, in ``simulate_with_environment``, which walks a
+joint system-environment pure state for noise that independent
+per-location channels cannot describe; ``_noise_terms`` builds every table.
 Classical control is handled in the walker, once for all four callers: a
 measurement that a later gate is conditioned on splits the walk into one
 branch per outcome, a conditioned gate acts only on the branches with its
@@ -288,24 +289,23 @@ def _walk(
     """Evolve `x`, by default |0...0><0...0| on c's qubits, through `c`.
 
     Each location applies its Kraus stack, and a prep resets its support
-    to |psi><psi| with psi = ops[0, :, 0] (`_reset`). A measurement is the
-    non-selective sum_a P_a x P_a unless a later gate is conditioned on it,
-    in which case the walk keeps one branch per outcome, P_a x P_a; a
-    conditioned gate skips the branches with another outcome, and an
-    identity slot changes nothing. Once the last gate conditioned on a
-    measurement has acted, the branches that differ only in its outcome
-    are summed (`_merge`). Then, where `after` maps the location's index
-    to (support, ops), every branch takes `apply_local(x, ops, support)`:
-    a Kraus stack (a noise channel, a coupling [U]) or a superoperator (a
-    fault insertion). Returns the branch states, whose sum is the evolved
-    `x`.
+    to psi = ops[0, :, 0] (`_reset`). A measurement is the non-selective
+    sum_a P_a x P_a unless a later gate is conditioned on it, in which case
+    the walk keeps one branch per outcome, P_a x P_a; a conditioned gate
+    skips the branches with another outcome, and an identity slot changes
+    nothing. Once the last gate conditioned on a measurement has acted, the
+    branches that differ only in its outcome are summed (`_merge`). Then,
+    where `after` maps the location's index to (support, ops), every branch
+    takes `apply_local(x, ops, support)`: a Kraus stack (a noise channel, a
+    coupling [U]) or a superoperator (a fault insertion). Returns the
+    branch states, whose sum is the evolved `x`.
 
     `x` may instead be a state vector on c's qubits followed by others (an
     environment); its size gives the dims. A branch is then P_a x, a prep
-    splits each branch into its nonzero parts (|psi><k| (x) I) x, one per
-    basis state k of its support, branches are never summed but, past d of
-    them with the same outcomes, refactored into d (`_merge`), and a
-    measurement no gate is conditioned on is left to the caller.
+    splits it into its nonzero parts (`_reset`), branches are never summed
+    but, past d of them with the same outcomes, refactored into d
+    (`_merge`), and a measurement no gate is conditioned on is left to the
+    caller.
     """
     if x is None:
         x = np.zeros((c.dims.total,) * 2, dtype=np.complex128)
@@ -321,13 +321,9 @@ def _walk(
                 for rec, x in branches
                 for a in range(len(loc.ops))
             ]
-        elif loc.kind == "prep" and x.ndim == 1:
-            kets = np.einsum("i,kj->kij", loc.ops[0, :, 0], np.eye(loc.ops.shape[1]))[:, None]
-            branches = [(rec, y) for rec, x in branches for k in kets
-                        if (y := apply_local(x, k, loc.support, dims)).any()]
         elif loc.kind == "prep":
             psi = loc.ops[0, :, 0]
-            branches = [(rec, _reset(x, loc.support, psi, n)) for rec, x in branches]
+            branches = [(rec, y) for rec, x in branches for y in _reset(x, loc.support, psi, n)]
         elif loc.kind == "gate" or (loc.kind == "measure" and x.ndim == 2):
             cond = loc.condition
             branches = [
@@ -366,34 +362,41 @@ def _last_readers(c: Circuit) -> dict[int, int]:
     return {loc.condition[0]: loc.index for loc in c.locations if loc.condition is not None}
 
 
-def _reset(x: np.ndarray, support: Sequence[int], psi: np.ndarray, n: int) -> np.ndarray:
-    """The prep channel sum_k |psi><k| x |k><psi| on the qubits `support` of
-    the n-qubit matrix x, psi factored over them as listed, at O(d^2) cost."""
+def _reset(x: np.ndarray, support: Sequence[int], psi: np.ndarray, n: int) -> list:
+    """The prep of psi, factored over the qubits `support` as listed, on
+    the n-qubit state x. A matrix gives one matrix, the channel
+    sum_k |psi><k| x |k><psi| at O(d^2) cost; a vector gives its nonzero
+    branches (|psi><k| (x) I) x, one per basis state k of the support."""
+    lead = range(len(support))
+    if x.ndim == 1:
+        rows = np.moveaxis(x.reshape((2,) * n), support, lead).reshape(len(psi), -1)
+        ys = [y for row in rows if (y := psi[:, None] @ row[None, :]).any()]
+        return [np.moveaxis(y.reshape((2,) * n), lead, support).ravel() for y in ys]
     rest = [q for q in range(n) if q not in support]
     y = partial_trace(x, rest, qubit_dims(n)).reshape((2,) * 2 * len(rest))
     p = np.outer(psi, psi.conj()).reshape((2,) * 2 * len(support))
     y_axes = rest + [q + n for q in rest]
     p_axes = list(support) + [q + n for q in support]
-    return np.einsum(y, y_axes, p, p_axes, range(2 * n)).reshape(x.shape)
+    return [np.einsum(y, y_axes, p, p_axes, range(2 * n)).reshape(x.shape)]
 
 
-def _noise_terms(c: Circuit, noise: Mapping[int, Channel]) -> dict[int, tuple]:
+def _noise_terms(c: Circuit, noise: Mapping[int, Channel], n: int = 0) -> dict[int, tuple]:
     """The `_walk` table applying noise[i] after location i: {i: (support, kraus)}.
 
     Every key must name a location of `c`, and every channel must act on
-    qubits inside its location's support.
+    qubits inside its location's support or, for a walk on n > c.n_system
+    qubits, on the environment qubits c.n_system..n-1.
     """
+    env = set(range(c.n_system, n))
     for idx, ch in noise.items():
         if not 1 <= idx <= c.size:
             raise ValueError(f"noise references unknown location {idx}")
         if set(ch.dims) != {2}:
             raise ValueError(f"noise on location {idx} has factor dims {ch.dims.dims}, not qubits")
         loc = c.location(idx)
-        if not set(ch.support) <= set(loc.support):
-            raise ValueError(
-                f"noise on location {idx} acts on {ch.support}, outside its "
-                f"support {loc.support}"
-            )
+        if not set(ch.support) <= set(loc.support) | env:
+            where = f"support {loc.support}" + (f" plus qubits {min(env)}..{n - 1}" if env else "")
+            raise ValueError(f"noise on location {idx} acts on {ch.support}, outside its {where}")
     return {idx: (ch.support, ch.kraus) for idx, ch in noise.items()}
 
 
@@ -436,36 +439,15 @@ def simulate_noisy(
 
 
 @dataclass(frozen=True, eq=False)
-class EnvCoupling:
-    """Unitary fault operator on (part of) a location's support plus
-    environment qubits; indices are global (environment block appended
-    after the system block). `unitary` is stored as a read-only complex128
-    array of side 2^len(support)."""
-
-    support: tuple[int, ...]
-    unitary: np.ndarray
-
-    def __post_init__(self) -> None:
-        support = tuple(int(q) for q in self.support)
-        if len(set(support)) != len(support) or not support:
-            raise ValueError("coupling support must be nonempty and duplicate-free")
-        object.__setattr__(self, "support", support)
-        u = read_only(self.unitary)
-        object.__setattr__(self, "unitary", u)
-        if u.shape != (2 ** len(support),) * 2:
-            raise ValueError("coupling unitary dimension mismatch")
-        if not is_unitary(u):
-            raise ValueError("coupling must be unitary")
-
-
-@dataclass(frozen=True, eq=False)
 class EnvironmentSpec:
-    """Shared environment: qubit count, initial pure state, per-location
-    coupling unitaries keyed by location index."""
+    """Shared environment of n_env qubits, numbered after a circuit's
+    system qubits: its initial pure state and, keyed by location index,
+    the coupling applied after that location, a one-operator Channel (a
+    unitary) on qubit factors with global qubit indices."""
 
     n_env: int
     initial: np.ndarray
-    couplings: Mapping[int, EnvCoupling]
+    couplings: Mapping[int, Channel]
 
     def __post_init__(self) -> None:
         if self.n_env < 1:
@@ -477,13 +459,16 @@ class EnvironmentSpec:
             raise ValueError("environment state must be normalized")
         object.__setattr__(self, "initial", vec)
         object.__setattr__(self, "couplings", dict(self.couplings))
+        for idx, ch in self.couplings.items():
+            if len(ch.kraus) != 1 or set(ch.dims) != {2}:
+                raise ValueError(f"coupling at location {idx} must be one unitary on qubits")
 
 
 def environment_strength(env: EnvironmentSpec) -> float:
     """Noise strength max_j ||N_j - I||_inf over the declared couplings."""
     if not env.couplings:
         return 0.0
-    return strength_unitary_couplings(c.unitary for c in env.couplings.values())
+    return strength_unitary_couplings(ch.kraus[0] for ch in env.couplings.values())
 
 
 def simulate_with_environment(
@@ -491,23 +476,21 @@ def simulate_with_environment(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint pure-state evolution with per-location coupling unitaries.
 
-    Requirements, checked in one pass before any evolution: every coupling
-    must name a location of `c`; a measurement that no gate is conditioned
-    on must be uncoupled and terminal on its qubits; a coupling must act
-    inside its location's support plus the environment. `_walk` then
-    evolves |0...0> (x) env.initial with each coupling [U] applied after
-    its location, one branch P_a |psi> per outcome a of a measurement that
-    gates are conditioned on and one per basis state k of a prep's
-    support. The reduced system state is the sum over branches of
-    Tr_env |psi_b><psi_b|; the other measurements are deferred and applied
-    to it as non-selective projections. Returns the reduced system density
-    matrix and the read-out probabilities.
+    Requirements, checked before any evolution: the couplings pass
+    `_noise_terms` on the joint qubits (a known location, acting inside its
+    support plus the environment), and a measurement that no gate is
+    conditioned on must be uncoupled and terminal on its qubits. `_walk`
+    then evolves |0...0> (x) env.initial through that table, one branch
+    P_a |psi> per outcome a of a measurement that gates are conditioned on
+    and one per nonzero part of a prep (`_reset`). The reduced system
+    state is the sum over branches of Tr_env |psi_b><psi_b|; the other
+    measurements are deferred and applied to it as non-selective
+    projections. Returns the reduced system density matrix and the
+    read-out probabilities.
     """
     n_sys = c.n_system
     qubit_dims(n_sys + env.n_env)  # an over-cap joint space is refused before any work
-    for idx in env.couplings:
-        if not 1 <= idx <= c.size:
-            raise ValueError(f"environment references unknown location {idx}")
+    after = _noise_terms(c, env.couplings, n_sys + env.n_env)
     readers = _last_readers(c)
     deferred: list[Location] = []
     for loc in c.locations:
@@ -515,18 +498,10 @@ def simulate_with_environment(
         if stale:
             raise ValueError(f"measurement at location {stale[0]} must be terminal on its qubits")
         if loc.kind == "measure" and loc.index not in readers:
-            if loc.index in env.couplings:
+            if loc.index in after:
                 raise ValueError("measurements must be ideal (no coupling)")
             deferred.append(loc)
-        coupling = env.couplings.get(loc.index)
-        allowed = set(loc.support) | set(range(n_sys, n_sys + env.n_env))
-        if coupling is not None and not set(coupling.support) <= allowed:
-            raise ValueError(
-                f"coupling at location {loc.index} acts on {coupling.support}, "
-                f"outside support plus environment"
-            )
     x = np.kron(np.eye(1, 2**n_sys, dtype=np.complex128)[0], env.initial)
-    after = {i: (cp.support, cp.unitary[None]) for i, cp in env.couplings.items()}
     # the branches side by side, so one product sums Tr_env over them
     m = np.hstack([psi.reshape(2**n_sys, -1) for psi in _walk(c, after, x)])
     rho_sys = m @ m.conj().T
@@ -619,8 +594,7 @@ def environment_spec_from_json(obj: Mapping) -> EnvironmentSpec:
         raise ValueError("environment couplings must be an object")
     couplings = {}
     for key, entry in raw.items():
-        couplings[int(key)] = EnvCoupling(
-            support=tuple(int(q) for q in entry["support"]),
-            unitary=matrix_from_json(entry["unitary"]),
-        )
+        support = tuple(int(q) for q in entry["support"])
+        u = matrix_from_json(entry["unitary"])
+        couplings[int(key)] = Channel.unitary(u, qubit_dims(len(support)), support)
     return EnvironmentSpec(n_env, vec, couplings)

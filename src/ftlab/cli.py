@@ -23,7 +23,9 @@ numpy scalars are read with `.item()` first, and a cell that would need
 quoting raises ValueError.
 
 Exit codes: 0 success, 2 config/validation error (the command-line
-overrides are validated with the config), 3 refused work (the `DIM_CAP`
+overrides are validated with the config, and a `params` key the run does
+not read or a number of the wrong kind is refused before any work, by
+`_unread` and `matcore.number_from_json`), 3 refused work (the `DIM_CAP`
 dimension cap, the `ie_check` lattice cap, the Monte Carlo leaf budget or
 the gadget-graph size cap, the diamond ascent's `RESTARTS_CAP`, or, as a
 last resort, running out of memory). Errors print a single JSON object
@@ -86,7 +88,9 @@ from .gadgets import (
     sample_fault_config,
     truncate_and_classify,
 )
-from .matcore import DimensionCapError, complex_pairs, matrix_from_json, trace_norm
+from .matcore import (
+    DimensionCapError, complex_pairs, matrix_from_json, number_from_json, trace_norm
+)
 from .threshold import SchemeParams, pseudothreshold_mc, threshold_report, threshold_value
 
 COMMANDS = ("strength", "accuracy", "faultpaths", "truncate", "levelred", "threshold")
@@ -289,6 +293,24 @@ def _report(command: str, config: dict, results: dict, records: list[dict]) -> R
 # -- command implementations ---------------------------------------------------
 
 
+def _unread(params: Mapping, *reads: str) -> None:
+    """Refuse, before any work, a params key outside `reads`, all this run reads."""
+    extra = sorted(set(params) - set(reads))
+    if extra:
+        raise ValueError(f"params key {extra[0]!r} is not read: this run reads {', '.join(reads)}")
+
+
+def _param(params: Mapping, key: str, kind: type = float, default=None, each: bool = False):
+    """params[key], or `default` when given and the key is absent, read by
+    `number_from_json`; with `each`, a list read entry by entry."""
+    value = params[key] if default is None else params.get(key, default)
+    if not each:
+        return number_from_json(value, key, kind)
+    if type(value) is not list:
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return [number_from_json(v, f"{key} entry", kind) for v in value]
+
+
 def _ideal_channel_like(noisy: Channel, params: Mapping) -> Channel:
     if "ideal" in params:
         u = gate_from_json(params["ideal"])
@@ -296,53 +318,56 @@ def _ideal_channel_like(noisy: Channel, params: Mapping) -> Channel:
     return Channel.identity(noisy.dims, noisy.support)
 
 
+_STRENGTH_READS = {  # the params each evaluator reads besides "evaluator"
+    "markovian": ("noisy", "ideal"), "diamond": ("a", "b", "restarts"),
+    "local_hamiltonian": ("terms", "t0"), "long_range": ("terms", "t0", "c"),
+    "gaussian": ("grid", "c"), "unitary_couplings": ("couplings",),
+    "environment": ("environment",),
+}
+
+
 def _cmd_strength(config: dict, workers: int) -> Report:
     params = config["params"]
     ev = params.get("evaluator")
+    if not isinstance(ev, str) or ev not in _STRENGTH_READS:
+        raise ValueError(f"unknown strength evaluator {ev!r}")
+    _unread(params, "evaluator", *_STRENGTH_READS[ev])
+    kwargs = {"c": _param(params, "c")} if "c" in params else {}
     if ev == "markovian":
         noisy = make_noise_channel(noise_spec_from_json(params["noisy"]))
         eps = strength_markovian(noisy, _ideal_channel_like(noisy, params))
         results = {"evaluator": ev, "strength": eps}
     elif ev == "diamond":
-        a = make_noise_channel(noise_spec_from_json(params["a"]))
-        b = make_noise_channel(noise_spec_from_json(params["b"]))
-        restarts = params.get("restarts", 32)
-        if type(restarts) is not int:  # a bool, float or string is refused, not cast
-            raise ValueError(f"restarts must be an integer, got {restarts!r}")
+        restarts = _param(params, "restarts", int, 32)
         if restarts > RESTARTS_CAP:
             raise ExhaustiveCapError(f"diamond ascent capped at restarts <= {RESTARTS_CAP}")
+        a = make_noise_channel(noise_spec_from_json(params["a"]))
+        b = make_noise_channel(noise_spec_from_json(params["b"]))
         lo, hi = diamond_distance(a, b, restarts=restarts, seed=config["seed"])
         results = {"evaluator": ev, "lower": lo, "upper": hi}
     elif ev == "local_hamiltonian":
-        terms = hamiltonian_terms_from_json(params["terms"])
-        eps = strength_local_hamiltonian(terms, float(params["t0"]))
+        t0 = _param(params, "t0")
+        eps = strength_local_hamiltonian(hamiltonian_terms_from_json(params["terms"]), t0)
         results = {"evaluator": ev, "strength": eps}
     elif ev == "long_range":
-        terms = hamiltonian_terms_from_json(params["terms"])
-        kwargs = {"c": float(params["c"])} if "c" in params else {}
-        eps = strength_long_range(terms, float(params["t0"]), **kwargs)
-        results = {
-            "evaluator": ev,
-            "strength": float(eps),
-            "within_validity": eps.within_validity,
-        }
+        t0 = _param(params, "t0")
+        eps = strength_long_range(hamiltonian_terms_from_json(params["terms"]), t0, **kwargs)
+        results = {"evaluator": ev, "strength": float(eps), "within_validity": eps.within_validity}
     elif ev == "gaussian":
         grid = correlation_grid_from_json(params["grid"])
-        kwargs = {"c": float(params["c"])} if "c" in params else {}
         results = {"evaluator": ev, "strength": strength_gaussian(grid, **kwargs)}
     elif ev == "unitary_couplings":
         ops = [matrix_from_json(m) for m in params["couplings"]]
         results = {"evaluator": ev, "strength": strength_unitary_couplings(ops)}
-    elif ev == "environment":
+    else:
         env = environment_spec_from_json(params["environment"])
         results = {"evaluator": ev, "strength": environment_strength(env)}
-    else:
-        raise ValueError(f"unknown strength evaluator {ev!r}")
     return _report("strength", config, results, [dict(results)])
 
 
 def _cmd_accuracy(config: dict, workers: int) -> Report:
     params = config["params"]
+    _unread(params, "circuit", "variant", "environment" if "environment" in params else "noise")
     c = circuit_from_json(params["circuit"])
     variant = params.get("variant")
     if "environment" in params:
@@ -359,22 +384,20 @@ def _cmd_accuracy(config: dict, workers: int) -> Report:
             eps = max(eps, strength_markovian(ch, ident))
         variant = variant or "linear"
     bound = accuracy_bound(c.size, eps, variant)
-    results = {
-        "delta": delta,
-        "eps": eps,
-        "locations": c.size,
-        "variant": variant,
-        "bound": bound,
-        "within_bound": bool(delta <= bound + 1e-12),
-    }
+    results = {"delta": delta, "eps": eps, "locations": c.size, "variant": variant,
+               "bound": bound, "within_bound": bool(delta <= bound + 1e-12)}
     return _report("accuracy", config, results, [dict(results)])
+
+
+_FAULTPATH_READS = {"subset": ("subset", "complement"), "earliest": ("r",)}
 
 
 def _cmd_faultpaths(config: dict, workers: int) -> Report:
     params = config["params"]
     mode = params.get("mode")
     if mode == "ie_check":
-        verdict = verify_ie_identity(int(params["L0"]), int(params["t"]))
+        _unread(params, "mode", "L0", "t")
+        verdict = verify_ie_identity(_param(params, "L0", int), _param(params, "t", int))
         results = {
             "mode": mode,
             "ok": verdict.ok,
@@ -383,23 +406,20 @@ def _cmd_faultpaths(config: dict, workers: int) -> Report:
         }
         rec = {k: results[k] for k in ("mode", "ok", "detail")}
         return _report("faultpaths", config, results, [rec])
+    if mode not in ("subset", "earliest"):
+        raise ValueError(f"unknown faultpaths mode {mode!r}")
+    _unread(params, "mode", "circuit", "noise", *_FAULTPATH_READS[mode])
     c = circuit_from_json(params["circuit"])
     noise = noise_map_from_json(params.get("noise", {}))
     if mode == "subset":
-        zeta = zeta_subset(
-            c, noise, [int(i) for i in params["subset"]],
-            complement=params.get("complement", "noisy"),
-        )
-        results = {
-            "mode": mode,
-            "subset": sorted(int(i) for i in params["subset"]),
-            "complement": params.get("complement", "noisy"),
-        }
-    elif mode == "earliest":
-        zeta = zeta_earliest(c, noise, int(params["r"]))
-        results = {"mode": mode, "r": int(params["r"])}
+        subset = _param(params, "subset", int, each=True)
+        complement = params.get("complement", "noisy")
+        zeta = zeta_subset(c, noise, subset, complement=complement)
+        results = {"mode": mode, "subset": sorted(subset), "complement": complement}
     else:
-        raise ValueError(f"unknown faultpaths mode {mode!r}")
+        r = _param(params, "r", int)
+        zeta = zeta_earliest(c, noise, r)
+        results = {"mode": mode, "r": r}
     results["trace_norm"] = trace_norm(zeta)
     results["matrix"] = complex_pairs(zeta)
     rec = {k: v for k, v in results.items() if k not in ("matrix", "subset")}
@@ -408,11 +428,12 @@ def _cmd_faultpaths(config: dict, workers: int) -> Report:
 
 def _cmd_truncate(config: dict, workers: int) -> Report:
     params = config["params"]
+    _unread(params, "graph", "faults" if "faults" in params else "eps")
     graph, t = gadget_graph_from_json(params["graph"])
     if "faults" in params:
-        fc = FaultConfig(params["faults"])
+        fc = FaultConfig(_param(params, "faults", int, each=True))
     else:
-        fc = sample_fault_config(graph, float(params["eps"]), config["seed"])
+        fc = sample_fault_config(graph, _param(params, "eps"), config["seed"])
     cls = truncate_and_classify(graph, fc, t)
     per_gadget = [
         {"gadget": i, "status": status, "fault_count": len(ids & fc.faulty),
@@ -432,39 +453,36 @@ def _cmd_truncate(config: dict, workers: int) -> Report:
 
 def _cmd_levelred(config: dict, workers: int) -> Report:
     params = config["params"]
-    levels = int(params["levels"])
-    L0, t = int(params["L0"]), int(params["t"])
-    eps = float(params["eps"])
-    samples = int(params["samples"])
+    _unread(params, "levels", "L0", "t", "eps", "samples")
+    levels, L0, t, samples = (_param(params, k, int) for k in ("levels", "L0", "t", "samples"))
+    eps = _param(params, "eps")
     ests = level_reduce_mc(levels, L0, t, eps, samples, config["seed"], workers=workers)
     exact = iterate_failure_map(levels, L0, t, eps)
     rows = [
-        {
-            "level": e.level,
-            "estimate": e.probability,
-            "stderr": e.stderr,
-            "trials": e.trials,
-            "exact": x,
-        }
+        {"level": e.level, "estimate": e.probability, "stderr": e.stderr, "trials": e.trials,
+         "exact": x}
         for e, x in zip(ests, exact)
     ]
-    results = {
-        "L0": L0,
-        "t": t,
-        "eps": eps,
-        "samples": samples,
-        "levels": rows,
-    }
+    results = {"L0": L0, "t": t, "eps": eps, "samples": samples, "levels": rows}
     return _report("levelred", config, results, [dict(r) for r in rows])
 
 
 def _cmd_threshold(config: dict, workers: int) -> Report:
     params = config["params"]
+    _unread(params, "L0", "t", "xi", "L", "delta0", "eps", "pseudothreshold")
     scheme = SchemeParams(
-        L0=int(params["L0"]),
-        t=int(params["t"]),
-        xi=float(params.get("xi", math.e)),
+        L0=_param(params, "L0", int),
+        t=_param(params, "t", int),
+        xi=_param(params, "xi", float, math.e),
     )
+    target = None
+    if {"L", "delta0", "eps"} & params.keys():  # read together, each required
+        target = _param(params, "L", int), _param(params, "delta0"), _param(params, "eps")
+    sub = params.get("pseudothreshold", {})
+    if not isinstance(sub, Mapping):
+        raise ValueError("pseudothreshold must be an object")
+    _unread(sub, "samples", "mode")
+    samples = _param(sub, "samples", int, 10**5)
     results: dict = {
         "L0": scheme.L0,
         "t": scheme.t,
@@ -472,10 +490,8 @@ def _cmd_threshold(config: dict, workers: int) -> Report:
         "eps0": threshold_value(scheme),
     }
     records: list[dict] = []
-    if all(k in params for k in ("L", "delta0", "eps")):
-        rep = threshold_report(
-            int(params["L"]), float(params["delta0"]), float(params["eps"]), scheme
-        )
+    if target is not None:
+        rep = threshold_report(*target, scheme)
         results.update(
             per_level=list(rep.per_level),
             k_required=rep.k_required,
@@ -488,21 +504,10 @@ def _cmd_threshold(config: dict, workers: int) -> Report:
         results["exponent_a"] = a
         records = [{"eps0": results["eps0"], "exponent_a": a}]
     if "pseudothreshold" in params:
-        sub = params["pseudothreshold"]
-        if not isinstance(sub, Mapping):
-            raise ValueError("pseudothreshold must be an object")
-        crossing, ci = pseudothreshold_mc(
-            scheme,
-            int(sub.get("samples", 10**5)),
-            config["seed"],
-            mode=sub.get("mode", "exact"),
-        )
-        results["pseudothreshold"] = {
-            "crossing": crossing,
-            "ci_low": ci[0],
-            "ci_high": ci[1],
-            "mode": sub.get("mode", "exact"),
-        }
+        mode = sub.get("mode", "exact")
+        crossing, ci = pseudothreshold_mc(scheme, samples, config["seed"], mode=mode)
+        results["pseudothreshold"] = {"crossing": crossing, "ci_low": ci[0], "ci_high": ci[1],
+                                      "mode": mode}
     return _report("threshold", config, results, records)
 
 

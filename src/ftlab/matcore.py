@@ -16,6 +16,7 @@ float64 array of outcome probabilities.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -266,6 +267,18 @@ def complex_pairs(a: np.ndarray) -> np.ndarray:
     """Row-major `(size, 2)` float64 array of `[re, im]` rows: the JSON form as an array."""
     flat = np.ascontiguousarray(a, dtype=np.complex128).reshape(-1)
     return flat.view(np.float64).reshape(-1, 2)
+
+
+def number_from_json(value, name: str, kind: type = float):
+    """A JSON scalar checked, never cast: kind=int takes a JSON integer and
+    kind=float a finite JSON number, an integer widened. A bool, a string
+    or any other value raises ValueError naming `name`."""
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not kind or kind is float and not math.isfinite(value):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return value
 
 
 def vector_from_json(obj) -> np.ndarray:

@@ -26,7 +26,6 @@ from ftlab.circuit import (
     KET0,
     KET_PLUS,
     Circuit,
-    EnvCoupling,
     EnvironmentSpec,
     Location,
     environment_strength,
@@ -141,7 +140,7 @@ def test_criterion_02_environment_accuracy_bound():
                 u = np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * pq
                 e = n_sys + int(rng.integers(n_env))
                 q = int(rng.choice(loc.support))
-                couplings[loc.index] = EnvCoupling((q, e), u)
+                couplings[loc.index] = Channel.unitary(u, (2, 2), (q, e))
         env = EnvironmentSpec(n_env, init, couplings)
         delta = accuracy_delta_exact(c, env)
         eps = environment_strength(env)

@@ -23,7 +23,6 @@ from ftlab.circuit import (
     KET1,
     KET_PLUS,
     Circuit,
-    EnvCoupling,
     EnvironmentSpec,
     Location,
     _readout,
@@ -55,6 +54,11 @@ CNOT = np.array(
 
 def seq(n, *ops, measure=None):
     return Circuit.sequential(n, list(ops), measure)
+
+
+def env_coupling(support, u):
+    """The coupling unitary `u` on the global qubits `support`, system then environment."""
+    return Channel.unitary(u, qubit_dims(len(support)), support)
 
 
 def haar_unitary(rng, d):
@@ -192,14 +196,13 @@ def test_location_ops_is_one_read_only_stack():
 
 def test_array_dataclasses_compare_by_identity_and_hash():
     grid = np.ones((1, 1, 1, 1))
-    coupling = EnvCoupling((0, 1), np.eye(4))
+    coupling = Channel.identity((2, 2), (0, 1))
     pairs = [
         (Channel.identity((2,)), Channel.identity((2,))),
         (Location.gate_on(1, 1, 0, HADAMARD), Location.gate_on(1, 1, 0, HADAMARD)),
         (CorrelationGrid(grid, 1.0, ((0,),)), CorrelationGrid(grid, 1.0, ((0,),))),
         (NoiseSpec.probabilistic(0.1, SIGMA_X), NoiseSpec.probabilistic(0.1, SIGMA_X)),
         (HamiltonianTerm((0,), SIGMA_Z, 1), HamiltonianTerm((0,), SIGMA_Z, 1)),
-        (coupling, EnvCoupling((0, 1), np.eye(4))),
         (EnvironmentSpec(1, KET0, {1: coupling}), EnvironmentSpec(1, KET0, {1: coupling})),
     ]
     for a, b in pairs:
@@ -215,7 +218,7 @@ def test_operator_fields_are_read_only_copies():
     stored = [
         NoiseSpec.probabilistic(0.1, source).e_op,
         HamiltonianTerm((0,), source, 1).op,
-        EnvCoupling((0,), source).unitary,
+        Channel.unitary(source).kraus[0],
     ]
     source[:] = 0.0
     for op in stored:
@@ -339,7 +342,7 @@ def _dilation_coupling(ch, sys_qubit, env_qubit):
     u = np.empty((4, 4), dtype=np.complex128)
     u[:, 0::2] = iso
     u[:, 1::2] = np.linalg.qr(iso, mode="complete")[0][:, 2:]
-    return EnvCoupling((sys_qubit, env_qubit), u)
+    return env_coupling((sys_qubit, env_qubit), u)
 
 
 def test_markovian_dilation_consistency():
@@ -377,7 +380,7 @@ def test_environment_identity_couplings_match_ideal():
     )
     eye4 = np.eye(4, dtype=np.complex128)
     env = EnvironmentSpec(
-        1, KET0, {1: EnvCoupling((0, 1), eye4), 2: EnvCoupling((0, 1), eye4)}
+        1, KET0, {1: env_coupling((0, 1), eye4), 2: env_coupling((0, 1), eye4)}
     )
     assert environment_strength(env) == pytest.approx(0.0, abs=1e-12)
     rho_e, dist_e = simulate_with_environment(c, env)
@@ -399,7 +402,7 @@ def test_environment_coupling_within_double_linear_bound():
             measure=[0],
         )
         env = EnvironmentSpec(
-            1, KET0, {i: EnvCoupling((0, 1), n) for i in (1, 2, 3)}
+            1, KET0, {i: env_coupling((0, 1), n) for i in (1, 2, 3)}
         )
         eps = environment_strength(env)
         assert eps == pytest.approx(abs(np.exp(1j * theta) - 1.0), rel=1e-9)
@@ -429,7 +432,7 @@ def _tomography_offdiag(env_initial, theta):
         env = EnvironmentSpec(
             2,
             env_initial,
-            {2: EnvCoupling((0, 1), n), 3: EnvCoupling((0, 2), n)},
+            {2: env_coupling((0, 1), n), 3: env_coupling((0, 2), n)},
         )
         rho, _ = simulate_with_environment(c, env)
         results[name] = rho
@@ -473,7 +476,7 @@ def _identity_couplings(c, n_env=1):
     """An identity coupling of each non-measurement location's first qubit
     to every environment qubit."""
     return {
-        loc.index: EnvCoupling(
+        loc.index: env_coupling(
             (loc.support[0], *range(c.n_system, c.n_system + n_env)), np.eye(2 ** (1 + n_env))
         )
         for loc in c.locations
@@ -681,7 +684,8 @@ def test_readout_rejects_unnormalized_rho():
 )
 @settings(max_examples=60, deadline=None)
 def test_prep_reset_matches_reset_set(n_order, k, seed):
-    # a prep is the channel sum_k |psi><k| x |k><psi|, here on any x
+    # a prep is the channel sum_k |psi><k| x |k><psi|, here on any matrix x;
+    # on a vector v its nonzero branches b sum, as |b><b|, to it on |v><v|
     n, order = n_order
     support = tuple(order[: min(k, n)])
     rng = np.random.default_rng(seed)
@@ -689,9 +693,16 @@ def test_prep_reset_matches_reset_set(n_order, k, seed):
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     psi = rng.normal(size=d_sup) + 1j * rng.normal(size=d_sup)
     psi /= np.linalg.norm(psi)
-    want = apply_local(x, [np.outer(psi, row) for row in np.eye(d_sup)], support, qubit_dims(n))
-    got = _reset(x, support, psi, n)
+    resets = [np.outer(psi, row) for row in np.eye(d_sup)]
+    want = apply_local(x, resets, support, qubit_dims(n))
+    (got,) = _reset(x, support, psi, n)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    v = (rng.normal(size=d) + 1j * rng.normal(size=d)) * (rng.random(d) < 0.6)
+    want = apply_local(np.outer(v, v.conj()), resets, support, qubit_dims(n))
+    branches = _reset(v, support, psi, n)
+    assert all(b.shape == v.shape and b.any() for b in branches)
+    got = sum((np.outer(b, b.conj()) for b in branches), np.zeros((d, d)))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(np.abs(want).max(), 1.0))
 
 
 def test_prep_costs_no_superoperator():
@@ -737,6 +748,23 @@ def test_environment_prep_loads_any_state():
         assert kolmogorov_distance(dist_e, dist_i) <= 1e-12
 
 
+def test_environment_prep_allocates_no_ket_stack():
+    # the branches of an 8-qubit prep are the nonzero rows of the state on
+    # its support, here one; a stack of its 2^8 reset operators is 256 MiB
+    psi = haar_unitary(np.random.default_rng(8), 256)[:, 0]
+    c = seq(8, Location.prep(0, 0, (7, 2, 5, 0, 1, 6, 3, 4), psi))
+    tracemalloc.start()
+    try:
+        rho, dist = simulate_with_environment(c, EnvironmentSpec(1, KET0, {}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    rho_i, dist_i = simulate_ideal(c)
+    np.testing.assert_allclose(rho, rho_i, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dist, dist_i, rtol=0, atol=1e-15)
+
+
 def _dense(op, support, n):
     """`op` on the ordered qubits `support` as a dense n-qubit matrix, by np.kron."""
     rest = [q for q in range(n) if q not in support]
@@ -773,7 +801,7 @@ def _joint_reference(c, env, ref=None):
                         for a, rho in branches]
         if loc.index in env.couplings:
             cp = env.couplings[loc.index]
-            u = _dense(cp.unitary, cp.support, n)
+            u = _dense(cp.kraus[0], cp.support, n)
             branches = [(a, u @ rho @ u.conj().T) for a, rho in branches]
     want = partial_trace(sum(rho for _, rho in branches), range(n_sys), qubit_dims(n))
     for loc in deferred:
@@ -820,7 +848,7 @@ def test_environment_run_matches_dense_joint_evolution(n_sys, n_env, seed):
             sys_part = [q for q in loc.support if rng.random() < 0.7]
             env_part = [n_sys + e for e in range(n_env) if not sys_part or rng.random() < 0.6]
             support = tuple(sys_part + env_part)
-            couplings[loc.index] = EnvCoupling(support, haar_unitary(rng, 2 ** len(support)))
+            couplings[loc.index] = env_coupling(support, haar_unitary(rng, 2 ** len(support)))
     env = EnvironmentSpec(n_env, haar_unitary(rng, 2**n_env)[:, 0], couplings)
     want = _joint_reference(c, env, ref)
     rho, dist = simulate_with_environment(c, env)
@@ -836,10 +864,10 @@ def test_environment_reprep_keeps_at_most_d_branches():
     ops, couplings = [], {}
     for i in range(12):
         ops += [Location.prep(0, 0, 0, haar_unitary(rng, 2)[:, 0]), Location.wait(0, 0, (0, 1))]
-        couplings[2 * i + 2] = EnvCoupling((0, 1, 2), haar_unitary(rng, 8))
+        couplings[2 * i + 2] = env_coupling((0, 1, 2), haar_unitary(rng, 8))
     c = seq(2, *ops, Location.gate_on(0, 0, (0, 1), CNOT))
     env = EnvironmentSpec(1, KET0, couplings)
-    after = {i: (cp.support, cp.unitary[None]) for i, cp in couplings.items()}
+    after = {i: (cp.support, cp.kraus) for i, cp in couplings.items()}
     assert len(_walk(c, after, np.eye(8)[0].astype(np.complex128))) <= 8
     tracemalloc.start()
     try:
@@ -855,7 +883,7 @@ def test_environment_refuses_a_coupled_deferred_measurement():
     # a measurement no gate reads is deferred, so a coupling after it has no
     # place; a coupling after a measurement the walk branches on is fine
     ops = [Location.prep(0, 0, 0, KET_PLUS), Location.measure(0, 0, 0)]
-    env = EnvironmentSpec(1, KET0, {2: EnvCoupling((0, 1), CNOT)})
+    env = EnvironmentSpec(1, KET0, {2: env_coupling((0, 1), CNOT)})
     with pytest.raises(ValueError, match=r"measurements must be ideal \(no coupling\)"):
         simulate_with_environment(seq(1, *ops), env)
     c = seq(1, *ops, Location.gate_on(0, 0, 0, SIGMA_X, condition=(2, 1)))
@@ -867,9 +895,21 @@ def test_environment_refuses_a_coupling_at_an_unknown_location():
     # such a coupling would count towards environment_strength yet never act
     c = seq(1, Location.prep(0, 0, 0, KET0))
     for idx in (0, 2, 99):
-        env = EnvironmentSpec(1, KET0, {idx: EnvCoupling((0, 1), CNOT)})
-        with pytest.raises(ValueError, match=f"^environment references unknown location {idx}$"):
+        env = EnvironmentSpec(1, KET0, {idx: env_coupling((0, 1), CNOT)})
+        with pytest.raises(ValueError, match=f"^noise references unknown location {idx}$"):
             simulate_with_environment(c, env)
+
+
+def test_environment_coupling_is_one_unitary_inside_support_plus_environment():
+    # a coupling is checked like noise, with the environment qubits added to
+    # each location's support; a Kraus stack or a scalar is no coupling
+    c = seq(2, Location.prep(0, 0, 0, KET0), Location.gate_on(0, 0, 1, SIGMA_X))
+    env = EnvironmentSpec(2, np.eye(4)[0], {1: env_coupling((1, 2), CNOT)})
+    with pytest.raises(ValueError, match=r"acts on \(1, 2\), outside its support \(0,\) plus qubits 2..3$"):
+        simulate_with_environment(c, env)
+    for bad in (make_noise_channel(NoiseSpec.depolarizing(0.1)), Channel.identity(())):
+        with pytest.raises(ValueError, match="^coupling at location 1 must be one unitary on qubits$"):
+            EnvironmentSpec(1, KET0, {1: bad})
 
 
 def _conditioned_chain(n, m):

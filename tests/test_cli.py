@@ -286,7 +286,7 @@ MALFORMED = {
                 "couplings": {"99": {"support": [0, 1], "unitary": matrix_to_json(np.eye(4))}},
             },
         },
-        "environment references unknown location 99",
+        "noise references unknown location 99",
     ),
     # restarts is taken as given, never cast to an int
     "restarts_float": ("strength", _diamond_restarts(2.7), "restarts must be an integer, got 2.7"),
@@ -562,6 +562,105 @@ def test_non_finite_config_number_exits_2_before_any_work(tmp_path, capsysbinary
     assert code == 2 and out == b""
     msg = json.loads(err)
     assert msg["exit"] == 2 and msg["error"].startswith(f"config holds the non-finite number {literal}:")
+
+
+_TWO_GADGETS = {"gadgets": [{"own_locations": 2, "er_out": {"count": 1, "to": 1}}, {"own_locations": 2}]}
+_NOISY_H = {"circuit": _h_chain(1, 2), "noise": {"2": {"kind": "depolarizing", "p": 0.1}}}
+_Z_GRID = {"delta_abs": [[[[1.0]]]], "cell_volume": 0.1, "gate_regions": [[0]]}
+_ENV = {"n_env": 1, "couplings": {}}
+_LEVELRED = {"levels": 2, "L0": 5, "t": 1, "eps": 0.05, "samples": 20}
+
+BAD_PARAMS = {
+    # a key no run of the command reads, and one of a pair that excludes the other
+    "accuracy_misspelt_noise": (
+        "accuracy", {"circuit": _h_chain(1, 2), "nosie": _NOISY_H["noise"]}, "'nosie' is not read"
+    ),
+    "accuracy_noise_and_environment": (
+        "accuracy", {**_NOISY_H, "environment": _ENV}, "'noise' is not read"
+    ),
+    "truncate_faults_and_eps": (
+        "truncate", {"graph": _TWO_GADGETS, "faults": [3], "eps": 0.1}, "'eps' is not read"
+    ),
+    "strength_foreign_key": (
+        "strength", {"evaluator": "gaussian", "grid": _Z_GRID, "t0": 1.0}, "'t0' is not read"
+    ),
+    "faultpaths_r_in_subset_mode": (
+        "faultpaths", {**_NOISY_H, "mode": "subset", "subset": [1], "r": 1}, "'r' is not read"
+    ),
+    "levelred_extra_key": ("levelred", {**_LEVELRED, "seed": 3}, "'seed' is not read"),
+    "threshold_partial_target": ("threshold", {"L0": 7, "t": 1, "L": 1000}, "'delta0'"),
+    "pseudothreshold_misspelt_mode": (
+        "threshold", {"L0": 7, "t": 1, "pseudothreshold": {"mdoe": "mc"}}, "'mdoe' is not read"
+    ),
+    # scalars are checked, never cast
+    "levels_fraction": ("levelred", {**_LEVELRED, "levels": 2.9}, "levels must be an integer, got 2.9"),
+    "L0_fraction": ("threshold", {"L0": 7.9, "t": 1}, "L0 must be an integer, got 7.9"),
+    "L0_string": ("levelred", {**_LEVELRED, "L0": "5"}, "L0 must be an integer, got '5'"),
+    "t_bool": ("threshold", {"L0": 7, "t": True}, "t must be an integer, got True"),
+    "eps_bool": ("levelred", {**_LEVELRED, "eps": False}, "eps must be a finite number, got False"),
+    "t0_string_nan": (
+        "strength", {**_z_term_params([0, 1]), "t0": "nan"}, "t0 must be a finite number, got 'nan'"
+    ),
+    "c_huge_int": (
+        "strength", {**_z_term_params([0, 1]), "c": 10**400}, "c must be a finite number, got 1000"
+    ),
+    "cell_volume_string": (
+        "strength", {"evaluator": "gaussian", "grid": {**_Z_GRID, "cell_volume": "0.1"}},
+        "cell_volume must be a finite number, got '0.1'",
+    ),
+    "faults_fraction": (
+        "truncate", {"graph": _TWO_GADGETS, "faults": [3, 4.5]}, "faults entry must be an integer, got 4.5"
+    ),
+    "faults_string": ("truncate", {"graph": _TWO_GADGETS, "faults": "3"}, "faults must be a list, got '3'"),
+    "subset_string_entry": (
+        "faultpaths", {**_NOISY_H, "mode": "subset", "subset": ["1"]},
+        "subset entry must be an integer, got '1'",
+    ),
+    "r_fraction": ("faultpaths", {**_NOISY_H, "mode": "earliest", "r": 1.5}, "r must be an integer, got 1.5"),
+    "samples_bool": (
+        "threshold", {"L0": 7, "t": 1, "pseudothreshold": {"samples": True}},
+        "samples must be an integer, got True",
+    ),
+}
+
+_WORK = [  # every computing call a runner makes
+    "accuracy_delta_exact", "diamond_distance", "iterate_failure_map", "level_reduce_mc",
+    "pseudothreshold_mc", "sample_fault_config", "strength_gaussian", "strength_local_hamiltonian",
+    "strength_long_range", "strength_markovian", "strength_unitary_couplings", "threshold_report",
+    "threshold_value", "truncate_and_classify", "verify_ie_identity", "zeta_earliest", "zeta_subset",
+]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+def test_bad_params_exit_2_naming_the_key_before_any_work(tmp_path, capsysbinary, monkeypatch, case):
+    command, params, reason = BAD_PARAMS[case]
+    cfg = write_config(tmp_path, "cfg.json", {"command": command, "params": params})
+
+    def work(*args, **kwargs):
+        raise AssertionError("a refused config reached the computation")
+
+    for name in _WORK:
+        monkeypatch.setattr(cli, name, work)
+    code, out, err = run(capsysbinary, [command, "--config", cfg])
+    assert code == 2 and out == b""
+    assert err.count(b"\n") == 1
+    msg = json.loads(err)
+    assert msg["exit"] == 2 and reason in msg["error"], msg
+
+
+def test_valid_params_still_run_with_every_key_read(tmp_path, capsysbinary):
+    # the complete key sets of the runs the refusals above cut short
+    for command, params in [
+        ("accuracy", {**_NOISY_H, "variant": "linear"}),
+        ("truncate", {"graph": _TWO_GADGETS, "faults": [3]}),
+        ("faultpaths", {**_NOISY_H, "mode": "subset", "subset": [1, 2], "complement": "ideal"}),
+        ("threshold", {"L0": 7, "t": 1, "xi": 2, "L": 1000, "delta0": 0.01, "eps": 1e-4,
+                       "pseudothreshold": {"samples": 1000, "mode": "exact"}}),
+        ("strength", {**_z_term_params([0, 1]), "c": 2}),
+    ]:
+        cfg = write_config(tmp_path, "cfg.json", {"command": command, "params": params})
+        code, out, err = run(capsysbinary, [command, "--config", cfg])
+        assert code == 0, err
 
 
 def test_accuracy_command_within_bound(tmp_path, capsysbinary):

@@ -15,7 +15,6 @@ from ftlab.circuit import (
     KET0,
     KET_PLUS,
     Circuit,
-    EnvCoupling,
     EnvironmentSpec,
     Location,
     environment_strength,
@@ -183,7 +182,7 @@ def test_accuracy_delta_environment_instance():
         Location.wait(0, 0, 0),
     ]
     c = Circuit.sequential(1, ops, (0,))
-    env = EnvironmentSpec(1, KET0, {i: EnvCoupling((0, 1), n) for i in (1, 2, 3)})
+    env = EnvironmentSpec(1, KET0, {i: Channel.unitary(n, (2, 2), (0, 1)) for i in (1, 2, 3)})
     delta = accuracy_delta_exact(c, env)
     eps = environment_strength(env)
     assert delta <= accuracy_bound(c.size, eps, "non_markovian") + 1e-12
