@@ -4,6 +4,8 @@ small density-matrix / joint-environment simulators, fault-path expansions,
 the extended-gadget truncation procedure, and concatenation-level
 renormalization, all behind one deterministic CLI."""
 
+__version__ = "0.1.0"  # set before the import of cli, which reads it
+
 from .matcore import (
     DimensionCapError,
     SubsystemDims,
@@ -34,8 +36,6 @@ from .circuit import (
     Circuit,
     EnvironmentSpec,
     Location,
-    circuit_from_json,
-    environment_spec_from_json,
     environment_strength,
     simulate_ideal,
     simulate_noisy,
@@ -58,7 +58,6 @@ from .gadgets import (
     FaultConfig,
     Gadget,
     GadgetGraph,
-    gadget_graph_from_json,
     iterate_failure_map,
     level1_failure_exact,
     level1_failure_mc,
@@ -77,7 +76,6 @@ from .threshold import (
     threshold_report,
     threshold_value,
 )
-
-__version__ = "0.1.0"
+from .cli import circuit_from_json, environment_spec_from_json, gadget_graph_from_json
 
 __all__ = [name for name in dir() if not name.startswith("_")]

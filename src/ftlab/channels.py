@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,8 +40,6 @@ from .matcore import (
     embed_operator,
     is_hermitian,
     is_unitary,
-    matrix_from_json,
-    number_from_json,
     operator_norm,
     qubit_dims,
     read_only,
@@ -628,52 +626,3 @@ def strength_unitary_couplings(couplings: Iterable[np.ndarray]) -> float:
     if not seen:
         raise ValueError("no couplings given")
     return worst
-
-
-# -- JSON interchange ---------------------------------------------------------
-
-
-def noise_spec_from_json(obj: Mapping) -> NoiseSpec:
-    if not isinstance(obj, Mapping) or "kind" not in obj:
-        raise ValueError("noise spec must be an object with a 'kind' tag")
-    kind = obj["kind"]
-    if kind == "control_rotation":
-        return NoiseSpec.control_rotation(obj["delta_theta"])
-    if kind == "amplitude_damping":
-        return NoiseSpec.amplitude_damping(obj["t0"], obj["t1"])
-    if kind == "probabilistic":
-        return NoiseSpec.probabilistic(obj["p"], matrix_from_json(obj["e_op"]))
-    if kind == "depolarizing":
-        return NoiseSpec.depolarizing(obj["p"])
-    raise ValueError(f"unknown noise kind {kind!r}")
-
-
-def noise_map_from_json(obj: Mapping) -> dict[int, Channel]:
-    """Per-location noise: {location index: noise spec + optional support}."""
-    if not isinstance(obj, Mapping):
-        raise ValueError("noise map must be an object keyed by location index")
-    out: dict[int, Channel] = {}
-    for key, entry in obj.items():
-        out[int(key)] = make_noise_channel(noise_spec_from_json(entry), entry.get("support"))
-    return out
-
-
-def hamiltonian_terms_from_json(obj: Sequence) -> list[HamiltonianTerm]:
-    """Terms as [{support, op, label}]; label an int or a two-int list."""
-    if not isinstance(obj, Sequence) or isinstance(obj, (str, bytes)):
-        raise ValueError("expected a list of Hamiltonian terms")
-    return [
-        HamiltonianTerm(entry["support"], matrix_from_json(entry["op"]), entry["label"])
-        for entry in obj
-    ]
-
-
-def correlation_grid_from_json(obj: Mapping) -> CorrelationGrid:
-    """Grid as {delta_abs: nested 4-d array, cell_volume, gate_regions}."""
-    if not isinstance(obj, Mapping):
-        raise ValueError("correlation grid must be an object")
-    return CorrelationGrid(
-        delta_abs=np.asarray(obj["delta_abs"], dtype=float),
-        cell_volume=number_from_json(obj["cell_volume"], "cell_volume"),
-        gate_regions=tuple(tuple(int(i) for i in r) for r in obj["gate_regions"]),
-    )

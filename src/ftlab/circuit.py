@@ -31,7 +31,6 @@ order with the first qubit most significant, spell i.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -42,11 +41,9 @@ from .matcore import (
     SubsystemDims,
     apply_local,
     is_unitary,
-    matrix_from_json,
     partial_trace,
     qubit_dims,
     read_only,
-    vector_from_json,
 )
 from .channels import SIGMA_X, SIGMA_Y, SIGMA_Z, Channel, strength_unitary_couplings
 
@@ -508,93 +505,3 @@ def simulate_with_environment(
     for loc in deferred:
         rho_sys = apply_local(rho_sys, loc.ops, loc.support, c.dims)
     return rho_sys, _readout(c, rho_sys)
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-_NAMED_STATES = {"0": KET0, "1": KET1, "+": KET_PLUS}
-_RZ_PATTERN = re.compile(r"^Rz\(([^)]+)\)$")
-
-
-def gate_from_json(obj) -> np.ndarray:
-    """A named generator (X, Y, Z, H, CNOT, Rz(theta)) or a dense matrix."""
-    if isinstance(obj, str):
-        if obj in FIXED_GATES:
-            return FIXED_GATES[obj]
-        m = _RZ_PATTERN.match(obj)
-        if m:
-            return rz(float(m.group(1)))
-        raise ValueError(f"unknown gate name {obj!r}")
-    return matrix_from_json(obj)
-
-
-def _state_from_json(obj) -> np.ndarray:
-    if isinstance(obj, str):
-        try:
-            return _NAMED_STATES[obj]
-        except KeyError:
-            raise ValueError(f"unknown state name {obj!r}") from None
-    return vector_from_json(obj)
-
-
-def circuit_from_json(obj: Mapping) -> Circuit:
-    """Build a circuit from {n_system, locations: [...], final_measure?}.
-
-    Locations are listed in time order and numbered 1..L; each entry gives
-    kind and support plus a payload ("state" for preps, "gate" for gates,
-    "projectors" for non-default measurements) and optionally an explicit
-    "step" and a "condition": [measure index, outcome position].
-    final_measure is a list of qubits to read out in Z; omitted means all.
-    """
-    if not isinstance(obj, Mapping):
-        raise ValueError("circuit config must be an object")
-    n_system = int(obj["n_system"])
-    locs = []
-    for pos, entry in enumerate(obj.get("locations", [])):
-        if not isinstance(entry, Mapping):
-            raise ValueError(f"locations[{pos}] must be an object")
-        index = pos + 1
-        step = int(entry.get("step", index))
-        kind = entry["kind"]
-        support = tuple(int(q) for q in entry["support"])
-        if kind == "prep":
-            loc = Location.prep(index, step, support, _state_from_json(entry["state"]))
-        elif kind == "gate":
-            loc = Location.gate_on(index, step, support, gate_from_json(entry["gate"]))
-        elif kind == "measure":
-            projs = entry.get("projectors")
-            if projs is not None:
-                projs = [matrix_from_json(p) for p in projs]
-            loc = Location.measure(index, step, support, projs)
-        elif kind == "identity":
-            loc = Location.wait(index, step, support)
-        else:
-            raise ValueError(f"unknown location kind {kind!r}")
-        locs.append(replace(loc, condition=entry.get("condition")))
-    fm = obj.get("final_measure")
-    return Circuit(n_system, tuple(locs), range(n_system) if fm is None else fm)
-
-
-def environment_spec_from_json(obj: Mapping) -> EnvironmentSpec:
-    """Environment as {n_env, initial?, couplings: {loc: {support, unitary}}}.
-
-    The initial state defaults to |0...0>; coupling supports use global
-    indices with the environment block appended after the system block.
-    """
-    if not isinstance(obj, Mapping):
-        raise ValueError("environment spec must be an object")
-    n_env = int(obj["n_env"])
-    side = qubit_dims(max(n_env, 0)).total  # an over-cap environment is refused here
-    initial = obj.get("initial")
-    vec = np.eye(1, side, dtype=np.complex128)[0] if initial is None else vector_from_json(initial)
-    raw = obj.get("couplings", {})
-    if not isinstance(raw, Mapping):
-        raise ValueError("environment couplings must be an object")
-    couplings = {}
-    for key, entry in raw.items():
-        support = tuple(int(q) for q in entry["support"])
-        u = matrix_from_json(entry["unitary"])
-        couplings[int(key)] = Channel.unitary(u, qubit_dims(len(support)), support)
-    return EnvironmentSpec(n_env, vec, couplings)

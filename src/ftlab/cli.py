@@ -1,10 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: the one module that reads or writes JSON.
 
 Six subcommands (strength, accuracy, faultpaths, truncate, levelred,
 threshold) share one shape: load a JSON experiment config, validate it
-against the shipped schema, run the corresponding library call, and write a
-deterministic report. JSON reports embed the resolved config and provenance,
-so identical config + seed gives byte-identical output regardless of worker
+against the shipped schema, read it into the typed values the library
+takes, run the corresponding library call, and write a deterministic
+report. JSON reports embed the resolved config and provenance, so
+identical config + seed gives byte-identical output regardless of worker
 count. CSV reports are the flat per-record projection meant for plotting
 tools.
 
@@ -24,11 +25,12 @@ quoting raises ValueError.
 
 Exit codes: 0 success, 2 config/validation error (the command-line
 overrides are validated with the config, and a `params` key the run does
-not read or a number of the wrong kind is refused before any work, by
-`_unread` and `matcore.number_from_json`), 3 refused work (the `DIM_CAP`
-dimension cap, the `ie_check` lattice cap, the Monte Carlo leaf budget or
-the gadget-graph size cap, the diamond ascent's `RESTARTS_CAP`, or, as a
-last resort, running out of memory). Errors print a single JSON object
+not read or a value of the wrong kind is refused before any work: every
+number in `params` goes through `number_from_json`, an integer must be a
+JSON integer and a real a finite non-bool number), 3 refused work (the
+`DIM_CAP` dimension cap, the `ie_check` lattice cap, the Monte Carlo leaf
+budget or the gadget-graph size cap, the diamond ascent's `RESTARTS_CAP`,
+or, as a last resort, running out of memory). Errors print a single JSON object
 {"error": reason, "exit": code} to stderr.
 """
 
@@ -40,10 +42,13 @@ import json
 import math
 import os
 import platform
+import re
 import sys
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from functools import cache
 from importlib import resources
+from itertools import chain
 from json.encoder import encode_basestring
 from typing import Mapping, Sequence
 
@@ -53,12 +58,11 @@ import numpy as np
 from . import __version__
 from .channels import (
     Channel,
-    correlation_grid_from_json,
+    CorrelationGrid,
+    HamiltonianTerm,
+    NoiseSpec,
     diamond_distance,
-    hamiltonian_terms_from_json,
     make_noise_channel,
-    noise_map_from_json,
-    noise_spec_from_json,
     strength_gaussian,
     strength_local_hamiltonian,
     strength_long_range,
@@ -66,10 +70,7 @@ from .channels import (
     strength_unitary_couplings,
 )
 from .circuit import (
-    circuit_from_json,
-    environment_spec_from_json,
-    environment_strength,
-    gate_from_json,
+    FIXED_GATES, KET0, KET1, KET_PLUS, Circuit, EnvironmentSpec, Location, environment_strength, rz
 )
 from .faultpaths import (
     ExhaustiveCapError,
@@ -82,15 +83,14 @@ from .faultpaths import (
 from .gadgets import (
     BudgetExceededError,
     FaultConfig,
-    gadget_graph_from_json,
+    Gadget,
+    GadgetGraph,
     iterate_failure_map,
     level_reduce_mc,
     sample_fault_config,
     truncate_and_classify,
 )
-from .matcore import (
-    DimensionCapError, complex_pairs, matrix_from_json, number_from_json, trace_norm
-)
+from .matcore import DimensionCapError, SubsystemDims, qubit_dims, trace_norm
 from .threshold import SchemeParams, pseudothreshold_mc, threshold_report, threshold_value
 
 COMMANDS = ("strength", "accuracy", "faultpaths", "truncate", "levelred", "threshold")
@@ -290,7 +290,47 @@ def _report(command: str, config: dict, results: dict, records: list[dict]) -> R
     return Report(command, embedded, results, records, seed=config["seed"])
 
 
-# -- command implementations ---------------------------------------------------
+# -- config readers ------------------------------------------------------------
+# Every value below the top level of a config is read here, checked and never
+# cast. Complex arrays travel as flat row-major lists of [re, im] pairs.
+
+
+def _object(obj, name: str) -> Mapping:
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{name} must be an object")
+    return obj
+
+
+def number_from_json(value, name: str, kind: type = float):
+    """A JSON scalar checked, never cast: kind=int takes a JSON integer and
+    kind=float a finite JSON number, an integer widened. A bool, a string
+    or any other value raises ValueError naming `name`."""
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not kind or kind is float and not math.isfinite(value):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return value
+
+
+def numbers_from_json(value, name: str, kind: type = float) -> list:
+    """A JSON list whose entries are each read by `number_from_json`."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return [number_from_json(v, f"{name} entry", kind) for v in value]
+
+
+_REQUIRED = object()
+
+
+def _param(obj: Mapping, key: str, kind: type = float, default=_REQUIRED, each: bool = False):
+    """obj[key] read by `number_from_json`, or with `each` by `numbers_from_json`;
+    `default` when the key is absent, and a default of None also stands for
+    a null value and is returned unread."""
+    value = obj[key] if default is _REQUIRED else obj.get(key, default)
+    if value is None is default:
+        return None
+    return (numbers_from_json if each else number_from_json)(value, key, kind)
 
 
 def _unread(params: Mapping, *reads: str) -> None:
@@ -300,22 +340,222 @@ def _unread(params: Mapping, *reads: str) -> None:
         raise ValueError(f"params key {extra[0]!r} is not read: this run reads {', '.join(reads)}")
 
 
-def _param(params: Mapping, key: str, kind: type = float, default=None, each: bool = False):
-    """params[key], or `default` when given and the key is absent, read by
-    `number_from_json`; with `each`, a list read entry by entry."""
-    value = params[key] if default is None else params.get(key, default)
-    if not each:
-        return number_from_json(value, key, kind)
-    if type(value) is not list:
-        raise ValueError(f"{key} must be a list, got {value!r}")
-    return [number_from_json(v, f"{key} entry", kind) for v in value]
+def _location_key(key: str, name: str) -> int:
+    """A `noise` or `couplings` key: a location index in canonical decimal."""
+    if key.removeprefix("-").isdecimal() and str(int(key)) == key:
+        return int(key)
+    raise ValueError(f"{name} key must be a location index in decimal, got {key!r}")
 
 
-def _ideal_channel_like(noisy: Channel, params: Mapping) -> Channel:
-    if "ideal" in params:
-        u = gate_from_json(params["ideal"])
-        return Channel.unitary(u, noisy.dims, noisy.support)
-    return Channel.identity(noisy.dims, noisy.support)
+def _reals(value, name: str) -> np.ndarray:
+    """A nested list of finite non-bool JSON numbers as a float64 array, its
+    entry types checked in one pass; `number_from_json` names a bad entry."""
+    arr = np.array(value, dtype=object)
+    if set(map(type, arr.flat)) <= {int, float}:
+        try:
+            out = arr.astype(np.float64)
+        except OverflowError:  # an int beyond float range
+            out = np.array(math.inf)
+        if np.isfinite(out).all():
+            return out
+    for v in arr.flat:  # one of them raises
+        number_from_json(v, f"{name} entry")
+
+
+def complex_pairs(a: np.ndarray) -> np.ndarray:
+    """Row-major `(size, 2)` float64 array of `[re, im]` rows: the JSON form as an array."""
+    flat = np.ascontiguousarray(a, dtype=np.complex128).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2)
+
+
+def matrix_to_json(m: np.ndarray) -> list[list[float]]:
+    return complex_pairs(m).tolist()
+
+
+def vector_from_json(obj) -> np.ndarray:
+    """Complex128 vector from a list of `[re, im]` pairs of finite JSON numbers.
+
+    The pairs are read in bulk. A string, null or nested entry, a pair of
+    another length, a non-finite entry or an int beyond float range is
+    refused; bools read as 0 and 1.
+    """
+    try:
+        if set(map(len, obj)) - {2}:
+            raise ValueError("a pair must have two entries")
+        # array("d") takes ints, floats and bools only, so a string or null is refused
+        flat = np.frombuffer(array("d", chain.from_iterable(obj)), np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"expected a list of [re, im] pairs: {exc}") from None
+    if not np.isfinite(flat).all():
+        raise ValueError("expected a list of [re, im] pairs of finite numbers")
+    return flat
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    """Square complex128 matrix; an empty one or a side over DIM_CAP is refused."""
+    flat = vector_from_json(obj)
+    side = math.isqrt(flat.size)
+    if side * side != flat.size:
+        raise ValueError(f"{flat.size} entries do not fill a square matrix")
+    if side != 1:
+        SubsystemDims((side,))  # as one factor: refuses side 0 and a side over DIM_CAP
+    return flat.reshape(side, side)
+
+
+_NOISE_REALS = {  # the real parameters of each noise kind
+    "control_rotation": ("delta_theta",), "amplitude_damping": ("t0", "t1"),
+    "probabilistic": ("p",), "depolarizing": ("p",),
+}
+
+
+def noise_spec_from_json(obj: Mapping) -> NoiseSpec:
+    kind = _object(obj, "noise spec").get("kind")
+    if kind not in _NOISE_REALS:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    e_op = matrix_from_json(obj["e_op"]) if kind == "probabilistic" else None
+    return NoiseSpec(kind, e_op=e_op, **{k: _param(obj, k) for k in _NOISE_REALS[kind]})
+
+
+def noise_map_from_json(obj: Mapping) -> dict[int, Channel]:
+    """Per-location noise: {location index: noise spec + optional support}."""
+    return {
+        _location_key(key, "noise"): make_noise_channel(
+            noise_spec_from_json(entry), _param(entry, "support", int, None, each=True)
+        )
+        for key, entry in _object(obj, "noise map").items()
+    }
+
+
+def hamiltonian_terms_from_json(obj: Sequence) -> list[HamiltonianTerm]:
+    """Terms as [{support, op, label}]; label an int or a two-int list."""
+    if type(obj) is not list:
+        raise ValueError("expected a list of Hamiltonian terms")
+    terms = []
+    for entry in obj:
+        pair = type(_object(entry, "Hamiltonian term").get("label")) is list
+        label = _param(entry, "label", int, each=pair)
+        op = matrix_from_json(entry["op"])
+        terms.append(HamiltonianTerm(_param(entry, "support", int, each=True), op, label))
+    return terms
+
+
+def correlation_grid_from_json(obj: Mapping) -> CorrelationGrid:
+    """Grid as {delta_abs: nested 4-d array, cell_volume, gate_regions}."""
+    obj = _object(obj, "correlation grid")
+    regions = obj["gate_regions"]
+    if type(regions) is not list:
+        raise ValueError(f"gate_regions must be a list, got {regions!r}")
+    return CorrelationGrid(
+        delta_abs=_reals(obj["delta_abs"], "delta_abs"),
+        cell_volume=_param(obj, "cell_volume"),
+        gate_regions=tuple(tuple(numbers_from_json(r, "gate_regions", int)) for r in regions),
+    )
+
+
+_NAMED_STATES = {"0": KET0, "1": KET1, "+": KET_PLUS}
+_RZ_PATTERN = re.compile(r"Rz\((-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)\)")
+
+
+def gate_from_json(obj) -> np.ndarray:
+    """A named generator (X, Y, Z, H, CNOT, Rz(theta), theta a JSON number
+    literal) or a dense matrix."""
+    if isinstance(obj, str):
+        if obj in FIXED_GATES:
+            return FIXED_GATES[obj]
+        m = _RZ_PATTERN.fullmatch(obj)
+        if m:
+            return rz(number_from_json(json.loads(m.group(1)), "Rz angle"))
+        raise ValueError(f"unknown gate name {obj!r}")
+    return matrix_from_json(obj)
+
+
+def _state_from_json(obj) -> np.ndarray:
+    if isinstance(obj, str):
+        try:
+            return _NAMED_STATES[obj]
+        except KeyError:
+            raise ValueError(f"unknown state name {obj!r}") from None
+    return vector_from_json(obj)
+
+
+def circuit_from_json(obj: Mapping) -> Circuit:
+    """Build a circuit from {n_system, locations: [...], final_measure?}.
+
+    Locations are listed in time order and numbered 1..L; each entry gives
+    kind and support plus a payload ("state" for preps, "gate" for gates,
+    "projectors" for non-default measurements) and optionally an explicit
+    "step" and a "condition": [measure index, outcome position].
+    final_measure is a list of qubits to read out in Z; omitted means all.
+    """
+    n_system = _param(_object(obj, "circuit config"), "n_system", int)
+    locs = []
+    for pos, entry in enumerate(obj.get("locations", [])):
+        entry = _object(entry, f"locations[{pos}]")
+        index = pos + 1
+        step = _param(entry, "step", int, index)
+        kind = entry["kind"]
+        support = _param(entry, "support", int, each=True)
+        if kind == "prep":
+            loc = Location.prep(index, step, support, _state_from_json(entry["state"]))
+        elif kind == "gate":
+            loc = Location.gate_on(index, step, support, gate_from_json(entry["gate"]))
+        elif kind == "measure":
+            projs = entry.get("projectors")
+            if projs is not None:
+                projs = [matrix_from_json(p) for p in projs]
+            loc = Location.measure(index, step, support, projs)
+        elif kind == "identity":
+            loc = Location.wait(index, step, support)
+        else:
+            raise ValueError(f"unknown location kind {kind!r}")
+        locs.append(replace(loc, condition=_param(entry, "condition", int, None, each=True)))
+    fm = _param(obj, "final_measure", int, None, each=True)
+    return Circuit(n_system, tuple(locs), range(n_system) if fm is None else fm)
+
+
+def environment_spec_from_json(obj: Mapping) -> EnvironmentSpec:
+    """Environment as {n_env, initial?, couplings: {loc: {support, unitary}}}.
+
+    The initial state defaults to |0...0>; coupling supports use global
+    indices with the environment block appended after the system block.
+    """
+    n_env = _param(_object(obj, "environment spec"), "n_env", int)
+    side = qubit_dims(max(n_env, 0)).total  # an over-cap environment is refused here
+    initial = obj.get("initial")
+    vec = np.eye(1, side, dtype=np.complex128)[0] if initial is None else vector_from_json(initial)
+    couplings = {}
+    for key, entry in _object(obj.get("couplings", {}), "environment couplings").items():
+        support = _param(_object(entry, f"coupling {key!r}"), "support", int, each=True)
+        ch = Channel.unitary(matrix_from_json(entry["unitary"]), qubit_dims(len(support)), support)
+        couplings[_location_key(key, "couplings")] = ch
+    return EnvironmentSpec(n_env, vec, couplings)
+
+
+def gadget_graph_from_json(obj: Mapping) -> tuple[GadgetGraph, int]:
+    """Build a graph from {"gadgets": [{"own_locations", "er_out"}], "t"}.
+
+    "er_out" may be one {"count", "to"} object or a list of them; "to" is
+    the 0-based index of the consuming gadget.
+    """
+    raw = _object(obj, "gadget graph config").get("gadgets")
+    if not isinstance(raw, Sequence) or not raw:
+        raise ValueError("config needs a nonempty gadgets list")
+    gadgets = []
+    for i, entry in enumerate(raw):
+        own = _param(_object(entry, f"gadgets[{i}]"), "own_locations", int)
+        er_raw = entry.get("er_out", [])
+        if isinstance(er_raw, Mapping):
+            er_raw = [er_raw]
+        ers = [_object(e, f"gadgets[{i}] er_out entry") for e in er_raw]
+        er = tuple((_param(e, "count", int), _param(e, "to", int)) for e in ers)
+        gadgets.append(Gadget(own, er))
+    t = _param(obj, "t", int, 1)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    return GadgetGraph(tuple(gadgets)), t
+
+
+# -- command implementations ---------------------------------------------------
 
 
 _STRENGTH_READS = {  # the params each evaluator reads besides "evaluator"
@@ -335,7 +575,8 @@ def _cmd_strength(config: dict, workers: int) -> Report:
     kwargs = {"c": _param(params, "c")} if "c" in params else {}
     if ev == "markovian":
         noisy = make_noise_channel(noise_spec_from_json(params["noisy"]))
-        eps = strength_markovian(noisy, _ideal_channel_like(noisy, params))
+        u = gate_from_json(params["ideal"]) if "ideal" in params else np.eye(noisy.dims.total)
+        eps = strength_markovian(noisy, Channel.unitary(u, noisy.dims, noisy.support))
         results = {"evaluator": ev, "strength": eps}
     elif ev == "diamond":
         restarts = _param(params, "restarts", int, 32)
@@ -367,14 +608,13 @@ def _cmd_strength(config: dict, workers: int) -> Report:
 
 def _cmd_accuracy(config: dict, workers: int) -> Report:
     params = config["params"]
-    _unread(params, "circuit", "variant", "environment" if "environment" in params else "noise")
+    env = "environment" in params
+    _unread(params, "circuit", "environment" if env else "noise")
     c = circuit_from_json(params["circuit"])
-    variant = params.get("variant")
-    if "environment" in params:
-        env = environment_spec_from_json(params["environment"])
-        delta = accuracy_delta_exact(c, env)
-        eps = environment_strength(env)
-        variant = variant or "non_markovian"
+    if env:
+        spec = environment_spec_from_json(params["environment"])
+        delta = accuracy_delta_exact(c, spec)
+        eps = environment_strength(spec)
     else:
         noise = noise_map_from_json(params.get("noise", {}))
         delta = accuracy_delta_exact(c, noise)
@@ -382,7 +622,7 @@ def _cmd_accuracy(config: dict, workers: int) -> Report:
         for ch in noise.values():
             ident = Channel.identity(ch.dims, ch.support)
             eps = max(eps, strength_markovian(ch, ident))
-        variant = variant or "linear"
+    variant = "non_markovian" if env else "linear"  # the bound criterion 2 or 1 certifies
     bound = accuracy_bound(c.size, eps, variant)
     results = {"delta": delta, "eps": eps, "locations": c.size, "variant": variant,
                "bound": bound, "within_bound": bool(delta <= bound + 1e-12)}
@@ -478,9 +718,7 @@ def _cmd_threshold(config: dict, workers: int) -> Report:
     target = None
     if {"L", "delta0", "eps"} & params.keys():  # read together, each required
         target = _param(params, "L", int), _param(params, "delta0"), _param(params, "eps")
-    sub = params.get("pseudothreshold", {})
-    if not isinstance(sub, Mapping):
-        raise ValueError("pseudothreshold must be an object")
+    sub = _object(params.get("pseudothreshold", {}), "pseudothreshold")
     _unread(sub, "samples", "mode")
     samples = _param(sub, "samples", int, 10**5)
     results: dict = {

@@ -104,31 +104,22 @@ def accuracy_delta_exact(
     return kolmogorov_distance(noisy, ideal)
 
 
-BOUND_VARIANTS = ("linear", "e_minus_1", "non_markovian", "encoded")
+BOUND_FACTORS = {"linear": 1.0, "non_markovian": 2.0}
 
 
 def accuracy_bound(L: int, eps: float, variant: str = "linear") -> float:
     """Closed-form accuracy bound for an L-location circuit.
 
-    linear: L*eps. e_minus_1: (e-1)*L*eps, valid for eps <= 1/L (enforced).
+    linear: L*eps, eps the largest Markovian location strength.
     non_markovian: 2*L*eps with eps the joint-unitary coupling strength.
-    encoded: (e-1)*L*eps where eps is the renormalized level-1 strength.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    if variant == "linear":
-        return L * eps
-    if variant == "e_minus_1":
-        if eps > 1.0 / L:
-            raise ValueError(f"e_minus_1 bound needs eps <= 1/L = {1.0 / L}")
-        return (math.e - 1.0) * L * eps
-    if variant == "non_markovian":
-        return 2.0 * L * eps
-    if variant == "encoded":
-        return (math.e - 1.0) * L * eps
-    raise ValueError(f"unknown variant {variant!r}; choose from {BOUND_VARIANTS}")
+    if variant not in BOUND_FACTORS:
+        raise ValueError(f"unknown variant {variant!r}; choose from {tuple(BOUND_FACTORS)}")
+    return BOUND_FACTORS[variant] * L * eps
 
 
 def ie_coefficient(s: int, t: int) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -360,29 +360,3 @@ def iterate_failure_map(levels: int, L0: int, t: int, eps: float) -> tuple[float
         p = level1_failure_exact(L0, t, p)
         out.append(p)
     return tuple(out)
-
-
-def gadget_graph_from_json(obj: Mapping) -> tuple[GadgetGraph, int]:
-    """Build a graph from {"gadgets": [{"own_locations", "er_out"}], "t"}.
-
-    "er_out" may be one {"count", "to"} object or a list of them; "to" is
-    the 0-based index of the consuming gadget.
-    """
-    if not isinstance(obj, Mapping):
-        raise ValueError("gadget graph config must be an object")
-    raw = obj.get("gadgets")
-    if not isinstance(raw, Sequence) or not raw:
-        raise ValueError("config needs a nonempty gadgets list")
-    gadgets = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, Mapping):
-            raise ValueError(f"gadgets[{i}] must be an object")
-        er_raw = entry.get("er_out", [])
-        if isinstance(er_raw, Mapping):
-            er_raw = [er_raw]
-        er = tuple((int(e["count"]), int(e["to"])) for e in er_raw)
-        gadgets.append(Gadget(int(entry["own_locations"]), er))
-    t = int(obj.get("t", 1))
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return GadgetGraph(tuple(gadgets)), t

@@ -16,10 +16,7 @@ float64 array of outcome probabilities.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -257,59 +254,3 @@ def apply_local(
         axes = list(support) + [len(dims) + i for i in support]
     op = op.reshape(sup_dims * (2 * x.ndim))
     return _contract(op, x.reshape(dims * x.ndim), axes).reshape(x.shape)
-
-
-# -- JSON interchange ---------------------------------------------------------
-# Complex arrays travel as flat row-major lists of [re, im] pairs.
-
-
-def complex_pairs(a: np.ndarray) -> np.ndarray:
-    """Row-major `(size, 2)` float64 array of `[re, im]` rows: the JSON form as an array."""
-    flat = np.ascontiguousarray(a, dtype=np.complex128).reshape(-1)
-    return flat.view(np.float64).reshape(-1, 2)
-
-
-def number_from_json(value, name: str, kind: type = float):
-    """A JSON scalar checked, never cast: kind=int takes a JSON integer and
-    kind=float a finite JSON number, an integer widened. A bool, a string
-    or any other value raises ValueError naming `name`."""
-    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
-        value = float(value)
-    if type(value) is not kind or kind is float and not math.isfinite(value):
-        noun = "an integer" if kind is int else "a finite number"
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
-    return value
-
-
-def vector_from_json(obj) -> np.ndarray:
-    """Complex128 vector from a list of `[re, im]` pairs of finite JSON numbers.
-
-    The pairs are read in bulk. A string, null or nested entry, a pair of
-    another length, a non-finite entry or an int beyond float range is
-    refused; bools read as 0 and 1.
-    """
-    try:
-        if set(map(len, obj)) - {2}:
-            raise ValueError("a pair must have two entries")
-        # array("d") takes ints, floats and bools only, so a string or null is refused
-        flat = np.frombuffer(array("d", chain.from_iterable(obj)), np.complex128)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"expected a list of [re, im] pairs: {exc}") from None
-    if not np.isfinite(flat).all():
-        raise ValueError("expected a list of [re, im] pairs of finite numbers")
-    return flat
-
-
-def matrix_to_json(m: np.ndarray) -> list[list[float]]:
-    return complex_pairs(m).tolist()
-
-
-def matrix_from_json(obj) -> np.ndarray:
-    """Square complex128 matrix; an empty one or a side over DIM_CAP is refused."""
-    flat = vector_from_json(obj)
-    side = math.isqrt(flat.size)
-    if side * side != flat.size:
-        raise ValueError(f"{flat.size} entries do not fill a square matrix")
-    if side != 1:
-        SubsystemDims((side,))  # as one factor: refuses side 0 and a side over DIM_CAP
-    return flat.reshape(side, side)

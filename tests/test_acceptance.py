@@ -49,7 +49,8 @@ from ftlab.gadgets import (
     level_reduce_mc,
     truncate_and_classify,
 )
-from ftlab.matcore import matrix_to_json, qubit_dims
+from ftlab.cli import matrix_to_json
+from ftlab.matcore import qubit_dims
 from ftlab.threshold import (
     SchemeParams,
     pseudothreshold_mc,

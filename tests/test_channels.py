@@ -14,21 +14,23 @@ from ftlab.channels import (
     NoiseSpec,
     choi_matrix,
     compose_channels,
-    correlation_grid_from_json,
     diamond_distance,
-    hamiltonian_terms_from_json,
     make_noise_channel,
-    noise_map_from_json,
-    noise_spec_from_json,
     strength_gaussian,
     strength_local_hamiltonian,
     strength_long_range,
     strength_markovian,
     strength_unitary_couplings,
 )
+from ftlab.cli import (
+    correlation_grid_from_json,
+    hamiltonian_terms_from_json,
+    matrix_to_json,
+    noise_map_from_json,
+    noise_spec_from_json,
+)
 from ftlab.matcore import (
     apply_local,
-    matrix_to_json,
     operator_norm,
     partial_trace,
     qubit_dims,

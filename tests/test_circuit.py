@@ -28,20 +28,17 @@ from ftlab.circuit import (
     _readout,
     _reset,
     _walk,
-    circuit_from_json,
-    environment_spec_from_json,
     environment_strength,
-    gate_from_json,
     rz,
     simulate_ideal,
     simulate_noisy,
     simulate_with_environment,
     validate_circuit,
 )
+from ftlab.cli import circuit_from_json, environment_spec_from_json, gate_from_json, matrix_to_json
 from ftlab.matcore import (
     apply_local,
     kolmogorov_distance,
-    matrix_to_json,
     partial_trace,
     qubit_dims,
 )

@@ -1,3 +1,4 @@
+import ast
 import collections
 import enum
 import json
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 
 import ftlab
 from ftlab import cli
-from ftlab.cli import Report, emit_report, json_dumps, main
-from ftlab.matcore import matrix_from_json, matrix_to_json, trace_norm
+from ftlab.cli import Report, emit_report, json_dumps, main, matrix_from_json, matrix_to_json
+from ftlab.matcore import trace_norm
 
 
 def write_config(tmp_path, name, payload):
@@ -134,7 +135,7 @@ REFUSALS = {
     "diamond_restarts_4097": ("strength", _diamond_restarts(4097), "restarts <= 4096"),
     "n_system_2e7": (
         "accuracy",
-        {"circuit": {"n_system": 2e7, "locations": []}},
+        {"circuit": {"n_system": 20000000, "locations": []}},
         "total dimension 2^20000000 exceeds cap 4096",
     ),
     "n_env_24": (
@@ -144,7 +145,7 @@ REFUSALS = {
     ),
     "graph_2e6_locations": (
         "truncate",
-        {"graph": {"gadgets": [{"own_locations": 2e6}]}, "eps": 0.01},
+        {"graph": {"gadgets": [{"own_locations": 2000000}]}, "eps": 0.01},
         "gadget graph has 2000000 locations, over the 1000000 cap",
     ),
     "pseudothreshold_budget": (
@@ -211,14 +212,19 @@ def test_cli_overrides_pass_the_schema(tmp_path, capsysbinary, flag, value, reas
     assert reason in json.loads(err)["error"]
 
 
-def _z_term_params(label):
-    """A long_range strength config with one Z term under `label`."""
+def _z_term_params(label, support=(0,)):
+    """A long_range strength config with one Z term on `support` under `label`."""
     z = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
     return {
         "evaluator": "long_range",
         "t0": 1.0,
-        "terms": [{"support": [0], "op": z, "label": label}],
+        "terms": [{"support": list(support), "op": z, "label": label}],
     }
+
+
+def _one_location(**entry):
+    """A one-qubit circuit whose one location is `entry`."""
+    return {"n_system": 1, "locations": [entry]}
 
 
 def _conditioned_x(condition):
@@ -252,6 +258,10 @@ MALFORMED = {
     "locations_string": ("accuracy", {"circuit": {"n_system": 1, "locations": "ab"}}, "locations"),
     "locations_list": ("accuracy", {"circuit": {"n_system": 1, "locations": [[1]]}}, "locations"),
     "gadgets_int": ("truncate", {"graph": {"gadgets": [3]}, "faults": []}, "gadgets"),
+    "er_out_list": (
+        "truncate", {"graph": {"gadgets": [{"own_locations": 1, "er_out": [[1, 1]]}]}, "faults": []},
+        "gadgets[0] er_out entry must be an object",
+    ),
     "couplings_list": (
         "strength",
         {"evaluator": "environment", "environment": {"n_env": 1, "couplings": [1]}},
@@ -621,13 +631,118 @@ BAD_PARAMS = {
         "threshold", {"L0": 7, "t": 1, "pseudothreshold": {"samples": True}},
         "samples must be an integer, got True",
     ),
+    # the bound follows from the input: L*eps for a channel map, 2*L*eps for an environment
+    "accuracy_variant": ("accuracy", {**_NOISY_H, "variant": "linear"}, "'variant' is not read"),
+    # nested config numbers are checked, never cast
+    "accuracy_motivation": (
+        "accuracy",
+        {"circuit": {**_one_location(kind="prep", support=[0.7], state="0"), "n_system": 1.9},
+         "noise": {"1": {"kind": "depolarizing", "p": "0.5"}}},
+        "n_system must be an integer, got 1.9",
+    ),
+    "truncate_motivation": (
+        "truncate",
+        {"graph": {"gadgets": [{"own_locations": 2.7, "er_out": {"count": "1", "to": 1.5}},
+                               {"own_locations": 1}], "t": True}, "eps": 0.1},
+        "own_locations must be an integer, got 2.7",
+    ),
+    "hamiltonian_motivation": (
+        "strength", {**_z_term_params(1.9, support=[0.9]), "evaluator": "local_hamiltonian"},
+        "label must be an integer, got 1.9",
+    ),
+    "n_system_2e7": (
+        "accuracy", {"circuit": {"n_system": 2e7, "locations": []}},
+        "n_system must be an integer, got 20000000.0",
+    ),
+    "own_locations_2e6": (
+        "truncate", {"graph": {"gadgets": [{"own_locations": 2e6}]}, "eps": 0.01},
+        "own_locations must be an integer, got 2000000.0",
+    ),
+    "support_fraction": (
+        "accuracy", {"circuit": _one_location(kind="prep", support=[0.7], state="0")},
+        "support entry must be an integer, got 0.7",
+    ),
+    "step_fraction": (
+        "accuracy", {"circuit": _one_location(kind="prep", support=[0], state="0", step=2.5)},
+        "step must be an integer, got 2.5",
+    ),
+    "condition_float": (
+        "accuracy", {"circuit": _conditioned_x([1.0, 0])}, "condition entry must be an integer, got 1.0"
+    ),
+    "final_measure_float": (
+        "accuracy", {"circuit": {**_h_chain(1, 2), "final_measure": [0.0]}},
+        "final_measure entry must be an integer, got 0.0",
+    ),
+    "noise_support_fraction": (
+        "accuracy", {**_NOISY_H, "noise": {"2": {"kind": "depolarizing", "p": 0.1, "support": [0.5]}}},
+        "support entry must be an integer, got 0.5",
+    ),
+    "noise_key_float": (
+        "accuracy", {**_NOISY_H, "noise": {"2.0": {"kind": "depolarizing", "p": 0.1}}},
+        "noise key must be a location index in decimal, got '2.0'",
+    ),
+    "p_string": (
+        "accuracy", {**_NOISY_H, "noise": {"2": {"kind": "depolarizing", "p": "0.5"}}},
+        "p must be a finite number, got '0.5'",
+    ),
+    "delta_theta_bool": (
+        "strength", {"evaluator": "markovian", "noisy": {"kind": "control_rotation", "delta_theta": True}},
+        "delta_theta must be a finite number, got True",
+    ),
+    "t1_string": (
+        "strength", {"evaluator": "markovian", "noisy": {"kind": "amplitude_damping", "t0": 0.1, "t1": "1"}},
+        "t1 must be a finite number, got '1'",
+    ),
+    "n_env_fraction": (
+        "strength", {"evaluator": "environment", "environment": {**_ENV, "n_env": 1.5}},
+        "n_env must be an integer, got 1.5",
+    ),
+    "coupling_key_leading_zero": (
+        "accuracy",
+        {"circuit": _h_chain(1, 2), "environment": {
+            "n_env": 1, "couplings": {"01": {"support": [0, 1], "unitary": matrix_to_json(np.eye(4))}}}},
+        "couplings key must be a location index in decimal, got '01'",
+    ),
+    "coupling_support_float": (
+        "strength",
+        {"evaluator": "environment", "environment": {
+            "n_env": 1, "couplings": {"1": {"support": [0, 1.0], "unitary": matrix_to_json(np.eye(4))}}}},
+        "support entry must be an integer, got 1.0",
+    ),
+    "count_string": (
+        "truncate", {"graph": {"gadgets": [{"own_locations": 2, "er_out": {"count": "1", "to": 1}},
+                                           {"own_locations": 2}]}, "eps": 0.1},
+        "count must be an integer, got '1'",
+    ),
+    "to_fraction": (
+        "truncate", {"graph": {"gadgets": [{"own_locations": 2, "er_out": {"count": 1, "to": 1.5}},
+                                           {"own_locations": 2}]}, "eps": 0.1},
+        "to must be an integer, got 1.5",
+    ),
+    "graph_t_bool": (
+        "truncate", {"graph": {**_TWO_GADGETS, "t": True}, "eps": 0.1}, "t must be an integer, got True"
+    ),
+    "label_pair_fraction": ("strength", _z_term_params([0, 1.5]), "label entry must be an integer, got 1.5"),
+    "gate_regions_fraction": (
+        "strength", {"evaluator": "gaussian", "grid": {**_Z_GRID, "gate_regions": [[0.5]]}},
+        "gate_regions entry must be an integer, got 0.5",
+    ),
+    "delta_abs_string": (
+        "strength", {"evaluator": "gaussian", "grid": {**_Z_GRID, "delta_abs": [[[["0.5"]]]]}},
+        "delta_abs entry must be a finite number, got '0.5'",
+    ),
+    "rz_underscore": (
+        "accuracy", {"circuit": _one_location(kind="gate", support=[0], gate="Rz(1_0)")},
+        "unknown gate name 'Rz(1_0)'",
+    ),
 }
 
 _WORK = [  # every computing call a runner makes
-    "accuracy_delta_exact", "diamond_distance", "iterate_failure_map", "level_reduce_mc",
-    "pseudothreshold_mc", "sample_fault_config", "strength_gaussian", "strength_local_hamiltonian",
-    "strength_long_range", "strength_markovian", "strength_unitary_couplings", "threshold_report",
-    "threshold_value", "truncate_and_classify", "verify_ie_identity", "zeta_earliest", "zeta_subset",
+    "accuracy_delta_exact", "diamond_distance", "environment_strength", "iterate_failure_map",
+    "level_reduce_mc", "pseudothreshold_mc", "sample_fault_config", "strength_gaussian",
+    "strength_local_hamiltonian", "strength_long_range", "strength_markovian",
+    "strength_unitary_couplings", "threshold_report", "threshold_value", "truncate_and_classify",
+    "verify_ie_identity", "zeta_earliest", "zeta_subset",
 ]
 
 
@@ -651,7 +766,7 @@ def test_bad_params_exit_2_naming_the_key_before_any_work(tmp_path, capsysbinary
 def test_valid_params_still_run_with_every_key_read(tmp_path, capsysbinary):
     # the complete key sets of the runs the refusals above cut short
     for command, params in [
-        ("accuracy", {**_NOISY_H, "variant": "linear"}),
+        ("accuracy", _NOISY_H),
         ("truncate", {"graph": _TWO_GADGETS, "faults": [3]}),
         ("faultpaths", {**_NOISY_H, "mode": "subset", "subset": [1, 2], "complement": "ideal"}),
         ("threshold", {"L0": 7, "t": 1, "xi": 2, "L": 1000, "delta0": 0.01, "eps": 1e-4,
@@ -993,6 +1108,34 @@ def test_reports_byte_identical_across_hash_seeds(tmp_path):
     for command in HASH_SEED_CONFIGS:
         first = (tmp_path / f"{command}.1.json").read_bytes()
         assert first == (tmp_path / f"{command}.3.json").read_bytes(), command
+
+
+def test_only_cli_defines_or_imports_json_readers():
+    # the config format lives in one module: no other module defines a JSON
+    # reader or writer, and one names it only to re-export it from cli
+    def json_name(name):
+        return name.endswith(("_from_json", "_to_json")) or name == "complex_pairs"
+
+    for path in sorted(Path(ftlab.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert not json_name(node.name), f"{path.name} defines {node.name}"
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                from_cli = isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, "cli")
+                names = [a.name for a in node.names if json_name(a.name.rsplit(".", 1)[-1])]
+                assert from_cli or not names, f"{path.name} imports {names}"
+
+
+@pytest.mark.parametrize("code", ["import ftlab.cli", "import ftlab; ftlab.circuit_from_json"])
+def test_package_imports_in_a_fresh_interpreter(code):
+    # the package re-exports cli's readers and cli reads the package's
+    # __version__: an import cycle shows in one of these orders only
+    src = str(Path(ftlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 # -- serializer parity ----------------------------------------------------------

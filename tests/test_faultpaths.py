@@ -189,18 +189,10 @@ def test_accuracy_delta_environment_instance():
 
 
 def test_accuracy_bound_variants():
-    for variant in ("linear", "e_minus_1", "non_markovian", "encoded"):
+    for variant in ("linear", "non_markovian"):
         assert accuracy_bound(10, 0.0, variant) == 0.0
     assert accuracy_bound(10, 0.01, "linear") == pytest.approx(0.1, abs=1e-15)
-    assert accuracy_bound(10, 0.01, "e_minus_1") == pytest.approx(
-        (math.e - 1) * 0.1, rel=1e-12
-    )
     assert accuracy_bound(10, 0.01, "non_markovian") == pytest.approx(0.2, abs=1e-15)
-    assert accuracy_bound(10, 0.01, "encoded") == pytest.approx(
-        (math.e - 1) * 0.1, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        accuracy_bound(10, 0.2, "e_minus_1")  # needs eps <= 1/L
     with pytest.raises(ValueError):
         accuracy_bound(10, 0.01, "quadratic")
     with pytest.raises(ValueError):

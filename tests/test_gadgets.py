@@ -11,7 +11,6 @@ from ftlab.gadgets import (
     Gadget,
     GadgetGraph,
     _reduce_chunk,
-    gadget_graph_from_json,
     iterate_failure_map,
     level1_failure_exact,
     level1_failure_mc,
@@ -19,6 +18,7 @@ from ftlab.gadgets import (
     sample_fault_config,
     truncate_and_classify,
 )
+from ftlab.cli import gadget_graph_from_json
 
 # prep-then-measure chain: 2 own + 1 shared ER + 2 own, ids 1..5
 CHAIN = GadgetGraph((Gadget(2, ((1, 1),)), Gadget(2)))

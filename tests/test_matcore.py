@@ -11,21 +11,18 @@ from ftlab.matcore import (
     DimensionCapError,
     SubsystemDims,
     apply_local,
-    complex_pairs,
     embed_operator,
     is_hermitian,
     is_unitary,
     kolmogorov_distance,
-    matrix_from_json,
-    matrix_to_json,
     operator_norm,
     partial_trace,
     qubit_dims,
     singular_values,
     superoperator,
     trace_norm,
-    vector_from_json,
 )
+from ftlab.cli import complex_pairs, matrix_from_json, matrix_to_json, vector_from_json
 
 SZ = np.diag([1.0, -1.0]).astype(np.complex128)
 BELL = np.zeros((4, 4), dtype=np.complex128)
