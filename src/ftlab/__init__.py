@@ -4,7 +4,7 @@ small density-matrix / joint-environment simulators, fault-path expansions,
 the extended-gadget truncation procedure, and concatenation-level
 renormalization, all behind one deterministic CLI."""
 
-__version__ = "0.1.0"  # set before the import of cli, which reads it
+__version__ = "0.1.0"  # cli reads it
 
 from .matcore import (
     DimensionCapError,
@@ -76,6 +76,18 @@ from .threshold import (
     threshold_report,
     threshold_value,
 )
-from .cli import circuit_from_json, environment_spec_from_json, gadget_graph_from_json
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_CLI_READERS = ("circuit_from_json", "environment_spec_from_json", "gadget_graph_from_json")
+
+
+def __getattr__(name: str):
+    """cli's config readers, imported on first use (PEP 562), so that
+    `import ftlab` loads neither cli nor jsonschema."""
+    if name in _CLI_READERS:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_CLI_READERS)

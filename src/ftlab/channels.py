@@ -7,7 +7,9 @@ supports, so single-qubit noise composes with a multi-qubit gate without
 manual kron bookkeeping; every consumer reads the stack directly.
 Every other operator is a plain complex128 array: `choi_matrix` returns
 one, and a noise spec, a Hamiltonian term or a coupling stores its operator
-as a read-only array.
+as a read-only array. The noise zoo is one table, `NOISE_KINDS`: each kind
+maps to the `NoiseSpec` fields it takes and to a function of the spec that
+returns its Kraus operators.
 
 The diamond-norm distance is reported as a certified interval. The lower
 end comes from restarted projected-gradient ascent over bipartite pure
@@ -339,8 +341,8 @@ def diamond_distance(
 
 @dataclass(frozen=True, eq=False)
 class NoiseSpec:
-    """Parameter record for the built-in single-location noise models;
-    `e_op` is stored as a read-only complex128 array."""
+    """Parameter record for the noise models of `NOISE_KINDS`; `e_op` is
+    stored as a read-only complex128 array."""
 
     kind: str
     delta_theta: float | None = None
@@ -349,33 +351,20 @@ class NoiseSpec:
     p: float | None = None
     e_op: np.ndarray | None = None
 
-    KINDS = ("control_rotation", "amplitude_damping", "probabilistic", "depolarizing")
-
     def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.e_op is not None:
             object.__setattr__(self, "e_op", read_only(self.e_op))
-        if self.kind == "control_rotation":
-            if self.delta_theta is None:
-                raise ValueError("control_rotation needs delta_theta")
-        elif self.kind == "amplitude_damping":
-            if self.t0 is None or self.t1 is None:
-                raise ValueError("amplitude_damping needs t0 and t1")
-            if self.t0 < 0 or self.t1 <= 0:
-                raise ValueError("need t0 >= 0 and t1 > 0")
-        elif self.kind == "probabilistic":
-            if self.p is None or self.e_op is None:
-                raise ValueError("probabilistic needs p and e_op")
-            if not 0.0 <= self.p <= 1.0:
-                raise ValueError(f"p out of range: {self.p}")
-            if not is_unitary(self.e_op):
-                raise ValueError("e_op must satisfy E^dag E = I")
-        elif self.kind == "depolarizing":
-            if self.p is None:
-                raise ValueError("depolarizing needs p")
-            if not 0.0 <= self.p <= 1.0:
-                raise ValueError(f"p out of range: {self.p}")
+        fields = NOISE_KINDS[self.kind][0]
+        if any(getattr(self, f) is None for f in fields):
+            raise ValueError(f"{self.kind} needs {' and '.join(fields)}")
+        if "t0" in fields and (self.t0 < 0 or self.t1 <= 0):
+            raise ValueError("need t0 >= 0 and t1 > 0")
+        if "p" in fields and not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"p out of range: {self.p}")
+        if "e_op" in fields and not is_unitary(self.e_op):
+            raise ValueError("e_op must satisfy E^dag E = I")
 
     @classmethod
     def control_rotation(cls, delta_theta: float) -> "NoiseSpec":
@@ -401,32 +390,35 @@ class NoiseSpec:
         return 1.0 - math.exp(-self.t0 / self.t1)
 
 
+def _damping(g: float) -> list[np.ndarray]:
+    return [np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - g)]]),
+            np.array([[0.0, math.sqrt(g)], [0.0, 0.0]])]
+
+
+NOISE_KINDS = {  # kind: (the NoiseSpec fields it takes, its Kraus operators from a spec)
+    "control_rotation": (  # exp(i th Z)
+        ("delta_theta",),
+        lambda s: [np.diag([np.exp(1j * s.delta_theta), np.exp(-1j * s.delta_theta)])],
+    ),
+    "amplitude_damping": (("t0", "t1"), lambda s: _damping(s.gamma)),
+    "probabilistic": (
+        ("p", "e_op"),
+        lambda s: [math.sqrt(1.0 - s.p) * np.eye(len(s.e_op)), math.sqrt(s.p) * s.e_op],
+    ),
+    "depolarizing": (
+        ("p",),
+        lambda s: [math.sqrt(1.0 - s.p) * np.eye(2)]
+        + [math.sqrt(s.p / 3.0) * m for m in (SIGMA_X, SIGMA_Y, SIGMA_Z)],
+    ),
+}
+
+
 def make_noise_channel(spec: NoiseSpec, support: Sequence[int] | None = None) -> Channel:
-    """Instantiate a noise model from the zoo as a Channel."""
-    if spec.kind == "control_rotation":
-        th = spec.delta_theta
-        u = np.diag([np.exp(1j * th), np.exp(-1j * th)])  # exp(i th Z)
-        return Channel.unitary(u, (2,), support)
-    if spec.kind == "amplitude_damping":
-        g = spec.gamma
-        m0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - g)]])
-        m1 = np.array([[0.0, math.sqrt(g)], [0.0, 0.0]])
-        return Channel.from_kraus([m0, m1], (2,), support)
-    if spec.kind == "probabilistic":
-        e = spec.e_op
-        ks = [math.sqrt(1.0 - spec.p) * np.eye(len(e)), math.sqrt(spec.p) * e]
-        k = len(e).bit_length() - 1  # a 2^k-sided e_op acts on k qubits
-        return Channel.from_kraus(ks, qubit_dims(k) if len(e) == 2**k else None, support)
-    if spec.kind == "depolarizing":
-        p = spec.p
-        ks = [
-            math.sqrt(1.0 - p) * np.eye(2),
-            math.sqrt(p / 3.0) * SIGMA_X,
-            math.sqrt(p / 3.0) * SIGMA_Y,
-            math.sqrt(p / 3.0) * SIGMA_Z,
-        ]
-        return Channel.from_kraus(ks, (2,), support)
-    raise ValueError(f"unknown noise kind {spec.kind!r}")
+    """Instantiate a noise model of `NOISE_KINDS` as a Channel: on qubit
+    factors when its side is a power of two, as one factor otherwise."""
+    ks = NOISE_KINDS[spec.kind][1](spec)
+    k = len(ks[0]).bit_length() - 1  # a 2^k-sided operator acts on k qubits
+    return Channel.from_kraus(ks, qubit_dims(k) if len(ks[0]) == 2**k else None, support)
 
 
 # ---------------------------------------------------------------------------

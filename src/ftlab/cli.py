@@ -1,10 +1,11 @@
 """Command-line front end: the one module that reads or writes JSON.
 
-Six subcommands (strength, accuracy, faultpaths, truncate, levelred,
-threshold) share one shape: load a JSON experiment config, validate it
-against the shipped schema, read it into the typed values the library
-takes, run the corresponding library call, and write a deterministic
-report. JSON reports embed the resolved config and provenance, so
+Six subcommands, declared once in `_COMMANDS` (strength, accuracy,
+faultpaths, truncate, levelred, threshold), share one shape: load a JSON
+experiment config, validate it against the shipped schema, read it into the
+typed values the library takes, run the corresponding library call, and
+write a deterministic report with `emit_report(command, config, results,
+records)`. JSON reports embed the resolved config and provenance, so
 identical config + seed gives byte-identical output regardless of worker
 count. CSV reports are the flat per-record projection meant for plotting
 tools.
@@ -24,8 +25,9 @@ numpy scalars are read with `.item()` first, and a cell that would need
 quoting raises ValueError.
 
 Exit codes: 0 success, 2 config/validation error (the command-line
-overrides are validated with the config, and a `params` key the run does
-not read or a value of the wrong kind is refused before any work: every
+overrides are validated with the config, and a schema failure reads
+`config <JSON path>: <message>`; a key the run does not read, at any depth
+of `params`, or a value of the wrong kind is refused before any work: every
 number in `params` goes through `number_from_json`, an integer must be a
 JSON integer and a real a finite non-bool number), 3 refused work (the
 `DIM_CAP` dimension cap, the `ie_check` lattice cap, the Monte Carlo leaf
@@ -45,7 +47,7 @@ import platform
 import re
 import sys
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import cache
 from importlib import resources
 from itertools import chain
@@ -57,6 +59,7 @@ import numpy as np
 
 from . import __version__
 from .channels import (
+    NOISE_KINDS,
     Channel,
     CorrelationGrid,
     HamiltonianTerm,
@@ -93,7 +96,6 @@ from .gadgets import (
 from .matcore import DimensionCapError, SubsystemDims, qubit_dims, trace_norm
 from .threshold import SchemeParams, pseudothreshold_mc, threshold_report, threshold_value
 
-COMMANDS = ("strength", "accuracy", "faultpaths", "truncate", "levelred", "threshold")
 RESTARTS_CAP = 4096  # most diamond-ascent starts a config may ask for
 
 
@@ -187,43 +189,31 @@ def _csv_cell(v) -> str:
     return s
 
 
-@dataclass
-class Report:
-    command: str
-    config: dict
-    results: dict
-    records: list[dict] = field(default_factory=list)
-    seed: int = 0
+def emit_report(command: str, config: dict, results: dict, records: list[dict]) -> bytes:
+    """Serialize a report in the config's output format; identical input
+    gives identical bytes.
 
-    def provenance(self) -> dict:
-        return {
-            "package": "ftlab",
-            "version": __version__,
-            "seed": self.seed,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        }
-
-
-def emit_report(report: Report, fmt: str) -> bytes:
-    """Serialize a report; identical input gives identical bytes."""
+    A JSON report embeds the resolved config minus workers and output path.
+    Those two tune execution and placement, not results; keeping them out
+    preserves byte-identity across worker counts and across runs that only
+    differ in where the report lands. A CSV report is the records alone.
+    """
+    fmt = config["output"]["format"]
     if fmt == "json":
-        doc = {
-            "command": report.command,
-            "config": report.config,
-            "provenance": report.provenance(),
-            "results": report.results,
-        }
+        embedded = {k: v for k, v in config.items() if k != "workers"}
+        embedded["output"] = {"format": fmt}
+        provenance = {"package": "ftlab", "version": __version__, "seed": config["seed"],
+                      "numpy": np.__version__, "python": platform.python_version()}
+        doc = {"command": command, "config": embedded, "provenance": provenance,
+               "results": results}
         _validate(doc, "report")
         return (json_dumps(doc) + "\n").encode("utf-8")
-    if fmt == "csv":
-        header = list(report.records[0]) if report.records else []
-        buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
-        for rec in report.records:
-            buf.write(",".join(_csv_cell(rec.get(k)) for k in header) + "\n")
-        return buf.getvalue().encode("utf-8")
-    raise ValueError(f"unknown format {fmt!r}")
+    header = list(records[0]) if records else []
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\n")
+    for rec in records:
+        buf.write(",".join(_csv_cell(rec.get(k)) for k in header) + "\n")
+    return buf.getvalue().encode("utf-8")
 
 
 # -- config handling -----------------------------------------------------------
@@ -242,7 +232,7 @@ def _validator(name: str):
 def _validate(instance, name: str) -> None:
     error = jsonschema.exceptions.best_match(_validator(name).iter_errors(instance))
     if error is not None:
-        raise error
+        raise ValueError(f"{name} {error.json_path}: {error.message}")
 
 
 def _refuse_constant(name: str):
@@ -276,18 +266,6 @@ def _load_config(path: str, args: argparse.Namespace) -> dict:
     config.setdefault("seed", 0)
     config.setdefault("output", {}).setdefault("format", "json")
     return config
-
-
-def _report(command: str, config: dict, results: dict, records: list[dict]) -> Report:
-    """Report embedding the resolved config minus workers and output path.
-
-    Those two tune execution and placement, not results; keeping them out
-    preserves byte-identity across worker counts and across runs that only
-    differ in where the report lands.
-    """
-    embedded = {k: v for k, v in config.items() if k != "workers"}
-    embedded["output"] = {"format": config["output"]["format"]}
-    return Report(command, embedded, results, records, seed=config["seed"])
 
 
 # -- config readers ------------------------------------------------------------
@@ -333,11 +311,13 @@ def _param(obj: Mapping, key: str, kind: type = float, default=_REQUIRED, each: 
     return (numbers_from_json if each else number_from_json)(value, key, kind)
 
 
-def _unread(params: Mapping, *reads: str) -> None:
-    """Refuse, before any work, a params key outside `reads`, all this run reads."""
-    extra = sorted(set(params) - set(reads))
+def _unread(obj, name: str, *reads: str) -> Mapping:
+    """The object `name`, refused before any work if it holds a key outside
+    `reads`, all this run reads of it."""
+    extra = sorted(set(_object(obj, name)) - set(reads))
     if extra:
-        raise ValueError(f"params key {extra[0]!r} is not read: this run reads {', '.join(reads)}")
+        raise ValueError(f"{name} key {extra[0]!r} is not read: this run reads {', '.join(reads)}")
+    return obj
 
 
 def _location_key(key: str, name: str) -> int:
@@ -402,25 +382,24 @@ def matrix_from_json(obj) -> np.ndarray:
     return flat.reshape(side, side)
 
 
-_NOISE_REALS = {  # the real parameters of each noise kind
-    "control_rotation": ("delta_theta",), "amplitude_damping": ("t0", "t1"),
-    "probabilistic": ("p",), "depolarizing": ("p",),
-}
-
-
-def noise_spec_from_json(obj: Mapping) -> NoiseSpec:
+def noise_spec_from_json(obj: Mapping, *also: str) -> NoiseSpec:
+    """A spec reads its kind and that kind's `NOISE_KINDS` fields; a key
+    outside them and `also` is refused."""
     kind = _object(obj, "noise spec").get("kind")
-    if kind not in _NOISE_REALS:
+    if kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}")
-    e_op = matrix_from_json(obj["e_op"]) if kind == "probabilistic" else None
-    return NoiseSpec(kind, e_op=e_op, **{k: _param(obj, k) for k in _NOISE_REALS[kind]})
+    fields = NOISE_KINDS[kind][0]
+    _unread(obj, "noise spec", "kind", *fields, *also)
+    return NoiseSpec(
+        kind, **{k: matrix_from_json(obj[k]) if k == "e_op" else _param(obj, k) for k in fields}
+    )
 
 
 def noise_map_from_json(obj: Mapping) -> dict[int, Channel]:
     """Per-location noise: {location index: noise spec + optional support}."""
     return {
         _location_key(key, "noise"): make_noise_channel(
-            noise_spec_from_json(entry), _param(entry, "support", int, None, each=True)
+            noise_spec_from_json(entry, "support"), _param(entry, "support", int, None, each=True)
         )
         for key, entry in _object(obj, "noise map").items()
     }
@@ -432,7 +411,8 @@ def hamiltonian_terms_from_json(obj: Sequence) -> list[HamiltonianTerm]:
         raise ValueError("expected a list of Hamiltonian terms")
     terms = []
     for entry in obj:
-        pair = type(_object(entry, "Hamiltonian term").get("label")) is list
+        _unread(entry, "Hamiltonian term", "support", "op", "label")
+        pair = type(entry.get("label")) is list
         label = _param(entry, "label", int, each=pair)
         op = matrix_from_json(entry["op"])
         terms.append(HamiltonianTerm(_param(entry, "support", int, each=True), op, label))
@@ -441,7 +421,7 @@ def hamiltonian_terms_from_json(obj: Sequence) -> list[HamiltonianTerm]:
 
 def correlation_grid_from_json(obj: Mapping) -> CorrelationGrid:
     """Grid as {delta_abs: nested 4-d array, cell_volume, gate_regions}."""
-    obj = _object(obj, "correlation grid")
+    obj = _unread(obj, "correlation grid", "delta_abs", "cell_volume", "gate_regions")
     regions = obj["gate_regions"]
     if type(regions) is not list:
         raise ValueError(f"gate_regions must be a list, got {regions!r}")
@@ -453,6 +433,7 @@ def correlation_grid_from_json(obj: Mapping) -> CorrelationGrid:
 
 
 _NAMED_STATES = {"0": KET0, "1": KET1, "+": KET_PLUS}
+_PAYLOADS = {"prep": ("state",), "gate": ("gate",), "measure": ("projectors",), "identity": ()}
 _RZ_PATTERN = re.compile(r"Rz\((-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)\)")
 
 
@@ -487,13 +468,18 @@ def circuit_from_json(obj: Mapping) -> Circuit:
     "step" and a "condition": [measure index, outcome position].
     final_measure is a list of qubits to read out in Z; omitted means all.
     """
-    n_system = _param(_object(obj, "circuit config"), "n_system", int)
+    n_system = _param(_unread(obj, "circuit config", "n_system", "locations", "final_measure"),
+                      "n_system", int)
     locs = []
     for pos, entry in enumerate(obj.get("locations", [])):
-        entry = _object(entry, f"locations[{pos}]")
+        name = f"locations[{pos}]"
+        entry = _object(entry, name)
         index = pos + 1
         step = _param(entry, "step", int, index)
         kind = entry["kind"]
+        if not isinstance(kind, str) or kind not in _PAYLOADS:
+            raise ValueError(f"unknown location kind {kind!r}")
+        _unread(entry, name, "kind", "support", "step", "condition", *_PAYLOADS[kind])
         support = _param(entry, "support", int, each=True)
         if kind == "prep":
             loc = Location.prep(index, step, support, _state_from_json(entry["state"]))
@@ -504,10 +490,8 @@ def circuit_from_json(obj: Mapping) -> Circuit:
             if projs is not None:
                 projs = [matrix_from_json(p) for p in projs]
             loc = Location.measure(index, step, support, projs)
-        elif kind == "identity":
-            loc = Location.wait(index, step, support)
         else:
-            raise ValueError(f"unknown location kind {kind!r}")
+            loc = Location.wait(index, step, support)
         locs.append(replace(loc, condition=_param(entry, "condition", int, None, each=True)))
     fm = _param(obj, "final_measure", int, None, each=True)
     return Circuit(n_system, tuple(locs), range(n_system) if fm is None else fm)
@@ -519,13 +503,14 @@ def environment_spec_from_json(obj: Mapping) -> EnvironmentSpec:
     The initial state defaults to |0...0>; coupling supports use global
     indices with the environment block appended after the system block.
     """
-    n_env = _param(_object(obj, "environment spec"), "n_env", int)
+    n_env = _param(_unread(obj, "environment spec", "n_env", "initial", "couplings"), "n_env", int)
     side = qubit_dims(max(n_env, 0)).total  # an over-cap environment is refused here
     initial = obj.get("initial")
     vec = np.eye(1, side, dtype=np.complex128)[0] if initial is None else vector_from_json(initial)
     couplings = {}
     for key, entry in _object(obj.get("couplings", {}), "environment couplings").items():
-        support = _param(_object(entry, f"coupling {key!r}"), "support", int, each=True)
+        support = _param(_unread(entry, f"coupling {key!r}", "support", "unitary"), "support", int,
+                         each=True)
         ch = Channel.unitary(matrix_from_json(entry["unitary"]), qubit_dims(len(support)), support)
         couplings[_location_key(key, "couplings")] = ch
     return EnvironmentSpec(n_env, vec, couplings)
@@ -537,16 +522,16 @@ def gadget_graph_from_json(obj: Mapping) -> tuple[GadgetGraph, int]:
     "er_out" may be one {"count", "to"} object or a list of them; "to" is
     the 0-based index of the consuming gadget.
     """
-    raw = _object(obj, "gadget graph config").get("gadgets")
+    raw = _unread(obj, "gadget graph config", "gadgets", "t").get("gadgets")
     if not isinstance(raw, Sequence) or not raw:
         raise ValueError("config needs a nonempty gadgets list")
     gadgets = []
     for i, entry in enumerate(raw):
-        own = _param(_object(entry, f"gadgets[{i}]"), "own_locations", int)
+        own = _param(_unread(entry, f"gadgets[{i}]", "own_locations", "er_out"), "own_locations", int)
         er_raw = entry.get("er_out", [])
         if isinstance(er_raw, Mapping):
             er_raw = [er_raw]
-        ers = [_object(e, f"gadgets[{i}] er_out entry") for e in er_raw]
+        ers = [_unread(e, f"gadgets[{i}] er_out entry", "count", "to") for e in er_raw]
         er = tuple((_param(e, "count", int), _param(e, "to", int)) for e in ers)
         gadgets.append(Gadget(own, er))
     t = _param(obj, "t", int, 1)
@@ -566,12 +551,11 @@ _STRENGTH_READS = {  # the params each evaluator reads besides "evaluator"
 }
 
 
-def _cmd_strength(config: dict, workers: int) -> Report:
-    params = config["params"]
+def _cmd_strength(params: dict, seed: int, workers: int) -> tuple[dict, list[dict]]:
     ev = params.get("evaluator")
     if not isinstance(ev, str) or ev not in _STRENGTH_READS:
         raise ValueError(f"unknown strength evaluator {ev!r}")
-    _unread(params, "evaluator", *_STRENGTH_READS[ev])
+    _unread(params, "params", "evaluator", *_STRENGTH_READS[ev])
     kwargs = {"c": _param(params, "c")} if "c" in params else {}
     if ev == "markovian":
         noisy = make_noise_channel(noise_spec_from_json(params["noisy"]))
@@ -584,7 +568,7 @@ def _cmd_strength(config: dict, workers: int) -> Report:
             raise ExhaustiveCapError(f"diamond ascent capped at restarts <= {RESTARTS_CAP}")
         a = make_noise_channel(noise_spec_from_json(params["a"]))
         b = make_noise_channel(noise_spec_from_json(params["b"]))
-        lo, hi = diamond_distance(a, b, restarts=restarts, seed=config["seed"])
+        lo, hi = diamond_distance(a, b, restarts=restarts, seed=seed)
         results = {"evaluator": ev, "lower": lo, "upper": hi}
     elif ev == "local_hamiltonian":
         t0 = _param(params, "t0")
@@ -603,13 +587,12 @@ def _cmd_strength(config: dict, workers: int) -> Report:
     else:
         env = environment_spec_from_json(params["environment"])
         results = {"evaluator": ev, "strength": environment_strength(env)}
-    return _report("strength", config, results, [dict(results)])
+    return results, [dict(results)]
 
 
-def _cmd_accuracy(config: dict, workers: int) -> Report:
-    params = config["params"]
+def _cmd_accuracy(params: dict, seed: int, workers: int) -> tuple[dict, list[dict]]:
     env = "environment" in params
-    _unread(params, "circuit", "environment" if env else "noise")
+    _unread(params, "params", "circuit", "environment" if env else "noise")
     c = circuit_from_json(params["circuit"])
     if env:
         spec = environment_spec_from_json(params["environment"])
@@ -626,17 +609,16 @@ def _cmd_accuracy(config: dict, workers: int) -> Report:
     bound = accuracy_bound(c.size, eps, variant)
     results = {"delta": delta, "eps": eps, "locations": c.size, "variant": variant,
                "bound": bound, "within_bound": bool(delta <= bound + 1e-12)}
-    return _report("accuracy", config, results, [dict(results)])
+    return results, [dict(results)]
 
 
 _FAULTPATH_READS = {"subset": ("subset", "complement"), "earliest": ("r",)}
 
 
-def _cmd_faultpaths(config: dict, workers: int) -> Report:
-    params = config["params"]
+def _cmd_faultpaths(params: dict, seed: int, workers: int) -> tuple[dict, list[dict]]:
     mode = params.get("mode")
     if mode == "ie_check":
-        _unread(params, "mode", "L0", "t")
+        _unread(params, "params", "mode", "L0", "t")
         verdict = verify_ie_identity(_param(params, "L0", int), _param(params, "t", int))
         results = {
             "mode": mode,
@@ -644,11 +626,10 @@ def _cmd_faultpaths(config: dict, workers: int) -> Report:
             "counterexample": list(verdict.counterexample or ()),
             "detail": verdict.detail,
         }
-        rec = {k: results[k] for k in ("mode", "ok", "detail")}
-        return _report("faultpaths", config, results, [rec])
+        return results, [{k: results[k] for k in ("mode", "ok", "detail")}]
     if mode not in ("subset", "earliest"):
         raise ValueError(f"unknown faultpaths mode {mode!r}")
-    _unread(params, "mode", "circuit", "noise", *_FAULTPATH_READS[mode])
+    _unread(params, "params", "mode", "circuit", "noise", *_FAULTPATH_READS[mode])
     c = circuit_from_json(params["circuit"])
     noise = noise_map_from_json(params.get("noise", {}))
     if mode == "subset":
@@ -662,18 +643,16 @@ def _cmd_faultpaths(config: dict, workers: int) -> Report:
         results = {"mode": mode, "r": r}
     results["trace_norm"] = trace_norm(zeta)
     results["matrix"] = complex_pairs(zeta)
-    rec = {k: v for k, v in results.items() if k not in ("matrix", "subset")}
-    return _report("faultpaths", config, results, [rec])
+    return results, [{k: v for k, v in results.items() if k not in ("matrix", "subset")}]
 
 
-def _cmd_truncate(config: dict, workers: int) -> Report:
-    params = config["params"]
-    _unread(params, "graph", "faults" if "faults" in params else "eps")
+def _cmd_truncate(params: dict, seed: int, workers: int) -> tuple[dict, list[dict]]:
+    _unread(params, "params", "graph", "faults" if "faults" in params else "eps")
     graph, t = gadget_graph_from_json(params["graph"])
     if "faults" in params:
         fc = FaultConfig(_param(params, "faults", int, each=True))
     else:
-        fc = sample_fault_config(graph, _param(params, "eps"), config["seed"])
+        fc = sample_fault_config(graph, _param(params, "eps"), seed)
     cls = truncate_and_classify(graph, fc, t)
     per_gadget = [
         {"gadget": i, "status": status, "fault_count": len(ids & fc.faulty),
@@ -688,15 +667,14 @@ def _cmd_truncate(config: dict, workers: int) -> Report:
         "truncated": [sorted(ids) for ids in cls.truncated],
         "any_bad": cls.any_bad,
     }
-    return _report("truncate", config, results, per_gadget)
+    return results, per_gadget
 
 
-def _cmd_levelred(config: dict, workers: int) -> Report:
-    params = config["params"]
-    _unread(params, "levels", "L0", "t", "eps", "samples")
+def _cmd_levelred(params: dict, seed: int, workers: int) -> tuple[dict, list[dict]]:
+    _unread(params, "params", "levels", "L0", "t", "eps", "samples")
     levels, L0, t, samples = (_param(params, k, int) for k in ("levels", "L0", "t", "samples"))
     eps = _param(params, "eps")
-    ests = level_reduce_mc(levels, L0, t, eps, samples, config["seed"], workers=workers)
+    ests = level_reduce_mc(levels, L0, t, eps, samples, seed, workers=workers)
     exact = iterate_failure_map(levels, L0, t, eps)
     rows = [
         {"level": e.level, "estimate": e.probability, "stderr": e.stderr, "trials": e.trials,
@@ -704,12 +682,11 @@ def _cmd_levelred(config: dict, workers: int) -> Report:
         for e, x in zip(ests, exact)
     ]
     results = {"L0": L0, "t": t, "eps": eps, "samples": samples, "levels": rows}
-    return _report("levelred", config, results, [dict(r) for r in rows])
+    return results, [dict(r) for r in rows]
 
 
-def _cmd_threshold(config: dict, workers: int) -> Report:
-    params = config["params"]
-    _unread(params, "L0", "t", "xi", "L", "delta0", "eps", "pseudothreshold")
+def _cmd_threshold(params: dict, seed: int, workers: int) -> tuple[dict, list[dict]]:
+    _unread(params, "params", "L0", "t", "xi", "L", "delta0", "eps", "pseudothreshold")
     scheme = SchemeParams(
         L0=_param(params, "L0", int),
         t=_param(params, "t", int),
@@ -719,7 +696,7 @@ def _cmd_threshold(config: dict, workers: int) -> Report:
     if {"L", "delta0", "eps"} & params.keys():  # read together, each required
         target = _param(params, "L", int), _param(params, "delta0"), _param(params, "eps")
     sub = _object(params.get("pseudothreshold", {}), "pseudothreshold")
-    _unread(sub, "samples", "mode")
+    _unread(sub, "params", "samples", "mode")
     samples = _param(sub, "samples", int, 10**5)
     results: dict = {
         "L0": scheme.L0,
@@ -743,19 +720,19 @@ def _cmd_threshold(config: dict, workers: int) -> Report:
         records = [{"eps0": results["eps0"], "exponent_a": a}]
     if "pseudothreshold" in params:
         mode = sub.get("mode", "exact")
-        crossing, ci = pseudothreshold_mc(scheme, samples, config["seed"], mode=mode)
+        crossing, ci = pseudothreshold_mc(scheme, samples, seed, mode=mode)
         results["pseudothreshold"] = {"crossing": crossing, "ci_low": ci[0], "ci_high": ci[1],
                                       "mode": mode}
-    return _report("threshold", config, results, records)
+    return results, records
 
 
-_RUNNERS = {
-    "strength": _cmd_strength,
-    "accuracy": _cmd_accuracy,
-    "faultpaths": _cmd_faultpaths,
-    "truncate": _cmd_truncate,
-    "levelred": _cmd_levelred,
-    "threshold": _cmd_threshold,
+_COMMANDS = {  # name: (runner of (params, seed, workers) -> (results, records), help)
+    "strength": (_cmd_strength, "evaluate a noise-strength model"),
+    "accuracy": (_cmd_accuracy, "exact output deviation of a noisy circuit vs its bound"),
+    "faultpaths": (_cmd_faultpaths, "materialize fault-path sums or check counting identities"),
+    "truncate": (_cmd_truncate, "classify gadgets as good/bad after the truncation sweep"),
+    "levelred": (_cmd_levelred, "Monte Carlo level-reduction failure estimates"),
+    "threshold": (_cmd_threshold, "threshold, per-level strengths, required level, overhead"),
 }
 
 
@@ -781,16 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="noise-strength accounting and threshold arithmetic",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "strength": "evaluate a noise-strength model",
-        "accuracy": "exact output deviation of a noisy circuit vs its bound",
-        "faultpaths": "materialize fault-path sums or check counting identities",
-        "truncate": "classify gadgets as good/bad after the truncation sweep",
-        "levelred": "Monte Carlo level-reduction failure estimates",
-        "threshold": "threshold, per-level strengths, required level, overhead",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="report path (default: stdout)")
@@ -809,8 +778,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _load_config(args.config, args)
         workers = config.get("workers") or os.cpu_count() or 1
-        report = _RUNNERS[args.command](config, workers)
-        payload = emit_report(report, config["output"]["format"])
+        results, records = _COMMANDS[args.command][0](config["params"], config["seed"], workers)
+        payload = emit_report(args.command, config, results, records)
         path = config["output"].get("path")
         if path:
             _write_atomic(path, payload)
@@ -821,13 +790,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(3, str(exc))
     except MemoryError as exc:
         return _fail(3, f"out of memory: {exc}" if str(exc) else "out of memory")
-    except (
-        ValueError,
-        TypeError,
-        KeyError,
-        OSError,
-        jsonschema.ValidationError,
-    ) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         reason = str(exc) if str(exc) else type(exc).__name__
         if isinstance(exc, KeyError):
             reason = f"missing config key: {reason}"

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 import ftlab
 from ftlab import cli
-from ftlab.cli import Report, emit_report, json_dumps, main, matrix_from_json, matrix_to_json
+from ftlab.channels import NOISE_KINDS
+from ftlab.cli import emit_report, json_dumps, main, matrix_from_json, matrix_to_json
 from ftlab.matcore import trace_norm
 
 
@@ -74,7 +75,10 @@ def test_schema_rejects_unknown_keys_and_bad_command(tmp_path, capsysbinary):
     )
     code, _, err = run(capsysbinary, ["threshold", "--config", cfg])
     assert code == 2
-    assert json.loads(err)["exit"] == 2
+    # one line: the failing value's JSON path and jsonschema's message
+    assert json.loads(err) == {
+        "error": "config $: Additional properties are not allowed ('typo' was unexpected)", "exit": 2
+    }
 
     cfg = write_config(tmp_path, "mismatch.json", {"command": "strength", "params": {}})
     code, _, err = run(capsysbinary, ["threshold", "--config", cfg])
@@ -324,10 +328,10 @@ def test_non_object_config_entry_exits_2(tmp_path, capsysbinary, case):
 
 
 def test_memory_error_exits_3(tmp_path, capsysbinary, monkeypatch):
-    def exhausted(config, workers):
+    def exhausted(params, seed, workers):
         raise MemoryError
 
-    monkeypatch.setitem(cli._RUNNERS, "threshold", exhausted)
+    monkeypatch.setitem(cli._COMMANDS, "threshold", (exhausted, ""))
     cfg = write_config(tmp_path, "th.json", {"command": "threshold", "params": {}})
     code, out, err = run(capsysbinary, ["threshold", "--config", cfg])
     assert code == 3
@@ -567,7 +571,7 @@ def test_non_finite_config_number_exits_2_before_any_work(tmp_path, capsysbinary
     command, params, literal = NON_FINITE[case]
     cfg = write_config(tmp_path, "cfg.json", {"command": command, "params": params})
     assert literal in Path(cfg).read_text()  # json.dumps writes the literal Python reads back
-    monkeypatch.setitem(cli._RUNNERS, command, None)  # never reached
+    monkeypatch.setitem(cli._COMMANDS, command, None)  # never reached
     code, out, err = run(capsysbinary, [command, "--config", cfg])
     assert code == 2 and out == b""
     msg = json.loads(err)
@@ -735,6 +739,70 @@ BAD_PARAMS = {
         "accuracy", {"circuit": _one_location(kind="gate", support=[0], gate="Rz(1_0)")},
         "unknown gate name 'Rz(1_0)'",
     ),
+    # a key no run reads is refused at every depth, not only in params
+    "location_misspelt_condition": (
+        "accuracy",
+        {"circuit": {"n_system": 2, "locations": [
+            {"kind": "measure", "support": [0]},
+            {"kind": "gate", "support": [1], "gate": "X", "condtion": [1, 0]}]}},
+        "locations[1] key 'condtion' is not read",
+    ),
+    "location_foreign_payload": (
+        "accuracy", {"circuit": _one_location(kind="prep", support=[0], state="0", gate="X")},
+        "locations[0] key 'gate' is not read",
+    ),
+    "circuit_misspelt_final_measure": (
+        "accuracy", {"circuit": {**_h_chain(1, 2), "final_measur": [0]}},
+        "circuit config key 'final_measur' is not read",
+    ),
+    "noise_entry_misspelt_support": (
+        "accuracy", {**_NOISY_H, "noise": {"2": {"kind": "depolarizing", "p": 0.1, "suport": [0]}}},
+        "noise spec key 'suport' is not read",
+    ),
+    "noise_spec_foreign_fields": (
+        "strength",
+        {"evaluator": "markovian", "noisy": {"kind": "depolarizing", "p": 0.1, "t0": 3, "typo": 1}},
+        "noise spec key 't0' is not read",
+    ),
+    "noise_spec_support_outside_a_map": (
+        "strength",
+        {"evaluator": "diamond", "a": {"kind": "depolarizing", "p": 0.1},
+         "b": {"kind": "depolarizing", "p": 0.2, "support": [0]}},
+        "noise spec key 'support' is not read",
+    ),
+    "hamiltonian_term_extra_key": (
+        "strength",
+        {**_z_term_params([0, 1]), "terms": [{**_z_term_params([0, 1])["terms"][0], "weight": 2}]},
+        "Hamiltonian term key 'weight' is not read",
+    ),
+    "grid_misspelt_cell_volume": (
+        "strength", {"evaluator": "gaussian", "grid": {**_Z_GRID, "cell_volum": 0.2}},
+        "correlation grid key 'cell_volum' is not read",
+    ),
+    "environment_extra_key": (
+        "strength", {"evaluator": "environment", "environment": {**_ENV, "n_sys": 1}},
+        "environment spec key 'n_sys' is not read",
+    ),
+    "coupling_extra_key": (
+        "strength",
+        {"evaluator": "environment", "environment": {"n_env": 1, "couplings": {
+            "1": {"support": [0, 1], "unitary": matrix_to_json(np.eye(4)), "time": 1}}}},
+        "coupling '1' key 'time' is not read",
+    ),
+    "graph_extra_key": (
+        "truncate", {"graph": {**_TWO_GADGETS, "eps": 0.1}, "faults": [3]},
+        "gadget graph config key 'eps' is not read",
+    ),
+    "gadget_misspelt_er_out": (
+        "truncate", {"graph": {"gadgets": [{"own_locations": 2, "er_outs": {"count": 1, "to": 1}},
+                                           {"own_locations": 2}]}, "faults": [3]},
+        "gadgets[0] key 'er_outs' is not read",
+    ),
+    "er_out_extra_key": (
+        "truncate", {"graph": {"gadgets": [{"own_locations": 2, "er_out": [{"count": 1, "to": 1, "from": 0}]},
+                                           {"own_locations": 2}]}, "faults": [3]},
+        "gadgets[0] er_out entry key 'from' is not read",
+    ),
 }
 
 _WORK = [  # every computing call a runner makes
@@ -761,6 +829,39 @@ def test_bad_params_exit_2_naming_the_key_before_any_work(tmp_path, capsysbinary
     assert err.count(b"\n") == 1
     msg = json.loads(err)
     assert msg["exit"] == 2 and reason in msg["error"], msg
+
+
+_NOISE_FIELDS = {
+    "delta_theta": 0.1, "t0": 0.1, "t1": 1.0, "p": 0.1, "e_op": matrix_to_json(np.eye(2)[::-1])
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOISE_KINDS))
+def test_strength_markovian_reads_exactly_the_fields_of_each_noise_kind(tmp_path, capsysbinary, kind):
+    noisy = {"kind": kind, **{f: _NOISE_FIELDS[f] for f in NOISE_KINDS[kind][0]}}
+    params = {"evaluator": "markovian", "noisy": noisy}
+    cfg = write_config(tmp_path, "cfg.json", {"command": "strength", "params": params})
+    code, out, err = run(capsysbinary, ["strength", "--config", cfg])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["config"]["params"]["noisy"] == noisy
+    assert 0.0 < doc["results"]["strength"] <= 2.0
+
+
+def test_schema_enums_match_the_command_table_and_format_choices():
+    # the shipped schemas are data files, so they keep their own copy of each closed set
+    schemas = {
+        name: json.loads((Path(cli.__file__).parent / "schemas" / f"{name}.schema.json").read_text())
+        for name in ("config", "report")
+    }
+    for schema in schemas.values():
+        assert schema["properties"]["command"]["enum"] == list(cli._COMMANDS)
+    formats = schemas["config"]["properties"]["output"]["properties"]["format"]["enum"]
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert list(commands.choices) == list(cli._COMMANDS)
+    for parser in commands.choices.values():
+        (fmt,) = [a for a in parser._actions if a.dest == "format"]
+        assert list(fmt.choices) == formats
 
 
 def test_valid_params_still_run_with_every_key_read(tmp_path, capsysbinary):
@@ -868,27 +969,14 @@ def test_accuracy_command_ten_qubits(tmp_path, capsysbinary):
 
 def test_emit_report_csv_edge_cases():
     # the header is the first record's keys, so no records give an empty header
-    assert emit_report(Report("threshold", {"command": "threshold"}, {}, [], 0), "csv") == b"\n"
-    rep = Report(
-        "threshold",
-        {"command": "threshold"},
-        {},
-        [{"a": True, "b": None}, {"a": False, "b": 0.5}],
-        0,
-    )
-    assert emit_report(rep, "csv") == b"a,b\n1,\n0,0.5\n"
-    rep = Report(
-        "threshold",
-        {"command": "threshold"},
-        {},
-        [{"a": np.float64(0.1), "b": np.int64(3), "c": np.bool_(False)}],
-        0,
-    )
-    assert emit_report(rep, "csv") == b"a,b,c\n0.10000000000000001,3,0\n"
+    csv = {"command": "threshold", "seed": 0, "output": {"format": "csv"}}
+    assert emit_report("threshold", csv, {}, []) == b"\n"
+    records = [{"a": True, "b": None}, {"a": False, "b": 0.5}]
+    assert emit_report("threshold", csv, {}, records) == b"a,b\n1,\n0,0.5\n"
+    records = [{"a": np.float64(0.1), "b": np.int64(3), "c": np.bool_(False)}]
+    assert emit_report("threshold", csv, {}, records) == b"a,b,c\n0.10000000000000001,3,0\n"
     with pytest.raises(ValueError):
-        emit_report(Report("threshold", {}, {}, [{"a": "x,y"}], 0), "csv")
-    with pytest.raises(ValueError):
-        emit_report(Report("threshold", {}, {}, [], 0), "toml")
+        emit_report("threshold", csv, {}, [{"a": "x,y"}])
 
 
 def test_json_float_round_trip_exact():
@@ -1128,14 +1216,34 @@ def test_only_cli_defines_or_imports_json_readers():
                 assert from_cli or not names, f"{path.name} imports {names}"
 
 
-@pytest.mark.parametrize("code", ["import ftlab.cli", "import ftlab; ftlab.circuit_from_json"])
-def test_package_imports_in_a_fresh_interpreter(code):
-    # the package re-exports cli's readers and cli reads the package's
-    # __version__: an import cycle shows in one of these orders only
+def _fresh_env():
     src = str(Path(ftlab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    return env
+
+
+@pytest.mark.parametrize("code", [
+    "import ftlab.cli",
+    "import ftlab; ftlab.circuit_from_json",
+    "import ftlab, sys; assert not {'ftlab.cli', 'jsonschema'} & set(sys.modules)",
+])
+def test_package_imports_in_a_fresh_interpreter(code):
+    # the package re-exports cli's readers and cli reads the package's
+    # __version__: an import cycle shows in one of these orders only; and
+    # the package itself loads neither cli nor jsonschema
+    subprocess.run([sys.executable, "-c", code], env=_fresh_env(), check=True, timeout=120)
+
+
+def test_module_run_writes_one_error_line(tmp_path):
+    # `python -m ftlab.cli` runs the module that `import ftlab` has not loaded, so
+    # runpy has no warning to print ahead of the error
+    cfg = write_config(tmp_path, "bad.json", {"command": "threshold", "params": {"L0": 7.9, "t": 1}})
+    proc = subprocess.run([sys.executable, "-m", "ftlab.cli", "threshold", "--config", cfg],
+                          env=_fresh_env(), capture_output=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1, proc.stderr
+    assert json.loads(proc.stderr)["exit"] == 2
 
 
 # -- serializer parity ----------------------------------------------------------
