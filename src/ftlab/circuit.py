@@ -4,7 +4,7 @@ A circuit is a flat list of locations (state preparations, gates,
 projective measurements, and explicit identity/storage slots) tagged with
 time steps, plus its read-out: the tuple of qubits measured in Z at the
 end. Each location carries its operation as one local Kraus stack on its
-support. Every state evolves in one walker, ``_walk(c, after, x)``, which
+support. Every state evolves in one walker, ``_walk(c, after, env)``, which
 applies each location's stack with ``matcore.apply_local`` and then the
 entry of the table ``after`` for that location, its noise as data: nothing
 in ``simulate_ideal``, the channel N in ``simulate_noisy``, the fault
@@ -19,6 +19,12 @@ branch per outcome, a conditioned gate acts only on the branches with its
 outcome, a density matrix's branches are summed again once no gate reads
 that outcome, and each caller sums the branch states it gets back (the
 environment run sums their partial traces over the environment).
+
+The walk is lazy: its state spans only the active qubits, those some
+location other than a prep has touched, and every other qubit is a small
+pending block (a prep's state, or |0>) kron'd in when a location first
+needs it, so a GHZ chain grows the state by one qubit per CNOT. The walk
+returns every branch on all qubits, in global qubit order.
 
 Operators are plain complex128 arrays on the qubits of a location's
 support; the simulators return the final density matrix, an array with
@@ -281,58 +287,116 @@ def validate_circuit(c: Circuit) -> list[str]:
 def _walk(
     c: Circuit,
     after: Mapping[int, tuple[Sequence[int], np.ndarray]],
-    x: np.ndarray | None = None,
+    env: np.ndarray | None = None,
 ) -> list[np.ndarray]:
-    """Evolve `x`, by default |0...0><0...0| on c's qubits, through `c`.
+    """Evolve |0...0><0...0| on c's qubits through `c`, or with `env` the
+    ket |0...0> (x) env, env an environment's initial state on the qubits
+    numbered after c's.
 
-    Each location applies its Kraus stack, and a prep resets its support
-    to psi = ops[0, :, 0] (`_reset`). A measurement is the non-selective
-    sum_a P_a x P_a unless a later gate is conditioned on it, in which case
-    the walk keeps one branch per outcome, P_a x P_a; a conditioned gate
-    skips the branches with another outcome, and an identity slot changes
-    nothing. Once the last gate conditioned on a measurement has acted, the
-    branches that differ only in its outcome are summed (`_merge`). Then,
-    where `after` maps the location's index to (support, ops), every branch
-    takes `apply_local(x, ops, support)`: a Kraus stack (a noise channel, a
-    coupling [U]) or a superoperator (a fault insertion). Returns the
-    branch states, whose sum is the evolved `x`.
+    The state is lazy. The branches span only the active qubits, those a
+    location other than a prep has touched (the environment from the
+    start), in the shared axis order `active`. Every other qubit sits in a
+    pending block: a factor (a matrix, or with `env` a ket) on the qubits of
+    one prep as listed, |0> for an untouched qubit. A location krons each
+    block meeting its support into every branch, appending its qubits to
+    `active`, and applies its Kraus stack with `apply_local` on the
+    support's positions in `active`. A prep on S instead traces its active
+    qubits out of every branch (a ket branch splits into its nonzero parts
+    <k|x), activates a block S covers only in part, and makes S one block
+    holding psi = ops[0, :, 0], weighted by the trace (norm) of the blocks
+    it drops: the channel sum_k |psi><k| . |k><psi|.
 
-    `x` may instead be a state vector on c's qubits followed by others (an
-    environment); its size gives the dims. A branch is then P_a x, a prep
-    splits it into its nonzero parts (`_reset`), branches are never summed
-    but, past d of them with the same outcomes, refactored into d
-    (`_merge`), and a measurement no gate is conditioned on is left to the
-    caller.
+    A measurement is the non-selective sum_a P_a x P_a unless a later gate
+    is conditioned on it, in which case the walk keeps one branch per
+    outcome, P_a x P_a; a conditioned gate skips the branches with another
+    outcome, and an identity slot changes nothing. Once the last gate
+    conditioned on a measurement has acted, the branches that differ only
+    in its outcome are summed (`_merge`). Then, where `after` maps the
+    location's index to (support, ops), every branch takes that map, or
+    the one pending block holding its support does: a Kraus stack (a noise
+    channel, a coupling [U]) or a superoperator (a fault insertion). At the
+    end the remaining blocks are activated in ascending qubit order and
+    every branch is permuted to global qubit order, system qubits first;
+    their sum is the evolved state.
+
+    With `env` a branch is P_a x, branches are never summed but, past d of
+    them with the same outcomes (d the active dimension), refactored into
+    d (`_merge`), and a measurement no gate is conditioned on is left to
+    the caller.
     """
-    if x is None:
-        x = np.zeros((c.dims.total,) * 2, dtype=np.complex128)
-        x[0, 0] = 1.0
-    n = len(x).bit_length() - 1
-    dims = qubit_dims(n)
-    readers = _last_readers(c)
+    n = c.n_system
+    vector = env is not None
+    pending = {(q,): KET0 if vector else Z_PROJECTORS[0] for q in range(n)}
+    x = env if vector else np.ones((1, 1), dtype=np.complex128)
+    active = list(range(n, n + len(x).bit_length() - 1))
     branches: list[tuple[dict[int, int], np.ndarray]] = [({}, x)]
+
+    def place(blocks) -> None:
+        nonlocal branches
+        for block in blocks:
+            f = pending.pop(block)
+            branches = [(rec, np.kron(x, f)) for rec, x in branches]
+            active.extend(block)
+
+    def positions(support):
+        place([b for b in sorted(pending) if not set(b).isdisjoint(support)])
+        return [active.index(q) for q in support], qubit_dims(len(active))
+
+    readers = _last_readers(c)
     for loc in c.locations:
-        if loc.kind == "measure" and loc.index in readers:
-            branches = [
-                ({**rec, loc.index: a}, apply_local(x, loc.ops[a:a + 1], loc.support, dims))
-                for rec, x in branches
-                for a in range(len(loc.ops))
-            ]
-        elif loc.kind == "prep":
+        if loc.kind == "prep":
+            sup = set(loc.support)
+            place([b for b in sorted(pending) if sup & set(b) and not set(b) <= sup])
+            dropped = [pending.pop(b) for b in sorted(pending) if set(b) <= sup]
+            gone = [active.index(q) for q in loc.support if q in active]
+            k = len(active)
+            if gone and vector:
+                lead = range(len(gone))
+                branches = [
+                    (rec, y) for rec, x in branches
+                    for y in np.moveaxis(x.reshape((2,) * k), gone, lead).reshape(2**len(gone), -1)
+                    if y.any()
+                ]
+            elif gone:
+                keep = [p for p in range(k) if p not in gone]
+                branches = [(rec, partial_trace(x, keep, qubit_dims(k))) for rec, x in branches]
+            active[:] = [q for q in active if q not in sup]
+            scale = math.prod(np.trace(f) if f.ndim == 2 else np.linalg.norm(f) for f in dropped)
             psi = loc.ops[0, :, 0]
-            branches = [(rec, y) for rec, x in branches for y in _reset(x, loc.support, psi, n)]
-        elif loc.kind == "gate" or (loc.kind == "measure" and x.ndim == 2):
-            cond = loc.condition
-            branches = [
-                (rec, x if cond and rec.get(cond[0]) != cond[1]
-                 else apply_local(x, loc.ops, loc.support, dims))
-                for rec, x in branches
-            ]
-        if x.ndim == 2 and loc.index in readers.values() or len(branches) > len(x):
-            branches = _merge(branches, {m for m, i in readers.items() if i <= loc.index}, len(x))
+            pending[loc.support] = scale * (psi if vector else np.outer(psi, psi.conj()))
+        elif loc.kind == "gate" or loc.kind == "measure" and (not vector or loc.index in readers):
+            pos, dims = positions(loc.support)
+            if loc.index in readers:
+                branches = [
+                    ({**rec, loc.index: a}, apply_local(x, loc.ops[a:a + 1], pos, dims))
+                    for rec, x in branches
+                    for a in range(len(loc.ops))
+                ]
+            else:
+                cond = loc.condition
+                branches = [
+                    (rec, x if cond and rec.get(cond[0]) != cond[1]
+                     else apply_local(x, loc.ops, pos, dims))
+                    for rec, x in branches
+                ]
+        d = 2 ** len(active)
+        if not vector and loc.index in readers.values() or len(branches) > d:
+            branches = _merge(branches, {m for m, i in readers.items() if i <= loc.index}, d)
         if loc.index in after:
             support, ops = after[loc.index]
-            branches = [(rec, apply_local(x, ops, support, dims)) for rec, x in branches]
+            block = next((b for b in pending if set(support) <= set(b)), None)
+            if block:
+                at = [block.index(q) for q in support]
+                pending[block] = apply_local(pending[block], ops, at, qubit_dims(len(block)))
+            else:
+                pos, dims = positions(support)
+                branches = [(rec, apply_local(x, ops, pos, dims)) for rec, x in branches]
+    positions(range(n))
+    if active != sorted(active):
+        perm = [active.index(q) for q in sorted(active)]
+        axes = perm if vector else perm + [len(perm) + p for p in perm]
+        branches = [(rec, x.reshape((2,) * len(axes)).transpose(axes).reshape(x.shape))
+                    for rec, x in branches]
     return [x for _, x in branches]
 
 
@@ -349,7 +413,7 @@ def _merge(branches: list[tuple[dict, np.ndarray]], closed: set[int], d: int) ->
         if ys[0].ndim == 2:
             ys = [sum(ys)]
         elif len(ys) > d:
-            ys = list(np.linalg.qr(np.conj(ys), mode="r").conj())
+            ys = [y for y in np.linalg.qr(np.conj(ys), mode="r").conj() if y.any()]
         out += [(dict(key), y) for y in ys]
     return out
 
@@ -357,24 +421,6 @@ def _merge(branches: list[tuple[dict, np.ndarray]], closed: set[int], d: int) ->
 def _last_readers(c: Circuit) -> dict[int, int]:
     """Each measurement some gate of `c` is conditioned on -> the last such gate."""
     return {loc.condition[0]: loc.index for loc in c.locations if loc.condition is not None}
-
-
-def _reset(x: np.ndarray, support: Sequence[int], psi: np.ndarray, n: int) -> list:
-    """The prep of psi, factored over the qubits `support` as listed, on
-    the n-qubit state x. A matrix gives one matrix, the channel
-    sum_k |psi><k| x |k><psi| at O(d^2) cost; a vector gives its nonzero
-    branches (|psi><k| (x) I) x, one per basis state k of the support."""
-    lead = range(len(support))
-    if x.ndim == 1:
-        rows = np.moveaxis(x.reshape((2,) * n), support, lead).reshape(len(psi), -1)
-        ys = [y for row in rows if (y := psi[:, None] @ row[None, :]).any()]
-        return [np.moveaxis(y.reshape((2,) * n), lead, support).ravel() for y in ys]
-    rest = [q for q in range(n) if q not in support]
-    y = partial_trace(x, rest, qubit_dims(n)).reshape((2,) * 2 * len(rest))
-    p = np.outer(psi, psi.conj()).reshape((2,) * 2 * len(support))
-    y_axes = rest + [q + n for q in rest]
-    p_axes = list(support) + [q + n for q in support]
-    return [np.einsum(y, y_axes, p, p_axes, range(2 * n)).reshape(x.shape)]
 
 
 def _noise_terms(c: Circuit, noise: Mapping[int, Channel], n: int = 0) -> dict[int, tuple]:
@@ -479,9 +525,9 @@ def simulate_with_environment(
     conditioned on must be uncoupled and terminal on its qubits. `_walk`
     then evolves |0...0> (x) env.initial through that table, one branch
     P_a |psi> per outcome a of a measurement that gates are conditioned on
-    and one per nonzero part of a prep (`_reset`). The reduced system
-    state is the sum over branches of Tr_env |psi_b><psi_b|; the other
-    measurements are deferred and applied to it as non-selective
+    and one per nonzero part <k|psi of a prep on active qubits. The reduced
+    system state is the sum over branches of Tr_env |psi_b><psi_b|; the
+    other measurements are deferred and applied to it as non-selective
     projections. Returns the reduced system density matrix and the
     read-out probabilities.
     """
@@ -498,9 +544,8 @@ def simulate_with_environment(
             if loc.index in after:
                 raise ValueError("measurements must be ideal (no coupling)")
             deferred.append(loc)
-    x = np.kron(np.eye(1, 2**n_sys, dtype=np.complex128)[0], env.initial)
     # the branches side by side, so one product sums Tr_env over them
-    m = np.hstack([psi.reshape(2**n_sys, -1) for psi in _walk(c, after, x)])
+    m = np.hstack([psi.reshape(2**n_sys, -1) for psi in _walk(c, after, env.initial)])
     rho_sys = m @ m.conj().T
     for loc in deferred:
         rho_sys = apply_local(rho_sys, loc.ops, loc.support, c.dims)

@@ -382,14 +382,14 @@ def matrix_from_json(obj) -> np.ndarray:
     return flat.reshape(side, side)
 
 
-def noise_spec_from_json(obj: Mapping, *also: str) -> NoiseSpec:
+def noise_spec_from_json(obj: Mapping, *also: str, name: str = "noise spec") -> NoiseSpec:
     """A spec reads its kind and that kind's `NOISE_KINDS` fields; a key
-    outside them and `also` is refused."""
-    kind = _object(obj, "noise spec").get("kind")
+    outside them and `also` is refused, naming the spec `name`."""
+    kind = _object(obj, name).get("kind")
     if kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}")
     fields = NOISE_KINDS[kind][0]
-    _unread(obj, "noise spec", "kind", *fields, *also)
+    _unread(obj, name, "kind", *fields, *also)
     return NoiseSpec(
         kind, **{k: matrix_from_json(obj[k]) if k == "e_op" else _param(obj, k) for k in fields}
     )
@@ -399,7 +399,8 @@ def noise_map_from_json(obj: Mapping) -> dict[int, Channel]:
     """Per-location noise: {location index: noise spec + optional support}."""
     return {
         _location_key(key, "noise"): make_noise_channel(
-            noise_spec_from_json(entry, "support"), _param(entry, "support", int, None, each=True)
+            noise_spec_from_json(entry, "support", name=f"noise {key!r}"),
+            _param(entry, "support", int, None, each=True),
         )
         for key, entry in _object(obj, "noise map").items()
     }
@@ -410,8 +411,8 @@ def hamiltonian_terms_from_json(obj: Sequence) -> list[HamiltonianTerm]:
     if type(obj) is not list:
         raise ValueError("expected a list of Hamiltonian terms")
     terms = []
-    for entry in obj:
-        _unread(entry, "Hamiltonian term", "support", "op", "label")
+    for i, entry in enumerate(obj):
+        _unread(entry, f"terms[{i}]", "support", "op", "label")
         pair = type(entry.get("label")) is list
         label = _param(entry, "label", int, each=pair)
         op = matrix_from_json(entry["op"])

@@ -95,12 +95,14 @@ def accuracy_delta_exact(
     c: Circuit,
     noise: Mapping[int, Channel] | EnvironmentSpec,
 ) -> float:
-    """Kolmogorov distance between noisy and ideal read-out distributions."""
-    _, ideal = simulate_ideal(c)
+    """Kolmogorov distance between noisy and ideal read-out distributions.
+    Only the read-outs are kept, so the ideal state is freed before the
+    noisy walk."""
+    ideal = simulate_ideal(c)[1]
     if isinstance(noise, EnvironmentSpec):
-        _, noisy = simulate_with_environment(c, noise)
+        noisy = simulate_with_environment(c, noise)[1]
     else:
-        _, noisy = simulate_noisy(c, noise)
+        noisy = simulate_noisy(c, noise)[1]
     return kolmogorov_distance(noisy, ideal)
 
 

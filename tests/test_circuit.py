@@ -26,7 +26,6 @@ from ftlab.circuit import (
     EnvironmentSpec,
     Location,
     _readout,
-    _reset,
     _walk,
     environment_strength,
     rz,
@@ -38,9 +37,11 @@ from ftlab.circuit import (
 from ftlab.cli import circuit_from_json, environment_spec_from_json, gate_from_json, matrix_to_json
 from ftlab.matcore import (
     apply_local,
+    embed_operator,
     kolmogorov_distance,
     partial_trace,
     qubit_dims,
+    superoperator,
 )
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -681,8 +682,11 @@ def test_readout_rejects_unnormalized_rho():
 )
 @settings(max_examples=60, deadline=None)
 def test_prep_reset_matches_reset_set(n_order, k, seed):
-    # a prep is the channel sum_k |psi><k| x |k><psi|, here on any matrix x;
-    # on a vector v its nonzero branches b sum, as |b><b|, to it on |v><v|
+    # the walk's prep is the channel sum_k |psi><k| x |k><psi|, here on any
+    # matrix x the walk holds; on a vector v its nonzero branches b sum, as
+    # |b><b|, to it on |v><v|. A wait on every qubit, in a random order,
+    # loads x (a superoperator taking |0...0><0...0| to it) or v (an
+    # operator taking |0...0> to it) before the prep
     n, order = n_order
     support = tuple(order[: min(k, n)])
     rng = np.random.default_rng(seed)
@@ -691,15 +695,130 @@ def test_prep_reset_matches_reset_set(n_order, k, seed):
     psi = rng.normal(size=d_sup) + 1j * rng.normal(size=d_sup)
     psi /= np.linalg.norm(psi)
     resets = [np.outer(psi, row) for row in np.eye(d_sup)]
-    want = apply_local(x, resets, support, qubit_dims(n))
-    (got,) = _reset(x, support, psi, n)
+    load = seq(n, Location.wait(0, 0, order))
+    c = seq(n, Location.wait(0, 0, order), Location.prep(0, 0, support, psi))
+    sup_op = np.zeros((d,) * 4, dtype=np.complex128)
+    sup_op[:, :, 0, 0] = x
+    loaded = sum(_walk(load, {1: (order, sup_op)}))
+    want = apply_local(loaded, resets, support, qubit_dims(n))
+    got = sum(_walk(c, {1: (order, sup_op)}))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
-    v = (rng.normal(size=d) + 1j * rng.normal(size=d)) * (rng.random(d) < 0.6)
-    want = apply_local(np.outer(v, v.conj()), resets, support, qubit_dims(n))
-    branches = _reset(v, support, psi, n)
-    assert all(b.shape == v.shape and b.any() for b in branches)
-    got = sum((np.outer(b, b.conj()) for b in branches), np.zeros((d, d)))
+    mask = rng.random(d) < 0.6
+    mask[rng.integers(d)] = True  # a zero v is no state
+    v = (rng.normal(size=d) + 1j * rng.normal(size=d)) * mask
+    op = np.zeros((1, d, d), dtype=np.complex128)
+    op[0, :, 0] = v
+    (loaded,) = _walk(load, {1: (order, op)}, KET0)  # v (x) |0> on one environment qubit
+    want = apply_local(np.outer(loaded, loaded.conj()), resets, support, qubit_dims(n + 1))
+    branches = _walk(c, {1: (order, op)}, KET0)
+    assert all(b.shape == loaded.shape and b.any() for b in branches)
+    got = sum((np.outer(b, b.conj()) for b in branches), np.zeros((2 * d, 2 * d)))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(np.abs(want).max(), 1.0))
+
+
+def _dense_walk(c, after):
+    """The walk's meaning in dense matrices: from |0...0><0...0|, every
+    location and `after` entry embedded with `embed_operator` and applied
+    by matmul, a prep as sum_k |psi><k| . |k><psi|, and one state per
+    outcome record of the measurements gates read, never merged."""
+    dims = qubit_dims(c.n_system)
+    rho = np.zeros((dims.total,) * 2, dtype=np.complex128)
+    rho[0, 0] = 1.0
+    read = {loc.condition[0] for loc in c.locations if loc.condition}
+    states = [({}, rho)]
+
+    def kraus(ks, support):
+        es = [embed_operator(k, support, dims) for k in ks]
+        return lambda x: sum(e @ x @ e.conj().T for e in es)
+
+    def superop(s, support):
+        # Y = sum S[a, b, i, j] |a><i| X |j><b|, S laid out as superoperator() returns it
+        d = len(s)
+        unit = [[embed_operator(np.outer(r, q), support, dims) for q in np.eye(d)] for r in np.eye(d)]
+        return lambda x: sum(s[a, b, i, j] * unit[a][i] @ x @ unit[j][b]
+                             for a, b, i, j in np.ndindex(s.shape))
+
+    for loc in c.locations:
+        if loc.kind == "prep":
+            psi = loc.ops[0, :, 0]
+            f = kraus([np.outer(psi, row) for row in np.eye(len(psi))], loc.support)
+            states = [(rec, f(x)) for rec, x in states]
+        elif loc.kind == "measure" and loc.index in read:
+            states = [({**rec, loc.index: a}, kraus([p], loc.support)(x))
+                      for rec, x in states for a, p in enumerate(loc.ops)]
+        elif loc.kind in ("gate", "measure"):
+            f, cond = kraus(loc.ops, loc.support), loc.condition
+            states = [(rec, x if cond and rec[cond[0]] != cond[1] else f(x)) for rec, x in states]
+        if loc.index in after:
+            support, ops = after[loc.index]
+            f = kraus(ops, support) if ops.ndim == 3 else superop(ops, support)
+            states = [(rec, f(x)) for rec, x in states]
+    return sum(x for _, x in states)
+
+
+def _lazy_walk_case(rng, n, faults):
+    """A random circuit on n qubits and its `after` table: one- and
+    two-qubit (entangled) preps, re-preps of used qubits, a one-qubit prep
+    right after a two-qubit one on the same qubit, gates, waits, terminal
+    and mid-circuit measurements, and a measurement in a random basis read
+    by a conditioned gate; each prep and about half the other locations
+    followed by a random two-Kraus channel, or with `faults` by that or its
+    fault insertion N - I, on some of its qubits in random order. The
+    read-out is a random subset in random order."""
+
+    def pick(k):
+        return [int(q) for q in rng.choice(n, min(k, n), replace=False)]
+
+    ops = []
+    chunks = ["prep", "branch", "partial"] + list(rng.choice(["prep", "gate", "gate", "wait", "measure"], 6))
+    for chunk in rng.permutation(chunks):
+        if chunk == "prep" or chunk == "partial" and n < 2:
+            q = pick(int(rng.integers(1, 3)))
+            ops.append(Location.prep(0, 0, q, haar_unitary(rng, 2 ** len(q))[:, 0]))
+        elif chunk == "partial":
+            q = pick(2)
+            ops.append(Location.prep(0, 0, q, haar_unitary(rng, 4)[:, 0]))
+            ops.append(Location.prep(0, 0, q[int(rng.integers(2))], haar_unitary(rng, 2)[:, 0]))
+        elif chunk == "gate":
+            q = pick(int(rng.integers(1, 3)))
+            ops.append(Location.gate_on(0, 0, q, haar_unitary(rng, 2 ** len(q))))
+        elif chunk == "wait":
+            ops.append(Location.wait(0, 0, pick(int(rng.integers(1, 3)))))
+        elif chunk == "measure":
+            ops.append(Location.measure(0, 0, pick(1)))
+        else:
+            basis = haar_unitary(rng, 2)
+            ops.append(Location.measure(0, 0, pick(1), [np.outer(b, b.conj()) for b in basis.T]))
+            ref = len(ops)
+            ops.append(Location.gate_on(0, 0, pick(1), haar_unitary(rng, 2)))
+            q = pick(int(rng.integers(1, 3)))
+            ops.append(Location.gate_on(0, 0, q, haar_unitary(rng, 2 ** len(q)), (ref, int(rng.integers(2)))))
+    read_out = pick(int(rng.integers(0, n + 1)))
+    c = seq(n, *ops, measure=read_out)
+    after = {}
+    for loc in c.locations:
+        if loc.kind == "prep" or rng.random() < 0.5:
+            support = [q for q in loc.support if rng.random() < 0.7] or list(loc.support[:1])
+            support = [int(q) for q in rng.permutation(support)]
+            d = 2 ** len(support)
+            ks = haar_unitary(rng, 2 * d)[:, :d].reshape(2, d, d)
+            fault = superoperator(ks) - np.eye(d * d).reshape((d,) * 4)
+            after[loc.index] = (tuple(support), fault if faults and rng.random() < 0.5 else ks)
+    return c, after
+
+
+@given(st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_lazy_walk_matches_dense_walk(n, faults, seed):
+    c, after = _lazy_walk_case(np.random.default_rng(seed), n, faults)
+    want = _dense_walk(c, after)
+    got = sum(_walk(c, after))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    if not faults:  # a state: its read-out, the first qubit most significant
+        m = len(c.final_measure)
+        probs = [np.trace(embed_operator(np.diag(row), c.final_measure, c.dims) @ want).real
+                 for row in np.eye(2**m)]
+        np.testing.assert_allclose(_readout(c, got), probs, rtol=0, atol=1e-14)
 
 
 def test_prep_costs_no_superoperator():
@@ -812,8 +931,9 @@ def _joint_reference(c, env, ref=None):
 def test_environment_run_matches_dense_joint_evolution(n_sys, n_env, seed):
     # random preps (on fresh or on used qubits), gates, one measurement in a
     # random basis feeding a conditioned gate, its qubit reused afterwards,
-    # terminal measurements and couplings (on the conditioned measurement
-    # too), against dense joint density matrices, one per outcome
+    # a qubit re-prepared right after a coupling, terminal measurements and
+    # couplings (on the conditioned measurement too), against dense joint
+    # density matrices, one per outcome
     rng = np.random.default_rng(seed)
     ops = []
 
@@ -836,12 +956,21 @@ def test_environment_run_matches_dense_joint_evolution(n_sys, n_env, seed):
     ops.append(Location.gate_on(0, 0, support, haar_unitary(rng, 2**k), (ref, int(rng.integers(2)))))
     ops.append(Location.prep(0, 0, control, haar_unitary(rng, 2)[:, 0]))
     random_ops(int(rng.integers(0, 4)))
+    # a gate whose coupling entangles its qubit with the environment, then a re-prep of that qubit
+    q = int(rng.integers(n_sys))
+    ops.append(Location.gate_on(0, 0, q, haar_unitary(rng, 2)))
+    coupled = len(ops)
+    ops.append(Location.prep(0, 0, q, haar_unitary(rng, 2)[:, 0]))
+    random_ops(int(rng.integers(0, 3)))
     measured = [q for q in range(n_sys) if rng.random() < 0.5]
     ops += [Location.measure(0, 0, q) for q in measured]
     c = seq(n_sys, *ops)
     couplings = {}
     for loc in c.locations:
-        if (loc.kind != "measure" or loc.index == ref) and rng.random() < 0.6:
+        if loc.index == coupled:
+            support = (*loc.support, *range(n_sys, n_sys + n_env))
+            couplings[loc.index] = env_coupling(support, haar_unitary(rng, 2 ** len(support)))
+        elif (loc.kind != "measure" or loc.index == ref) and rng.random() < 0.6:
             sys_part = [q for q in loc.support if rng.random() < 0.7]
             env_part = [n_sys + e for e in range(n_env) if not sys_part or rng.random() < 0.6]
             support = tuple(sys_part + env_part)
@@ -865,7 +994,7 @@ def test_environment_reprep_keeps_at_most_d_branches():
     c = seq(2, *ops, Location.gate_on(0, 0, (0, 1), CNOT))
     env = EnvironmentSpec(1, KET0, couplings)
     after = {i: (cp.support, cp.kraus) for i, cp in couplings.items()}
-    assert len(_walk(c, after, np.eye(8)[0].astype(np.complex128))) <= 8
+    assert len(_walk(c, after, KET0)) <= 8
     tracemalloc.start()
     try:
         rho, _ = simulate_with_environment(c, env)

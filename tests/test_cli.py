@@ -757,7 +757,16 @@ BAD_PARAMS = {
     ),
     "noise_entry_misspelt_support": (
         "accuracy", {**_NOISY_H, "noise": {"2": {"kind": "depolarizing", "p": 0.1, "suport": [0]}}},
-        "noise spec key 'suport' is not read",
+        "noise '2' key 'suport' is not read",
+    ),
+    "noise_later_entry_names_its_location": (
+        "accuracy",
+        {"circuit": _h_chain(1, 3), "noise": {"2": {"kind": "depolarizing", "p": 0.1},
+                                              "3": {"kind": "depolarizing", "p": 0.1, "q": 0.2}}},
+        "noise '3' key 'q' is not read",
+    ),
+    "noise_entry_not_an_object": (
+        "accuracy", {**_NOISY_H, "noise": {"2": [0.1]}}, "noise '2' must be an object"
     ),
     "noise_spec_foreign_fields": (
         "strength",
@@ -773,7 +782,13 @@ BAD_PARAMS = {
     "hamiltonian_term_extra_key": (
         "strength",
         {**_z_term_params([0, 1]), "terms": [{**_z_term_params([0, 1])["terms"][0], "weight": 2}]},
-        "Hamiltonian term key 'weight' is not read",
+        "terms[0] key 'weight' is not read",
+    ),
+    "hamiltonian_later_term_names_its_index": (
+        "strength",
+        {**_z_term_params([0, 1]), "terms": [_z_term_params([0, 1])["terms"][0]] * 3
+         + [{**_z_term_params([0, 1])["terms"][0], "weight": 2}]},
+        "terms[3] key 'weight' is not read",
     ),
     "grid_misspelt_cell_volume": (
         "strength", {"evaluator": "gaussian", "grid": {**_Z_GRID, "cell_volum": 0.2}},
@@ -965,6 +980,15 @@ def test_accuracy_command_ten_qubits(tmp_path, capsysbinary):
     assert r["locations"] == 21
     assert 0.0 < r["delta"] <= r["bound"]
     assert r["within_bound"] is True
+
+
+def test_accuracy_ghz_zoo_eleven_qubits_keeps_delta(tmp_path, capsysbinary):
+    # the walk grows its state by one qubit per CNOT, so 11 qubits take about
+    # a second; delta is the value the full-size walk gave, to 1e-12 relative
+    cfg = write_config(tmp_path, "acc11.json", {"command": "accuracy", "params": ghz_zoo(11)})
+    code, out, err = run(capsysbinary, ["accuracy", "--config", cfg])
+    assert code == 0, err
+    assert json.loads(out)["results"]["delta"] == pytest.approx(0.048719806365868916, rel=1e-12)
 
 
 def test_emit_report_csv_edge_cases():

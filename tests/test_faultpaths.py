@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from ftlab.channels import (
     Channel,
 )
 from ftlab.circuit import (
+    CNOT,
     KET0,
     KET_PLUS,
     Circuit,
     EnvironmentSpec,
     Location,
     environment_strength,
+    rz,
     simulate_ideal,
     simulate_noisy,
 )
@@ -335,3 +338,41 @@ def test_fault_paths_are_exact_on_conditioned_circuits():
             for subset in itertools.combinations(locs, k):
                 signed = signed + (-1) ** (k + 1) * zeta_subset(c, noise, set(subset))
         np.testing.assert_allclose(signed, rho_n, rtol=0, atol=1e-14)
+
+
+def ghz_zoo_instance(n):
+    """A GHZ preparation on n qubits plus a wait and an Rz, each location
+    followed by one zoo channel on its last qubit."""
+    ops = [Location.prep(0, 0, q, KET_PLUS if q == 0 else KET0) for q in range(n)]
+    ops += [Location.gate_on(0, 0, (q, q + 1), CNOT) for q in range(n - 1)]
+    ops += [Location.wait(0, 0, n - 1), Location.gate_on(0, 0, 0, rz(0.3))]
+    c = Circuit.sequential(n, ops)
+    zoo = [
+        NoiseSpec.depolarizing(0.004),
+        NoiseSpec.amplitude_damping(0.003, 1.0),
+        NoiseSpec.control_rotation(0.005),
+    ]
+    noise = {
+        loc.index: make_noise_channel(zoo[(loc.index - 1) % 3], support=loc.support[-1:])
+        for loc in c.locations
+    }
+    return c, noise
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_accuracy_delta_frees_the_ideal_state_before_the_noisy_walk():
+    # only the two read-outs are kept, so delta costs no more memory than
+    # the noisy walk alone, within a tenth of one density matrix
+    n = 9
+    c, noise = ghz_zoo_instance(n)
+    rho_bytes = 16 * 4**n
+    noisy = _peak_bytes(lambda: simulate_noisy(c, noise))
+    assert _peak_bytes(lambda: accuracy_delta_exact(c, noise)) <= noisy + 0.1 * rho_bytes
