@@ -10,19 +10,19 @@ identical config + seed gives byte-identical output regardless of worker
 count. CSV reports are the flat per-record projection meant for plotting
 tools.
 
-Report format. `json_dumps` writes the results as built, in one pass:
-mappings with keys sorted as strings (non-str keys are written as
-`str(key)`), `,` and `:` separators with no spaces, strings as
-`json.dumps(s, ensure_ascii=False)`, floats (numpy floats included) as
-`"%.17g"`, numpy ints and bools as their Python values, lists, tuples and
-numpy arrays as arrays, and sets and frozensets as sorted arrays. A float
-array is checked for finiteness once and formatted in bulk, a `"%.17g"`
-template per chunk of rows, to the same bytes as one value at a time. A
-non-finite float raises ValueError and any other type (complex included)
-raises TypeError. Reports end with one LF. A CSV cell is empty for None,
-1/0 for a bool, the same `"%.17g"` for a float and `str()` otherwise;
-numpy scalars are read with `.item()` first, and a cell that would need
-quoting raises ValueError.
+Report format. `json_dumps` writes the results as built, in one pass: mappings
+with keys sorted as strings (non-str keys are written as `str(key)`), `,` and
+`:` separators with no spaces, strings as `json.dumps(s, ensure_ascii=False)`,
+floats (numpy floats included) as `"%.17g"`, numpy ints and bools as their
+Python values, lists, tuples and numpy arrays as arrays, and sets and
+frozensets as sorted arrays. A float array is checked for finiteness once and
+formatted in bulk, a `"%.17g"` template per zero pattern of rows in a chunk,
+with each exact +0.0 written as `0` unformatted, to the same bytes as one value
+at a time. A non-finite float raises ValueError and any other type (complex
+included) raises TypeError. Reports end with one LF. A CSV cell is empty for
+None, 1/0 for a bool, the same `"%.17g"` for a float and `str()` otherwise;
+numpy scalars are read with `.item()` first, and a cell that would need quoting
+raises ValueError.
 
 Exit codes: 0 success, 2 config/validation error (the command-line
 overrides are validated with the config, and a schema failure reads
@@ -114,16 +114,25 @@ _CHUNK_ROWS = 1 << 15
 def _dump_array(a: np.ndarray) -> str:
     if a.dtype.kind != "f" or a.ndim == 0:
         return _dump(a.tolist())
-    ok = np.isfinite(a)
-    if not ok.all():
-        _fmt_float(a[~ok][0].item())  # raises, naming the first one in row-major order
-    row = "%.17g"
-    for n in reversed(a.shape[1:]):
-        row = "[" + ",".join([row] * n) + "]"
-    chunks = (a[i:i + _CHUNK_ROWS] for i in range(0, len(a), _CHUNK_ROWS))
-    return "[" + ",".join(
-        ",".join([row] * len(c)) % tuple(c.ravel().tolist()) for c in chunks
-    ) + "]"
+    if not np.isfinite(a).all():
+        _fmt_float(a[~np.isfinite(a)][0].item())  # raises, naming the first one in row-major order
+
+    def template(zero, shape=a.shape[1:]):  # a row's, +0.0 as "0": the bytes of "%.17g" % 0.0
+        if not shape:
+            return "0" if next(zero) else "%.17g"
+        return "[" + ",".join([template(zero, shape[1:]) for _ in range(shape[0])]) + "]"
+
+    def chunk(c):  # templates, one per zero pattern (an int key up to 62 cells), and values
+        zero = ((c == 0) & ~np.signbit(c)).reshape(len(c), -1)
+        rows = [template(iter(zero[0]))] * len(c)
+        if not (zero == zero[0]).all():
+            key = zero @ (1 << np.arange(zero.shape[1])) if zero.shape[1] < 63 else zero
+            _, first, inv = np.unique(key, axis=0, return_index=True, return_inverse=True)
+            rows = np.array([template(iter(zero[j])) for j in first], dtype=object)[inv].tolist()
+        return ",".join(rows), c[~zero.reshape(c.shape)] if zero.any() else c.ravel()
+
+    chunks = map(chunk, (a[i:i + _CHUNK_ROWS] for i in range(0, len(a), _CHUNK_ROWS)))
+    return "[" + ",".join(t % tuple(v.tolist()) for t, v in chunks) + "]"
 
 
 def _dump_list(o) -> str:

@@ -139,9 +139,15 @@ def singular_values(m: np.ndarray) -> np.ndarray:
 
     Hermitian inputs (the usual case: densities, differences of densities)
     use |eig(M)| directly; squaring through M^dag M would cost half the
-    available precision near zero.
+    available precision near zero. Only M[S, S] (S: nonzero rows or columns) is
+    decomposed, then zero-padded to length d; exact, as M is 0 off S x S.
     """
     arr = np.asarray(m, dtype=np.complex128)
+    s = np.flatnonzero(arr.any(axis=0) | arr.any(axis=1))
+    if s.size < len(arr):
+        w = singular_values(arr[np.ix_(s, s)]) if s.size else np.zeros(0)
+        return np.pad(w, (0, len(arr) - s.size))
+    del s  # a dense input then peaks no higher than without the support check
     if is_hermitian(arr):
         return np.sort(np.abs(np.linalg.eigvalsh(arr)))[::-1]
     w = np.linalg.eigvalsh(arr.conj().T @ arr)

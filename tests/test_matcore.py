@@ -110,11 +110,35 @@ def test_operator_norm():
 
 
 def test_singular_values_match_svd():
+    # only the nonzero rows and columns are decomposed, so zero them in every way
     rng = np.random.default_rng(9)
-    a = random_matrix(rng, 6)
-    np.testing.assert_allclose(
-        singular_values(a), np.sort(np.linalg.svd(a, compute_uv=False))[::-1], atol=1e-9
-    )
+    for d in (1, 2, 6, 64):
+        for hermitian in (True, False):
+            a = random_matrix(rng, d)
+            if hermitian:
+                a = a + a.conj().T
+            for zeros in ("none", "some", "all but one", "all"):
+                m = a.copy()
+                if zeros == "some":
+                    rows = rng.random(d) < 0.5
+                    cols = rows if hermitian else rng.random(d) < 0.5
+                    m[rows], m[:, cols] = -0.0, 0.0
+                elif zeros == "all but one":
+                    i, j = rng.integers(d, size=2)
+                    m = np.full((d, d), complex(-0.0, 0.0))
+                    m[i, i if hermitian else j] = 1.5 if hermitian else 0.5 - 2.0j
+                elif zeros == "all":
+                    m = np.full((d, d), complex(-0.0, -0.0))
+                sv = singular_values(m)
+                assert sv.shape == (d,) and np.all(np.diff(sv) <= 0), (d, hermitian, zeros)
+                # squaring through M^dag M leaves a rank-deficient M's zeros at about
+                # sqrt(eps) * |M|, as the docstring says; every other case keeps 1e-9
+                atol = 1e-6 if zeros == "some" and not hermitian else 1e-9
+                np.testing.assert_allclose(
+                    sv, np.sort(np.linalg.svd(m, compute_uv=False))[::-1], atol=atol
+                )
+    for z in (np.zeros((5, 5)), np.full((3, 3), -0.0)):
+        assert trace_norm(z) == 0.0 and operator_norm(z) == 0.0
 
 
 def test_kolmogorov_distance():
