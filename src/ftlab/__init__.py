@@ -8,7 +8,6 @@ __version__ = "0.1.0"  # cli reads it
 
 from .matcore import (
     DimensionCapError,
-    SubsystemDims,
     kolmogorov_distance,
     operator_norm,
     partial_trace,

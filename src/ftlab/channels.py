@@ -38,7 +38,7 @@ import numpy as np
 
 from .matcore import (
     VALIDATION_ATOL,
-    SubsystemDims,
+    checked_dims,
     embed_operator,
     is_hermitian,
     is_unitary,
@@ -61,19 +61,19 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 class Channel:
     """Kraus stack {K_i} with sum K_i^dag K_i = I (within 1e-10).
 
-    `kraus` is one read-only (K, d, d) complex128 array with d = dims.total;
-    `support` lists the ambient subsystem labels the Kraus factors act on,
-    in the factor order of `dims`.
+    `kraus` is one read-only (K, d, d) complex128 array, d the product of
+    the factor dimensions `dims`; `support` lists the ambient subsystem
+    labels the Kraus factors act on, in the factor order of `dims`.
     """
 
     kraus: np.ndarray
-    dims: SubsystemDims
+    dims: tuple[int, ...]
     support: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = SubsystemDims(self.dims)
+        dims = checked_dims(self.dims)
         ks = read_only(self.kraus)
-        d = dims.total
+        d = math.prod(dims)
         if ks.ndim != 3 or ks.shape[1:] != (d, d) or not len(ks):
             raise ValueError(f"Kraus stack must have shape (K >= 1, {d}, {d}), got {ks.shape}")
         support = tuple(int(s) for s in self.support)
@@ -92,7 +92,7 @@ class Channel:
 
     @property
     def dim(self) -> int:
-        return self.dims.total
+        return math.prod(self.dims)
 
     # -- constructors -------------------------------------------------------
 
@@ -100,7 +100,7 @@ class Channel:
     def from_kraus(
         cls,
         ops: Sequence[np.ndarray] | np.ndarray,
-        dims: SubsystemDims | Sequence[int] | None = None,
+        dims: Sequence[int] | None = None,
         support: Sequence[int] | None = None,
     ) -> "Channel":
         """Channel from a list of Kraus arrays or one stack.
@@ -121,7 +121,7 @@ class Channel:
     def unitary(
         cls,
         u: np.ndarray,
-        dims: SubsystemDims | Sequence[int] | None = None,
+        dims: Sequence[int] | None = None,
         support: Sequence[int] | None = None,
     ) -> "Channel":
         """One Kraus operator; trace preservation makes it unitary."""
@@ -130,11 +130,11 @@ class Channel:
     @classmethod
     def identity(
         cls,
-        dims: SubsystemDims | Sequence[int],
+        dims: Sequence[int],
         support: Sequence[int] | None = None,
     ) -> "Channel":
-        dims = SubsystemDims(dims)
-        return cls.from_kraus([np.eye(dims.total)], dims, support)
+        dims = checked_dims(dims)
+        return cls.from_kraus([np.eye(math.prod(dims))], dims, support)
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +142,23 @@ class Channel:
 # ---------------------------------------------------------------------------
 
 
-def _kraus_on(ch: Channel, labels: tuple[int, ...], dims: SubsystemDims) -> np.ndarray:
-    """Kraus stack embedded into `dims`, whose subsystems carry `labels`."""
+def _kraus_on(ch: Channel, labels: tuple[int, ...]) -> np.ndarray:
+    """Kraus stack on the subsystems `labels`: as it is when it acts on all
+    of them in that order, else embedded into the qubits `labels`."""
     positions = tuple(labels.index(s) for s in ch.support)
-    if positions == tuple(range(len(dims))):
+    if positions == tuple(range(len(labels))):
         return ch.kraus
-    return np.stack([embed_operator(k, positions, dims) for k in ch.kraus])
+    return np.stack([embed_operator(k, positions, len(labels)) for k in ch.kraus])
 
 
 def compose_channels(later: Channel, earlier: Channel) -> Channel:
     """Channel applying `earlier` first, then `later`.
 
-    Supports may differ; both are embedded into the union of their ambient
-    labels. The Kraus set of the composite is the full pairwise product, and
-    trace preservation is re-verified on construction.
+    Supports may differ; both are then embedded into the qubits of the union
+    of their ambient labels (a channel on other factors composes only with
+    one on its own support, in its order). The Kraus set of the composite
+    is the full pairwise product, and trace preservation is re-verified on
+    construction.
     """
     local: dict[int, int] = {}
     for ch in (later, earlier):
@@ -163,11 +166,10 @@ def compose_channels(later: Channel, earlier: Channel) -> Channel:
             if local.setdefault(s, d) != d:
                 raise ValueError(f"channels disagree on dim of subsystem {s}")
     labels = tuple(sorted(local))
-    dims = SubsystemDims(tuple(local[s] for s in labels))
-    ka = _kraus_on(later, labels, dims)
-    kb = _kraus_on(earlier, labels, dims)
-    prods = ka[:, None] @ kb[None]
-    return Channel(prods.reshape(-1, dims.total, dims.total), dims, labels)
+    dims = checked_dims(local[s] for s in labels)
+    d = math.prod(dims)
+    prods = _kraus_on(later, labels)[:, None] @ _kraus_on(earlier, labels)[None]
+    return Channel(prods.reshape(-1, d, d), dims, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +182,9 @@ def choi_matrix(ch: Channel) -> np.ndarray:
     maximally entangled state. Output factors first, reference copy second,
     so its subsystem dims are ch.dims twice. Trace equals the input
     dimension; tracing out the output factors gives the identity on the
-    reference copy.
+    reference copy. A Choi matrix over DIM_CAP is refused before it is built.
     """
+    checked_dims(ch.dims * 2)
     d = ch.dim
     j = np.zeros((d * d, d * d), dtype=np.complex128)
     for k in ch.kraus:
@@ -461,7 +464,7 @@ class HamiltonianTerm:
         if len(set(support)) != len(support):
             raise ValueError(f"support has duplicates: {support}")
         op = read_only(self.op)
-        d = qubit_dims(len(support)).total
+        d = math.prod(qubit_dims(len(support)))
         if op.shape != (d, d):
             raise ValueError(f"matrix side {len(op)} does not match dims total {d}")
         if not is_hermitian(op):
@@ -482,11 +485,11 @@ class HamiltonianTerm:
 def _grouped_norm(terms: Sequence[HamiltonianTerm]) -> float:
     """Operator norm of the sum of the terms, embedded on their union support."""
     labels = sorted({s for t in terms for s in t.support})
-    dims = qubit_dims(len(labels))
-    acc = np.zeros((dims.total, dims.total), dtype=np.complex128)
+    d = math.prod(qubit_dims(len(labels)))
+    acc = np.zeros((d, d), dtype=np.complex128)
     for t in terms:
         positions = tuple(labels.index(s) for s in t.support)
-        acc += embed_operator(t.op, positions, dims)
+        acc += embed_operator(t.op, positions, len(labels))
     return operator_norm(acc)
 
 

@@ -27,11 +27,11 @@ needs it, so a GHZ chain grows the state by one qubit per CNOT. The walk
 returns every branch on all qubits, in global qubit order.
 
 Operators are plain complex128 arrays on the qubits of a location's
-support; the simulators return the final density matrix, an array with
-subsystem dims ``c.dims``, and the read-out from ``_readout``: the diagonal
-of that matrix reduced onto the measured qubits, without a copy, as a
-float64 array whose index i is the outcome whose bits, in ``final_measure``
-order with the first qubit most significant, spell i.
+support; the simulators return the final density matrix on the
+``n_system`` qubits, and the read-out from ``_readout``: the diagonal of
+that matrix reduced onto the measured qubits, without a copy, as a float64
+array whose index i is the outcome whose bits, in ``final_measure`` order
+with the first qubit most significant, spell i.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import numpy as np
 
 from .matcore import (
     VALIDATION_ATOL,
-    SubsystemDims,
     apply_local,
     is_unitary,
     partial_trace,
@@ -188,10 +187,6 @@ class Circuit:
     @property
     def size(self) -> int:
         return len(self.locations)
-
-    @property
-    def dims(self) -> SubsystemDims:
-        return qubit_dims(self.n_system)
 
     def location(self, index: int) -> Location:
         return self.locations[index - 1]
@@ -340,7 +335,7 @@ def _walk(
 
     def positions(support):
         place([b for b in sorted(pending) if not set(b).isdisjoint(support)])
-        return [active.index(q) for q in support], qubit_dims(len(active))
+        return [active.index(q) for q in support]
 
     readers = _last_readers(c)
     for loc in c.locations:
@@ -359,16 +354,16 @@ def _walk(
                 ]
             elif gone:
                 keep = [p for p in range(k) if p not in gone]
-                branches = [(rec, partial_trace(x, keep, qubit_dims(k))) for rec, x in branches]
+                branches = [(rec, partial_trace(x, keep)) for rec, x in branches]
             active[:] = [q for q in active if q not in sup]
             scale = math.prod(np.trace(f) if f.ndim == 2 else np.linalg.norm(f) for f in dropped)
             psi = loc.ops[0, :, 0]
             pending[loc.support] = scale * (psi if vector else np.outer(psi, psi.conj()))
         elif loc.kind == "gate" or loc.kind == "measure" and (not vector or loc.index in readers):
-            pos, dims = positions(loc.support)
+            pos = positions(loc.support)
             if loc.index in readers:
                 branches = [
-                    ({**rec, loc.index: a}, apply_local(x, loc.ops[a:a + 1], pos, dims))
+                    ({**rec, loc.index: a}, apply_local(x, loc.ops[a:a + 1], pos))
                     for rec, x in branches
                     for a in range(len(loc.ops))
                 ]
@@ -376,7 +371,7 @@ def _walk(
                 cond = loc.condition
                 branches = [
                     (rec, x if cond and rec.get(cond[0]) != cond[1]
-                     else apply_local(x, loc.ops, pos, dims))
+                     else apply_local(x, loc.ops, pos))
                     for rec, x in branches
                 ]
         d = 2 ** len(active)
@@ -387,10 +382,10 @@ def _walk(
             block = next((b for b in pending if set(support) <= set(b)), None)
             if block:
                 at = [block.index(q) for q in support]
-                pending[block] = apply_local(pending[block], ops, at, qubit_dims(len(block)))
+                pending[block] = apply_local(pending[block], ops, at)
             else:
-                pos, dims = positions(support)
-                branches = [(rec, apply_local(x, ops, pos, dims)) for rec, x in branches]
+                pos = positions(support)
+                branches = [(rec, apply_local(x, ops, pos)) for rec, x in branches]
     positions(range(n))
     if active != sorted(active):
         perm = [active.index(q) for q in sorted(active)]
@@ -435,7 +430,7 @@ def _noise_terms(c: Circuit, noise: Mapping[int, Channel], n: int = 0) -> dict[i
         if not 1 <= idx <= c.size:
             raise ValueError(f"noise references unknown location {idx}")
         if set(ch.dims) != {2}:
-            raise ValueError(f"noise on location {idx} has factor dims {ch.dims.dims}, not qubits")
+            raise ValueError(f"noise on location {idx} has factor dims {ch.dims}, not qubits")
         loc = c.location(idx)
         if not set(ch.support) <= set(loc.support) | env:
             where = f"support {loc.support}" + (f" plus qubits {min(env)}..{n - 1}" if env else "")
@@ -450,7 +445,7 @@ def _readout(c: Circuit, rho: np.ndarray) -> np.ndarray:
     if not qubits:
         return np.ones(1)
     perm = [sorted(qubits).index(q) for q in qubits]  # partial_trace sorts its axes
-    diag = np.diagonal(partial_trace(rho, qubits, c.dims)).real
+    diag = np.diagonal(partial_trace(rho, qubits)).real
     probs = np.maximum(diag.reshape((2,) * len(qubits)).transpose(perm).reshape(-1), 0.0)
     total = math.fsum(probs)
     if not (probs.max() <= 1.0 + 1e-12 and abs(total - 1.0) <= VALIDATION_ATOL):
@@ -548,5 +543,5 @@ def simulate_with_environment(
     m = np.hstack([psi.reshape(2**n_sys, -1) for psi in _walk(c, after, env.initial)])
     rho_sys = m @ m.conj().T
     for loc in deferred:
-        rho_sys = apply_local(rho_sys, loc.ops, loc.support, c.dims)
+        rho_sys = apply_local(rho_sys, loc.ops, loc.support)
     return rho_sys, _readout(c, rho_sys)

@@ -93,7 +93,7 @@ from .gadgets import (
     sample_fault_config,
     truncate_and_classify,
 )
-from .matcore import DimensionCapError, SubsystemDims, qubit_dims, trace_norm
+from .matcore import DimensionCapError, checked_dims, qubit_dims, trace_norm
 from .threshold import SchemeParams, pseudothreshold_mc, threshold_report, threshold_value
 
 RESTARTS_CAP = 4096  # most diamond-ascent starts a config may ask for
@@ -387,7 +387,7 @@ def matrix_from_json(obj) -> np.ndarray:
     if side * side != flat.size:
         raise ValueError(f"{flat.size} entries do not fill a square matrix")
     if side != 1:
-        SubsystemDims((side,))  # as one factor: refuses side 0 and a side over DIM_CAP
+        checked_dims((side,))  # as one factor: refuses side 0 and a side over DIM_CAP
     return flat.reshape(side, side)
 
 
@@ -514,7 +514,7 @@ def environment_spec_from_json(obj: Mapping) -> EnvironmentSpec:
     indices with the environment block appended after the system block.
     """
     n_env = _param(_unread(obj, "environment spec", "n_env", "initial", "couplings"), "n_env", int)
-    side = qubit_dims(max(n_env, 0)).total  # an over-cap environment is refused here
+    side = math.prod(qubit_dims(max(n_env, 0)))  # an over-cap environment is refused here
     initial = obj.get("initial")
     vec = np.eye(1, side, dtype=np.complex128)[0] if initial is None else vector_from_json(initial)
     couplings = {}
@@ -569,7 +569,7 @@ def _cmd_strength(params: dict, seed: int, workers: int) -> tuple[dict, list[dic
     kwargs = {"c": _param(params, "c")} if "c" in params else {}
     if ev == "markovian":
         noisy = make_noise_channel(noise_spec_from_json(params["noisy"]))
-        u = gate_from_json(params["ideal"]) if "ideal" in params else np.eye(noisy.dims.total)
+        u = gate_from_json(params["ideal"]) if "ideal" in params else np.eye(noisy.dim)
         eps = strength_markovian(noisy, Channel.unitary(u, noisy.dims, noisy.support))
         results = {"evaluator": ev, "strength": eps}
     elif ev == "diamond":

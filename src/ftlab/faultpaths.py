@@ -46,7 +46,7 @@ def _fault_walk(
     the term exactly zero."""
     terms = _noise_terms(c, noise)
     if not chosen <= terms.keys():
-        return np.zeros((c.dims.total,) * 2, dtype=np.complex128)
+        return np.zeros((2**c.n_system,) * 2, dtype=np.complex128)
     after = {i: terms[i] for i in keep if i in terms}
     for i in chosen:
         support, kraus = terms[i]

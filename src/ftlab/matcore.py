@@ -1,22 +1,23 @@
-"""Dense complex linear algebra over explicit tensor-factor structure.
+"""Dense complex linear algebra on qubit registers.
 
 Everything downstream (channels, circuit simulation, fault-path sums) works
-with operators on a tensor product of small subsystems. This module pins the
-conventions once: an operator is a plain row-major complex128 ndarray, its
-per-subsystem dimensions travel as a `SubsystemDims` passed to the functions
-that need them (`partial_trace`, `apply_local`, `embed_operator`), and a hard
-cap on the total dimension keeps a desk-scale run from silently allocating
-gigabytes. Local operators act on states and density matrices through
-`apply_local`, which contracts only the axes they touch (a Kraus stack, or
-for a matrix its `superoperator`); `embed_operator` builds the full-space
-matrix where one is really needed. A measurement read-out is a plain
-float64 array of outcome probabilities.
+with operators on a register of qubits. This module pins the conventions
+once: an operator is a plain row-major complex128 ndarray of side 2^n, and
+the kernels (`partial_trace`, `apply_local`) read n from the array's last
+axis, while `embed_operator` takes it as an argument. A hard cap on the
+total dimension keeps a desk-scale run from silently allocating gigabytes:
+`qubit_dims` refuses an over-cap register, `checked_dims` an over-cap tuple
+of factor dimensions (a `Channel`'s) and, through it, `superoperator`
+refuses a map whose d^2 side exceeds the cap. Local operators act on
+states and density matrices through `apply_local`, which contracts only
+the axes they touch (a Kraus stack, or for a matrix its `superoperator`);
+`embed_operator` builds the full-space matrix where one is really needed.
+A measurement read-out is a plain float64 array of outcome probabilities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,59 +37,38 @@ class DimensionCapError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Subsystem bookkeeping
+# Dimension checks
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubsystemDims:
-    """Ordered local dimensions of a tensor-product space.
-
-    An empty tuple is the scalar space (total dimension 1); it shows up as
-    the result of tracing out every subsystem.
-    """
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if any(d < 2 for d in self.dims):
-            raise ValueError(f"subsystem dimensions must be >= 2, got {self.dims}")
-        if self.total > DIM_CAP:
-            raise DimensionCapError(
-                f"total dimension {self.total} exceeds cap {DIM_CAP}"
-            )
-
-    @property
-    def total(self) -> int:
-        return math.prod(self.dims)
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __getitem__(self, i: int) -> int:
-        return self.dims[i]
-
-    def restrict(self, keep: Iterable[int]) -> "SubsystemDims":
-        """Dims of the subsystems in `keep`, original order preserved."""
-        kept = sorted(set(int(i) for i in keep))
-        for i in kept:
-            if not 0 <= i < len(self.dims):
-                raise ValueError(f"subsystem index {i} out of range for {self.dims}")
-        return SubsystemDims(tuple(self.dims[i] for i in kept))
+def checked_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    """`dims` as a tuple of subsystem dimensions, each >= 2, whose product is
+    at most DIM_CAP. The empty tuple is the scalar space."""
+    dims = tuple(int(d) for d in dims)
+    if any(d < 2 for d in dims):
+        raise ValueError(f"subsystem dimensions must be >= 2, got {dims}")
+    if math.prod(dims) > DIM_CAP:
+        raise DimensionCapError(f"total dimension {math.prod(dims)} exceeds cap {DIM_CAP}")
+    return dims
 
 
-def qubit_dims(n: int) -> SubsystemDims:
+def qubit_dims(n: int) -> tuple[int, ...]:
     """n qubit factors; an over-cap n is refused before any factor is built."""
     if n < 0:
         raise ValueError("qubit count must be >= 0")
     if n >= DIM_CAP.bit_length():
         total = 2**n if n < 64 else f"2^{n}"  # a huge 2^n is not spelled out
         raise DimensionCapError(f"total dimension {total} exceeds cap {DIM_CAP}")
-    return SubsystemDims((2,) * n)
+    return (2,) * n
+
+
+def _qubit_count(x: np.ndarray) -> int:
+    """n for an array whose last axis has side 2^n; any other side is refused."""
+    side = x.shape[-1]
+    n = side.bit_length() - 1
+    if side != 2**n:
+        raise ValueError(f"side {side} is not a power of two")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -112,26 +92,27 @@ def is_unitary(x: np.ndarray) -> bool:
     return bool(np.max(np.abs(g - np.eye(len(g)))) <= VALIDATION_ATOL)
 
 
-def partial_trace(
-    x: np.ndarray, keep: Iterable[int], dims: SubsystemDims | Sequence[int]
-) -> np.ndarray:
-    """Trace out every subsystem of `x`, factored as `dims`, not listed in `keep`.
+def partial_trace(x: np.ndarray, keep: Iterable[int]) -> np.ndarray:
+    """Trace out every qubit of the matrix `x` not listed in `keep`.
 
-    The result's factors appear in their original order regardless of the
+    The result's qubits appear in their original order regardless of the
     order of `keep`. Keeping everything returns `x` reshaped, not a copy;
     keeping nothing yields the 1x1 matrix holding the full trace.
     """
-    dims = SubsystemDims(dims)
-    n = len(dims)
+    x = np.asarray(x, dtype=np.complex128)
+    n = _qubit_count(x)
+    if x.shape != (2**n, 2**n):
+        raise ValueError(f"shape {x.shape} is not a square matrix")
     kept = sorted(set(int(i) for i in keep))
-    side = dims.restrict(kept).total  # rejects an index out of range
+    for i in kept:
+        if not 0 <= i < n:
+            raise ValueError(f"qubit index {i} out of range for {n} qubits")
     kept_set = set(kept)
-    t = np.asarray(x, dtype=np.complex128).reshape(dims.dims * 2)
     row_labels = list(range(n))
     col_labels = [i if i not in kept_set else n + i for i in range(n)]
     out_labels = kept + [n + i for i in kept]
-    reduced = np.einsum(t, row_labels + col_labels, out_labels)
-    return reduced.reshape(side, side)
+    reduced = np.einsum(x.reshape((2,) * (2 * n)), row_labels + col_labels, out_labels)
+    return reduced.reshape(2 ** len(kept), 2 ** len(kept))
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -173,24 +154,20 @@ def kolmogorov_distance(p: np.ndarray, q: np.ndarray) -> float:
     return math.fsum(np.abs(np.subtract(p, q)))
 
 
-def _local_setup(op: np.ndarray, support: Sequence[int], dims: SubsystemDims | Sequence[int]):
-    """Validated (op as complex128, support, all dims, support dims) for a
-    local operator (or a stack of them) factoring over `support`."""
-    dims = SubsystemDims(dims)
+def _local_setup(op: np.ndarray, support: Sequence[int], n: int):
+    """Validated (op as complex128, support) for a local operator (or a
+    stack of them) on the qubits `support` of an n-qubit register."""
     support = tuple(int(i) for i in support)
     if len(set(support)) != len(support):
         raise ValueError(f"support has duplicates: {support}")
     for i in support:
-        if not 0 <= i < len(dims):
-            raise ValueError(f"support index {i} out of range for {dims.dims}")
+        if not 0 <= i < n:
+            raise ValueError(f"support index {i} out of range for {n} qubits")
     op = np.asarray(op, dtype=np.complex128)
-    sup_dims = tuple(dims[i] for i in support)
-    d_sup = math.prod(sup_dims)
+    d_sup = 2 ** len(support)
     if op.shape[-2:] != (d_sup, d_sup):
-        raise ValueError(
-            f"operator shape {op.shape[-2:]} does not match support dims {d_sup}"
-        )
-    return op, support, dims.dims, sup_dims
+        raise ValueError(f"operator shape {op.shape[-2:]} does not match support side {d_sup}")
+    return op, support
 
 
 def _contract(op: np.ndarray, t: np.ndarray, axes: list[int]) -> np.ndarray:
@@ -201,62 +178,56 @@ def _contract(op: np.ndarray, t: np.ndarray, axes: list[int]) -> np.ndarray:
     return np.moveaxis(out, range(k), axes)
 
 
-def embed_operator(
-    op: np.ndarray,
-    support: Sequence[int],
-    total_dims: SubsystemDims | Sequence[int],
-) -> np.ndarray:
-    """Place `op`, acting on the ordered subsystems `support`, into the full
-    space, identity elsewhere.
+def embed_operator(op: np.ndarray, support: Sequence[int], n: int) -> np.ndarray:
+    """Place `op`, acting on the ordered qubits `support`, into the space of
+    n qubits, identity elsewhere.
 
-    `support` lists which global subsystems the rows/cols of `op` refer to,
-    in op's own factor order. Duplicate indices are rejected.
+    `support` lists which qubits the rows/cols of `op` refer to, in op's
+    own factor order. Duplicate indices are rejected.
     """
-    op, support, dims, sup_dims = _local_setup(op, support, total_dims)
-    d = math.prod(dims)
-    eye = np.eye(d, dtype=np.complex128).reshape(dims * 2)
-    full = _contract(op.reshape(sup_dims * 2), eye, list(support))
-    return np.ascontiguousarray(full.reshape(d, d))
+    qubit_dims(n)  # an over-cap register is refused before its identity is built
+    op, support = _local_setup(op, support, n)
+    eye = np.eye(2**n, dtype=np.complex128).reshape((2,) * (2 * n))
+    full = _contract(op.reshape((2,) * (2 * len(support))), eye, list(support))
+    return np.ascontiguousarray(full.reshape(2**n, 2**n))
 
 
 def superoperator(ks: np.ndarray) -> np.ndarray:
     """The map x -> sum_k K_k x K_k^dag of a (K, d, d) Kraus stack, as a
-    (d, d, d, d) array with axes (out_row, out_col, in_row, in_col)."""
+    (d, d, d, d) array with axes (out_row, out_col, in_row, in_col). A map
+    whose d^2 exceeds DIM_CAP is refused before it is built."""
     ks = np.asarray(ks, dtype=np.complex128)
+    d = ks.shape[-1]
+    checked_dims((d, d) if d > 1 else ())
     return np.einsum("kab,kcd->acbd", ks, ks.conj())
 
 
-def apply_local(
-    x: np.ndarray,
-    ops: Sequence[np.ndarray],
-    support: Sequence[int],
-    dims: SubsystemDims | Sequence[int],
-) -> np.ndarray:
-    """sum_k K_k x K_k^dag with every K_k acting on the subsystems `support`.
+def apply_local(x: np.ndarray, ops: Sequence[np.ndarray], support: Sequence[int]) -> np.ndarray:
+    """sum_k K_k x K_k^dag with every K_k acting on the qubits `support`.
 
-    Axis convention: `x` has side prod(dims) and is viewed with one axis per
-    subsystem in `dims` order, row-major (subsystem 0 most significant),
+    Axis convention: `x` has side 2^n, n read from its last axis, and is
+    viewed with one axis per qubit, row-major (qubit 0 most significant),
     row axes first, then column axes. Each K_k factors over `support` in
-    the order listed, as in `embed_operator`: support (2, 0) makes
-    subsystem 2 the most significant factor of K_k. Only the support axes
-    are contracted, so a matrix costs O(d^2 d_sup^2), not O(d^3).
+    the order listed, as in `embed_operator`: support (2, 0) makes qubit 2
+    the most significant factor of K_k. Only the support axes are
+    contracted, so a matrix costs O(d^2 d_sup^2), not O(d^3).
 
     A 1-D `x` is a state vector and takes the left action only,
     sum_k K_k x. For a matrix `x`, `ops` may instead be any linear map on
     the support as a (d_sup, d_sup, d_sup, d_sup) array, laid out as
-    `superoperator` returns it. `dims` may be any subsystem dimensions, not
-    just qubits. The result has the shape of `x`.
+    `superoperator` returns it. The result has the shape of `x`.
     """
-    ks, support, dims, sup_dims = _local_setup(ops, support, dims)
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim not in (1, 2) or x.shape != (math.prod(dims),) * x.ndim:
-        raise ValueError(f"shape {x.shape} is neither a vector nor a matrix on {dims}")
+    if x.ndim not in (1, 2) or x.shape != x.shape[-1:] * x.ndim:
+        raise ValueError(f"shape {x.shape} is neither a vector nor a square matrix")
+    n = _qubit_count(x)
+    ks, support = _local_setup(ops, support, n)
     if ks.ndim == 4 and x.ndim == 1:
         raise ValueError("a superoperator acts on a matrix, not a state vector")
     if x.ndim == 1:
         op, axes = ks.sum(axis=0), list(support)
     else:
         op = ks if ks.ndim == 4 else superoperator(ks)
-        axes = list(support) + [len(dims) + i for i in support]
-    op = op.reshape(sup_dims * (2 * x.ndim))
-    return _contract(op, x.reshape(dims * x.ndim), axes).reshape(x.shape)
+        axes = list(support) + [n + i for i in support]
+    op = op.reshape((2,) * (len(support) * 2 * x.ndim))
+    return _contract(op, x.reshape((2,) * (n * x.ndim)), axes).reshape(x.shape)

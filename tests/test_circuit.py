@@ -585,7 +585,7 @@ def test_environment_spec_json():
 Z_PROJECTOR_STACK = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(np.complex128)
 
 
-def projector_readout(rho, qubits, dims):
+def projector_readout(rho, qubits):
     """The former read-out, kept as an oracle: rho reduced onto `qubits`,
     then one Z projector stack contracted per qubit, outcomes indexed with
     the first of `qubits` most significant."""
@@ -593,7 +593,7 @@ def projector_readout(rho, qubits, dims):
         return np.array([1.0])
     m = len(qubits)
     perm = [sorted(qubits).index(q) for q in qubits]
-    t = partial_trace(rho, qubits, dims).reshape((2,) * 2 * m)
+    t = partial_trace(rho, qubits).reshape((2,) * 2 * m)
     t = t.transpose(perm + [m + p for p in perm])
     for j in range(m):
         # qubit j's row and column lead each half: tr(P rho) = sum P[i, l] rho[l, i]
@@ -639,7 +639,7 @@ def test_readout_matches_projector_contraction_bit_for_bit():
                 rho, dist = simulate_noisy(c, noise)
                 assert c.final_measure == tuple(measure)
                 assert dist.dtype == np.float64
-                assert np.array_equal(dist, projector_readout(rho, c.final_measure, c.dims))
+                assert np.array_equal(dist, projector_readout(rho, c.final_measure))
 
 
 def test_readout_allocates_no_copy_of_rho():
@@ -700,7 +700,7 @@ def test_prep_reset_matches_reset_set(n_order, k, seed):
     sup_op = np.zeros((d,) * 4, dtype=np.complex128)
     sup_op[:, :, 0, 0] = x
     loaded = sum(_walk(load, {1: (order, sup_op)}))
-    want = apply_local(loaded, resets, support, qubit_dims(n))
+    want = apply_local(loaded, resets, support)
     got = sum(_walk(c, {1: (order, sup_op)}))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
     mask = rng.random(d) < 0.6
@@ -709,7 +709,7 @@ def test_prep_reset_matches_reset_set(n_order, k, seed):
     op = np.zeros((1, d, d), dtype=np.complex128)
     op[0, :, 0] = v
     (loaded,) = _walk(load, {1: (order, op)}, KET0)  # v (x) |0> on one environment qubit
-    want = apply_local(np.outer(loaded, loaded.conj()), resets, support, qubit_dims(n + 1))
+    want = apply_local(np.outer(loaded, loaded.conj()), resets, support)
     branches = _walk(c, {1: (order, op)}, KET0)
     assert all(b.shape == loaded.shape and b.any() for b in branches)
     got = sum((np.outer(b, b.conj()) for b in branches), np.zeros((2 * d, 2 * d)))
@@ -721,20 +721,20 @@ def _dense_walk(c, after):
     location and `after` entry embedded with `embed_operator` and applied
     by matmul, a prep as sum_k |psi><k| . |k><psi|, and one state per
     outcome record of the measurements gates read, never merged."""
-    dims = qubit_dims(c.n_system)
-    rho = np.zeros((dims.total,) * 2, dtype=np.complex128)
+    n = c.n_system
+    rho = np.zeros((2**n,) * 2, dtype=np.complex128)
     rho[0, 0] = 1.0
     read = {loc.condition[0] for loc in c.locations if loc.condition}
     states = [({}, rho)]
 
     def kraus(ks, support):
-        es = [embed_operator(k, support, dims) for k in ks]
+        es = [embed_operator(k, support, n) for k in ks]
         return lambda x: sum(e @ x @ e.conj().T for e in es)
 
     def superop(s, support):
         # Y = sum S[a, b, i, j] |a><i| X |j><b|, S laid out as superoperator() returns it
         d = len(s)
-        unit = [[embed_operator(np.outer(r, q), support, dims) for q in np.eye(d)] for r in np.eye(d)]
+        unit = [[embed_operator(np.outer(r, q), support, n) for q in np.eye(d)] for r in np.eye(d)]
         return lambda x: sum(s[a, b, i, j] * unit[a][i] @ x @ unit[j][b]
                              for a, b, i, j in np.ndindex(s.shape))
 
@@ -816,7 +816,7 @@ def test_lazy_walk_matches_dense_walk(n, faults, seed):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
     if not faults:  # a state: its read-out, the first qubit most significant
         m = len(c.final_measure)
-        probs = [np.trace(embed_operator(np.diag(row), c.final_measure, c.dims) @ want).real
+        probs = [np.trace(embed_operator(np.diag(row), c.final_measure, c.n_system) @ want).real
                  for row in np.eye(2**m)]
         np.testing.assert_allclose(_readout(c, got), probs, rtol=0, atol=1e-14)
 
@@ -919,7 +919,7 @@ def _joint_reference(c, env, ref=None):
             cp = env.couplings[loc.index]
             u = _dense(cp.kraus[0], cp.support, n)
             branches = [(a, u @ rho @ u.conj().T) for a, rho in branches]
-    want = partial_trace(sum(rho for _, rho in branches), range(n_sys), qubit_dims(n))
+    want = partial_trace(sum(rho for _, rho in branches), range(n_sys))
     for loc in deferred:
         want = sum(_dense(p, loc.support, n_sys) @ want @ _dense(p, loc.support, n_sys)
                    for p in loc.ops)
@@ -1053,23 +1053,22 @@ def _conditioned_chain(n, m):
 def _branch_sum(c):
     """Sum over every outcome record of the measurements that gates are
     conditioned on, each branch walked to the end on its own."""
-    dims = qubit_dims(c.n_system)
     referenced = {loc.condition[0] for loc in c.locations if loc.condition}
-    rho = np.zeros((dims.total,) * 2, dtype=np.complex128)
+    rho = np.zeros((2**c.n_system,) * 2, dtype=np.complex128)
     rho[0, 0] = 1.0
     states = [({}, rho)]
     for loc in c.locations:
         if loc.kind == "measure" and loc.index in referenced:
-            states = [({**rec, loc.index: a}, apply_local(x, p[None], loc.support, dims))
+            states = [({**rec, loc.index: a}, apply_local(x, p[None], loc.support))
                       for rec, x in states for a, p in enumerate(loc.ops)]
         elif loc.kind == "prep":
             d = 2 ** len(loc.support)
             kraus = [np.outer(loc.ops[0, :, 0], row) for row in np.eye(d)]
-            states = [(rec, apply_local(x, kraus, loc.support, dims)) for rec, x in states]
+            states = [(rec, apply_local(x, kraus, loc.support)) for rec, x in states]
         elif loc.kind in ("gate", "measure"):
             cond = loc.condition
             states = [(rec, x if cond and rec[cond[0]] != cond[1]
-                       else apply_local(x, loc.ops, loc.support, dims)) for rec, x in states]
+                       else apply_local(x, loc.ops, loc.support)) for rec, x in states]
     return sum(x for _, x in states)
 
 

@@ -108,6 +108,16 @@ def _diamond_restarts(restarts):
     return {"evaluator": "diamond", "a": dep, "b": ident, "restarts": restarts}
 
 
+def _shift(k):
+    """The cyclic shift |i> -> |i + 1 mod 2^k> on k qubits: a permutation matrix."""
+    return matrix_to_json(np.roll(np.eye(2**k), 1, axis=0))
+
+
+def _one_gate(k):
+    """A k-qubit circuit whose one location is the k-qubit shift."""
+    return {"n_system": k, "locations": [{"kind": "gate", "support": list(range(k)), "gate": _shift(k)}]}
+
+
 REFUSALS = {
     "ie_check_L0_13": (
         "faultpaths",
@@ -152,12 +162,24 @@ REFUSALS = {
         {"graph": {"gadgets": [{"own_locations": 2000000}]}, "eps": 0.01},
         "gadget graph has 2000000 locations, over the 1000000 cap",
     ),
+    # a 7-qubit map's superoperator or Choi matrix has side 2^14, 4 GiB
+    "gate_7_qubits": ("accuracy", {"circuit": _one_gate(7)}, "total dimension 16384 exceeds cap 4096"),
+    "markovian_e_op_7_qubits": (
+        "strength",
+        {"evaluator": "markovian", "noisy": {"kind": "probabilistic", "p": 0.1, "e_op": _shift(7)}},
+        "total dimension 16384 exceeds cap 4096",
+    ),
     "pseudothreshold_budget": (
         "threshold",
         {"L0": 7, "t": 1, "pseudothreshold": {"samples": 10**12, "mode": "mc"}},
         "1000000000000 samples x 7 leaves exceeds the 1000000000 leaf budget",
     ),
 }
+
+
+# a 7-qubit refusal first builds its 128 x 128 channel and checks it, a few
+# MiB beside the parsed config; 16 MiB is still far below the 4 GiB map
+WIDE_MAP_PEAK = {"gate_7_qubits": 2**24, "markovian_e_op_7_qubits": 2**24}
 
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))
@@ -173,7 +195,7 @@ def test_cap_refusal_exits_3(tmp_path, capsysbinary, case):
     finally:
         tracemalloc.stop()
     out, err = capsysbinary.readouterr()
-    assert peak < 2**20 + 16 * os.path.getsize(cfg)
+    assert peak < WIDE_MAP_PEAK.get(case, 2**20 + 16 * os.path.getsize(cfg))
     assert code == 3
     assert out == b""
     assert err.count(b"\n") == 1 and err.endswith(b"\n")
@@ -181,6 +203,14 @@ def test_cap_refusal_exits_3(tmp_path, capsysbinary, case):
     assert set(msg) == {"error", "exit"}
     assert msg["exit"] == 3
     assert reason in msg["error"]
+
+
+def test_six_qubit_gate_runs(tmp_path, capsysbinary):
+    # a 6-qubit map's superoperator has side 2^12, DIM_CAP: still built
+    cfg = write_config(tmp_path, "cfg.json", {"command": "accuracy", "params": {"circuit": _one_gate(6)}})
+    code, out, err = run(capsysbinary, ["accuracy", "--config", cfg])
+    assert code == 0, err
+    assert json.loads(out)["results"]["delta"] == 0.0
 
 
 @pytest.mark.parametrize(

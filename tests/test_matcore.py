@@ -9,8 +9,8 @@ from ftlab import matcore
 from ftlab.matcore import (
     DIM_CAP,
     DimensionCapError,
-    SubsystemDims,
     apply_local,
+    checked_dims,
     embed_operator,
     is_hermitian,
     is_unitary,
@@ -22,6 +22,7 @@ from ftlab.matcore import (
     superoperator,
     trace_norm,
 )
+from ftlab.channels import Channel, choi_matrix
 from ftlab.cli import complex_pairs, matrix_from_json, matrix_to_json, vector_from_json
 
 SZ = np.diag([1.0, -1.0]).astype(np.complex128)
@@ -39,7 +40,7 @@ def random_matrix(rng, d):
 
 
 def test_partial_trace_bell_and_product():
-    np.testing.assert_allclose(partial_trace(BELL, [0], qubit_dims(2)), np.eye(2) / 2, atol=1e-12)
+    np.testing.assert_allclose(partial_trace(BELL, [0]), np.eye(2) / 2, atol=1e-12)
 
     rng = np.random.default_rng(3)
     v = random_pure(rng, 2)
@@ -47,24 +48,39 @@ def test_partial_trace_bell_and_product():
     sigma = np.diag([0.25, 0.75]).astype(np.complex128)
     prod = np.kron(rho, sigma)
     np.testing.assert_allclose(
-        partial_trace(prod, [0], (2, 2)), rho * np.trace(sigma), atol=1e-12
+        partial_trace(prod, [0]), rho * np.trace(sigma), atol=1e-12
     )
-    np.testing.assert_allclose(partial_trace(prod, [1], (2, 2)), sigma, atol=1e-12)
+    np.testing.assert_allclose(partial_trace(prod, [1]), sigma, atol=1e-12)
 
-    kept = partial_trace(prod, [0, 1], (2, 2))
+    kept = partial_trace(prod, [0, 1])
     np.testing.assert_allclose(kept, prod)
 
 
 def test_partial_trace_preserves_trace_and_validates_indices():
     rng = np.random.default_rng(4)
-    m = random_matrix(rng, 12)
-    dims = SubsystemDims((2, 3, 2))
-    for keep in ([0], [1, 2], [0, 2], []):
-        reduced = partial_trace(m, keep, dims)
-        assert reduced.shape == (dims.restrict(keep).total,) * 2
+    m = random_matrix(rng, 8)
+    for keep in ([0], [1, 2], [2, 0], []):
+        reduced = partial_trace(m, keep)
+        assert reduced.shape == (2 ** len(keep),) * 2
         assert abs(np.trace(reduced) - np.trace(m)) <= 1e-10
+    # kept qubits stay in their original order, whatever the order of keep
+    np.testing.assert_array_equal(partial_trace(m, [2, 0]), partial_trace(m, [0, 2]))
     with pytest.raises(ValueError, match="out of range"):
-        partial_trace(m, [3], dims)
+        partial_trace(m, [3])
+    with pytest.raises(ValueError, match="out of range"):
+        partial_trace(m, [-1])
+
+
+def test_kernels_refuse_a_side_that_is_not_a_power_of_two():
+    for side in (0, 3, 6, 12):
+        with pytest.raises(ValueError, match=f"side {side} is not a power of two"):
+            partial_trace(np.eye(side), [])
+        with pytest.raises(ValueError, match=f"side {side} is not a power of two"):
+            apply_local(np.ones(side), [np.eye(1)], ())
+        with pytest.raises(ValueError, match=f"side {side} is not a power of two"):
+            apply_local(np.eye(side), [np.eye(1)], ())
+    with pytest.raises(ValueError, match="not a square matrix"):
+        partial_trace(np.ones((2, 4)), [0])
 
 
 def test_trace_norm_basics():
@@ -171,30 +187,48 @@ def test_matrix_density_checks():
 
 
 def test_dimension_cap():
-    with pytest.raises(DimensionCapError):
-        SubsystemDims((2,) * 13)
-    assert SubsystemDims((2,) * 12).total == DIM_CAP
+    with pytest.raises(DimensionCapError, match="total dimension 8192 exceeds cap 4096"):
+        qubit_dims(13)
+    assert qubit_dims(12) == (2,) * 12 and 2**12 == DIM_CAP
+    with pytest.raises(DimensionCapError, match="total dimension 8192 exceeds cap 4096"):
+        checked_dims((2,) * 13)
+    assert checked_dims([2, 3, 2]) == (2, 3, 2)
 
 
 def test_subsystem_dims_shapes():
-    d = SubsystemDims((2, 3, 2))
-    assert d.total == 12
-    assert d.restrict((0, 2)).dims == (2, 2)
-    with pytest.raises(ValueError):
-        SubsystemDims((1, 2))
+    # a Channel's factor dims are checked by checked_dims, with its two messages
+    with pytest.raises(ValueError, match=r"subsystem dimensions must be >= 2, got \(1, 2\)"):
+        Channel(np.eye(2)[None], (1, 2), (0, 1))
+    with pytest.raises(DimensionCapError, match="total dimension 8192 exceeds cap 4096"):
+        Channel(np.eye(2)[None], (2,) * 13, range(13))
+
+
+def test_superoperator_and_choi_refuse_a_map_over_the_cap(monkeypatch):
+    # a 7-qubit map's d^2 = 16384 exceeds the cap: refused before its 4 GiB array is built
+    for build in (superoperator, lambda ks: choi_matrix(Channel.from_kraus(ks))):
+        with pytest.raises(DimensionCapError, match="total dimension 16384 exceeds cap 4096"):
+            build(np.eye(2**7)[None])
+    assert superoperator(np.eye(1)[None]).shape == (1,) * 4
+    # at the cap the map is built: a 2-qubit map's d^2 = 16 under a cap of 16
+    monkeypatch.setattr(matcore, "DIM_CAP", 16)
+    for build in (superoperator, lambda ks: choi_matrix(Channel.from_kraus(ks))):
+        assert build(np.eye(4)[None]).size == 256
+        with pytest.raises(DimensionCapError, match="total dimension 64 exceeds cap 16"):
+            build(np.eye(8)[None])
 
 
 def test_embed_operator_positions():
     rng = np.random.default_rng(11)
     op = random_matrix(rng, 2)
-    dims = qubit_dims(3)
-    full = embed_operator(op, (1,), dims)
+    full = embed_operator(op, (1,), 3)
     np.testing.assert_allclose(full, np.kron(np.kron(np.eye(2), op), np.eye(2)), atol=1e-12)
     two = random_matrix(rng, 4)
     # support listed in reversed order swaps the factor roles
-    swapped = embed_operator(two, (2, 0), dims)
+    swapped = embed_operator(two, (2, 0), 3)
     perm = two.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    np.testing.assert_allclose(swapped, embed_operator(perm, (0, 2), dims), atol=1e-12)
+    np.testing.assert_allclose(swapped, embed_operator(perm, (0, 2), 3), atol=1e-12)
+    with pytest.raises(DimensionCapError, match="total dimension 8192 exceeds cap 4096"):
+        embed_operator(op, (0,), 13)
 
 
 def test_embed_operator_matches_vector_action():
@@ -202,7 +236,7 @@ def test_embed_operator_matches_vector_action():
     rng = np.random.default_rng(12)
     op = random_matrix(rng, 2)
     a, b, c = (random_pure(rng, 2) for _ in range(3))
-    full = embed_operator(op, (1,), qubit_dims(3))
+    full = embed_operator(op, (1,), 3)
     lhs = full @ np.kron(a, np.kron(b, c))
     rhs = np.kron(a, np.kron(op @ b, c))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -214,72 +248,73 @@ def test_embed_operator_matches_vector_action():
         ((2, 2, 2), (1,)),
         ((2, 2, 2), (2, 0)),
         ((2, 2, 2, 2), (3, 1)),
-        ((2, 3, 2), (1,)),
-        ((2, 3, 2), (2, 0)),
-        ((2, 3, 2), (0, 2, 1)),
+        ((2, 2, 2), (0, 2, 1)),
+        ((2, 2, 2, 2), (2, 0)),
+        ((2, 2, 2, 2), (0, 3, 2, 1)),
     ],
 )
 @pytest.mark.parametrize("vector", [False, True])
 def test_apply_local_matches_dense_embedding(dims, support, vector):
     rng = np.random.default_rng(14)
-    d = int(np.prod(dims))
-    d_sup = int(np.prod([dims[i] for i in support]))
+    n = len(dims)
+    d, d_sup = 2**n, 2 ** len(support)
     ops = [random_matrix(rng, d_sup) for _ in range(3)]
-    full = [embed_operator(k, support, dims) for k in ops]
+    full = [embed_operator(k, support, n) for k in ops]
     if vector:
         x = rng.normal(size=d) + 1j * rng.normal(size=d)
         want = sum(k @ x for k in full)
     else:
         x = random_matrix(rng, d)
         want = sum(k @ x @ k.conj().T for k in full)
-    got = apply_local(x, ops, support, dims)
+    got = apply_local(x, ops, support)
     assert got.shape == x.shape
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 @st.composite
 def local_actions(draw):
-    """(dims, support, Kraus stack, x): 1-4 factors of dimension 2 or 3, a
-    support in any order, K = 1..4, x a vector or a matrix."""
-    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=4)))
-    order = draw(st.permutations(range(len(dims))))
-    support = tuple(order[: draw(st.integers(1, len(dims)))])
-    d_sup = int(np.prod([dims[i] for i in support]))
+    """(n, support, Kraus stack, x): 1-4 qubits, a support in any order,
+    K = 1..4, x a vector or a matrix."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(n)))
+    support = tuple(order[: draw(st.integers(1, n))])
+    d_sup = 2 ** len(support)
     k = draw(st.integers(1, 4))
-    d = int(np.prod(dims))
-    shape = (d,) if draw(st.booleans()) else (d, d)
+    shape = (2**n,) if draw(st.booleans()) else (2**n, 2**n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ops = rng.normal(size=(k, d_sup, d_sup)) + 1j * rng.normal(size=(k, d_sup, d_sup))
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return dims, support, ops, x
+    return n, support, ops, x
 
 
 @given(local_actions())
 @settings(max_examples=60, deadline=None)
 def test_apply_local_matches_dense_reference(case):
-    dims, support, ops, x = case
-    full = [embed_operator(k, support, dims) for k in ops]
+    n, support, ops, x = case
+    full = [embed_operator(k, support, n) for k in ops]
     if x.ndim == 1:
         want = sum(f @ x for f in full)
     else:
         want = sum(f @ x @ f.conj().T for f in full)
-    got = apply_local(x, ops, support, dims)
+    got = apply_local(x, ops, support)
     assert got.shape == x.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
     if x.ndim == 2:  # the stack's superoperator is the same map, contracted the same way
-        np.testing.assert_array_equal(apply_local(x, superoperator(ops), support, dims), got)
+        np.testing.assert_array_equal(apply_local(x, superoperator(ops), support), got)
 
 
 def test_apply_local_rejects_mismatched_shapes():
     x = np.eye(8, dtype=np.complex128)
     with pytest.raises(ValueError):
-        apply_local(x, [np.eye(4)], (0,), qubit_dims(3))
+        apply_local(x, [np.eye(4)], (0,))
+    with pytest.raises(ValueError, match="duplicates"):
+        apply_local(x, [np.eye(2)], (0, 0))
+    with pytest.raises(ValueError, match="out of range"):
+        apply_local(x, [np.eye(2)], (3,))
     with pytest.raises(ValueError):
-        apply_local(x, [np.eye(2)], (0, 0), qubit_dims(3))
-    with pytest.raises(ValueError):
-        apply_local(np.eye(4), [np.eye(2)], (0,), qubit_dims(3))
+        apply_local(np.ones((8, 4)), [np.eye(2)], (0,))
     with pytest.raises(ValueError, match="superoperator acts on a matrix"):
-        apply_local(np.ones(8), superoperator([np.eye(2)]), (0,), qubit_dims(3))
+        apply_local(np.ones(8), superoperator([np.eye(2)]), (0,))
 
 
 BAD_PAIR_LISTS = {
