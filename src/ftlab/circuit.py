@@ -18,7 +18,10 @@ measurement that a later gate is conditioned on splits the walk into one
 branch per outcome, a conditioned gate acts only on the branches with its
 outcome, a density matrix's branches are summed again once no gate reads
 that outcome, and each caller sums the branch states it gets back (the
-environment run sums their partial traces over the environment).
+environment run sums their partial traces over the environment). A ket
+has no non-selective sum, so in the environment run every measurement
+splits the walk into one branch per nonzero outcome, recorded only where
+a gate reads it.
 
 The walk is lazy: its state spans only the active qubits, those some
 location other than a prep has touched, and every other qubit is a small
@@ -244,10 +247,13 @@ def validate_circuit(c: Circuit) -> list[str]:
         elif loc.kind == "measure" and bad_shape:
             out.append(f"location {loc.index}: projector dimension mismatch")
         elif loc.kind == "measure":
-            if not np.max(np.abs(loc.ops - loc.ops.conj().transpose(0, 2, 1))) <= VALIDATION_ATOL:
+            herm = np.max(np.abs(loc.ops - loc.ops.conj().transpose(0, 2, 1))) <= VALIDATION_ATOL
+            if not herm:
                 out.append(f"location {loc.index}: projectors must be Hermitian")
             if np.max(np.abs(loc.ops.sum(axis=0) - np.eye(d))) > VALIDATION_ATOL:
                 out.append(f"location {loc.index}: projectors do not sum to I")
+            elif herm and np.max(np.abs(loc.ops @ loc.ops - loc.ops)) > VALIDATION_ATOL:
+                out.append(f"location {loc.index}: projectors must satisfy P P = P")
             measure_arity[loc.index] = len(loc.ops)
         if loc.condition is not None and loc.kind != "gate":
             out.append(f"location {loc.index}: only gates may be conditioned")
@@ -314,10 +320,10 @@ def _walk(
     every branch is permuted to global qubit order, system qubits first;
     their sum is the evolved state.
 
-    With `env` a branch is P_a x, branches are never summed but, past d of
-    them with the same outcomes (d the active dimension), refactored into
-    d (`_merge`), and a measurement no gate is conditioned on is left to
-    the caller.
+    With `env` every measurement splits each branch x into its nonzero
+    parts P_a x, recording a only when a gate is conditioned on it, and
+    branches are never summed but, past d of them with the same recorded
+    outcomes (d the active dimension), refactored into d (`_merge`).
     """
     n = c.n_system
     vector = env is not None
@@ -359,14 +365,14 @@ def _walk(
             scale = math.prod(np.trace(f) if f.ndim == 2 else np.linalg.norm(f) for f in dropped)
             psi = loc.ops[0, :, 0]
             pending[loc.support] = scale * (psi if vector else np.outer(psi, psi.conj()))
-        elif loc.kind == "gate" or loc.kind == "measure" and (not vector or loc.index in readers):
+        elif loc.kind in ("gate", "measure"):
             pos = positions(loc.support)
-            if loc.index in readers:
-                branches = [
-                    ({**rec, loc.index: a}, apply_local(x, loc.ops[a:a + 1], pos))
-                    for rec, x in branches
-                    for a in range(len(loc.ops))
-                ]
+            read = loc.index in readers
+            if read or vector and loc.kind == "measure":
+                split = ((rec, a, apply_local(x, loc.ops[a:a + 1], pos))
+                         for rec, x in branches for a in range(len(loc.ops)))
+                branches = [({**rec, loc.index: a} if read else rec, y)
+                            for rec, a, y in split if not vector or y.any()]
             else:
                 cond = loc.condition
                 branches = [
@@ -514,34 +520,19 @@ def simulate_with_environment(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint pure-state evolution with per-location coupling unitaries.
 
-    Requirements, checked before any evolution: the couplings pass
-    `_noise_terms` on the joint qubits (a known location, acting inside its
-    support plus the environment), and a measurement that no gate is
-    conditioned on must be uncoupled and terminal on its qubits. `_walk`
-    then evolves |0...0> (x) env.initial through that table, one branch
-    P_a |psi> per outcome a of a measurement that gates are conditioned on
-    and one per nonzero part <k|psi of a prep on active qubits. The reduced
-    system state is the sum over branches of Tr_env |psi_b><psi_b|; the
-    other measurements are deferred and applied to it as non-selective
-    projections. Returns the reduced system density matrix and the
-    read-out probabilities.
+    The couplings must pass `_noise_terms` on the joint qubits (a known
+    location, acting inside its support plus the environment), checked
+    before any evolution. `_walk` then evolves |0...0> (x) env.initial
+    through that table, one branch per nonzero part P_a |psi> of each
+    measurement and <k|psi of a prep on active qubits, so a measured qubit
+    may be coupled, reused or re-prepared. The reduced system state is the
+    sum over branches of Tr_env |psi_b><psi_b|. Returns the reduced system
+    density matrix and the read-out probabilities.
     """
     n_sys = c.n_system
     qubit_dims(n_sys + env.n_env)  # an over-cap joint space is refused before any work
     after = _noise_terms(c, env.couplings, n_sys + env.n_env)
-    readers = _last_readers(c)
-    deferred: list[Location] = []
-    for loc in c.locations:
-        stale = [m.index for m in deferred if set(m.support) & set(loc.support)]
-        if stale:
-            raise ValueError(f"measurement at location {stale[0]} must be terminal on its qubits")
-        if loc.kind == "measure" and loc.index not in readers:
-            if loc.index in after:
-                raise ValueError("measurements must be ideal (no coupling)")
-            deferred.append(loc)
     # the branches side by side, so one product sums Tr_env over them
     m = np.hstack([psi.reshape(2**n_sys, -1) for psi in _walk(c, after, env.initial)])
     rho_sys = m @ m.conj().T
-    for loc in deferred:
-        rho_sys = apply_local(rho_sys, loc.ops, loc.support)
     return rho_sys, _readout(c, rho_sys)

@@ -706,7 +706,7 @@ def _cmd_threshold(params: dict, seed: int, workers: int) -> tuple[dict, list[di
     if {"L", "delta0", "eps"} & params.keys():  # read together, each required
         target = _param(params, "L", int), _param(params, "delta0"), _param(params, "eps")
     sub = _object(params.get("pseudothreshold", {}), "pseudothreshold")
-    _unread(sub, "params", "samples", "mode")
+    _unread(sub, "pseudothreshold", "samples", "mode")
     samples = _param(sub, "samples", int, 10**5)
     results: dict = {
         "L0": scheme.L0,

@@ -34,11 +34,12 @@ class BudgetExceededError(ValueError):
     """Monte Carlo leaf-draw budget or gadget-graph size cap exceeded."""
 
 
-def _check_budget(samples: int, leaves_per_sample: int) -> None:
-    """Refuse, before any draw, a run of more than MC_BUDGET leaves."""
-    if samples * leaves_per_sample > MC_BUDGET:
+def _check_budget(samples: int, leaves_per_sample: int, probes: int = 1) -> None:
+    """Refuse, before any draw, a run of more than MC_BUDGET leaves over all its probes."""
+    if probes * samples * leaves_per_sample > MC_BUDGET:
+        runs = f"{probes} probes x " if probes > 1 else ""
         raise BudgetExceededError(
-            f"{samples} samples x {leaves_per_sample} leaves exceeds the "
+            f"{runs}{samples} samples x {leaves_per_sample} leaves exceeds the "
             f"{MC_BUDGET} leaf budget; use the exact iterated map instead"
         )
 

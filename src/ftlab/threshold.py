@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gadgets import level1_failure_exact, level1_failure_mc
+from .gadgets import _check_budget, level1_failure_exact, level1_failure_mc
 
 MAX_LEVEL = 64
 BISECTION_TOL = 1e-8
@@ -149,33 +149,32 @@ def pseudothreshold_mc(
     final bracket as the interval and ignores `samples`; mode="mc"
     estimates the tail from `samples` (at least 1000) draws per probe and
     returns a 95% interval propagated through the local slope of the
-    crossing.
+    crossing. All probes together count against MC_BUDGET.
     """
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "mc" and samples < 1000:
         raise ValueError("samples must be >= 1000")
+    lo, hi = 1e-12, 0.5
+    probes = math.ceil(math.log2((hi - lo) / BISECTION_TOL))  # one per halving
+    if mode == "mc":
+        _check_budget(samples, p.L0, probes)
 
-    probes = 0
-
-    def sign_fn(eps: float) -> float:
-        nonlocal probes
+    def sign_fn(eps: float, probe: int) -> float:
         if mode == "exact":
             return level1_failure_exact(p.L0, p.t, eps) - eps
-        probes += 1
-        est, _ = level1_failure_mc(p.L0, p.t, eps, samples, [seed, probes])
+        est, _ = level1_failure_mc(p.L0, p.t, eps, samples, [seed, probe])
         return est - eps
 
-    lo, hi = 1e-12, 0.5
     f_lo = level1_failure_exact(p.L0, p.t, lo) - lo
     f_hi = level1_failure_exact(p.L0, p.t, hi) - hi
     if not (f_lo < 0.0 < f_hi):
         raise ValueError(
             "level-1 failure never crosses eps on (0, 0.5); degenerate parameters"
         )
-    while hi - lo > BISECTION_TOL:
+    for probe in range(1, probes + 1):
         mid = 0.5 * (lo + hi)
-        if sign_fn(mid) > 0.0:
+        if sign_fn(mid, probe) > 0.0:
             hi = mid
         else:
             lo = mid

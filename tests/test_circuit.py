@@ -141,6 +141,10 @@ VALIDATE_MESSAGES = {
         lambda: seq(1, Z(0, 0, 0, [np.diag([0.5, 0.0]), np.diag([0.0, 0.5])])),
         "invalid circuit: location 1: projectors do not sum to I",
     ),
+    "measure_not_projector": (
+        lambda: seq(1, Z(0, 0, 0, [np.eye(2) / 2, np.eye(2) / 2])),
+        "invalid circuit: location 1: projectors must satisfy P P = P",
+    ),
     "condition_on_measure": (
         lambda: seq(1, Z(0, 0, 0), replace(Z(0, 0, 0), condition=(1, 0))),
         "invalid circuit: location 2: only gates may be conditioned",
@@ -530,20 +534,20 @@ def test_environment_runs_conditioned_circuits():
             np.testing.assert_allclose(dist_e, dist_i, rtol=0, atol=1e-12)
 
 
-def test_environment_refuses_a_reused_unreferenced_measurement():
-    # q0's measurement feeds no gate, so it is deferred and must be terminal;
-    # reusing a measured qubit is fine when a gate is conditioned on it
+def test_environment_reuses_an_unread_measured_qubit():
+    # q0 is measured and used again, whether or not a gate reads the outcome;
+    # both runs equal the ideal walk
     ops = [
         Location.prep(0, 0, 0, KET_PLUS),
         Location.measure(0, 0, 0),
         Location.gate_on(0, 0, 0, HADAMARD),
     ]
     env = EnvironmentSpec(1, KET0, {})
-    with pytest.raises(ValueError, match="measurement at location 2 must be terminal"):
-        simulate_with_environment(seq(1, *ops), env)
-    ops.append(Location.gate_on(0, 0, 0, SIGMA_X, condition=(2, 1)))
-    rho, _ = simulate_with_environment(seq(1, *ops), env)
-    np.testing.assert_allclose(rho, simulate_ideal(seq(1, *ops))[0], rtol=0, atol=1e-12)
+    for c in (seq(1, *ops), seq(1, *ops, Location.gate_on(0, 0, 0, SIGMA_X, condition=(2, 1)))):
+        rho, dist = simulate_with_environment(c, env)
+        np.testing.assert_allclose(rho, _joint_reference(c, env), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rho, simulate_ideal(c)[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dist, [0.5, 0.5], rtol=0, atol=1e-12)
 
 
 def test_circuit_json_named_gates():
@@ -894,18 +898,18 @@ def _joint_reference(c, env, ref=None):
     """The environment run's reduced state from dense joint density matrices,
     one per outcome of the measurement `ref`: preps as the reset channel
     sum_k |psi><k| . |k><psi|, gates and couplings as U . U^dag, and the
-    other measurements applied to the reduced state at the end."""
+    other measurements as sum_a P_a . P_a, each where it stands."""
     n_sys = c.n_system
     n = n_sys + env.n_env
     psi0 = np.kron(np.eye(2**n_sys)[0], env.initial)
     branches = [(None, np.outer(psi0, psi0.conj()))]
-    deferred = []
     for loc in c.locations:
-        if loc.index == ref:
+        if loc.kind == "measure":
             projs = [_dense(p, loc.support, n) for p in loc.ops]
-            branches = [(a, p @ rho @ p) for _, rho in branches for a, p in enumerate(projs)]
-        elif loc.kind == "measure":
-            deferred.append(loc)
+            if loc.index == ref:
+                branches = [(a, p @ rho @ p) for _, rho in branches for a, p in enumerate(projs)]
+            else:
+                branches = [(a, sum(p @ rho @ p for p in projs)) for a, rho in branches]
         elif loc.kind == "prep":
             d = 2 ** len(loc.support)
             kraus = [_dense(np.outer(loc.ops[0, :, 0], row), loc.support, n) for row in np.eye(d)]
@@ -919,21 +923,27 @@ def _joint_reference(c, env, ref=None):
             cp = env.couplings[loc.index]
             u = _dense(cp.kraus[0], cp.support, n)
             branches = [(a, u @ rho @ u.conj().T) for a, rho in branches]
-    want = partial_trace(sum(rho for _, rho in branches), range(n_sys))
-    for loc in deferred:
-        want = sum(_dense(p, loc.support, n_sys) @ want @ _dense(p, loc.support, n_sys)
-                   for p in loc.ops)
-    return want
+    return partial_trace(sum(rho for _, rho in branches), range(n_sys))
+
+
+def _random_measure(rng, support):
+    """A projective measurement on `support` in a Haar-random basis, its
+    basis vectors split into 2..d groups, one projector per group."""
+    d = 2 ** len(support)
+    basis = haar_unitary(rng, d).T
+    groups = np.array_split(basis[rng.permutation(d)], int(rng.integers(2, d + 1)))
+    return Location.measure(0, 0, support, [g.T @ g.conj() for g in groups])
 
 
 @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_environment_run_matches_dense_joint_evolution(n_sys, n_env, seed):
-    # random preps (on fresh or on used qubits), gates, one measurement in a
-    # random basis feeding a conditioned gate, its qubit reused afterwards,
-    # a qubit re-prepared right after a coupling, terminal measurements and
-    # couplings (on the conditioned measurement too), against dense joint
-    # density matrices, one per outcome
+    # random preps (on fresh or on used qubits), gates, unread mid-circuit
+    # measurements in random bases (some re-prepared at once), one
+    # measurement in a random basis feeding a conditioned gate, its qubit
+    # reused afterwards, a qubit re-prepared right after a coupling,
+    # terminal measurements and couplings on any location, measurements
+    # included, against dense joint density matrices, one per outcome
     rng = np.random.default_rng(seed)
     ops = []
 
@@ -941,8 +951,13 @@ def test_environment_run_matches_dense_joint_evolution(n_sys, n_env, seed):
         for _ in range(count):
             k = int(rng.integers(1, min(n_sys, 2) + 1))
             support = [int(q) for q in rng.choice(n_sys, k, replace=False)]
-            if rng.random() < 0.4:
+            draw = rng.random()
+            if draw < 0.3:
                 ops.append(Location.prep(0, 0, support, haar_unitary(rng, 2**k)[:, 0]))
+            elif draw < 0.5:
+                ops.append(_random_measure(rng, support))
+                if rng.random() < 0.5:
+                    ops.append(Location.prep(0, 0, support, haar_unitary(rng, 2**k)[:, 0]))
             else:
                 ops.append(Location.gate_on(0, 0, support, haar_unitary(rng, 2**k)))
 
@@ -970,7 +985,7 @@ def test_environment_run_matches_dense_joint_evolution(n_sys, n_env, seed):
         if loc.index == coupled:
             support = (*loc.support, *range(n_sys, n_sys + n_env))
             couplings[loc.index] = env_coupling(support, haar_unitary(rng, 2 ** len(support)))
-        elif (loc.kind != "measure" or loc.index == ref) and rng.random() < 0.6:
+        elif rng.random() < 0.6:
             sys_part = [q for q in loc.support if rng.random() < 0.7]
             env_part = [n_sys + e for e in range(n_env) if not sys_part or rng.random() < 0.6]
             support = tuple(sys_part + env_part)
@@ -1005,16 +1020,41 @@ def test_environment_reprep_keeps_at_most_d_branches():
     np.testing.assert_allclose(rho, _joint_reference(c, env), rtol=0, atol=1e-12)
 
 
-def test_environment_refuses_a_coupled_deferred_measurement():
-    # a measurement no gate reads is deferred, so a coupling after it has no
-    # place; a coupling after a measurement the walk branches on is fine
+def test_environment_couples_an_unread_measurement():
+    # a coupling acts after a measurement whether or not a gate reads it:
+    # the CNOT copies each outcome into the environment
     ops = [Location.prep(0, 0, 0, KET_PLUS), Location.measure(0, 0, 0)]
     env = EnvironmentSpec(1, KET0, {2: env_coupling((0, 1), CNOT)})
-    with pytest.raises(ValueError, match=r"measurements must be ideal \(no coupling\)"):
-        simulate_with_environment(seq(1, *ops), env)
-    c = seq(1, *ops, Location.gate_on(0, 0, 0, SIGMA_X, condition=(2, 1)))
-    rho, _ = simulate_with_environment(c, env)
-    np.testing.assert_allclose(rho, _joint_reference(c, env, ref=2), rtol=0, atol=1e-12)
+    for c, ref in ((seq(1, *ops), None),
+                   (seq(1, *ops, Location.gate_on(0, 0, 0, SIGMA_X, condition=(2, 1))), 2)):
+        rho, _ = simulate_with_environment(c, env)
+        np.testing.assert_allclose(rho, _joint_reference(c, env, ref), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(simulate_with_environment(seq(1, *ops), env)[0], np.eye(2) / 2,
+                               rtol=0, atol=1e-12)
+
+
+def test_environment_ancilla_measured_and_reprepared_keeps_at_most_d_branches():
+    # an ancilla q0 re-prepared, coupled to the data qubit q1 and the
+    # environment, and measured in a random basis, 12 times; every other
+    # measurement is coupled too. Each measurement splits every branch in
+    # two and each prep of the measured ancilla splits them again, yet the
+    # walk keeps no more than d = 8, not 4^12
+    rng = np.random.default_rng(12)
+    ops, couplings = [Location.prep(0, 0, 1, haar_unitary(rng, 2)[:, 0])], {}
+    for i in range(12):
+        ops += [Location.prep(0, 0, 0, haar_unitary(rng, 2)[:, 0]),
+                Location.gate_on(0, 0, (0, 1), CNOT), _random_measure(rng, (0,))]
+        couplings[len(ops) - 1] = env_coupling((0, 1, 2), haar_unitary(rng, 8))
+        if i % 2:
+            couplings[len(ops)] = env_coupling((0, 2), haar_unitary(rng, 4))
+    c = seq(2, *ops, Location.gate_on(0, 0, 1, HADAMARD))
+    env = EnvironmentSpec(1, haar_unitary(rng, 2)[:, 0], couplings)
+    after = {i: (cp.support, cp.kraus) for i, cp in couplings.items()}
+    assert len(_walk(c, after, env.initial)) <= 8
+    rho, dist = simulate_with_environment(c, env)
+    want = _joint_reference(c, env)
+    np.testing.assert_allclose(rho, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dist, np.diagonal(want).real, rtol=0, atol=1e-12)
 
 
 def test_environment_refuses_a_coupling_at_an_unknown_location():

@@ -174,6 +174,12 @@ REFUSALS = {
         {"L0": 7, "t": 1, "pseudothreshold": {"samples": 10**12, "mode": "mc"}},
         "1000000000000 samples x 7 leaves exceeds the 1000000000 leaf budget",
     ),
+    # 7 x 10^8 leaves per probe fit the budget, but the bisection takes 26 probes
+    "pseudothreshold_budget_over_probes": (
+        "threshold",
+        {"L0": 7, "t": 1, "pseudothreshold": {"samples": 10**8, "mode": "mc"}},
+        "26 probes x 100000000 samples x 7 leaves exceeds the 1000000000 leaf budget",
+    ),
 }
 
 
@@ -288,6 +294,8 @@ def _couplings(*entry):
     return {"evaluator": "unitary_couplings", "couplings": [[list(entry), [0, 0], [0, 0], [1, 0]]]}
 
 
+_HALF_I = [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]
+
 MALFORMED = {
     "locations_string": ("accuracy", {"circuit": {"n_system": 1, "locations": "ab"}}, "locations"),
     "locations_list": ("accuracy", {"circuit": {"n_system": 1, "locations": [[1]]}}, "locations"),
@@ -319,6 +327,24 @@ MALFORMED = {
         "accuracy",
         {"circuit": _conditioned_measure([1])},
         "condition must be [measure index, outcome], got (1,)",
+    ),
+    # operators that sum to I but are no projectors: the fault-path map
+    # would not be trace preserving
+    "measure_not_projector": (
+        "faultpaths",
+        {
+            "mode": "earliest",
+            "r": 2,
+            "circuit": {
+                "n_system": 1,
+                "locations": [
+                    {"kind": "prep", "support": [0], "state": "+"},
+                    {"kind": "measure", "support": [0], "projectors": [_HALF_I, _HALF_I]},
+                ],
+            },
+            "noise": {"2": {"kind": "depolarizing", "p": 0.1}},
+        },
+        "invalid circuit: location 2: projectors must satisfy P P = P",
     ),
     # a coupling keyed by a location the circuit does not have
     "coupling_unknown_location": (
@@ -635,6 +661,11 @@ BAD_PARAMS = {
     "threshold_partial_target": ("threshold", {"L0": 7, "t": 1, "L": 1000}, "'delta0'"),
     "pseudothreshold_misspelt_mode": (
         "threshold", {"L0": 7, "t": 1, "pseudothreshold": {"mdoe": "mc"}}, "'mdoe' is not read"
+    ),
+    "pseudothreshold_misspelt_samples": (
+        "threshold",
+        {"L0": 7, "t": 1, "pseudothreshold": {"sampels": 1000}},
+        "pseudothreshold key 'sampels' is not read: this run reads samples, mode",
     ),
     # scalars are checked, never cast
     "levels_fraction": ("levelred", {**_LEVELRED, "levels": 2.9}, "levels must be an integer, got 2.9"),
