@@ -279,20 +279,26 @@ class LevelEstimate(NamedTuple):
     trials: int
 
 
-def _reduce_chunk(
-    m: int, levels: int, L0: int, t: int, eps: float, rng: np.random.Generator
-) -> list[int]:
-    fail = rng.binomial(L0, eps, size=(m, L0 ** (levels - 1))) > t
-    counts = [int(np.count_nonzero(fail))]
+def _failing_blocks(n: int, p1: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted ids in [0, n) of blocks failing iid with probability p1: sums of geometric gaps."""
+    found = [np.full(1, -1)]
+    size = min(n + 1, int(n * p1 + 4 * math.sqrt(n * p1)) + 16)
+    while p1 and found[-1][-1] < n - 1:
+        # a gap clipped at n + 1 still leaves the chunk, and a saturated one cannot overflow
+        found.append(found[-1][-1] + np.cumsum(np.minimum(rng.geometric(p1, size), n + 1)))
+    ids = np.concatenate(found)[1:]
+    return ids[: np.searchsorted(ids, n)]
+
+
+def _reduce_chunk(ids: np.ndarray, levels: int, L0: int, t: int) -> list[int]:
+    """Per-level failure counts folded up from the sorted failing level-1 ids: siblings
+    are adjacent, so a parent fails when the id t places later has the same parent."""
+    counts = [ids.size]
     for _ in range(levels - 1):
-        # a node's failed-child count is at most L0, so it fits the narrowest
-        # unsigned type holding L0
-        children = fail.view(np.uint8).reshape(m, -1, L0)
-        acc = children[:, :, 0].astype(np.min_scalar_type(L0))
-        for k in range(1, L0):
-            acc += children[:, :, k]
-        fail = acc > t
-        counts.append(int(np.count_nonzero(fail)))
+        parent = ids // L0
+        hit = parent[t:][parent[t:] == parent[: -t or None]]
+        ids = hit[np.diff(hit, prepend=-1) != 0]  # a parent's repeats are adjacent
+        counts.append(ids.size)
     return counts
 
 
@@ -309,12 +315,14 @@ def level_reduce_mc(
 
     Each sample covers L0^levels iid Bernoulli(eps) leaves and folds upward:
     a node fails when more than t of its L0 children fail. A level-1 block
-    fails exactly when Binomial(L0, eps) > t, so each sample draws its
-    L0^(levels-1) level-1 blocks as binomials, not its leaves one by one:
-    the same distribution from L0x fewer draws. Nodes on one level sit over
-    disjoint leaf sets, so all trials at a level are independent and carry
-    an exact binomial standard error. Work is split into fixed-size chunks
-    (sized and budgeted in leaves) with chunk-indexed RNG streams, so
+    fails exactly when Binomial(L0, eps) > t, with probability p1 =
+    level1_failure_exact(L0, t, eps), so each sample's L0^(levels-1) level-1
+    blocks are iid Bernoulli(p1) trials. Only the failing ones are drawn, as
+    sorted ids, and each level folds the ids below it: the cost is
+    O(failing blocks). Nodes on one level sit over disjoint leaf sets, so
+    all trials at a level are independent and carry an exact binomial
+    standard error. Chunks hold about 2^17 expected failing blocks (the
+    budget still counts leaves) and draw from chunk-indexed RNG streams, so
     results do not depend on the worker count.
     """
     if levels < 1:
@@ -325,9 +333,10 @@ def level_reduce_mc(
         raise ValueError(f"need 0 <= t < L0, got t={t}, L0={L0}")
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"fault probability out of range: {eps}")
-    leaves_per_sample = L0**levels
-    _check_budget(samples, leaves_per_sample)
-    chunk = max(1, min(samples, (1 << 22) // leaves_per_sample or 1))
+    _check_budget(samples, L0**levels)
+    p1 = level1_failure_exact(L0, t, eps)
+    blocks = L0 ** (levels - 1)
+    chunk = max(1, int(min(samples, (1 << 17) / (blocks * p1)))) if p1 else samples
     tasks = [
         (idx, min(chunk, samples - idx * chunk))
         for idx in range((samples + chunk - 1) // chunk)
@@ -335,7 +344,8 @@ def level_reduce_mc(
 
     def run(task: tuple[int, int]) -> list[int]:
         idx, m = task
-        return _reduce_chunk(m, levels, L0, t, eps, np.random.default_rng([seed, idx]))
+        rng = np.random.default_rng([seed, idx])
+        return _reduce_chunk(_failing_blocks(m * blocks, p1, rng), levels, L0, t)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor

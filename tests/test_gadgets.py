@@ -10,6 +10,7 @@ from ftlab.gadgets import (
     FaultConfig,
     Gadget,
     GadgetGraph,
+    _failing_blocks,
     _reduce_chunk,
     iterate_failure_map,
     level1_failure_exact,
@@ -281,8 +282,13 @@ def test_iterate_failure_map():
 
 
 def test_level_reduce_mc_zero_noise():
-    for row in level_reduce_mc(3, 5, 1, 0.0, 1000, 3):
-        assert row.probability == 0.0
+    # at eps = 1e-10, p1 = 2.1e-19 saturates numpy's geometric draw at 2^63 - 1;
+    # at 1e-300 and 5e-324 it underflows to 0
+    for eps in (0.0, 1e-10, 1e-300, 5e-324):
+        for row in level_reduce_mc(3, 7, 1, eps, 100_000, 3):
+            assert row.probability == 0.0 and row.stderr == 0.0
+    for row in level_reduce_mc(3, 7, 1, 1.0, 1000, 3):
+        assert row.probability == 1.0 and row.stderr == 0.0
 
 
 def test_level_reduce_mc_below_threshold_decreasing_and_calibrated():
@@ -304,12 +310,12 @@ def test_level_reduce_mc_above_fixed_point_non_decreasing():
         assert b.probability >= a.probability - 3 * (a.stderr + b.stderr)
 
 
-def reference_fold(m, levels, L0, t, eps, rng):
-    """Per-level failure counts folded with int64 sums over the child axis."""
-    fail = rng.binomial(L0, eps, size=(m, L0 ** (levels - 1))) > t
+def reference_fold(fail, levels, L0, t):
+    """Per-level failure counts of a dense (m, L0^(levels-1)) level-1 failure
+    array, folded with int64 sums over the child axis."""
     counts = [int(fail.sum())]
     for _ in range(levels - 1):
-        fail = fail.reshape(m, -1, L0).sum(axis=2) > t
+        fail = fail.reshape(len(fail), -1, L0).sum(axis=2) > t
         counts.append(int(fail.sum()))
     return counts
 
@@ -320,17 +326,24 @@ def reference_fold(m, levels, L0, t, eps, rng):
         (64, 3, 7, 1, 0.2),
         (64, 3, 5, 0, 0.05),
         (3, 2, 300, 0, 0.001),
-        # every one of 300 children fails: a uint8 count would wrap to 44
+        # every one of 300 children fails, so each parent has a full sibling run
         (3, 2, 300, 100, 0.5),
         (8, 2, 300, 100, 0.335),
     ],
 )
 def test_reduce_chunk_matches_int64_fold(m, levels, L0, t, eps):
+    n = m * L0 ** (levels - 1)
+    p1 = level1_failure_exact(L0, t, eps)
     for seed in range(3):
-        got = _reduce_chunk(m, levels, L0, t, eps, np.random.default_rng([seed, L0]))
-        want = reference_fold(m, levels, L0, t, eps, np.random.default_rng([seed, L0]))
-        assert got == want
+        ids = _failing_blocks(n, p1, np.random.default_rng([seed, L0]))
+        assert np.all(np.diff(ids) > 0) and np.all((0 <= ids) & (ids < n))
+        fail = np.zeros(n, dtype=bool)
+        fail[ids] = True
+        got = _reduce_chunk(ids, levels, L0, t)
+        assert got == reference_fold(fail.reshape(m, -1), levels, L0, t)
         assert all(type(c) is int for c in got)
+    if t == 100 and eps == 0.5:
+        assert got == [n, m]
 
 
 def test_level_reduce_mc_budget_and_workers():
@@ -339,9 +352,9 @@ def test_level_reduce_mc_budget_and_workers():
     solo = level_reduce_mc(2, 5, 1, 0.05, 30_000, seed=7, workers=1)
     quad = level_reduce_mc(2, 5, 1, 0.05, 30_000, seed=7, workers=4)
     assert solo == quad
-    # a chunk holds 2^22 // 7^3 = 12228 samples, so 40 000 samples are 4
-    # chunks and every worker count below runs several of them
-    rows = [level_reduce_mc(3, 7, 1, 0.05, 40_000, seed=5, workers=w) for w in (1, 2, 3)]
+    # a chunk holds 2^17 / (49 p1) = 60 272 samples at p1 = 0.0444, so
+    # 200 000 samples are 4 chunks and every worker count below runs several
+    rows = [level_reduce_mc(3, 7, 1, 0.05, 200_000, seed=5, workers=w) for w in (1, 2, 3)]
     assert rows[0] == rows[1] == rows[2]
 
 
