@@ -34,12 +34,15 @@ class BudgetExceededError(ValueError):
     """Monte Carlo leaf-draw budget or gadget-graph size cap exceeded."""
 
 
-def _check_budget(samples: int, leaves_per_sample: int, probes: int = 1) -> None:
-    """Refuse, before any draw, a run of more than MC_BUDGET leaves over all its probes."""
-    if probes * samples * leaves_per_sample > MC_BUDGET:
+def _check_budget(samples: int, L0: int, probes: int = 1, levels: int = 1) -> None:
+    """Refuse, before any draw, a run of more than MC_BUDGET leaves over all its
+    probes, at L0^levels leaves a sample."""
+    deep = L0 > 1 and levels >= MC_BUDGET.bit_length()  # L0^levels > MC_BUDGET, left unbuilt
+    if deep or probes * samples * L0**levels > MC_BUDGET:
         runs = f"{probes} probes x " if probes > 1 else ""
+        leaves = f"{L0}^{levels}" if deep else L0**levels
         raise BudgetExceededError(
-            f"{runs}{samples} samples x {leaves_per_sample} leaves exceeds the "
+            f"{runs}{samples} samples x {leaves} leaves exceeds the "
             f"{MC_BUDGET} leaf budget; use the exact iterated map instead"
         )
 
@@ -333,7 +336,7 @@ def level_reduce_mc(
         raise ValueError(f"need 0 <= t < L0, got t={t}, L0={L0}")
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"fault probability out of range: {eps}")
-    _check_budget(samples, L0**levels)
+    _check_budget(samples, L0, levels=levels)
     p1 = level1_failure_exact(L0, t, eps)
     blocks = L0 ** (levels - 1)
     chunk = max(1, int(min(samples, (1 << 17) / (blocks * p1)))) if p1 else samples

@@ -1,16 +1,20 @@
 """Concatenation-level arithmetic: the strength renormalization map, its
 threshold fixed point, double-exponential suppression, required coding level,
-overhead scaling, and a Monte Carlo pseudothreshold locator."""
+overhead scaling, and a pseudothreshold locator on one coupled MC sample."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .gadgets import _check_budget, level1_failure_exact, level1_failure_mc
+import numpy as np
+
+from .gadgets import _check_budget, level1_failure_exact
 
 MAX_LEVEL = 64
 BISECTION_TOL = 1e-8
+_Z95 = 1.959963984540054  # two-sided 95% quantile of the standard normal
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,10 @@ def renormalize_strength(eps_prev: float, p: SchemeParams) -> float:
 
 def threshold_value(p: SchemeParams) -> float:
     """Fixed point (xi * C(L0, t+1))^(-1/t) of the renormalization map."""
-    return (p.xi * p.combinations) ** (-1.0 / p.t)
+    try:
+        return (p.xi * p.combinations) ** (-1.0 / p.t)
+    except OverflowError:  # the product overflows a float: take it in log space
+        return math.exp(-(math.log(p.xi) + math.log(p.combinations)) / p.t)
 
 
 def strength_at_level(eps: float, k: int, p: SchemeParams) -> float:
@@ -126,14 +133,16 @@ def overhead_ratio(L: int, k: int, p: SchemeParams) -> tuple[float, float]:
     return float(p.L0) ** k, math.log(p.L0) / math.log(p.t + 1)
 
 
-def _tail_slope(L0: int, t: int, eps: float) -> float:
-    """d/d eps of P[Bin(L0, eps) > t] = L0 * C(L0-1, t) * eps^t (1-eps)^(L0-1-t)."""
-    return (
-        L0
-        * math.comb(L0 - 1, t)
-        * eps**t
-        * (1.0 - eps) ** (L0 - 1 - t)
-    )
+def _crossing(f, lo: float, hi: float) -> tuple[float, tuple[float, float]]:
+    """Midpoint and final bracket of the bisection of the sign of f(eps) - eps
+    on (lo, hi) down to BISECTION_TOL: hi moves down where f(eps) > eps."""
+    while hi - lo > BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if f(mid) - mid > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), (lo, hi)
 
 
 def pseudothreshold_mc(
@@ -144,48 +153,34 @@ def pseudothreshold_mc(
 ) -> tuple[float, tuple[float, float]]:
     """Crossing point of the level-1 failure probability with eps itself.
 
-    Bisection on the sign of P[fail](eps) - eps over (0, 0.5). mode="exact"
-    evaluates the binomial tail exactly (tolerance 1e-8) and returns the
-    final bracket as the interval and ignores `samples`; mode="mc"
-    estimates the tail from `samples` (at least 1000) draws per probe and
-    returns a 95% interval propagated through the local slope of the
-    crossing. All probes together count against MC_BUDGET.
+    Bisection on the sign of P[fail](eps) - eps over (0, 0.5) to 1e-8.
+    mode="exact" evaluates the binomial tail exactly, returns the final
+    bracket as the interval and ignores `samples`. mode="mc" draws once, for
+    `samples` (>= 1000) blocks of L0 uniform leaves, the (t+1)-th smallest
+    leaf U ~ Beta(t+1, L0-t); a block fails at eps iff U < eps, so the share
+    F_S(eps) of draws below eps estimates the tail at every eps, monotonely.
+    The 95% interval holds the eps the score test accepts: |F_S(eps) - eps| <=
+    z sqrt(eps (1-eps) / S). Each probe scans the sample and counts against MC_BUDGET.
     """
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "mc" and samples < 1000:
         raise ValueError("samples must be >= 1000")
     lo, hi = 1e-12, 0.5
-    probes = math.ceil(math.log2((hi - lo) / BISECTION_TOL))  # one per halving
-    if mode == "mc":
-        _check_budget(samples, p.L0, probes)
-
-    def sign_fn(eps: float, probe: int) -> float:
-        if mode == "exact":
-            return level1_failure_exact(p.L0, p.t, eps) - eps
-        est, _ = level1_failure_mc(p.L0, p.t, eps, samples, [seed, probe])
-        return est - eps
-
-    f_lo = level1_failure_exact(p.L0, p.t, lo) - lo
-    f_hi = level1_failure_exact(p.L0, p.t, hi) - hi
-    if not (f_lo < 0.0 < f_hi):
-        raise ValueError(
-            "level-1 failure never crosses eps on (0, 0.5); degenerate parameters"
-        )
-    for probe in range(1, probes + 1):
-        mid = 0.5 * (lo + hi)
-        if sign_fn(mid, probe) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    mid = 0.5 * (lo + hi)
+    if mode == "mc":  # one probe per halving, each scanning the whole sample
+        _check_budget(samples, p.L0, math.ceil(math.log2((hi - lo) / BISECTION_TOL)))
+    tail = partial(level1_failure_exact, p.L0, p.t)
+    if not (tail(lo) < lo and tail(hi) > hi):
+        raise ValueError("level-1 failure never crosses eps on (0, 0.5); degenerate parameters")
     if mode == "exact":
-        return mid, (lo, hi)
-    tail = level1_failure_exact(p.L0, p.t, mid)
-    sigma = math.sqrt(max(tail * (1.0 - tail), 1e-300) / samples)
-    slope = abs(_tail_slope(p.L0, p.t, mid) - 1.0)
-    half = 1.96 * sigma / max(slope, 1e-9) + BISECTION_TOL
-    return mid, (mid - half, mid + half)
+        return _crossing(tail, lo, hi)
+    u = np.random.default_rng(seed).beta(p.t + 1, p.L0 - p.t, samples)
+
+    def share(eps: float, z: float) -> float:  # F_S(eps) + z standard errors at eps
+        return np.count_nonzero(u < eps) / samples + z * math.sqrt(eps * (1 - eps) / samples)
+
+    crossing, low, high = (_crossing(partial(share, z=z), lo, hi)[0] for z in (0.0, _Z95, -_Z95))
+    return crossing, (low, high)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,17 @@ def test_threshold_command_reports_eps0(tmp_path, capsysbinary):
     assert doc["config"]["output"] == {"format": "json"}
 
 
+def test_threshold_command_eps0_past_float_range(tmp_path, capsysbinary):
+    # xi * C(10^6, 101) overflows a float; eps0 is then taken in log space
+    cfg = write_config(
+        tmp_path, "th.json", {"command": "threshold", "params": {"L0": 10**6, "t": 100}}
+    )
+    code, out, err = run(capsysbinary, ["threshold", "--config", cfg])
+    assert code == 0, err
+    want = math.exp(-(1 + math.log(math.comb(10**6, 101))) / 100)
+    assert json.loads(out)["results"]["eps0"] == pytest.approx(want, rel=1e-12)
+
+
 def test_malformed_json_exits_2_without_report(tmp_path, capsysbinary):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -129,6 +140,17 @@ REFUSALS = {
         {"levels": 10, "L0": 5, "t": 1, "eps": 0.01, "samples": 10**6},
         "leaf budget",
     ),
+    # L0^levels is neither built nor printed: 7^10^4 has 8451 digits
+    "levelred_levels_1e4": (
+        "levelred",
+        {"levels": 10**4, "L0": 7, "t": 1, "eps": 0.01, "samples": 1000},
+        "1000 samples x 7^10000 leaves exceeds the 1000000000 leaf budget",
+    ),
+    "levelred_levels_1e8": (
+        "levelred",
+        {"levels": 10**8, "L0": 7, "t": 1, "eps": 0.01, "samples": 1000},
+        "1000 samples x 7^100000000 leaves exceeds the 1000000000 leaf budget",
+    ),
     "dim_cap_13_qubits": (
         "accuracy",
         {"circuit": _h_chain(13, 2)},
@@ -174,7 +196,8 @@ REFUSALS = {
         {"L0": 7, "t": 1, "pseudothreshold": {"samples": 10**12, "mode": "mc"}},
         "1000000000000 samples x 7 leaves exceeds the 1000000000 leaf budget",
     ),
-    # 7 x 10^8 leaves per probe fit the budget, but the bisection takes 26 probes
+    # 7 x 10^8 leaves per probe fit the budget, but the bisection takes 26
+    # probes and each scans the whole sample
     "pseudothreshold_budget_over_probes": (
         "threshold",
         {"L0": 7, "t": 1, "pseudothreshold": {"samples": 10**8, "mode": "mc"}},

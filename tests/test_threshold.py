@@ -2,6 +2,7 @@ import ast
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 import ftlab
@@ -209,6 +210,36 @@ def test_pseudothreshold_mc_mode_agrees():
     assert lo <= exact <= hi
     again, _ = pseudothreshold_mc(P5, 10**6, 42, mode="mc")
     assert est == again
+
+
+@pytest.mark.parametrize("L0, t, samples", [(7, 1, 10**5), (5, 1, 2 * 10**4)])
+def test_pseudothreshold_mc_interval_covers_exact_crossing(L0, t, samples):
+    # seeds fixed in advance; 180 of 200 is the nominal 95% less about 3 sd
+    p = SchemeParams(L0, t)
+    exact, _ = pseudothreshold_mc(p, samples, 0, mode="exact")
+    covered = 0
+    for seed in range(200):
+        est, (lo, hi) = pseudothreshold_mc(p, samples, seed, mode="mc")
+        assert lo <= est <= hi
+        covered += lo <= exact <= hi
+    assert covered >= 180
+
+
+def test_pseudothreshold_mc_is_the_crossing_of_one_sorted_beta_sample():
+    # a block's (t+1)-th smallest leaf U ~ Beta(t+1, L0-t); the share of the
+    # seed's draws below eps, read off the sorted sample, is bisected here
+    L0, t, samples, seed = 7, 1, 10**5, 3
+    u = np.sort(np.random.default_rng(seed).beta(t + 1, L0 - t, samples))
+    a, b = 1e-12, 0.5
+    for _ in range(26):
+        m = 0.5 * (a + b)
+        if np.searchsorted(u, m, side="left") / samples > m:
+            b = m
+        else:
+            a = m
+    est, (lo, hi) = pseudothreshold_mc(SchemeParams(L0, t), samples, seed, mode="mc")
+    assert est == 0.5 * (a + b)
+    assert lo <= est <= hi
 
 
 def test_pseudothreshold_above_closed_form_threshold():
