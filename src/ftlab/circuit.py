@@ -27,7 +27,9 @@ The walk is lazy: its state spans only the active qubits, those some
 location other than a prep has touched, and every other qubit is a small
 pending block (a prep's state, or |0>) kron'd in when a location first
 needs it, so a GHZ chain grows the state by one qubit per CNOT. The walk
-returns every branch on all qubits, in global qubit order.
+returns every branch on all qubits, in global qubit order. A read-out walk
+(``accuracy_delta_exact``'s) instead retires each qubit after its last
+location, so its state is only as wide as its live qubits.
 
 Operators are plain complex128 arrays on the qubits of a location's
 support; the simulators return the final density matrix on the
@@ -289,6 +291,7 @@ def _walk(
     c: Circuit,
     after: Mapping[int, tuple[Sequence[int], np.ndarray]],
     env: np.ndarray | None = None,
+    readout: bool = False,
 ) -> list[np.ndarray]:
     """Evolve |0...0><0...0| on c's qubits through `c`, or with `env` the
     ket |0...0> (x) env, env an environment's initial state on the qubits
@@ -324,13 +327,21 @@ def _walk(
     parts P_a x, recording a only when a gate is conditioned on it, and
     branches are never summed but, past d of them with the same recorded
     outcomes (d the active dimension), refactored into d (`_merge`).
+
+    With `readout` (density matrices only) a qubit retires after its last
+    location, or the last gate reading its measurements if later, and that
+    location's `after` entry; an untouched qubit at the end. A read-out
+    qubit keeps its diagonal as a leading stack axis of every branch, any
+    other is traced out. Each branch is then its read-out diagonal, in
+    `_readout`'s order.
     """
     n = c.n_system
     vector = env is not None
     pending = {(q,): KET0 if vector else Z_PROJECTORS[0] for q in range(n)}
-    x = env if vector else np.ones((1, 1), dtype=np.complex128)
+    x = env if vector else np.ones((1,) * (3 if readout else 2), dtype=np.complex128)
     active = list(range(n, n + len(x).bit_length() - 1))
     branches: list[tuple[dict[int, int], np.ndarray]] = [({}, x)]
+    retired: list[int] = []  # read-out qubits in stack-axis order
 
     def place(blocks) -> None:
         nonlocal branches
@@ -343,7 +354,21 @@ def _walk(
         place([b for b in sorted(pending) if not set(b).isdisjoint(support)])
         return [active.index(q) for q in support]
 
+    def retire(q) -> None:
+        nonlocal branches
+        pos = positions([q])
+        read = pos if q in c.final_measure else []
+        branches = [(rec, _trace_out(x, pos, read)) for rec, x in branches]
+        retired.extend([q] if read else [])
+        active.remove(q)
+
     readers = _last_readers(c)
+    last = {}  # qubit -> the location after which it retires
+    for loc in c.locations if readout else ():
+        for q in (*loc.support, *after.get(loc.index, ((),))[0]):
+            last[q] = loc.index
+    for m, i in readers.items() if readout else ():
+        last.update((q, max(last[q], i)) for q in c.location(m).support)
     for loc in c.locations:
         if loc.kind == "prep":
             sup = set(loc.support)
@@ -359,8 +384,7 @@ def _walk(
                     if y.any()
                 ]
             elif gone:
-                keep = [p for p in range(k) if p not in gone]
-                branches = [(rec, partial_trace(x, keep)) for rec, x in branches]
+                branches = [(rec, _trace_out(x, gone)) for rec, x in branches]
             active[:] = [q for q in active if q not in sup]
             scale = math.prod(np.trace(f) if f.ndim == 2 else np.linalg.norm(f) for f in dropped)
             psi = loc.ops[0, :, 0]
@@ -392,6 +416,13 @@ def _walk(
             else:
                 pos = positions(support)
                 branches = [(rec, apply_local(x, ops, pos)) for rec, x in branches]
+        for q in [q for q, i in last.items() if i == loc.index]:
+            retire(q)
+    if readout:
+        for q in sorted(set(range(n)) - last.keys()):
+            retire(q)
+        perm = [retired.index(q) for q in c.final_measure]
+        return [x.reshape((2,) * len(perm)).transpose(perm).reshape(-1) for _, x in branches]
     positions(range(n))
     if active != sorted(active):
         perm = [active.index(q) for q in sorted(active)]
@@ -411,12 +442,25 @@ def _merge(branches: list[tuple[dict, np.ndarray]], closed: set[int], d: int) ->
         groups.setdefault(tuple((m, a) for m, a in rec.items() if m not in closed), []).append(y)
     out = []
     for key, ys in groups.items():
-        if ys[0].ndim == 2:
+        if ys[0].ndim > 1:
             ys = [sum(ys)]
         elif len(ys) > d:
             ys = [y for y in np.linalg.qr(np.conj(ys), mode="r").conj() if y.any()]
         out += [(dict(key), y) for y in ys]
     return out
+
+
+def _trace_out(x: np.ndarray, gone: Sequence[int], read: Sequence[int] = ()) -> np.ndarray:
+    """Trace the qubits at positions `gone` out of the matrix, or the stack
+    of matrices, x; those also in `read` keep their diagonal instead, as
+    new stack axes after x's, flattened into one."""
+    k = x.shape[-1].bit_length() - 1
+    lead = list(range(2 * k, 2 * k + x.ndim - 2))
+    cols = [p if p in gone else k + p for p in range(k)]
+    kept = [p for p in range(k) if p not in gone]
+    out = lead + [p for p in gone if p in read] + kept + [k + p for p in kept]
+    y = np.einsum(x.reshape(x.shape[:-2] + (2,) * (2 * k)), lead + list(range(k)) + cols, out)
+    return y.reshape((-1,) * (x.ndim - 2) + (2 ** len(kept),) * 2)
 
 
 def _last_readers(c: Circuit) -> dict[int, int]:
@@ -446,13 +490,16 @@ def _noise_terms(c: Circuit, noise: Mapping[int, Channel], n: int = 0) -> dict[i
 
 def _readout(c: Circuit, rho: np.ndarray) -> np.ndarray:
     """Z read-out probabilities in the module docstring's order: the diagonal of
-    rho reduced onto the read-out qubits, round-off below 0 clamped; empty is [1.0]."""
+    rho reduced onto the read-out qubits, or the 1-D diagonal a read-out walk
+    returns, round-off below 0 clamped; empty is [1.0]."""
     qubits = c.final_measure
     if not qubits:
         return np.ones(1)
-    perm = [sorted(qubits).index(q) for q in qubits]  # partial_trace sorts its axes
-    diag = np.diagonal(partial_trace(rho, qubits)).real
-    probs = np.maximum(diag.reshape((2,) * len(qubits)).transpose(perm).reshape(-1), 0.0)
+    if rho.ndim == 2:
+        perm = [sorted(qubits).index(q) for q in qubits]  # partial_trace sorts its axes
+        diag = np.diagonal(partial_trace(rho, qubits)).reshape((2,) * len(qubits))
+        rho = diag.transpose(perm).reshape(-1)
+    probs = np.maximum(rho.real, 0.0)
     total = math.fsum(probs)
     if not (probs.max() <= 1.0 + 1e-12 and abs(total - 1.0) <= VALIDATION_ATOL):
         raise ValueError(f"read-out probabilities out of range: max {probs.max()}, sum {total}")

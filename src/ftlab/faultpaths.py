@@ -24,9 +24,8 @@ from .circuit import (
     Circuit,
     EnvironmentSpec,
     _noise_terms,
+    _readout,
     _walk,
-    simulate_ideal,
-    simulate_noisy,
     simulate_with_environment,
 )
 
@@ -96,13 +95,13 @@ def accuracy_delta_exact(
     noise: Mapping[int, Channel] | EnvironmentSpec,
 ) -> float:
     """Kolmogorov distance between noisy and ideal read-out distributions.
-    Only the read-outs are kept, so the ideal state is freed before the
-    noisy walk."""
-    ideal = simulate_ideal(c)[1]
+    The ideal and channel-noise walks are read-out walks, each qubit leaving
+    the state after its last location; the environment run is a full one."""
+    ideal = _readout(c, sum(_walk(c, {}, readout=True)))
     if isinstance(noise, EnvironmentSpec):
         noisy = simulate_with_environment(c, noise)[1]
     else:
-        noisy = simulate_noisy(c, noise)[1]
+        noisy = _readout(c, sum(_walk(c, _noise_terms(c, noise), readout=True)))
     return kolmogorov_distance(noisy, ideal)
 
 

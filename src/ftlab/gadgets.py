@@ -36,15 +36,17 @@ class BudgetExceededError(ValueError):
 
 def _check_budget(samples: int, L0: int, probes: int = 1, levels: int = 1) -> None:
     """Refuse, before any draw, a run of more than MC_BUDGET leaves over all its
-    probes, at L0^levels leaves a sample."""
-    deep = L0 > 1 and levels >= MC_BUDGET.bit_length()  # L0^levels > MC_BUDGET, left unbuilt
-    if deep or probes * samples * L0**levels > MC_BUDGET:
-        runs = f"{probes} probes x " if probes > 1 else ""
-        leaves = f"{L0}^{levels}" if deep else L0**levels
-        raise BudgetExceededError(
-            f"{runs}{samples} samples x {leaves} leaves exceeds the "
-            f"{MC_BUDGET} leaf budget; use the exact iterated map instead"
-        )
+    probes, at L0^levels leaves a sample, or of MC_BUDGET.bit_length() levels or
+    more: over budget at any L0 > 1, and a pass per level even at L0 = 1."""
+    deep = levels >= MC_BUDGET.bit_length()  # L0^levels is left unbuilt
+    runs = f"{probes} probes x " if probes > 1 else ""
+    leaves = f"{L0}^{levels}" if deep else L0**levels
+    over = f"{runs}{samples} samples x {leaves} leaves exceeds the {MC_BUDGET} leaf budget"
+    if deep:
+        why = over if L0 > 1 else "each level is one more pass over the samples"
+        raise BudgetExceededError(f"levels {levels} is over the cap of {MC_BUDGET.bit_length() - 1}: {why}")
+    if probes * samples * L0**levels > MC_BUDGET:
+        raise BudgetExceededError(f"{over}; use the exact iterated map instead")
 
 
 @dataclass(frozen=True)

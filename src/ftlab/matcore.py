@@ -215,19 +215,21 @@ def apply_local(x: np.ndarray, ops: Sequence[np.ndarray], support: Sequence[int]
     A 1-D `x` is a state vector and takes the left action only,
     sum_k K_k x. For a matrix `x`, `ops` may instead be any linear map on
     the support as a (d_sup, d_sup, d_sup, d_sup) array, laid out as
-    `superoperator` returns it. The result has the shape of `x`.
+    `superoperator` returns it. A matrix `x` may carry leading axes, a
+    stack whose every matrix takes the map. The result has the shape of `x`.
     """
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim not in (1, 2) or x.shape != x.shape[-1:] * x.ndim:
+    if x.ndim == 0 or x.ndim > 1 and x.shape[-2] != x.shape[-1]:
         raise ValueError(f"shape {x.shape} is neither a vector nor a square matrix")
     n = _qubit_count(x)
     ks, support = _local_setup(ops, support, n)
     if ks.ndim == 4 and x.ndim == 1:
         raise ValueError("a superoperator acts on a matrix, not a state vector")
+    lead = x.shape[:-2]
     if x.ndim == 1:
         op, axes = ks.sum(axis=0), list(support)
     else:
         op = ks if ks.ndim == 4 else superoperator(ks)
-        axes = list(support) + [n + i for i in support]
-    op = op.reshape((2,) * (len(support) * 2 * x.ndim))
-    return _contract(op, x.reshape((2,) * (n * x.ndim)), axes).reshape(x.shape)
+        axes = [len(lead) + i for i in list(support) + [n + i for i in support]]
+    op = op.reshape((2,) * (len(support) * op.ndim))
+    return _contract(op, x.reshape(lead + (2,) * (n * min(x.ndim, 2))), axes).reshape(x.shape)

@@ -825,6 +825,23 @@ def test_lazy_walk_matches_dense_walk(n, faults, seed):
         np.testing.assert_allclose(_readout(c, got), probs, rtol=0, atol=1e-14)
 
 
+@given(st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_readout_walk_matches_full_walk(n, faults, seed):
+    # the read-out walk retires each qubit at its last touch, a read-out
+    # qubit as its diagonal: it gives the full walk's reduced diagonal, with
+    # fault insertions too, and for a state the same checked read-out
+    c, after = _lazy_walk_case(np.random.default_rng(seed), n, faults)
+    rho = sum(_walk(c, after))
+    got = sum(_walk(c, after, readout=True))
+    qubits = c.final_measure
+    perm = [sorted(qubits).index(q) for q in qubits]
+    want = np.diagonal(partial_trace(rho, qubits)).reshape((2,) * len(qubits)).transpose(perm)
+    np.testing.assert_allclose(got, want.reshape(-1), rtol=0, atol=1e-14)
+    if not faults:
+        np.testing.assert_allclose(_readout(c, got), _readout(c, rho), rtol=0, atol=1e-14)
+
+
 def test_prep_costs_no_superoperator():
     # the reset set of a 5-qubit prep as one superoperator is 16 MiB
     state = np.full(32, 1 / math.sqrt(32), dtype=np.complex128)

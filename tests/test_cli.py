@@ -151,6 +151,12 @@ REFUSALS = {
         {"levels": 10**8, "L0": 7, "t": 1, "eps": 0.01, "samples": 1000},
         "1000 samples x 7^100000000 leaves exceeds the 1000000000 leaf budget",
     ),
+    # at L0 = 1 a sample is one leaf at any depth, yet each level costs a pass
+    "levelred_L0_1_levels_30": (
+        "levelred",
+        {"levels": 30, "L0": 1, "t": 0, "eps": 0.01, "samples": 1000},
+        "levels 30 is over the cap of 29",
+    ),
     "dim_cap_13_qubits": (
         "accuracy",
         {"circuit": _h_chain(13, 2)},
@@ -1067,8 +1073,8 @@ def test_accuracy_command_ten_qubits(tmp_path, capsysbinary):
 
 
 def test_accuracy_ghz_zoo_eleven_qubits_keeps_delta(tmp_path, capsysbinary):
-    # the walk grows its state by one qubit per CNOT, so 11 qubits take about
-    # a second; delta is the value the full-size walk gave, to 1e-12 relative
+    # both walks retire each qubit after its last location, so 11 qubits take
+    # milliseconds; delta is the value the full-size walk gave, to 1e-12 relative
     cfg = write_config(tmp_path, "acc11.json", {"command": "accuracy", "params": ghz_zoo(11)})
     code, out, err = run(capsysbinary, ["accuracy", "--config", cfg])
     assert code == 0, err

@@ -376,3 +376,13 @@ def test_accuracy_delta_frees_the_ideal_state_before_the_noisy_walk():
     rho_bytes = 16 * 4**n
     noisy = _peak_bytes(lambda: simulate_noisy(c, noise))
     assert _peak_bytes(lambda: accuracy_delta_exact(c, noise)) <= noisy + 0.1 * rho_bytes
+
+
+def test_accuracy_ghz_zoo_twelve_qubits_peaks_small():
+    # both walks retire each qubit after its last location, so the live
+    # state stays a few qubits wide next to the read-out axes: no 256 MiB
+    # density matrix, and delta is the value the full walk gave
+    c, noise = ghz_zoo_instance(12)
+    delta = []
+    assert _peak_bytes(lambda: delta.append(accuracy_delta_exact(c, noise))) < 16 * 2**20
+    assert delta == [pytest.approx(0.05393282797090757, rel=1e-12)]
