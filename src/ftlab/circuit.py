@@ -15,19 +15,18 @@ joint system-environment pure state for noise that independent
 per-location channels cannot describe; ``_noise_terms`` builds every table.
 Classical control is handled in the walker, once for all four callers: a
 measurement that a later gate is conditioned on splits the walk into one
-branch per outcome, a conditioned gate acts only on the branches with its
-outcome, a density matrix's branches are summed again once no gate reads
-that outcome, and each caller sums the branch states it gets back (the
-environment run sums their partial traces over the environment). A ket
-has no non-selective sum, so in the environment run every measurement
-splits the walk into one branch per nonzero outcome, recorded only where
-a gate reads it.
+outcome record per outcome, a conditioned gate acts only on the records
+with its outcome, and the records are joined once no gate reads that
+outcome. A record holds a density matrix, and joining sums them, or in the
+environment run a ket stack, one array whose rows psi stand for the sum of
+|psi><psi|: a ket has no non-selective sum, so an unread measurement's
+nonzero parts, like a prep's, become rows, and joining concatenates them.
 
 The walk is lazy: its state spans only the active qubits, those some
 location other than a prep has touched, and every other qubit is a small
 pending block (a prep's state, or |0>) kron'd in when a location first
 needs it, so a GHZ chain grows the state by one qubit per CNOT. The walk
-returns every branch on all qubits, in global qubit order. A read-out walk
+returns its state on all qubits, in global qubit order. A read-out walk
 (``accuracy_delta_exact``'s) instead retires each qubit after its last
 location, so its state is only as wide as its live qubits.
 
@@ -295,53 +294,58 @@ def _walk(
 ) -> list[np.ndarray]:
     """Evolve |0...0><0...0| on c's qubits through `c`, or with `env` the
     ket |0...0> (x) env, env an environment's initial state on the qubits
-    numbered after c's.
+    numbered after c's, held as a ket stack: the rows psi of one array,
+    standing for the sum of |psi><psi|.
 
-    The state is lazy. The branches span only the active qubits, those a
-    location other than a prep has touched (the environment from the
-    start), in the shared axis order `active`. Every other qubit sits in a
-    pending block: a factor (a matrix, or with `env` a ket) on the qubits of
-    one prep as listed, |0> for an untouched qubit. A location krons each
-    block meeting its support into every branch, appending its qubits to
-    `active`, and applies its Kraus stack with `apply_local` on the
-    support's positions in `active`. A prep on S instead traces its active
-    qubits out of every branch (a ket branch splits into its nonzero parts
-    <k|x), activates a block S covers only in part, and makes S one block
-    holding psi = ops[0, :, 0], weighted by the trace (norm) of the blocks
-    it drops: the channel sum_k |psi><k| . |k><psi|.
+    The walk holds one state per record of the outcomes that gates read.
+    Each state is lazy. It spans only the active qubits, those a location
+    other than a prep has touched (the environment from the start), in the
+    shared axis order `active`. Every other qubit sits in a pending block:
+    a factor (a matrix, or with `env` a ket) on the qubits of one prep as
+    listed, |0> for an untouched qubit. A location krons each block meeting
+    its support into every state, appending its qubits to `active`, and
+    applies its Kraus stack (to a ket stack, its one operator) with
+    `apply_local` on the support's positions in `active`. A prep on S
+    instead traces its active qubits out of every state (a ket stack's rows
+    split into their parts <k|x, k inner), activates a block S covers only
+    in part, and makes S one block holding psi = ops[0, :, 0], weighted by
+    the trace (norm) of the blocks it drops: the channel
+    sum_k |psi><k| . |k><psi|.
 
     A measurement is the non-selective sum_a P_a x P_a unless a later gate
-    is conditioned on it, in which case the walk keeps one branch per
-    outcome, P_a x P_a; a conditioned gate skips the branches with another
-    outcome, and an identity slot changes nothing. Once the last gate
-    conditioned on a measurement has acted, the branches that differ only
-    in its outcome are summed (`_merge`). Then, where `after` maps the
-    location's index to (support, ops), every branch takes that map, or
-    the one pending block holding its support does: a Kraus stack (a noise
-    channel, a coupling [U]) or a superoperator (a fault insertion). At the
-    end the remaining blocks are activated in ascending qubit order and
-    every branch is permuted to global qubit order, system qubits first;
-    their sum is the evolved state.
-
-    With `env` every measurement splits each branch x into its nonzero
-    parts P_a x, recording a only when a gate is conditioned on it, and
-    branches are never summed but, past d of them with the same recorded
-    outcomes (d the active dimension), refactored into d (`_merge`).
+    is conditioned on it, in which case the walk keeps one record per
+    outcome, P_a x P_a; a conditioned gate skips the records with another
+    outcome, and an identity slot changes nothing. A ket has no
+    non-selective sum: a stack's rows split into their parts P_a x, a inner.
+    After a prep or a measurement all-zero rows drop, and a record left with
+    none. Once the last gate conditioned on a measurement has acted, the
+    records that differ only in its outcome are joined (`_merge`), so the
+    walk ends with one; a stack with more rows than the active dimension is
+    refactored at once. Then, where `after` maps the location's index to
+    (support, ops), every state takes that map, or the one pending block
+    holding its support does: a Kraus stack (a noise channel, a coupling
+    [U]) or a superoperator (a fault insertion). At the end the remaining
+    blocks are activated in ascending qubit order and every state is
+    permuted to global qubit order, system qubits first; their sum is the
+    evolved state.
 
     With `readout` (density matrices only) a qubit retires after its last
     location, or the last gate reading its measurements if later, and that
     location's `after` entry; an untouched qubit at the end. A read-out
-    qubit keeps its diagonal as a leading stack axis of every branch, any
-    other is traced out. Each branch is then its read-out diagonal, in
+    qubit keeps its diagonal as a leading stack axis of every state, any
+    other is traced out. Each state is then its read-out diagonal, in
     `_readout`'s order.
     """
     n = c.n_system
     vector = env is not None
     pending = {(q,): KET0 if vector else Z_PROJECTORS[0] for q in range(n)}
-    x = env if vector else np.ones((1,) * (3 if readout else 2), dtype=np.complex128)
-    active = list(range(n, n + len(x).bit_length() - 1))
+    x = env[None] if vector else np.ones((1,) * (3 if readout else 2), dtype=np.complex128)
+    active = list(range(n, n + x.shape[-1].bit_length() - 1))
     branches: list[tuple[dict[int, int], np.ndarray]] = [({}, x)]
     retired: list[int] = []  # read-out qubits in stack-axis order
+
+    def act(x, ops, pos):
+        return apply_local(x, ops[0] if vector else ops, pos)
 
     def place(blocks) -> None:
         nonlocal branches
@@ -377,12 +381,9 @@ def _walk(
             gone = [active.index(q) for q in loc.support if q in active]
             k = len(active)
             if gone and vector:
-                lead = range(len(gone))
-                branches = [
-                    (rec, y) for rec, x in branches
-                    for y in np.moveaxis(x.reshape((2,) * k), gone, lead).reshape(2**len(gone), -1)
-                    if y.any()
-                ]
+                axes, lead = [1 + g for g in gone], range(1, len(gone) + 1)
+                branches = [(rec, np.moveaxis(x.reshape((-1,) + (2,) * k), axes, lead)
+                             .reshape(-1, 2 ** (k - len(gone)))) for rec, x in branches]
             elif gone:
                 branches = [(rec, _trace_out(x, gone)) for rec, x in branches]
             active[:] = [q for q in active if q not in sup]
@@ -391,31 +392,29 @@ def _walk(
             pending[loc.support] = scale * (psi if vector else np.outer(psi, psi.conj()))
         elif loc.kind in ("gate", "measure"):
             pos = positions(loc.support)
-            read = loc.index in readers
-            if read or vector and loc.kind == "measure":
-                split = ((rec, a, apply_local(x, loc.ops[a:a + 1], pos))
-                         for rec, x in branches for a in range(len(loc.ops)))
-                branches = [({**rec, loc.index: a} if read else rec, y)
-                            for rec, a, y in split if not vector or y.any()]
+            if loc.index in readers:
+                branches = [({**rec, loc.index: a}, act(x, p[None], pos))
+                            for rec, x in branches for a, p in enumerate(loc.ops)]
+            elif vector and loc.kind == "measure":
+                branches = [(rec, np.stack([act(x, p[None], pos) for p in loc.ops], 1)
+                             .reshape(-1, x.shape[1])) for rec, x in branches]
             else:
                 cond = loc.condition
-                branches = [
-                    (rec, x if cond and rec.get(cond[0]) != cond[1]
-                     else apply_local(x, loc.ops, pos))
-                    for rec, x in branches
-                ]
-        d = 2 ** len(active)
-        if not vector and loc.index in readers.values() or len(branches) > d:
-            branches = _merge(branches, {m for m, i in readers.items() if i <= loc.index}, d)
+                branches = [(rec, x if cond and rec.get(cond[0]) != cond[1]
+                             else act(x, loc.ops, pos)) for rec, x in branches]
+        if vector and loc.kind in ("prep", "measure"):  # drop all-zero rows, and empty records
+            branches = [(rec, x[x.any(axis=1)]) for rec, x in branches if x.any()]
+        tall = vector and any(len(x) > x.shape[1] for _, x in branches)
+        if loc.index in readers.values() or tall:
+            branches = _merge(branches, {m for m, i in readers.items() if i <= loc.index}, vector)
         if loc.index in after:
             support, ops = after[loc.index]
             block = next((b for b in pending if set(support) <= set(b)), None)
             if block:
-                at = [block.index(q) for q in support]
-                pending[block] = apply_local(pending[block], ops, at)
+                pending[block] = act(pending[block], ops, [block.index(q) for q in support])
             else:
                 pos = positions(support)
-                branches = [(rec, apply_local(x, ops, pos)) for rec, x in branches]
+                branches = [(rec, act(x, ops, pos)) for rec, x in branches]
         for q in [q for q, i in last.items() if i == loc.index]:
             retire(q)
     if readout:
@@ -426,27 +425,28 @@ def _walk(
     positions(range(n))
     if active != sorted(active):
         perm = [active.index(q) for q in sorted(active)]
-        axes = perm if vector else perm + [len(perm) + p for p in perm]
-        branches = [(rec, x.reshape((2,) * len(axes)).transpose(axes).reshape(x.shape))
+        shape = (-1,) + (2,) * len(perm) if vector else (2,) * (2 * len(perm))
+        axes = [0, *(1 + p for p in perm)] if vector else perm + [len(perm) + p for p in perm]
+        branches = [(rec, x.reshape(shape).transpose(axes).reshape(x.shape))
                     for rec, x in branches]
     return [x for _, x in branches]
 
 
-def _merge(branches: list[tuple[dict, np.ndarray]], closed: set[int], d: int) -> list:
+def _merge(branches: list[tuple[dict, np.ndarray]], closed: set[int], vector: bool) -> list:
     """Group the branches by their outcomes of the measurements not in
-    `closed`. A group of matrices becomes their sum. A group of more than
-    d vectors psi_b becomes the d rows of conj(R), R from the QR
-    factorization of the stacked conj(psi_b): the same sum of |psi><psi|."""
+    `closed`. A group of matrices becomes their sum, a group of ket stacks
+    one stack of their rows; past 2^k rows on k qubits, the nonzero rows of
+    conj(R), R from the QR of its conj, hold the same sum of |psi><psi|."""
     groups: dict[tuple, list[np.ndarray]] = {}
     for rec, y in branches:
         groups.setdefault(tuple((m, a) for m, a in rec.items() if m not in closed), []).append(y)
     out = []
     for key, ys in groups.items():
-        if ys[0].ndim > 1:
-            ys = [sum(ys)]
-        elif len(ys) > d:
-            ys = [y for y in np.linalg.qr(np.conj(ys), mode="r").conj() if y.any()]
-        out += [(dict(key), y) for y in ys]
+        y = np.concatenate(ys) if vector else sum(ys)
+        if vector and len(y) > y.shape[1]:
+            y = np.linalg.qr(y.conj(), mode="r").conj()
+            y = y[y.any(axis=1)]
+        out.append((dict(key), y))
     return out
 
 
@@ -570,16 +570,17 @@ def simulate_with_environment(
     The couplings must pass `_noise_terms` on the joint qubits (a known
     location, acting inside its support plus the environment), checked
     before any evolution. `_walk` then evolves |0...0> (x) env.initial
-    through that table, one branch per nonzero part P_a |psi> of each
-    measurement and <k|psi of a prep on active qubits, so a measured qubit
-    may be coupled, reused or re-prepared. The reduced system state is the
-    sum over branches of Tr_env |psi_b><psi_b|. Returns the reduced system
-    density matrix and the read-out probabilities.
+    through that table as a ket stack, one row per nonzero part P_a |psi>
+    of each measurement and <k|psi of a prep on active qubits, so a
+    measured qubit may be coupled, reused or re-prepared. The reduced
+    system state is the sum over rows of Tr_env |psi><psi|. Returns the
+    reduced system density matrix and the read-out probabilities.
     """
     n_sys = c.n_system
     qubit_dims(n_sys + env.n_env)  # an over-cap joint space is refused before any work
     after = _noise_terms(c, env.couplings, n_sys + env.n_env)
-    # the branches side by side, so one product sums Tr_env over them
-    m = np.hstack([psi.reshape(2**n_sys, -1) for psi in _walk(c, after, env.initial)])
-    rho_sys = m @ m.conj().T
+    (x,) = _walk(c, after, env.initial)
+    # each row as a 2^n_sys x 2^n_env matrix, side by side: one product sums Tr_env over the rows
+    x = x.reshape(len(x), 2**n_sys, -1).swapaxes(0, 1).reshape(2**n_sys, -1)
+    rho_sys = x @ x.conj().T
     return rho_sys, _readout(c, rho_sys)

@@ -8,10 +8,10 @@ axis, while `embed_operator` takes it as an argument. A hard cap on the
 total dimension keeps a desk-scale run from silently allocating gigabytes:
 `qubit_dims` refuses an over-cap register, `checked_dims` an over-cap tuple
 of factor dimensions (a `Channel`'s) and, through it, `superoperator`
-refuses a map whose d^2 side exceeds the cap. Local operators act on
-states and density matrices through `apply_local`, which contracts only
-the axes they touch (a Kraus stack, or for a matrix its `superoperator`);
-`embed_operator` builds the full-space matrix where one is really needed.
+refuses a map whose d^2 side exceeds the cap. `apply_local` contracts
+only the axes a local map touches: one operator maps a stack of kets, a
+Kraus stack or a superoperator a stack of matrices; `embed_operator`
+builds the full-space matrix where one is really needed.
 A measurement read-out is a plain float64 array of outcome probabilities.
 """
 
@@ -202,34 +202,33 @@ def superoperator(ks: np.ndarray) -> np.ndarray:
     return np.einsum("kab,kcd->acbd", ks, ks.conj())
 
 
-def apply_local(x: np.ndarray, ops: Sequence[np.ndarray], support: Sequence[int]) -> np.ndarray:
-    """sum_k K_k x K_k^dag with every K_k acting on the qubits `support`.
+def apply_local(x: np.ndarray, ops: np.ndarray, support: Sequence[int]) -> np.ndarray:
+    """`ops` acting on the qubits `support` of every state of the stack `x`.
 
-    Axis convention: `x` has side 2^n, n read from its last axis, and is
-    viewed with one axis per qubit, row-major (qubit 0 most significant),
-    row axes first, then column axes. Each K_k factors over `support` in
+    `ops` is read by its shape. One operator K, (d_sup, d_sup), maps every
+    ket of x, shape (..., 2^n), to K x. A Kraus stack, (K, d_sup, d_sup),
+    maps every matrix of x, shape (..., 2^n, 2^n), to sum_k K_k x K_k^dag;
+    any linear map on the support, as a (d_sup, d_sup, d_sup, d_sup) array
+    laid out as `superoperator` returns it, maps them too. Any other pairing
+    of shapes is refused. The result has the shape of `x`.
+
+    Axis convention: n is read from x's last axis, and a state is viewed
+    with one axis per qubit, row-major (qubit 0 most significant), a
+    matrix's row axes before its column axes. K factors over `support` in
     the order listed, as in `embed_operator`: support (2, 0) makes qubit 2
-    the most significant factor of K_k. Only the support axes are
-    contracted, so a matrix costs O(d^2 d_sup^2), not O(d^3).
-
-    A 1-D `x` is a state vector and takes the left action only,
-    sum_k K_k x. For a matrix `x`, `ops` may instead be any linear map on
-    the support as a (d_sup, d_sup, d_sup, d_sup) array, laid out as
-    `superoperator` returns it. A matrix `x` may carry leading axes, a
-    stack whose every matrix takes the map. The result has the shape of `x`.
+    the most significant factor. Only the support axes are contracted, so
+    a matrix costs O(d^2 d_sup^2), not O(d^3).
     """
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim == 0 or x.ndim > 1 and x.shape[-2] != x.shape[-1]:
-        raise ValueError(f"shape {x.shape} is neither a vector nor a square matrix")
+    ops = np.asarray(ops, dtype=np.complex128)
+    m = 1 if ops.ndim == 2 else 2  # axes per state: a ket's one, a matrix's two
+    if not 2 <= ops.ndim <= 4 or x.ndim < m or x.shape[-m:] != x.shape[-1:] * m:
+        raise ValueError(f"operators of shape {ops.shape} do not act on shape {x.shape}")
     n = _qubit_count(x)
-    ks, support = _local_setup(ops, support, n)
-    if ks.ndim == 4 and x.ndim == 1:
-        raise ValueError("a superoperator acts on a matrix, not a state vector")
-    lead = x.shape[:-2]
-    if x.ndim == 1:
-        op, axes = ks.sum(axis=0), list(support)
-    else:
-        op = ks if ks.ndim == 4 else superoperator(ks)
-        axes = [len(lead) + i for i in list(support) + [n + i for i in support]]
+    op, support = _local_setup(ops, support, n)
+    if op.ndim == 3:
+        op = superoperator(op)
+    lead = x.shape[:-m]
+    axes = [len(lead) + i + n * j for j in range(m) for i in support]
     op = op.reshape((2,) * (len(support) * op.ndim))
-    return _contract(op, x.reshape(lead + (2,) * (n * min(x.ndim, 2))), axes).reshape(x.shape)
+    return _contract(op, x.reshape(lead + (2,) * (n * m)), axes).reshape(x.shape)

@@ -687,10 +687,10 @@ def test_readout_rejects_unnormalized_rho():
 @settings(max_examples=60, deadline=None)
 def test_prep_reset_matches_reset_set(n_order, k, seed):
     # the walk's prep is the channel sum_k |psi><k| x |k><psi|, here on any
-    # matrix x the walk holds; on a vector v its nonzero branches b sum, as
-    # |b><b|, to it on |v><v|. A wait on every qubit, in a random order,
-    # loads x (a superoperator taking |0...0><0...0| to it) or v (an
-    # operator taking |0...0> to it) before the prep
+    # matrix x the walk holds; on a ket v the nonzero rows b of the stack it
+    # returns sum, as |b><b|, to it on |v><v|. A wait on every qubit, in a
+    # random order, loads x (a superoperator taking |0...0><0...0| to it) or
+    # v (an operator taking |0...0> to it) before the prep
     n, order = n_order
     support = tuple(order[: min(k, n)])
     rng = np.random.default_rng(seed)
@@ -712,11 +712,11 @@ def test_prep_reset_matches_reset_set(n_order, k, seed):
     v = (rng.normal(size=d) + 1j * rng.normal(size=d)) * mask
     op = np.zeros((1, d, d), dtype=np.complex128)
     op[0, :, 0] = v
-    (loaded,) = _walk(load, {1: (order, op)}, KET0)  # v (x) |0> on one environment qubit
+    ((loaded,),) = _walk(load, {1: (order, op)}, KET0)  # one row, v (x) |0> on one environment qubit
     want = apply_local(np.outer(loaded, loaded.conj()), resets, support)
-    branches = _walk(c, {1: (order, op)}, KET0)
-    assert all(b.shape == loaded.shape and b.any() for b in branches)
-    got = sum((np.outer(b, b.conj()) for b in branches), np.zeros((2 * d, 2 * d)))
+    rows = [b for stack in _walk(c, {1: (order, op)}, KET0) for b in stack]
+    assert all(b.shape == loaded.shape and b.any() for b in rows)
+    got = sum((np.outer(b, b.conj()) for b in rows), np.zeros((2 * d, 2 * d)))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(np.abs(want).max(), 1.0))
 
 
@@ -911,35 +911,38 @@ def _dense(op, support, n):
     return full.transpose(perm + [n + p for p in perm]).reshape(2**n, 2**n)
 
 
-def _joint_reference(c, env, ref=None):
+def _joint_reference(c, env):
     """The environment run's reduced state from dense joint density matrices,
-    one per outcome of the measurement `ref`: preps as the reset channel
-    sum_k |psi><k| . |k><psi|, gates and couplings as U . U^dag, and the
-    other measurements as sum_a P_a . P_a, each where it stands."""
+    one per outcome record of the measurements that gates read: preps as the
+    reset channel sum_k |psi><k| . |k><psi|, gates and couplings as
+    U . U^dag, a conditioned gate only on the records with its outcome, and
+    the other measurements as sum_a P_a . P_a, each where it stands."""
+    read = {loc.condition[0] for loc in c.locations if loc.condition}
     n_sys = c.n_system
     n = n_sys + env.n_env
     psi0 = np.kron(np.eye(2**n_sys)[0], env.initial)
-    branches = [(None, np.outer(psi0, psi0.conj()))]
+    branches = [({}, np.outer(psi0, psi0.conj()))]
     for loc in c.locations:
         if loc.kind == "measure":
             projs = [_dense(p, loc.support, n) for p in loc.ops]
-            if loc.index == ref:
-                branches = [(a, p @ rho @ p) for _, rho in branches for a, p in enumerate(projs)]
+            if loc.index in read:
+                branches = [({**rec, loc.index: a}, p @ rho @ p)
+                            for rec, rho in branches for a, p in enumerate(projs)]
             else:
-                branches = [(a, sum(p @ rho @ p for p in projs)) for a, rho in branches]
+                branches = [(rec, sum(p @ rho @ p for p in projs)) for rec, rho in branches]
         elif loc.kind == "prep":
             d = 2 ** len(loc.support)
             kraus = [_dense(np.outer(loc.ops[0, :, 0], row), loc.support, n) for row in np.eye(d)]
-            branches = [(a, sum(k @ rho @ k.conj().T for k in kraus)) for a, rho in branches]
+            branches = [(rec, sum(k @ rho @ k.conj().T for k in kraus)) for rec, rho in branches]
         elif loc.kind == "gate":
             u = _dense(loc.ops[0], loc.support, n)
-            outcome = loc.condition[1] if loc.condition else None
-            branches = [(a, u @ rho @ u.conj().T if outcome in (None, a) else rho)
-                        for a, rho in branches]
+            cond = loc.condition
+            branches = [(rec, rho if cond and rec[cond[0]] != cond[1] else u @ rho @ u.conj().T)
+                        for rec, rho in branches]
         if loc.index in env.couplings:
             cp = env.couplings[loc.index]
             u = _dense(cp.kraus[0], cp.support, n)
-            branches = [(a, u @ rho @ u.conj().T) for a, rho in branches]
+            branches = [(rec, u @ rho @ u.conj().T) for rec, rho in branches]
     return partial_trace(sum(rho for _, rho in branches), range(n_sys))
 
 
@@ -1008,7 +1011,7 @@ def test_environment_run_matches_dense_joint_evolution(n_sys, n_env, seed):
             support = tuple(sys_part + env_part)
             couplings[loc.index] = env_coupling(support, haar_unitary(rng, 2 ** len(support)))
     env = EnvironmentSpec(n_env, haar_unitary(rng, 2**n_env)[:, 0], couplings)
-    want = _joint_reference(c, env, ref)
+    want = _joint_reference(c, env)
     rho, dist = simulate_with_environment(c, env)
     np.testing.assert_allclose(rho, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dist, np.diagonal(want).real, rtol=0, atol=1e-12)
@@ -1016,8 +1019,8 @@ def test_environment_run_matches_dense_joint_evolution(n_sys, n_env, seed):
 
 def test_environment_reprep_keeps_at_most_d_branches():
     # a qubit re-prepared 12 times, each time after a coupling entangles it
-    # with the environment: every prep splits each branch in two, and the
-    # walk refactors them so no more than d = 8 remain, not 2^12
+    # with the environment: every prep splits each row in two, and the walk
+    # refactors the stack so no more than d = 8 rows remain, not 2^12
     rng = np.random.default_rng(7)
     ops, couplings = [], {}
     for i in range(12):
@@ -1026,7 +1029,7 @@ def test_environment_reprep_keeps_at_most_d_branches():
     c = seq(2, *ops, Location.gate_on(0, 0, (0, 1), CNOT))
     env = EnvironmentSpec(1, KET0, couplings)
     after = {i: (cp.support, cp.kraus) for i, cp in couplings.items()}
-    assert len(_walk(c, after, KET0)) <= 8
+    assert sum(len(stack) for stack in _walk(c, after, KET0)) <= 8
     tracemalloc.start()
     try:
         rho, _ = simulate_with_environment(c, env)
@@ -1042,10 +1045,9 @@ def test_environment_couples_an_unread_measurement():
     # the CNOT copies each outcome into the environment
     ops = [Location.prep(0, 0, 0, KET_PLUS), Location.measure(0, 0, 0)]
     env = EnvironmentSpec(1, KET0, {2: env_coupling((0, 1), CNOT)})
-    for c, ref in ((seq(1, *ops), None),
-                   (seq(1, *ops, Location.gate_on(0, 0, 0, SIGMA_X, condition=(2, 1))), 2)):
+    for c in (seq(1, *ops), seq(1, *ops, Location.gate_on(0, 0, 0, SIGMA_X, condition=(2, 1)))):
         rho, _ = simulate_with_environment(c, env)
-        np.testing.assert_allclose(rho, _joint_reference(c, env, ref), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rho, _joint_reference(c, env), rtol=0, atol=1e-12)
     np.testing.assert_allclose(simulate_with_environment(seq(1, *ops), env)[0], np.eye(2) / 2,
                                rtol=0, atol=1e-12)
 
@@ -1053,9 +1055,9 @@ def test_environment_couples_an_unread_measurement():
 def test_environment_ancilla_measured_and_reprepared_keeps_at_most_d_branches():
     # an ancilla q0 re-prepared, coupled to the data qubit q1 and the
     # environment, and measured in a random basis, 12 times; every other
-    # measurement is coupled too. Each measurement splits every branch in
-    # two and each prep of the measured ancilla splits them again, yet the
-    # walk keeps no more than d = 8, not 4^12
+    # measurement is coupled too. Each measurement splits every row in two
+    # and each prep of the measured ancilla splits them again, yet the walk
+    # keeps no more than d = 8 rows, not 4^12
     rng = np.random.default_rng(12)
     ops, couplings = [Location.prep(0, 0, 1, haar_unitary(rng, 2)[:, 0])], {}
     for i in range(12):
@@ -1067,9 +1069,82 @@ def test_environment_ancilla_measured_and_reprepared_keeps_at_most_d_branches():
     c = seq(2, *ops, Location.gate_on(0, 0, 1, HADAMARD))
     env = EnvironmentSpec(1, haar_unitary(rng, 2)[:, 0], couplings)
     after = {i: (cp.support, cp.kraus) for i, cp in couplings.items()}
-    assert len(_walk(c, after, env.initial)) <= 8
+    assert sum(len(stack) for stack in _walk(c, after, env.initial)) <= 8
     rho, dist = simulate_with_environment(c, env)
     want = _joint_reference(c, env)
+    np.testing.assert_allclose(rho, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dist, np.diagonal(want).real, rtol=0, atol=1e-12)
+
+
+def _near_identity(rng, d, theta=0.05):
+    """exp(-i theta H) for a random Hermitian H of unit operator norm."""
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    w, v = np.linalg.eigh(z + z.conj().T)
+    return (v * np.exp(-1j * theta * w / np.abs(w).max())) @ v.conj().T
+
+
+def test_environment_terminal_measurements_cost_one_call_per_projector(monkeypatch):
+    # a 5+2 GHZ chain, a near-identity coupling after each gate on its
+    # support plus both environment qubits, then all 5 system qubits
+    # measured: each record keeps its kets as the rows of one stack, so a
+    # gate, a coupling and a projector each cost one kernel call, 20 in
+    # all, not one per ket (72)
+    rng = np.random.default_rng(29)
+    n_sys, env_qubits = 5, (5, 6)
+    gates = [Location.gate_on(0, 0, 0, HADAMARD)]
+    gates += [Location.gate_on(0, 0, (q, q + 1), CNOT) for q in range(n_sys - 1)]
+    c = seq(n_sys, *gates, *(Location.measure(0, 0, q) for q in range(n_sys)))
+    couplings = {
+        loc.index: env_coupling(loc.support + env_qubits, _near_identity(rng, 2 ** (len(loc.support) + 2)))
+        for loc in c.locations if loc.kind == "gate"
+    }
+    env = EnvironmentSpec(2, haar_unitary(rng, 4)[:, 0], couplings)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return apply_local(*args)
+
+    monkeypatch.setattr("ftlab.circuit.apply_local", counted)
+    rho, dist = simulate_with_environment(c, env)
+    assert len(calls) <= 20
+    want = _joint_reference(c, env)
+    np.testing.assert_allclose(rho, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dist, np.diagonal(want).real, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_env", [1, 2])
+def test_environment_interleaved_reads_split_every_stack(n_env):
+    # two read measurements whose readers interleave, with an unread one
+    # between them: the records of q0's outcome are split by q2's, every
+    # stack is split by q1's unread outcomes, and q0's records are joined
+    # while q2's are still open
+    rng = np.random.default_rng(31 + n_env)
+    c = seq(
+        3,
+        Location.gate_on(0, 0, (0, 1), haar_unitary(rng, 4)),
+        Location.gate_on(0, 0, (1, 2), haar_unitary(rng, 4)),
+        Location.measure(0, 0, 0),
+        _random_measure(rng, (1,)),
+        Location.measure(0, 0, 2),
+        Location.gate_on(0, 0, 1, haar_unitary(rng, 2), condition=(3, 1)),
+        Location.gate_on(0, 0, (0, 1), haar_unitary(rng, 4), condition=(5, 0)),
+        Location.gate_on(0, 0, 2, haar_unitary(rng, 2), condition=(3, 0)),
+        Location.gate_on(0, 0, (0, 2), haar_unitary(rng, 4), condition=(5, 1)),
+        Location.gate_on(0, 0, (2, 1, 0), haar_unitary(rng, 8)),
+    )
+    initial = haar_unitary(rng, 2**n_env)[:, 0]
+    rho, dist = simulate_with_environment(c, EnvironmentSpec(n_env, initial, _identity_couplings(c, n_env)))
+    rho_i, dist_i = simulate_ideal(c)
+    np.testing.assert_allclose(rho, rho_i, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dist, dist_i, rtol=0, atol=1e-12)
+    env_qubits = tuple(range(3, 3 + n_env))
+    couplings = {loc.index: env_coupling(loc.support + env_qubits,
+                                         haar_unitary(rng, 2 ** (len(loc.support) + n_env)))
+                 for loc in c.locations}
+    env = EnvironmentSpec(n_env, initial, couplings)
+    want = _joint_reference(c, env)
+    rho, dist = simulate_with_environment(c, env)
     np.testing.assert_allclose(rho, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dist, np.diagonal(want).real, rtol=0, atol=1e-12)
 

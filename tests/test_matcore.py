@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_kernels_refuse_a_side_that_is_not_a_power_of_two():
         with pytest.raises(ValueError, match=f"side {side} is not a power of two"):
             partial_trace(np.eye(side), [])
         with pytest.raises(ValueError, match=f"side {side} is not a power of two"):
-            apply_local(np.ones(side), [np.eye(1)], ())
+            apply_local(np.ones(side), np.eye(1), ())
         with pytest.raises(ValueError, match=f"side {side} is not a power of two"):
             apply_local(np.eye(side), [np.eye(1)], ())
     with pytest.raises(ValueError, match="not a square matrix"):
@@ -258,14 +259,20 @@ def test_apply_local_matches_dense_embedding(dims, support, vector):
     rng = np.random.default_rng(14)
     n = len(dims)
     d, d_sup = 2**n, 2 ** len(support)
+    if vector:  # one operator on ket stacks with and without leading axes, row by row
+        op = random_matrix(rng, d_sup)
+        full = embed_operator(op, support, n)
+        for lead in ((), (3,), (2, 3)):
+            x = rng.normal(size=lead + (d,)) + 1j * rng.normal(size=lead + (d,))
+            got = apply_local(x, op, support)
+            assert got.shape == x.shape
+            for psi, row in zip(x.reshape(-1, d), got.reshape(-1, d)):
+                np.testing.assert_allclose(row, full @ psi, atol=1e-12)
+        return
     ops = [random_matrix(rng, d_sup) for _ in range(3)]
     full = [embed_operator(k, support, n) for k in ops]
-    if vector:
-        x = rng.normal(size=d) + 1j * rng.normal(size=d)
-        want = sum(k @ x for k in full)
-    else:
-        x = random_matrix(rng, d)
-        want = sum(k @ x @ k.conj().T for k in full)
+    x = random_matrix(rng, d)
+    want = sum(k @ x @ k.conj().T for k in full)
     got = apply_local(x, ops, support)
     assert got.shape == x.shape
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -273,16 +280,21 @@ def test_apply_local_matches_dense_embedding(dims, support, vector):
 
 @st.composite
 def local_actions(draw):
-    """(n, support, Kraus stack, x): 1-4 qubits, a support in any order,
-    K = 1..4, x a vector or a matrix."""
+    """(n, support, ops, x): 1-4 qubits, a support in any order, and either
+    one operator and a stack of kets with 0-2 leading axes of side 1-3, or a
+    Kraus stack of K = 1..4 and a matrix."""
     n = draw(st.integers(1, 4))
     order = draw(st.permutations(range(n)))
     support = tuple(order[: draw(st.integers(1, n))])
     d_sup = 2 ** len(support)
-    k = draw(st.integers(1, 4))
-    shape = (2**n,) if draw(st.booleans()) else (2**n, 2**n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ops = rng.normal(size=(k, d_sup, d_sup)) + 1j * rng.normal(size=(k, d_sup, d_sup))
+    if draw(st.booleans()):
+        ops_shape = (d_sup, d_sup)
+        shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2))) + (2**n,)
+    else:
+        ops_shape = (draw(st.integers(1, 4)), d_sup, d_sup)
+        shape = (2**n, 2**n)
+    ops = rng.normal(size=ops_shape) + 1j * rng.normal(size=ops_shape)
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return n, support, ops, x
 
@@ -291,16 +303,17 @@ def local_actions(draw):
 @settings(max_examples=60, deadline=None)
 def test_apply_local_matches_dense_reference(case):
     n, support, ops, x = case
-    full = [embed_operator(k, support, n) for k in ops]
-    if x.ndim == 1:
-        want = sum(f @ x for f in full)
-    else:
-        want = sum(f @ x @ f.conj().T for f in full)
     got = apply_local(x, ops, support)
     assert got.shape == x.shape
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
-    if x.ndim == 2:  # the stack's superoperator is the same map, contracted the same way
+    if ops.ndim == 2:  # each ket of the stack, row by row
+        full = embed_operator(ops, support, n)
+        want = np.stack([full @ psi for psi in x.reshape(-1, 2**n)]).reshape(x.shape)
+    else:
+        full = [embed_operator(k, support, n) for k in ops]
+        want = sum(f @ x @ f.conj().T for f in full)
+        # the stack's superoperator is the same map, contracted the same way
         np.testing.assert_array_equal(apply_local(x, superoperator(ops), support), got)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_apply_local_rejects_mismatched_shapes():
@@ -311,10 +324,20 @@ def test_apply_local_rejects_mismatched_shapes():
         apply_local(x, [np.eye(2)], (0, 0))
     with pytest.raises(ValueError, match="out of range"):
         apply_local(x, [np.eye(2)], (3,))
-    with pytest.raises(ValueError):
-        apply_local(np.ones((8, 4)), [np.eye(2)], (0,))
-    with pytest.raises(ValueError, match="superoperator acts on a matrix"):
-        apply_local(np.ones(8), superoperator([np.eye(2)]), (0,))
+    # one shape rule: one operator maps kets, a Kraus stack or a superoperator
+    # maps matrices, and every other pairing is refused
+    refused = [
+        (np.ones((8, 4)), [np.eye(2)]),  # a Kraus stack on a ket stack
+        (np.ones(8), [np.eye(2)]),  # a Kraus stack on one ket
+        (np.ones(8), superoperator([np.eye(2)])),  # a superoperator on a ket
+        (np.ones(()), np.eye(1)),  # no ket
+        (np.ones(8), np.ones(2)),  # a vector is no operator
+        (x, np.ones((1, 1, 2, 2, 2))),  # five axes are no map
+    ]
+    for state, ops in refused:
+        msg = f"operators of shape {np.shape(ops)} do not act on shape {state.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            apply_local(state, ops, (0,))
 
 
 BAD_PAIR_LISTS = {
