@@ -705,6 +705,9 @@ def _cmd_threshold(params: dict, seed: int, workers: int) -> tuple[dict, list[di
     target = None
     if {"L", "delta0", "eps"} & params.keys():  # read together, each required
         target = _param(params, "L", int), _param(params, "delta0"), _param(params, "eps")
+        for key, value in (("L0", scheme.L0), ("L", target[0])):  # the level arithmetic takes floats
+            if value > sys.float_info.max:
+                raise ValueError(f"{key} must fit a float, at most {sys.float_info.max:.6g}")
     sub = _object(params.get("pseudothreshold", {}), "pseudothreshold")
     _unread(sub, "pseudothreshold", "samples", "mode")
     samples = _param(sub, "samples", int, 10**5)

@@ -10,18 +10,17 @@ segment; truncation resolves every overlap into a partition. The graph
 stores its locations once, as a table of parts: one id set per own block
 and per segment.
 
-A gadget's truncated set depends only on its own bad flag and on which of
-its outgoing segments a bad successor claims. The sweep packs those flags
-into a small int key (bit 0 the gadget's own flag, bit b + 1 set when out
-segment b is claimed) and looks the set up in a per-gadget memo on the
-graph, building it only on a miss; gadget i's memo holds at most
-2^(1 + |out_i|) sets.
+The truncation sweep gives each part one owner, a gadget, and a
+classification keeps only the statuses and those owners: a gadget's
+truncated set, the union of the parts it owns, is built when it is first
+read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -77,9 +76,7 @@ class GadgetGraph:
     block, part n_gadgets + s is segment s. The tables derived once per
     graph (part id sets, each segment's consumer, per-gadget in/out
     segments, and a location -> part index whose entry 0 is unused) turn
-    every lookup of the sweep into an index. `_memo[i]` maps gadget i's
-    truncation key to its truncated set; it fills as sweeps run and takes
-    no part in equality or hashing.
+    every lookup of the sweep into an index; none changes after construction.
     """
 
     gadgets: tuple[Gadget, ...]
@@ -88,7 +85,6 @@ class GadgetGraph:
     _in: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _part_of: np.ndarray = field(init=False, repr=False, compare=False)
-    _memo: tuple[dict[int, frozenset[int]], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gadgets = tuple(self.gadgets)
@@ -134,7 +130,6 @@ class GadgetGraph:
         object.__setattr__(self, "_in", tuple(map(tuple, seg_in)))
         object.__setattr__(self, "_out", tuple(map(tuple, seg_out)))
         object.__setattr__(self, "_part_of", part_of)
-        object.__setattr__(self, "_memo", tuple({} for _ in range(n)))
 
     @property
     def n_gadgets(self) -> int:
@@ -158,14 +153,29 @@ class FaultConfig:
 
 @dataclass(frozen=True)
 class Classification:
-    """Per-gadget status plus the truncated location sets (a partition)."""
+    """Per-gadget status plus the gadget owning each part of the graph's part
+    table, which `parts` shares. `truncated`, the union of the parts each
+    gadget owns, is built and checked to partition the locations on first
+    read."""
 
     statuses: tuple[str, ...]
-    truncated: tuple[frozenset[int], ...]
+    owner: tuple[int, ...]
+    parts: tuple[frozenset[int], ...] = field(repr=False)
 
     @property
     def any_bad(self) -> bool:
         return "bad" in self.statuses
+
+    @cached_property
+    def truncated(self) -> tuple[frozenset[int], ...]:
+        owned: list[list[frozenset[int]]] = [[] for _ in self.statuses]
+        for part, i in zip(self.parts, self.owner):
+            owned[i].append(part)
+        truncated = tuple(frozenset().union(*sets) for sets in owned)
+        total = sum(map(len, self.parts))
+        if sum(map(len, truncated)) != total or len(frozenset().union(*truncated)) != total:
+            raise AssertionError("truncated sets failed to partition the locations")
+        return truncated
 
 
 def sample_fault_config(g: GadgetGraph, eps: float, seed) -> FaultConfig:
@@ -183,17 +193,15 @@ def truncate_and_classify(g: GadgetGraph, f: FaultConfig, t: int) -> Classificat
     Sweeping from the latest gadget to the earliest, a gadget is bad when its
     truncated extent (incoming segments + own locations + outgoing segments
     not claimed by an already-bad successor) holds more than t faults. Each
-    shared segment ends up owned by its successor when the successor is bad,
-    else by its predecessor, so the truncated sets partition all locations;
-    good gadgets only ever shed locations, so they stay good.
+    part gets one owner: a gadget owns its own block, and each shared
+    segment is owned by its successor when the successor is bad, else by its
+    predecessor, so the truncated sets partition all locations; good gadgets
+    only ever shed locations, so they stay good.
 
     The faults are counted once per part (own block or segment) through the
-    graph's location -> part index, and the sweep adds part counts. Gadget
-    i's truncated set is fixed by a key of 1 + |out_i| bits: bit 0 is its
-    own bad flag, bit b + 1 is set when out segment b goes to a bad
-    successor. The set is looked up by that key in the graph's memo and
-    built as a union of part sets only on a miss, so gadget i's memo holds
-    at most 2^(1 + |out_i|) sets.
+    graph's location -> part index, and the sweep adds part counts. It
+    builds no set: the classification holds the owners and builds the
+    truncated sets when they are read.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -206,32 +214,19 @@ def truncate_and_classify(g: GadgetGraph, f: FaultConfig, t: int) -> Classificat
     faulty = np.fromiter(f.faulty, dtype=np.intp, count=len(f.faulty))
     counts = np.bincount(g._part_of[faulty], minlength=len(parts)).tolist()
     bad = [False] * n
-    truncated = [frozenset()] * n
+    # gadget i owns its own block; a segment goes to its successor unless that is good
+    owner = [*range(n), *succ]
     for i in reversed(range(n)):
         c = counts[i]
         for s in g._in[i]:
             c += counts[n + s]
-        key = 0
-        for b, s in enumerate(g._out[i]):
-            if bad[succ[s]]:
-                key |= 2 << b
-            else:
+        for s in g._out[i]:
+            if not bad[succ[s]]:
+                owner[n + s] = i
                 c += counts[n + s]
         bad[i] = c > t
-        key |= bad[i]
-        memo = g._memo[i]
-        ids = memo.get(key)
-        if ids is None:
-            chosen = [parts[i]]
-            if bad[i]:
-                chosen.extend(parts[n + s] for s in g._in[i])
-            chosen.extend(parts[n + s] for s in g._out[i] if not bad[succ[s]])
-            ids = memo[key] = frozenset().union(*chosen)
-        truncated[i] = ids
-    if sum(map(len, truncated)) != total or len(frozenset().union(*truncated)) != total:
-        raise AssertionError("truncated sets failed to partition the locations")
     statuses = tuple("bad" if b else "good" for b in bad)
-    return Classification(statuses, tuple(truncated))
+    return Classification(statuses, tuple(owner), parts)
 
 
 def level1_failure_exact(L0: int, t: int, eps: float) -> float:

@@ -208,7 +208,8 @@ def test_criterion_05_truncation_exhaustive():
         for bits in range(1 << n):
             faults = frozenset(i + 1 for i in range(n) if bits >> i & 1)
             cls = truncate_and_classify(graph, FaultConfig(faults), t)
-            # partition invariant is asserted inside truncate_and_classify
+            # the partition invariant is checked by the first read of cls.truncated
+            assert len(cls.truncated) == 2
             if cls.statuses == ("bad", "bad"):
                 min_double = min(min_double, len(faults))
         assert min_double == 2 * (t + 1), t

@@ -701,6 +701,13 @@ BAD_PARAMS = {
     "L0_fraction": ("threshold", {"L0": 7.9, "t": 1}, "L0 must be an integer, got 7.9"),
     "L0_string": ("levelred", {**_LEVELRED, "L0": "5"}, "L0 must be an integer, got '5'"),
     "t_bool": ("threshold", {"L0": 7, "t": True}, "t must be an integer, got True"),
+    # an integer the level arithmetic would overflow as a float
+    "L_beyond_float": (
+        "threshold", {"L0": 7, "t": 1, "L": 10**400, "delta0": 0.01, "eps": 0.001}, "L must fit a float"
+    ),
+    "L0_beyond_float": (
+        "threshold", {"L0": 10**400, "t": 1, "L": 10, "delta0": 0.01, "eps": 0.0}, "L0 must fit a float"
+    ),
     "eps_bool": ("levelred", {**_LEVELRED, "eps": False}, "eps must be a finite number, got False"),
     "t0_string_nan": (
         "strength", {**_z_term_params([0, 1]), "t0": "nan"}, "t0 must be a finite number, got 'nan'"
