@@ -47,12 +47,12 @@ import platform
 import re
 import sys
 from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import replace
 from functools import cache
 from importlib import resources
 from itertools import chain
 from json.encoder import encode_basestring
-from typing import Mapping, Sequence
 
 import jsonschema
 import numpy as np
@@ -703,11 +703,13 @@ def _cmd_threshold(params: dict, seed: int, workers: int) -> tuple[dict, list[di
         xi=_param(params, "xi", float, math.e),
     )
     target = None
+    ints = {"L0": scheme.L0}
     if {"L", "delta0", "eps"} & params.keys():  # read together, each required
         target = _param(params, "L", int), _param(params, "delta0"), _param(params, "eps")
-        for key, value in (("L0", scheme.L0), ("L", target[0])):  # the level arithmetic takes floats
-            if value > sys.float_info.max:
-                raise ValueError(f"{key} must fit a float, at most {sys.float_info.max:.6g}")
+        ints["L"] = target[0]
+    for key, value in ints.items():  # the level arithmetic takes floats
+        if value > sys.float_info.max:
+            raise ValueError(f"{key} must fit a float, at most {sys.float_info.max:.6g}")
     sub = _object(params.get("pseudothreshold", {}), "pseudothreshold")
     _unread(sub, "pseudothreshold", "samples", "mode")
     samples = _param(sub, "samples", int, 10**5)
@@ -781,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=None,
-            help="worker pool size (default: machine parallelism)",
+            help="most threads a levelred run starts, one per chunk (default: machine parallelism)",
         )
     return parser
 

@@ -74,17 +74,21 @@ class GadgetGraph:
 
     The locations split into parts: part i < n_gadgets is gadget i's own
     block, part n_gadgets + s is segment s. The tables derived once per
-    graph (part id sets, each segment's consumer, per-gadget in/out
-    segments, and a location -> part index whose entry 0 is unused) turn
-    every lookup of the sweep into an index; none changes after construction.
+    graph (part id sets, each segment's emitter and consumer, per-gadget
+    in/out segments, a location -> part index whose entry 0 is unused, and
+    the gadget of each part-in-extent incidence) turn every lookup of the
+    sweep into an index; none changes after construction.
     """
 
     gadgets: tuple[Gadget, ...]
     _parts: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    _pred: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _succ: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _in: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _out: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _part_of: np.ndarray = field(init=False, repr=False, compare=False)
+    # every part's emitter (a block's own gadget), then every segment's consumer
+    _extent: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gadgets = tuple(self.gadgets)
@@ -94,6 +98,7 @@ class GadgetGraph:
         n = len(gadgets)
         own: list[range] = []
         segs: list[range] = []
+        pred: list[int] = []
         succ: list[int] = []
         seg_in: list[list[int]] = [[] for _ in range(n)]
         seg_out: list[list[int]] = [[] for _ in range(n)]
@@ -115,6 +120,7 @@ class GadgetGraph:
                 seg_out[i].append(len(succ))
                 layout.append(n + len(succ))
                 sizes.append(count)
+                pred.append(i)
                 succ.append(to)
                 segs.append(range(next_id, next_id + count))
                 next_id += count
@@ -125,11 +131,15 @@ class GadgetGraph:
         parts = tuple(map(frozenset, own + segs))
         part_of = np.repeat(np.array(layout, dtype=np.intp), sizes)
         part_of.flags.writeable = False
+        extent = np.array([*range(n), *pred, *succ], dtype=np.intp)
+        extent.flags.writeable = False
         object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_pred", tuple(pred))
         object.__setattr__(self, "_succ", tuple(succ))
         object.__setattr__(self, "_in", tuple(map(tuple, seg_in)))
         object.__setattr__(self, "_out", tuple(map(tuple, seg_out)))
         object.__setattr__(self, "_part_of", part_of)
+        object.__setattr__(self, "_extent", extent)
 
     @property
     def n_gadgets(self) -> int:
@@ -198,10 +208,13 @@ def truncate_and_classify(g: GadgetGraph, f: FaultConfig, t: int) -> Classificat
     predecessor, so the truncated sets partition all locations; good gadgets
     only ever shed locations, so they stay good.
 
-    The faults are counted once per part (own block or segment) through the
-    graph's location -> part index, and the sweep adds part counts. It
-    builds no set: the classification holds the owners and builds the
-    truncated sets when they are read.
+    The sweep visits only the candidates, the gadgets whose full extent (own
+    block plus every incoming and outgoing segment) holds more than t
+    faults: any other gadget is good whatever its successors are. The
+    faults are counted once per part through the graph's location -> part
+    index, and the full extents in one weighted bincount over the part-in-
+    extent incidences. It builds no set: the classification holds the owners
+    and builds the truncated sets when they are read.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -212,21 +225,25 @@ def truncate_and_classify(g: GadgetGraph, f: FaultConfig, t: int) -> Classificat
     n = g.n_gadgets
     succ, parts = g._succ, g._parts
     faulty = np.fromiter(f.faulty, dtype=np.intp, count=len(f.faulty))
-    counts = np.bincount(g._part_of[faulty], minlength=len(parts)).tolist()
-    bad = [False] * n
-    # gadget i owns its own block; a segment goes to its successor unless that is good
-    owner = [*range(n), *succ]
-    for i in reversed(range(n)):
+    counts = np.bincount(g._part_of[faulty], minlength=len(parts))
+    full = np.bincount(g._extent, np.concatenate((counts, counts[n:])), n)
+    candidates = np.nonzero(full > t)[0][::-1].tolist()
+    counts = counts.tolist()
+    statuses = ["good"] * n
+    # a segment goes to its emitter unless its successor is bad
+    owner = [*range(n), *g._pred]
+    for i in candidates:
         c = counts[i]
         for s in g._in[i]:
             c += counts[n + s]
         for s in g._out[i]:
-            if not bad[succ[s]]:
-                owner[n + s] = i
+            if statuses[succ[s]] == "good":
                 c += counts[n + s]
-        bad[i] = c > t
-    statuses = tuple("bad" if b else "good" for b in bad)
-    return Classification(statuses, tuple(owner), parts)
+        if c > t:
+            statuses[i] = "bad"
+            for s in g._in[i]:
+                owner[n + s] = i
+    return Classification(tuple(statuses), tuple(owner), parts)
 
 
 def level1_failure_exact(L0: int, t: int, eps: float) -> float:
@@ -322,8 +339,9 @@ def level_reduce_mc(
     O(failing blocks). Nodes on one level sit over disjoint leaf sets, so
     all trials at a level are independent and carry an exact binomial
     standard error. Chunks hold about 2^17 expected failing blocks (the
-    budget still counts leaves) and draw from chunk-indexed RNG streams, so
-    results do not depend on the worker count.
+    budget still counts leaves) and draw from chunk-indexed RNG streams.
+    `workers` sizes a thread pool of min(workers, chunks) threads, and a run
+    of one chunk stays in the calling thread; results never depend on it.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -347,6 +365,7 @@ def level_reduce_mc(
         rng = np.random.default_rng([seed, idx])
         return _reduce_chunk(_failing_blocks(m * blocks, p1, rng), levels, L0, t)
 
+    workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -125,12 +125,17 @@ def required_level(L: int, delta0: float, eps: float, p: SchemeParams) -> int:
 
 def overhead_ratio(L: int, k: int, p: SchemeParams) -> tuple[float, float]:
     """Per-location blowup L0^k of k coding levels and the exponent
-    a = log(L0)/log(t+1) that turns it into a polylog overhead in L."""
+    a = log(L0)/log(t+1) that turns it into a polylog overhead in L. A
+    blowup beyond float range is refused with a ValueError naming L0."""
     if L < 1:
         raise ValueError("L must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    return float(p.L0) ** k, math.log(p.L0) / math.log(p.t + 1)
+    try:
+        ratio = float(p.L0) ** k
+    except OverflowError:
+        raise ValueError(f"overhead L0^{k} = {p.L0:.6g}^{k} overflows a float") from None
+    return ratio, math.log(p.L0) / math.log(p.t + 1)
 
 
 def _crossing(f, lo: float, hi: float) -> tuple[float, tuple[float, float]]:

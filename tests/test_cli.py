@@ -708,6 +708,9 @@ BAD_PARAMS = {
     "L0_beyond_float": (
         "threshold", {"L0": 10**400, "t": 1, "L": 10, "delta0": 0.01, "eps": 0.0}, "L0 must fit a float"
     ),
+    "L0_beyond_float_without_target": (
+        "threshold", {"L0": 10**400, "t": 1, "pseudothreshold": {"mode": "exact"}}, "L0 must fit a float"
+    ),
     "eps_bool": ("levelred", {**_LEVELRED, "eps": False}, "eps must be a finite number, got False"),
     "t0_string_nan": (
         "strength", {**_z_term_params([0, 1]), "t0": "nan"}, "t0 must be a finite number, got 'nan'"
@@ -941,6 +944,15 @@ def test_bad_params_exit_2_naming_the_key_before_any_work(tmp_path, capsysbinary
     assert err.count(b"\n") == 1
     msg = json.loads(err)
     assert msg["exit"] == 2 and reason in msg["error"], msg
+
+
+def test_threshold_overhead_beyond_float_exits_2_naming_L0(tmp_path, capsysbinary):
+    # L0 = 1e200 fits a float, but the overhead L0^k of the k = 4 levels the target needs does not
+    params = {"L0": 10**200, "t": 2, "L": 10, "delta0": 1e-310, "eps": 1e-300}
+    cfg = write_config(tmp_path, "cfg.json", {"command": "threshold", "params": params})
+    code, out, err = run(capsysbinary, ["threshold", "--config", cfg])
+    assert code == 2 and out == b""
+    assert json.loads(err) == {"error": "overhead L0^4 = 1e+200^4 overflows a float", "exit": 2}
 
 
 _NOISE_FIELDS = {

@@ -1,9 +1,12 @@
+import concurrent.futures
 import itertools
 import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftlab.gadgets import (
     BudgetExceededError,
@@ -48,6 +51,8 @@ def test_graph_numbering_and_extents():
     assert CHAIN._parts == (frozenset({1, 2}), frozenset({4, 5}), frozenset({3}))
     # extents: gadget 0 is own block 0 + out segment 0, gadget 1 is in segment 0 + own block 1
     assert CHAIN._in == ((), (0,)) and CHAIN._out == ((0,), ()) and CHAIN._succ == (1,)
+    # segment 0 runs from gadget 0 to gadget 1: each part's emitter, then the segment's consumer
+    assert CHAIN._pred == (0,) and CHAIN._extent.tolist() == [0, 1, 0, 1]
     twin = GadgetGraph((Gadget(2, ((1, 1),)), Gadget(2)))
     assert twin == CHAIN and hash(twin) == hash(CHAIN)
     assert twin != GadgetGraph((Gadget(2, ((2, 1),)), Gadget(2)))
@@ -227,6 +232,26 @@ def test_truncate_matches_reference_and_leaves_the_graph_unchanged():
     assert twin == graph and hash(twin) == hash(graph)
 
 
+@st.composite
+def forward_graphs(draw):
+    """Up to 12 gadgets, each with 0 to 3 out segments to any later gadget,
+    so skip links and doubled segments both occur."""
+    n = draw(st.integers(1, 12))
+    gadgets = []
+    for i in range(n):
+        k = draw(st.integers(0, 3)) if i + 1 < n else 0
+        er_out = tuple((draw(st.integers(1, 3)), draw(st.integers(i + 1, n - 1))) for _ in range(k))
+        gadgets.append(Gadget(draw(st.integers(1, 4)), er_out))
+    return GadgetGraph(tuple(gadgets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(forward_graphs(), st.integers(0, 3), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+def test_candidate_sweep_matches_reference_on_random_forward_graphs(graph, t, eps, seed):
+    # the sweep visits only gadgets whose full extent holds more than t faults
+    assert_matches_reference(graph, sample_fault_config(graph, eps, seed).faulty, t)
+
+
 def test_truncate_rejects_unknown_ids():
     with pytest.raises(ValueError, match=r"fault ids outside 1\.\.5: \[0, 99\]"):
         truncate_and_classify(CHAIN, FaultConfig(frozenset({0, 3, 99})), 1)
@@ -354,6 +379,28 @@ def test_level_reduce_mc_budget_and_workers():
     # 200 000 samples are 4 chunks and every worker count below runs several
     rows = [level_reduce_mc(3, 7, 1, 0.05, 200_000, seed=5, workers=w) for w in (1, 2, 3)]
     assert rows[0] == rows[1] == rows[2]
+
+
+def test_level_reduce_mc_pool_sized_to_its_chunks(monkeypatch):
+    # 2^17 / (49 p1) = 1.3e6 samples a chunk at p1 = 0.00203, so 300 000 samples are one chunk
+    solo = level_reduce_mc(3, 7, 1, 0.01, 300_000, 1, workers=1)
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk run started a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    assert level_reduce_mc(3, 7, 1, 0.01, 300_000, 1, workers=8) == solo
+    # 200 000 samples at eps = 0.05 are 4 chunks: 8 workers start 4 threads
+    sizes = []
+
+    def sized_pool(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", sized_pool)
+    level_reduce_mc(3, 7, 1, 0.05, 200_000, seed=5, workers=8)
+    assert sizes == [4]
 
 
 def test_gadget_graph_from_json():

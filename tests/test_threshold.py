@@ -169,6 +169,8 @@ def test_overhead_ratio():
     assert a == pytest.approx(6.6438561897747253, rel=1e-12)
     ratio, _ = overhead_ratio(10**6, 3, P100)
     assert ratio == pytest.approx(1e6, rel=1e-12)
+    with pytest.raises(ValueError, match=r"overhead L0\^2 = 1e\+200\^2 overflows a float"):
+        overhead_ratio(10, 2, SchemeParams(10**200, 2))
 
 
 def test_overhead_polylog_bound():
