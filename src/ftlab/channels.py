@@ -14,18 +14,23 @@ returns its Kraus operators.
 The diamond-norm distance is reported as a certified interval. The lower
 end comes from restarted projected-gradient ascent over bipartite pure
 states (reference copy of the input space, which is enough to attain the
-maximum); the upper end is the spectral bound on the partial trace of the
-absolute Choi difference, clipped at 2, computed in one place,
-`_diamond_upper_from_delta`. Exact SDP evaluation is out of scope by design.
+maximum). The upper end is the smallest of feasible points of Watrous's dual
+SDP: the spectral bound on the partial trace of the absolute Choi difference
+(sigma = I), clipped at 2 and computed in one place,
+`_diamond_upper_from_delta`, and, while that leaves the interval open, a
+certificate built from the ascent's own optimum (`_dual_upper`), rounded
+outward. Exact SDP evaluation is out of scope by design.
 
 The ascent works on the Kraus stacks of both channels concatenated into one
 (K, d, d) array with a +1/-1 sign per operator, and on a batch of starts at
 once; each start keeps its own step size and stopping state, and an objective
 call costs it a reduced QR and an eigh of side min(K, d^2), not d^2. The
 maximally entangled start runs first, then the Haar-random starts in batches
-sized by `_ASCENT_CHUNK_BYTES`. The search returns once the interval is closed,
-lower >= upper*(1 - ASCENT_TOL), checked after the first start and after each
-batch.
+sized by `_ASCENT_CHUNK_BYTES`. The starts then count one by one: a start that
+beats the best value while the interval is open is polished by fixed-point
+steps (`_polish`) and certified, and the search returns once the interval is
+closed, lower >= upper*(1 - ASCENT_TOL). A pair whose sigma = I bound, or
+whose first start's certificate, meets the first start costs one ascent.
 """
 
 from __future__ import annotations
@@ -219,6 +224,14 @@ _ASCENT_CHUNK_BYTES = 64 << 20
 # closed once lower >= upper * (1 - ASCENT_TOL).
 ASCENT_TOL = 1e-10
 
+# Fixed-point steps of `_polish`, and the regularisations eps of the certificate's
+# sigma = (rho + eps I)^-1 in `_dual_upper`; the smallest bound over them wins.
+_POLISH_STEPS = 4
+_CERT_EPS = (1e-4, 1e-6, 1e-8, 1e-10)
+# Roundoff margin of `_dual_upper`: c in c d^3 u (||Y||_F + 2d), u the unit roundoff.
+_CERT_MARGIN = 4.0
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
 
 def _objective(kraus, signs, psi):
     """Trace norms of ((A - B) ⊗ I)(|psi><psi|) for a batch of starts.
@@ -237,7 +250,8 @@ def _objective(kraus, signs, psi):
 
 
 def _ascend(kraus, signs, psi, max_iter=400):
-    """Projected-gradient ascent from each row of `psi` (R, d^2); final values (R,).
+    """Projected-gradient ascent from each row of `psi` (R, d^2); returns the
+    final values (R,) and the final unit states (R, d^2).
 
     Every start keeps its own step size and stops on its own, so each row
     follows the trajectory it would follow alone; it carries S V per start.
@@ -275,7 +289,69 @@ def _ascend(kraus, signs, psi, max_iter=400):
             spent = step[idx] < 1e-12
             active[idx[spent]] = False
             idx, r = idx[~spent], r[~spent]
-    return f
+    return f, psi
+
+
+def _polish(kraus, signs, psi, f):
+    """One start `psi` (d^2,) of value `f`, raised by fixed-point steps.
+
+    With S the sign operator of X(psi) = ((A - B) ⊗ I)(|psi><psi|), each step
+    moves psi to the top eigenvector of H_S = sum_k s_k (K_k ⊗ I)^dag S (K_k ⊗ I).
+    <phi|H_S|phi> = Tr S X(phi) is at most ||X(phi)||_1 for every phi and
+    equals f at psi, so no step lowers the value; a step that does not raise
+    it ends the polish. Returns the final (psi, value).
+    """
+    n, d, _ = kraus.shape
+    lift = np.kron(kraus, np.eye(d))  # K_k ⊗ I on (input ⊗ reference), (K, d^2, d^2)
+    signed = (lift * signs[:, None, None]).reshape(n * d * d, d * d).conj().T
+    for _ in range(_POLISH_STEPS):
+        v = lift @ psi
+        w, u = np.linalg.eigh((v.T * signs) @ v.conj())
+        # X has rank at most K: eigenvalues at roundoff size are its null space, sign 0
+        sign = np.sign(w) * (np.abs(w) > d * d * _UNIT_ROUNDOFF * np.max(np.abs(w)))
+        s = (u * sign) @ u.conj().T
+        h = signed @ (s @ lift).reshape(n * d * d, d * d)
+        cand = np.linalg.eigh(h)[1][:, -1]
+        f2 = float(_objective(kraus, signs, cand[None])[0][0])
+        if not f2 > f:
+            break
+        psi, f = cand, f2
+    return psi, f
+
+
+def _dual_upper(delta_j, psi):
+    """Certified upper bound from the dual point built on the start `psi`.
+
+    With T = Psi^T (Psi the d x d input x reference array of psi), the output
+    is X(psi) = (I⊗T) dJ (I⊗T^dag); rho = T^dag T is psi's reduced state on
+    the input, transposed onto dJ's reference factor. Each eps of `_CERT_EPS` gives
+    R = (rho + eps I)^1/2, M = (I⊗R) dJ (I⊗R) and Y = (I⊗R^-1) |M| (I⊗R^-1).
+    Then Y ± dJ = (I⊗R^-1)(|M| ± M)(I⊗R^-1) ⪰ 0, so lambda_max(Tr_out Y)
+    bounds the diamond distance (Watrous's dual SDP with sigma =
+    (rho + eps I)^-1); it is tight as eps -> 0 when psi is optimal with
+    full-rank rho. The bound is rounded outward: eta =
+    max(0, -lambda_min(Y ∓ dJ)) makes Y + eta I feasible, adding d eta, and
+    the margin c d^3 u (||Y||_F + 2d), u the unit roundoff, covers the error
+    of those eigenvalues and of dJ itself, a difference of two Choi matrices
+    of norm at most d each. Returns the smallest bound over eps.
+    """
+    d = math.isqrt(len(delta_j))
+    t = psi.reshape(d, d).T
+    w, u = np.linalg.eigh(t.conj().T @ t)
+    eye = np.eye(d)
+    bounds = []
+    for eps in _CERT_EPS:
+        root = np.sqrt(np.maximum(w, 0.0) + eps)
+        r = np.kron(eye, (u * root) @ u.conj().T)
+        r_inv = np.kron(eye, (u / root) @ u.conj().T)
+        mw, mv = np.linalg.eigh(r @ delta_j @ r)
+        y = r_inv @ ((mv * np.abs(mw)) @ mv.conj().T) @ r_inv
+        y = 0.5 * (y + y.conj().T)
+        eta = max(0.0, -np.linalg.eigvalsh(y - delta_j)[0], -np.linalg.eigvalsh(y + delta_j)[0])
+        top = np.linalg.eigvalsh(np.einsum(y.reshape(d, d, d, d), [0, 1, 0, 2], [1, 2]))[-1]
+        margin = _CERT_MARGIN * d**3 * _UNIT_ROUNDOFF * (np.linalg.norm(y) + 2 * d)
+        bounds.append(float(top + d * eta + margin))
+    return min(bounds)
 
 
 def _haar_start(seed: int, i: int, d: int) -> np.ndarray:
@@ -300,10 +376,17 @@ def diamond_distance(
         entangled state (already optimal for Pauli-mixture and
         unitary-rotation channels); the rest are Haar-random bipartite pure
         states seeded `[seed, i]`, run in batches of
-        `_ASCENT_CHUNK_BYTES // (16 d^4)` starts. The search returns as
+        `_ASCENT_CHUNK_BYTES // (16 d^4)` starts. The upper end starts as
+        the sigma = I bound. While the interval is open, each start that
+        beats the best value so far, the first one included, is polished
+        (`_polish`: no step lowers its value) and certified (`_dual_upper`:
+        the dual point sigma = (rho + eps I)^-1 built from its reduced state
+        rho, rounded outward by its eigenvalue check and a roundoff margin),
+        and the upper end becomes the smaller bound. The search returns as
         soon as the interval is closed, `lower >= upper * (1 - ASCENT_TOL)`,
-        checked after the first start and after each batch, so a closed
-        interval costs one ascent.
+        checked before each start counts, so an interval that the first
+        start closes costs one ascent; the starts count in order, so the
+        result does not depend on the batch size.
     seed : int
         Seeds the random restarts; fixed seed makes the result reproducible.
 
@@ -323,17 +406,30 @@ def diamond_distance(
         return DiamondInterval(0.0, 0.0)
     kraus = np.concatenate([a.kraus, b.kraus])
     signs = np.repeat([1.0, -1.0], [len(a.kraus), len(b.kraus)])
-    closed = upper * (1.0 - ASCENT_TOL)
     entangled = np.eye(d, dtype=np.complex128).reshape(1, -1) / math.sqrt(d)
-    best = float(_ascend(kraus, signs, entangled)[0])
     chunk = max(1, _ASCENT_CHUNK_BYTES // (16 * d**4))
-    for first in range(1, restarts, chunk):
-        if best >= closed:
+    best = -math.inf
+
+    def is_open() -> bool:
+        return best < upper * (1.0 - ASCENT_TOL)
+
+    def batches():  # the entangled start alone, then the Haar starts in chunks
+        yield entangled
+        for first in range(1, restarts, chunk):
+            last = min(first + chunk, restarts)
+            yield np.stack([_haar_start(seed, i, d) for i in range(first, last)])
+
+    for starts in batches():
+        f, psi = _ascend(kraus, signs, starts)
+        # the starts count one by one, so the result does not depend on the batch size
+        for value, start in zip(f, psi):
+            if value > best and is_open():
+                best = float(value)
+                if is_open():
+                    start, best = _polish(kraus, signs, start, best)
+                    upper = min(upper, _dual_upper(delta_j, start))
+        if not is_open():  # before the next batch's starts are drawn
             break
-        starts = np.stack(
-            [_haar_start(seed, i, d) for i in range(first, min(first + chunk, restarts))]
-        )
-        best = max(best, float(np.max(_ascend(kraus, signs, starts))))
     return DiamondInterval(min(best, upper), upper)
 
 

@@ -71,6 +71,10 @@ Z_PROJECTORS = (
     np.array([[0, 0], [0, 1]], dtype=np.complex128),
 )
 
+# Input bytes per apply_local call when the ket walk splits a stack's rows into
+# their measurement parts; apply_local's temporaries are about twice its input.
+_SPLIT_CHUNK_BYTES = 8 << 20
+
 
 def rz(theta: float) -> np.ndarray:
     """Z rotation diag(e^{-i theta/2}, e^{+i theta/2})."""
@@ -347,6 +351,15 @@ def _walk(
     def act(x, ops, pos):
         return apply_local(x, ops[0] if vector else ops, pos)
 
+    def split(x, ops, pos):  # a ket stack's rows as their parts P_a x, a inner
+        rows, d = x.shape
+        parts = np.empty((rows, len(ops), d), dtype=np.complex128)
+        step = max(1, _SPLIT_CHUNK_BYTES // (d * x.itemsize))
+        for r in range(0, rows, step):
+            for a, p in enumerate(ops):
+                parts[r : r + step, a] = act(x[r : r + step], p[None], pos)
+        return parts.reshape(-1, d)
+
     def place(blocks) -> None:
         nonlocal branches
         for block in blocks:
@@ -396,8 +409,7 @@ def _walk(
                 branches = [({**rec, loc.index: a}, act(x, p[None], pos))
                             for rec, x in branches for a, p in enumerate(loc.ops)]
             elif vector and loc.kind == "measure":
-                branches = [(rec, np.stack([act(x, p[None], pos) for p in loc.ops], 1)
-                             .reshape(-1, x.shape[1])) for rec, x in branches]
+                branches = [(rec, split(x, loc.ops, pos)) for rec, x in branches]
             else:
                 cond = loc.condition
                 branches = [(rec, x if cond and rec.get(cond[0]) != cond[1]

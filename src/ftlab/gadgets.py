@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 MC_BUDGET = 10**9
+_EXP_UNDERFLOW = 746.0  # math.exp(x) is 0.0 for every x < -745.2
 GRAPH_LOCATION_CAP = 10**6  # most locations a gadget graph may number
 
 
@@ -247,7 +248,14 @@ def truncate_and_classify(g: GadgetGraph, f: FaultConfig, t: int) -> Classificat
 
 
 def level1_failure_exact(L0: int, t: int, eps: float) -> float:
-    """Exact binomial tail P[Bin(L0, eps) > t], summed in log space."""
+    """Exact binomial tail P[Bin(L0, eps) > t], summed in log space.
+
+    The terms are summed from the mode outward, and each side stops at the
+    first term whose ratio to the largest, exp(log term - top), underflows
+    to 0; every term further out is smaller, so it is 0 in the full sum too.
+    The result is then the sum of all L0 - t terms bit for bit, at a cost
+    that grows with the tail's spread, not with L0.
+    """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"fault probability out of range: {eps}")
     if not 0 <= t < L0:
@@ -256,15 +264,18 @@ def level1_failure_exact(L0: int, t: int, eps: float) -> float:
         return 0.0
     if eps == 1.0:
         return 1.0
-    log_terms = [
-        math.lgamma(L0 + 1)
-        - math.lgamma(i + 1)
-        - math.lgamma(L0 - i + 1)
-        + i * math.log(eps)
-        + (L0 - i) * math.log1p(-eps)
-        for i in range(t + 1, L0 + 1)
-    ]
-    top = max(log_terms)
+    lgamma_L0, log_fail, log_ok = math.lgamma(L0 + 1), math.log(eps), math.log1p(-eps)
+    mode = min(max(int((L0 + 1) * eps), t + 1), L0)
+    log_terms: list[float] = []
+    top = -math.inf
+    for side in (range(mode, L0 + 1), range(mode - 1, t, -1)):
+        for i in side:
+            lt = (lgamma_L0 - math.lgamma(i + 1) - math.lgamma(L0 - i + 1)
+                  + i * log_fail + (L0 - i) * log_ok)
+            if lt < top - _EXP_UNDERFLOW:
+                break
+            log_terms.append(lt)
+            top = max(top, lt)
     return min(1.0, math.exp(top) * math.fsum(math.exp(lt - top) for lt in log_terms))
 
 

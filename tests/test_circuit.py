@@ -1231,3 +1231,31 @@ def test_density_walk_merges_branches_no_gate_reads():
         tracemalloc.stop()
     assert peak < 16 * rho.nbytes  # the 256 unmerged branches alone are 256 rho
     np.testing.assert_allclose(rho, _branch_sum(c), rtol=0, atol=1e-14)
+
+
+def test_environment_measurement_split_peak():
+    # a 9+3 GHZ chain, a Haar coupling after each gate on its support plus
+    # all environment qubits, then all 9 system qubits measured: the last
+    # split turns 256 kets of 2^12 amplitudes (16 MiB) into 512. Its parts
+    # are written into one array, a few rows per kernel call, so the run
+    # peaks at the final Tr_env product (68 MiB traced), not at the split
+    # (80 MiB when every part was held twice)
+    rng = np.random.default_rng(3)
+    n_sys, n_env = 9, 3
+    gates = [Location.gate_on(0, 0, 0, HADAMARD)]
+    gates += [Location.gate_on(0, 0, (q, q + 1), CNOT) for q in range(n_sys - 1)]
+    c = seq(n_sys, *gates, *(Location.measure(0, 0, q) for q in range(n_sys)))
+    couplings = {}
+    for loc in c.locations[: len(gates)]:
+        support = (*loc.support, *range(n_sys, n_sys + n_env))
+        couplings[loc.index] = env_coupling(support, haar_unitary(rng, 2 ** len(support)))
+    env = EnvironmentSpec(n_env, haar_unitary(rng, 2**n_env)[:, 0], couplings)
+    tracemalloc.start()
+    try:
+        rho, dist = simulate_with_environment(c, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 72 * 2**20
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    assert dist.sum() == pytest.approx(1.0, abs=1e-12)

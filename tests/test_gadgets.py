@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -269,6 +270,40 @@ def test_level1_failure_exact_values():
         level1_failure_exact(5, 5, 0.1)
     with pytest.raises(ValueError):
         level1_failure_exact(5, 1, 1.2)
+
+
+def full_binomial_tail(L0, t, eps):
+    """P[Bin(L0, eps) > t] as the sum of all L0 - t log-space terms."""
+    log_terms = [
+        math.lgamma(L0 + 1) - math.lgamma(i + 1) - math.lgamma(L0 - i + 1)
+        + i * math.log(eps) + (L0 - i) * math.log1p(-eps)
+        for i in range(t + 1, L0 + 1)
+    ]
+    top = max(log_terms)
+    return min(1.0, math.exp(top) * math.fsum(math.exp(lt - top) for lt in log_terms))
+
+
+def test_level1_failure_exact_is_the_full_sum_bit_for_bit():
+    for L0 in (3, 4, 5, 7, 10, 15, 22, 49, 100, 279, 387, 648, 745, 1000):
+        for t in range(1, min(3, L0 - 1) + 1):
+            for k in range(1, 60):
+                eps = 10 ** (-k / 8)
+                assert level1_failure_exact(L0, t, eps) == full_binomial_tail(L0, t, eps), (L0, t, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 2000), st.integers(0, 5), st.floats(1e-300, 1.0, exclude_max=True))
+def test_level1_failure_exact_matches_full_sum(L0, t, eps):
+    t = min(t, L0 - 1)
+    assert level1_failure_exact(L0, t, eps) == full_binomial_tail(L0, t, eps)
+
+
+def test_level1_failure_exact_stops_past_the_tail():
+    # 10^6 terms in the full sum; the tail past its spread underflows to 0
+    start = time.perf_counter()
+    for eps in (0.5, 1e-2, 1e-6, 1e-12):
+        assert 0.0 <= level1_failure_exact(10**6, 1, eps) <= 1.0
+    assert time.perf_counter() - start < 1.0
 
 
 def test_level1_failure_exact_within_xi_bound():
