@@ -25,6 +25,7 @@ from .channels import (
     compose_channels,
     diamond_distance,
     make_noise_channel,
+    noise_strengths,
     strength_gaussian,
     strength_local_hamiltonian,
     strength_long_range,

@@ -190,9 +190,14 @@ def choi_matrix(ch: Channel) -> np.ndarray:
     reference copy. A Choi matrix over DIM_CAP is refused before it is built.
     """
     checked_dims(ch.dims * 2)
-    d = ch.dim
+    return _choi(ch.kraus)
+
+
+def _choi(kraus: np.ndarray) -> np.ndarray:
+    """The Choi matrix of a (K, d, d) Kraus stack, one outer product per operator."""
+    d = kraus.shape[-1]
     j = np.zeros((d * d, d * d), dtype=np.complex128)
-    for k in ch.kraus:
+    for k in kraus:
         v = k.reshape(-1)  # (K ⊗ I) applied to sum_i |i>|i>
         j += np.outer(v, v.conj())
     return j
@@ -203,21 +208,23 @@ class DiamondInterval(NamedTuple):
     upper: float
 
 
-def _diamond_upper_from_delta(delta_j: np.ndarray) -> float:
-    """Certified upper bound: largest eigenvalue of Tr_out |dJ|, capped at 2.
+def _diamond_upper_from_delta(delta_j: np.ndarray) -> list[float]:
+    """Certified upper bounds: for each Choi difference dJ of the stack, the
+    largest eigenvalue of Tr_out |dJ|, capped at 2.
 
-    `delta_j` is a Choi difference on (output ⊗ reference), side d^2.
+    `delta_j` is a (B, d^2, d^2) stack of differences on (output ⊗ reference);
+    one batched eigh, matmul, partial trace and eigvalsh serve all B.
     """
-    d = math.isqrt(len(delta_j))
+    d = math.isqrt(delta_j.shape[-1])
     w, u = np.linalg.eigh(delta_j)
-    abs_j = (u * np.abs(w)) @ u.conj().T
-    reduced = np.einsum(abs_j.reshape(d, d, d, d), [0, 1, 0, 2], [1, 2])
-    bound = float(np.max(np.linalg.eigvalsh(reduced)))
-    return min(2.0, max(0.0, bound))
+    abs_j = (u * np.abs(w)[:, None, :]) @ u.conj().swapaxes(1, 2)
+    reduced = np.einsum(abs_j.reshape(-1, d, d, d, d), [3, 0, 1, 0, 2], [3, 1, 2])
+    return [min(2.0, max(0.0, float(b))) for b in np.linalg.eigvalsh(reduced)[:, -1]]
 
 
-# Random-start batch budget in bytes of one (starts, d^2, d^2) complex array; per start
-# the ascent holds (d^2, K) and min(K, d^2)-sided arrays, not the d^2 x d^2 operator.
+# Batch budget in bytes of one (B, d^2, d^2) complex array: B random starts of the
+# ascent, which per start holds (d^2, K) and min(K, d^2)-sided arrays, not the
+# d^2 x d^2 operator, or B Choi differences of `noise_strengths`.
 _ASCENT_CHUNK_BYTES = 64 << 20
 
 # Relative-improvement stopping threshold of the ascent; the interval counts as
@@ -401,7 +408,7 @@ def diamond_distance(
         raise ValueError("restarts must be >= 1")
     d = a.dim
     delta_j = choi_matrix(a) - choi_matrix(b)
-    upper = _diamond_upper_from_delta(delta_j)
+    (upper,) = _diamond_upper_from_delta(delta_j[None])
     if upper <= 1e-14:
         return DiamondInterval(0.0, 0.0)
     kraus = np.concatenate([a.kraus, b.kraus])
@@ -540,7 +547,33 @@ def strength_markovian(noisy: Channel, ideal: Channel) -> float:
     """
     if noisy.dims != ideal.dims or noisy.support != ideal.support:
         raise ValueError("channels must share dims and support")
-    return _diamond_upper_from_delta(choi_matrix(noisy) - choi_matrix(ideal))
+    (bound,) = _diamond_upper_from_delta((choi_matrix(noisy) - choi_matrix(ideal))[None])
+    return bound
+
+
+def noise_strengths(noise: Sequence[Channel]) -> list[float]:
+    """Certified strength of each noise channel against the identity on its
+    factors, `strength_markovian(ch, Channel.identity(ch.dims, ch.support))`
+    bit for bit.
+
+    The Choi matrix vec(I)vec(I)^dag of the identity is built once per
+    dimension, and the differences of one dimension share one batched bound,
+    in stacks of at most `_ASCENT_CHUNK_BYTES`.
+    """
+    out = [0.0] * len(noise)
+    by_dim: dict[int, list[int]] = {}
+    for i, ch in enumerate(noise):
+        by_dim.setdefault(ch.dim, []).append(i)
+    for d, members in by_dim.items():
+        checked_dims(noise[members[0]].dims * 2)  # refused before the identity's Choi is built
+        ideal = _choi(np.eye(d, dtype=np.complex128)[None])
+        chunk = max(1, _ASCENT_CHUNK_BYTES // (16 * d**4))
+        for first in range(0, len(members), chunk):
+            part = members[first : first + chunk]
+            deltas = np.stack([choi_matrix(noise[i]) for i in part]) - ideal
+            for i, bound in zip(part, _diamond_upper_from_delta(deltas)):
+                out[i] = bound
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,11 +24,12 @@ nonzero parts, like a prep's, become rows, and joining concatenates them.
 
 The walk is lazy: its state spans only the active qubits, those some
 location other than a prep has touched, and every other qubit is a small
-pending block (a prep's state, or |0>) kron'd in when a location first
-needs it, so a GHZ chain grows the state by one qubit per CNOT. The walk
-returns its state on all qubits, in global qubit order. A read-out walk
-(``accuracy_delta_exact``'s) instead retires each qubit after its last
-location, so its state is only as wide as its live qubits.
+pending block (a prep's state, or |0>) tensored in by one broadcast
+product (``_tensor``) when a location first needs it, so a GHZ chain grows
+the state by one qubit per CNOT. The walk returns its state on all qubits,
+in global qubit order. A read-out walk (``accuracy_delta_exact``'s) instead
+retires each qubit after its last location, so its state is only as wide
+as its live qubits.
 
 Operators are plain complex128 arrays on the qubits of a location's
 support; the simulators return the final density matrix on the
@@ -306,14 +307,14 @@ def _walk(
     other than a prep has touched (the environment from the start), in the
     shared axis order `active`. Every other qubit sits in a pending block:
     a factor (a matrix, or with `env` a ket) on the qubits of one prep as
-    listed, |0> for an untouched qubit. A location krons each block meeting
-    its support into every state, appending its qubits to `active`, and
-    applies its Kraus stack (to a ket stack, its one operator) with
-    `apply_local` on the support's positions in `active`. A prep on S
-    instead traces its active qubits out of every state (a ket stack's rows
-    split into their parts <k|x, k inner), activates a block S covers only
-    in part, and makes S one block holding psi = ops[0, :, 0], weighted by
-    the trace (norm) of the blocks it drops: the channel
+    listed, |0> for an untouched qubit. A location tensors each block
+    meeting its support into every state (`_tensor`), appending its qubits
+    to `active`, and applies its Kraus stack (to a ket stack, its one
+    operator) with `apply_local` on the support's positions in `active`. A
+    prep on S instead traces its active qubits out of every state (a ket
+    stack's rows split into their parts <k|x, k inner), activates a block S
+    covers only in part, and makes S one block holding psi = ops[0, :, 0],
+    weighted by the trace (norm) of the blocks it drops: the channel
     sum_k |psi><k| . |k><psi|.
 
     A measurement is the non-selective sum_a P_a x P_a unless a later gate
@@ -364,7 +365,7 @@ def _walk(
         nonlocal branches
         for block in blocks:
             f = pending.pop(block)
-            branches = [(rec, np.kron(x, f)) for rec, x in branches]
+            branches = [(rec, _tensor(x, f)) for rec, x in branches]
             active.extend(block)
 
     def positions(support):
@@ -442,6 +443,16 @@ def _walk(
         branches = [(rec, x.reshape(shape).transpose(axes).reshape(x.shape))
                     for rec, x in branches]
     return [x for _, x in branches]
+
+
+def _tensor(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """x (x) f for a stack x of kets and a ket f, or of matrices and a
+    matrix f: one broadcast product of each entry of x with each of f, the
+    products `np.kron` forms, without its reshaping of both operands."""
+    if f.ndim == 1:
+        return (x[..., :, None] * f).reshape(x.shape[:-1] + (-1,))
+    y = x[..., :, None, :, None] * f[:, None, :]
+    return y.reshape(x.shape[:-2] + (x.shape[-1] * len(f),) * 2)
 
 
 def _merge(branches: list[tuple[dict, np.ndarray]], closed: set[int], vector: bool) -> list:

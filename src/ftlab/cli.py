@@ -66,6 +66,7 @@ from .channels import (
     NoiseSpec,
     diamond_distance,
     make_noise_channel,
+    noise_strengths,
     strength_gaussian,
     strength_local_hamiltonian,
     strength_long_range,
@@ -395,7 +396,7 @@ def noise_spec_from_json(obj: Mapping, *also: str, name: str = "noise spec") -> 
     """A spec reads its kind and that kind's `NOISE_KINDS` fields; a key
     outside them and `also` is refused, naming the spec `name`."""
     kind = _object(obj, name).get("kind")
-    if kind not in NOISE_KINDS:
+    if type(kind) is not str or kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}")
     fields = NOISE_KINDS[kind][0]
     _unread(obj, name, "kind", *fields, *also)
@@ -533,7 +534,7 @@ def gadget_graph_from_json(obj: Mapping) -> tuple[GadgetGraph, int]:
     the 0-based index of the consuming gadget.
     """
     raw = _unread(obj, "gadget graph config", "gadgets", "t").get("gadgets")
-    if not isinstance(raw, Sequence) or not raw:
+    if type(raw) is not list or not raw:
         raise ValueError("config needs a nonempty gadgets list")
     gadgets = []
     for i, entry in enumerate(raw):
@@ -611,10 +612,7 @@ def _cmd_accuracy(params: dict, seed: int, workers: int) -> tuple[dict, list[dic
     else:
         noise = noise_map_from_json(params.get("noise", {}))
         delta = accuracy_delta_exact(c, noise)
-        eps = 0.0
-        for ch in noise.values():
-            ident = Channel.identity(ch.dims, ch.support)
-            eps = max(eps, strength_markovian(ch, ident))
+        eps = max(noise_strengths(list(noise.values())), default=0.0)
     variant = "non_markovian" if env else "linear"  # the bound criterion 2 or 1 certifies
     bound = accuracy_bound(c.size, eps, variant)
     results = {"delta": delta, "eps": eps, "locations": c.size, "variant": variant,
@@ -644,6 +642,8 @@ def _cmd_faultpaths(params: dict, seed: int, workers: int) -> tuple[dict, list[d
     noise = noise_map_from_json(params.get("noise", {}))
     if mode == "subset":
         subset = _param(params, "subset", int, each=True)
+        if len(set(subset)) != len(subset):
+            raise ValueError(f"subset repeats a location: {subset}")
         complement = params.get("complement", "noisy")
         zeta = zeta_subset(c, noise, subset, complement=complement)
         results = {"mode": mode, "subset": sorted(subset), "complement": complement}

@@ -10,8 +10,11 @@ total dimension keeps a desk-scale run from silently allocating gigabytes:
 of factor dimensions (a `Channel`'s) and, through it, `superoperator`
 refuses a map whose d^2 side exceeds the cap. `apply_local` contracts
 only the axes a local map touches: one operator maps a stack of kets, a
-Kraus stack or a superoperator a stack of matrices; `embed_operator`
-builds the full-space matrix where one is really needed.
+Kraus stack or a superoperator a stack of matrices. Each call is one
+permuted matmul (`_matmul_on_axes`): a transpose bringing the touched axes
+first, one `np.dot` with the map as a matrix, and a transpose back.
+`embed_operator` builds the full-space matrix where one is really needed,
+by the same matmul on the identity.
 A measurement read-out is a plain float64 array of outcome probabilities.
 """
 
@@ -170,12 +173,19 @@ def _local_setup(op: np.ndarray, support: Sequence[int], n: int):
     return op, support
 
 
-def _contract(op: np.ndarray, t: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Contract the input half of `op`'s axes with the `axes` of `t`; the
-    outputs take the place of the contracted axes."""
-    k = len(axes)
-    out = np.tensordot(op, t, axes=(range(k, 2 * k), axes))
-    return np.moveaxis(out, range(k), axes)
+def _matmul_on_axes(op: np.ndarray, t: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """The (2^k, 2^k) matrix `op` applied to the k side-2 `axes` of t, the
+    first of them most significant; the outputs take their place.
+
+    One transpose brings `axes` first, in the order `tensordot` would build,
+    one `np.dot` maps the (2^k, rest) view, and one transpose by the inverse
+    permutation puts the axes back.
+    """
+    order = [*axes, *(a for a in range(t.ndim) if a not in axes)]
+    inverse = sorted(range(t.ndim), key=order.__getitem__)
+    moved = t.transpose(order)
+    out = np.dot(op, moved.reshape(len(op), -1))
+    return out.reshape(moved.shape).transpose(inverse)
 
 
 def embed_operator(op: np.ndarray, support: Sequence[int], n: int) -> np.ndarray:
@@ -188,7 +198,7 @@ def embed_operator(op: np.ndarray, support: Sequence[int], n: int) -> np.ndarray
     qubit_dims(n)  # an over-cap register is refused before its identity is built
     op, support = _local_setup(op, support, n)
     eye = np.eye(2**n, dtype=np.complex128).reshape((2,) * (2 * n))
-    full = _contract(op.reshape((2,) * (2 * len(support))), eye, list(support))
+    full = _matmul_on_axes(op, eye, support)
     return np.ascontiguousarray(full.reshape(2**n, 2**n))
 
 
@@ -217,7 +227,8 @@ def apply_local(x: np.ndarray, ops: np.ndarray, support: Sequence[int]) -> np.nd
     matrix's row axes before its column axes. K factors over `support` in
     the order listed, as in `embed_operator`: support (2, 0) makes qubit 2
     the most significant factor. Only the support axes are contracted, so
-    a matrix costs O(d^2 d_sup^2), not O(d^3).
+    a matrix costs O(d^2 d_sup^2), not O(d^3): one permuted matmul, the map
+    as a (d_sup^m, d_sup^m) matrix times x's support axes as rows.
     """
     x = np.asarray(x, dtype=np.complex128)
     ops = np.asarray(ops, dtype=np.complex128)
@@ -230,5 +241,5 @@ def apply_local(x: np.ndarray, ops: np.ndarray, support: Sequence[int]) -> np.nd
         op = superoperator(op)
     lead = x.shape[:-m]
     axes = [len(lead) + i + n * j for j in range(m) for i in support]
-    op = op.reshape((2,) * (len(support) * op.ndim))
-    return _contract(op, x.reshape(lead + (2,) * (n * m)), axes).reshape(x.shape)
+    op = op.reshape(2 ** len(axes), 2 ** len(axes))
+    return _matmul_on_axes(op, x.reshape(lead + (2,) * (n * m)), axes).reshape(x.shape)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftlab import channels
 from ftlab.channels import (
@@ -16,6 +18,7 @@ from ftlab.channels import (
     compose_channels,
     diamond_distance,
     make_noise_channel,
+    noise_strengths,
     strength_gaussian,
     strength_local_hamiltonian,
     strength_long_range,
@@ -382,6 +385,10 @@ def test_diamond_open_interval_runs_every_restart(monkeypatch):
     assert lo < hi * (1 - 1e-10)
 
 
+def sigma_identity_bound(a, b):
+    return channels._diamond_upper_from_delta((choi_matrix(a) - choi_matrix(b))[None])[0]
+
+
 def test_diamond_certificate_closes_after_first_start(monkeypatch):
     # the sigma = I bound is 3.3 % (AD qubit) and 6.5 % (AD-CNOT) loose; the
     # certificate built on the polished entangled start closes both
@@ -392,7 +399,7 @@ def test_diamond_certificate_closes_after_first_start(monkeypatch):
         lo, hi = diamond_distance(a, b, restarts=32)
         assert rows and set(rows) == {1}
         assert hi - lo <= 1e-10 * hi
-        assert hi < channels._diamond_upper_from_delta(choi_matrix(a) - choi_matrix(b)) * 0.99
+        assert hi < sigma_identity_bound(a, b) * 0.99
         monkeypatch.undo()
 
 
@@ -415,7 +422,7 @@ def test_diamond_upper_within_sigma_identity_bound_and_above_search():
         a = random_channel(rng, 2, int(rng.integers(1, 4)))
         b = random_channel(rng, 2, int(rng.integers(1, 4)))
         lo, hi = diamond_distance(a, b)
-        assert lo <= hi <= channels._diamond_upper_from_delta(choi_matrix(a) - choi_matrix(b))
+        assert lo <= hi <= sigma_identity_bound(a, b)
         assert hi >= diamond_distance(a, b, restarts=64, seed=1).lower
 
 
@@ -480,6 +487,39 @@ def test_strength_markovian_matches_noise_factor_strength():
         noisy = make_noise_channel(spec, support=(2,))
         ident = Channel.identity(qubit_dims(1), (2,))
         assert strength_markovian(noisy, ident) == decomposed_strength(noisy, ident)
+
+
+@given(
+    st.lists(st.tuples(st.integers(1, 2), st.integers(1, 4)), max_size=12),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_noise_strengths_equal_strength_markovian_bit_for_bit(shapes, seed):
+    # one batched sigma = I bound per dimension, against vec(I)vec(I)^dag built
+    # once, gives each channel's own bound: 1- and 2-qubit channels mixed in
+    # one call, some near the identity, and the noise zoo
+    rng = np.random.default_rng(seed)
+    noise = []
+    for n, k in shapes:
+        ch = random_channel(rng, 2**n, k)
+        if rng.random() < 0.3:
+            p = 10.0 ** rng.uniform(-8, -1)
+            kraus = np.concatenate([[math.sqrt(1 - p) * np.eye(2**n)], math.sqrt(p) * ch.kraus])
+            ch = Channel.from_kraus(kraus, (2**n,))
+        noise.append(Channel(ch.kraus, qubit_dims(n), rng.permutation(4)[:n]))
+    zoo = [
+        NoiseSpec.depolarizing(0.03),
+        NoiseSpec.amplitude_damping(0.1, 1.0),
+        NoiseSpec.control_rotation(0.01),
+        NoiseSpec.probabilistic(0.2, SIGMA_Y),
+    ]
+    noise += [make_noise_channel(spec, support=(q,)) for q, spec in enumerate(zoo)]
+    noise.append(make_noise_channel(NoiseSpec.probabilistic(0.1, CNOT), support=(1, 0)))
+    order = rng.permutation(len(noise))
+    noise = [noise[i] for i in order]
+    want = [strength_markovian(ch, Channel.identity(ch.dims, ch.support)) for ch in noise]
+    assert noise_strengths(noise) == want
+    assert noise_strengths([]) == []
 
 
 def test_strength_markovian_needs_matching_dims_and_support():

@@ -26,6 +26,7 @@ from ftlab.circuit import (
     EnvironmentSpec,
     Location,
     _readout,
+    _tensor,
     _walk,
     environment_strength,
     rz,
@@ -1259,3 +1260,23 @@ def test_environment_measurement_split_peak():
     assert peak <= 72 * 2**20
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@given(
+    st.sampled_from(["kets", "matrix", "matrices"]),
+    st.integers(0, 5),
+    st.integers(1, 2),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_tensor_equals_kron_bit_for_bit(kind, n, k, rows, seed):
+    # the walk activates a pending block by one broadcast product: the same
+    # entry products np.kron forms, for a ket stack and a ket, a matrix or a
+    # read-out walk's stack of matrices and a matrix
+    rng = np.random.default_rng(seed)
+    shape = {"kets": (rows, 2**n), "matrix": (2**n,) * 2, "matrices": (rows,) + (2**n,) * 2}[kind]
+    fshape = (2**k,) * (1 if kind == "kets" else 2)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    f = rng.normal(size=fshape) + 1j * rng.normal(size=fshape)
+    assert np.array_equal(_tensor(x, f), np.kron(x, f))

@@ -913,6 +913,15 @@ BAD_PARAMS = {
                                            {"own_locations": 2}]}, "faults": [3]},
         "gadgets[0] key 'er_outs' is not read",
     ),
+    # a value of the wrong type is named as such, not as a fault of the parser
+    "noise_kind_list": (
+        "accuracy", {**_NOISY_H, "noise": {"2": {"kind": ["x"], "p": 0.1}}}, "unknown noise kind ['x']"
+    ),
+    "gadgets_string": ("truncate", {"graph": {"gadgets": "abc"}, "eps": 0.1}, "nonempty gadgets list"),
+    # a fault-path subset is a set of locations: a repeated one is refused, not merged
+    "subset_repeated": (
+        "faultpaths", {**_NOISY_H, "mode": "subset", "subset": [2, 2]}, "subset repeats a location: [2, 2]"
+    ),
     "er_out_extra_key": (
         "truncate", {"graph": {"gadgets": [{"own_locations": 2, "er_out": [{"count": 1, "to": 1, "from": 0}]},
                                            {"own_locations": 2}]}, "faults": [3]},
@@ -922,7 +931,7 @@ BAD_PARAMS = {
 
 _WORK = [  # every computing call a runner makes
     "accuracy_delta_exact", "diamond_distance", "environment_strength", "iterate_failure_map",
-    "level_reduce_mc", "pseudothreshold_mc", "sample_fault_config", "strength_gaussian",
+    "level_reduce_mc", "noise_strengths", "pseudothreshold_mc", "sample_fault_config", "strength_gaussian",
     "strength_local_hamiltonian", "strength_long_range", "strength_markovian",
     "strength_unitary_couplings", "threshold_report", "threshold_value", "truncate_and_classify",
     "verify_ie_identity", "zeta_earliest", "zeta_subset",

@@ -316,6 +316,53 @@ def test_apply_local_matches_dense_reference(case):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
+def _contract_reference(op, t, axes):
+    """op, a (2^k, 2^k) matrix, on the k side-2 `axes` of t by `tensordot`,
+    its output axes then moved into their places by `moveaxis`."""
+    k = len(axes)
+    out = np.tensordot(op.reshape((2,) * (2 * k)), t, axes=(range(k, 2 * k), axes))
+    return np.moveaxis(out, range(k), axes)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(n, support, ops, x): 1-5 qubits, a support in any order, 0-2 leading
+    stack axes of side 1-3, and one of: one operator on a stack of kets, a
+    Kraus stack of K = 1..4 or a superoperator on a stack of matrices."""
+    kind = draw(st.sampled_from(["ket", "kraus", "superoperator"]))
+    n = draw(st.integers(1, 5 if kind == "ket" else 4))
+    order = draw(st.permutations(range(n)))
+    support = tuple(order[: draw(st.integers(1, min(n, 3 if kind == "ket" else 2)))])
+    d_sup, d = 2 ** len(support), 2**n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    ops_shape = {"ket": (d_sup,) * 2, "kraus": (draw(st.integers(1, 4)), d_sup, d_sup),
+                 "superoperator": (d_sup,) * 4}[kind]
+    shape = lead + ((d,) if kind == "ket" else (d, d))
+    ops = rng.normal(size=ops_shape) + 1j * rng.normal(size=ops_shape)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return n, support, ops, x
+
+
+@given(kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_apply_local_equals_tensordot_reference_bit_for_bit(case):
+    # one transpose, one np.dot and one transpose back are the products and
+    # sums tensordot makes, in the same order, so no bit moves
+    n, support, ops, x = case
+    m = 1 if ops.ndim == 2 else 2
+    lead = x.shape[:-m]
+    axes = [len(lead) + i + n * j for j in range(m) for i in support]
+    op = superoperator(ops) if ops.ndim == 3 else ops
+    op = op.reshape(2 ** len(axes), 2 ** len(axes))
+    want = _contract_reference(op, x.reshape(lead + (2,) * (n * m)), axes).reshape(x.shape)
+    assert np.array_equal(apply_local(x, ops, support), want)
+    op = ops.reshape(-1, 2 ** len(support), 2 ** len(support))[0]  # any one operator to embed
+    eye = np.eye(2**n, dtype=np.complex128).reshape((2,) * (2 * n))
+    want = _contract_reference(op, eye, list(support)).reshape(2**n, 2**n)
+    assert np.array_equal(embed_operator(op, support, n), want)
+
+
 def test_apply_local_rejects_mismatched_shapes():
     x = np.eye(8, dtype=np.complex128)
     with pytest.raises(ValueError):
