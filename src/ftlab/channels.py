@@ -14,12 +14,11 @@ returns its Kraus operators.
 The diamond-norm distance is reported as a certified interval. The lower
 end comes from restarted projected-gradient ascent over bipartite pure
 states (reference copy of the input space, which is enough to attain the
-maximum). The upper end is the smallest of feasible points of Watrous's dual
-SDP: the spectral bound on the partial trace of the absolute Choi difference
-(sigma = I), clipped at 2 and computed in one place,
-`_diamond_upper_from_delta`, and, while that leaves the interval open, a
-certificate built from the ascent's own optimum (`_dual_upper`), rounded
-outward. Exact SDP evaluation is out of scope by design.
+maximum). Every upper end, each Markovian strength included, is one
+feasible point sigma = R^-2 of Watrous's dual SDP, checked by an eigenvalue
+test and rounded outward in one batched function, `_dual_bound`: R = I, and,
+while the interval is open, the roots of a certificate built from the
+ascent's own optimum. Exact SDP evaluation is out of scope by design.
 
 The ascent works on the Kraus stacks of both channels concatenated into one
 (K, d, d) array with a +1/-1 sign per operator, and on a batch of starts at
@@ -29,8 +28,9 @@ maximally entangled start runs first, then the Haar-random starts in batches
 sized by `_ASCENT_CHUNK_BYTES`. The starts then count one by one: a start that
 beats the best value while the interval is open is polished by fixed-point
 steps (`_polish`) and certified, and the search returns once the interval is
-closed, lower >= upper*(1 - ASCENT_TOL). A pair whose sigma = I bound, or
-whose first start's certificate, meets the first start costs one ascent.
+closed, lower >= top*(1 - ASCENT_TOL), top the upper end before rounding.
+A pair whose sigma = I bound, or whose first start's certificate, meets the
+first start costs one ascent.
 """
 
 from __future__ import annotations
@@ -190,36 +190,13 @@ def choi_matrix(ch: Channel) -> np.ndarray:
     reference copy. A Choi matrix over DIM_CAP is refused before it is built.
     """
     checked_dims(ch.dims * 2)
-    return _choi(ch.kraus)
-
-
-def _choi(kraus: np.ndarray) -> np.ndarray:
-    """The Choi matrix of a (K, d, d) Kraus stack, one outer product per operator."""
-    d = kraus.shape[-1]
-    j = np.zeros((d * d, d * d), dtype=np.complex128)
-    for k in kraus:
-        v = k.reshape(-1)  # (K ⊗ I) applied to sum_i |i>|i>
-        j += np.outer(v, v.conj())
-    return j
+    v = ch.kraus.reshape(len(ch.kraus), -1)  # row k: (K_k ⊗ I) applied to sum_i |i>|i>
+    return v.T @ v.conj()
 
 
 class DiamondInterval(NamedTuple):
     lower: float
     upper: float
-
-
-def _diamond_upper_from_delta(delta_j: np.ndarray) -> list[float]:
-    """Certified upper bounds: for each Choi difference dJ of the stack, the
-    largest eigenvalue of Tr_out |dJ|, capped at 2.
-
-    `delta_j` is a (B, d^2, d^2) stack of differences on (output ⊗ reference);
-    one batched eigh, matmul, partial trace and eigvalsh serve all B.
-    """
-    d = math.isqrt(delta_j.shape[-1])
-    w, u = np.linalg.eigh(delta_j)
-    abs_j = (u * np.abs(w)[:, None, :]) @ u.conj().swapaxes(1, 2)
-    reduced = np.einsum(abs_j.reshape(-1, d, d, d, d), [3, 0, 1, 0, 2], [3, 1, 2])
-    return [min(2.0, max(0.0, float(b))) for b in np.linalg.eigvalsh(reduced)[:, -1]]
 
 
 # Batch budget in bytes of one (B, d^2, d^2) complex array: B random starts of the
@@ -228,16 +205,53 @@ def _diamond_upper_from_delta(delta_j: np.ndarray) -> list[float]:
 _ASCENT_CHUNK_BYTES = 64 << 20
 
 # Relative-improvement stopping threshold of the ascent; the interval counts as
-# closed once lower >= upper * (1 - ASCENT_TOL).
+# closed once lower >= top * (1 - ASCENT_TOL), top the upper end before rounding,
+# since the rounding margin exceeds ASCENT_TOL * top at small distances.
 ASCENT_TOL = 1e-10
 
 # Fixed-point steps of `_polish`, and the regularisations eps of the certificate's
-# sigma = (rho + eps I)^-1 in `_dual_upper`; the smallest bound over them wins.
+# sigma = (rho + eps I)^-1; the smallest bound over them wins.
 _POLISH_STEPS = 4
-_CERT_EPS = (1e-4, 1e-6, 1e-8, 1e-10)
-# Roundoff margin of `_dual_upper`: c in c d^3 u (||Y||_F + 2d), u the unit roundoff.
+_CERT_EPS = np.array([1e-4, 1e-6, 1e-8, 1e-10])
+# Roundoff margin of `_dual_bound`: c in c d^3 u (||Y||_F + 2d), u the unit roundoff.
 _CERT_MARGIN = 4.0
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def _dual_bound(delta_j, roots=None):
+    """Certified upper bounds on the diamond distance from feasible points
+    of Watrous's dual SDP, and the same bounds before their rounding.
+
+    `delta_j` is a (B, d^2, d^2) stack of Choi differences dJ on (output ⊗
+    reference), or one (1, d^2, d^2) difference that all B roots share;
+    `roots` is a pair (R, R^-1) of (B, d, d) stacks of positive roots on the
+    reference factor, or None for R = I. With M = (I⊗R) dJ (I⊗R) and
+    Y = (I⊗R^-1) |M| (I⊗R^-1), Y ± dJ = (I⊗R^-1)(|M| ± M)(I⊗R^-1) ⪰ 0, so
+    top = lambda_max(Tr_out Y) bounds the diamond distance (the dual point
+    sigma = R^-2; R = I gives Y = |dJ|). The bound is rounded outward:
+    eta = max(0, -lambda_min(Y ∓ dJ)) makes Y + eta I feasible, adding d eta,
+    and the margin c d^3 u (||Y||_F + 2d), u the unit roundoff, covers the
+    error of those eigenvalues and of dJ itself, a difference of two Choi
+    matrices of norm at most d each. Returns (top, bound), two (B,) arrays;
+    the bound is capped at 2, and is exactly 0 where dJ is exactly zero.
+    """
+    d = math.isqrt(delta_j.shape[-1])
+    m = delta_j
+    if roots is not None:  # I ⊗ R and I ⊗ R^-1 for each R of the stack, (B, d^2, d^2) each
+        eye = np.eye(d)[:, None, :, None]
+        root, root_inv = ((eye * r[:, None, :, None, :]).reshape(-1, d * d, d * d) for r in roots)
+        m = root @ delta_j @ root
+    w, v = np.linalg.eigh(m)
+    y = (v * np.abs(w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    if roots is not None:
+        y = root_inv @ y @ root_inv
+    y = 0.5 * (y + y.conj().swapaxes(1, 2))
+    eta = np.maximum(0.0, -np.linalg.eigvalsh(np.stack([y - delta_j, y + delta_j]))[..., 0].min(0))
+    reduced = np.einsum(y.reshape(-1, d, d, d, d), [4, 0, 1, 0, 2], [4, 1, 2])  # Tr_out Y
+    top = np.linalg.eigvalsh(reduced)[:, -1]
+    margin = _CERT_MARGIN * d**3 * _UNIT_ROUNDOFF * (np.linalg.norm(y, axis=(1, 2)) + 2 * d)
+    bound = np.minimum(2.0, top + d * eta + margin)
+    return top, np.where(np.any(delta_j != 0, axis=(1, 2)), bound, 0.0)
 
 
 def _objective(kraus, signs, psi):
@@ -326,39 +340,19 @@ def _polish(kraus, signs, psi, f):
     return psi, f
 
 
-def _dual_upper(delta_j, psi):
-    """Certified upper bound from the dual point built on the start `psi`.
-
-    With T = Psi^T (Psi the d x d input x reference array of psi), the output
-    is X(psi) = (I⊗T) dJ (I⊗T^dag); rho = T^dag T is psi's reduced state on
-    the input, transposed onto dJ's reference factor. Each eps of `_CERT_EPS` gives
-    R = (rho + eps I)^1/2, M = (I⊗R) dJ (I⊗R) and Y = (I⊗R^-1) |M| (I⊗R^-1).
-    Then Y ± dJ = (I⊗R^-1)(|M| ± M)(I⊗R^-1) ⪰ 0, so lambda_max(Tr_out Y)
-    bounds the diamond distance (Watrous's dual SDP with sigma =
-    (rho + eps I)^-1); it is tight as eps -> 0 when psi is optimal with
-    full-rank rho. The bound is rounded outward: eta =
-    max(0, -lambda_min(Y ∓ dJ)) makes Y + eta I feasible, adding d eta, and
-    the margin c d^3 u (||Y||_F + 2d), u the unit roundoff, covers the error
-    of those eigenvalues and of dJ itself, a difference of two Choi matrices
-    of norm at most d each. Returns the smallest bound over eps.
+def _cert_roots(psi):
+    """Roots (R, R^-1) of the certificate on the start `psi`, one per eps of
+    `_CERT_EPS`: with T = Psi^T (Psi the d x d input x reference array of
+    psi), the output is X(psi) = (I⊗T) dJ (I⊗T^dag), rho = T^dag T is psi's
+    reduced state transposed onto dJ's reference factor, and R =
+    (rho + eps I)^1/2. The dual point sigma = (rho + eps I)^-1 is tight as
+    eps -> 0 when psi is optimal with full-rank rho.
     """
-    d = math.isqrt(len(delta_j))
+    d = math.isqrt(len(psi))
     t = psi.reshape(d, d).T
     w, u = np.linalg.eigh(t.conj().T @ t)
-    eye = np.eye(d)
-    bounds = []
-    for eps in _CERT_EPS:
-        root = np.sqrt(np.maximum(w, 0.0) + eps)
-        r = np.kron(eye, (u * root) @ u.conj().T)
-        r_inv = np.kron(eye, (u / root) @ u.conj().T)
-        mw, mv = np.linalg.eigh(r @ delta_j @ r)
-        y = r_inv @ ((mv * np.abs(mw)) @ mv.conj().T) @ r_inv
-        y = 0.5 * (y + y.conj().T)
-        eta = max(0.0, -np.linalg.eigvalsh(y - delta_j)[0], -np.linalg.eigvalsh(y + delta_j)[0])
-        top = np.linalg.eigvalsh(np.einsum(y.reshape(d, d, d, d), [0, 1, 0, 2], [1, 2]))[-1]
-        margin = _CERT_MARGIN * d**3 * _UNIT_ROUNDOFF * (np.linalg.norm(y) + 2 * d)
-        bounds.append(float(top + d * eta + margin))
-    return min(bounds)
+    root = np.sqrt(np.maximum(w, 0.0) + _CERT_EPS[:, None])[:, None, :]
+    return (u * root) @ u.conj().T, (u / root) @ u.conj().T
 
 
 def _haar_start(seed: int, i: int, d: int) -> np.ndarray:
@@ -386,14 +380,14 @@ def diamond_distance(
         `_ASCENT_CHUNK_BYTES // (16 d^4)` starts. The upper end starts as
         the sigma = I bound. While the interval is open, each start that
         beats the best value so far, the first one included, is polished
-        (`_polish`: no step lowers its value) and certified (`_dual_upper`:
-        the dual point sigma = (rho + eps I)^-1 built from its reduced state
-        rho, rounded outward by its eigenvalue check and a roundoff margin),
-        and the upper end becomes the smaller bound. The search returns as
-        soon as the interval is closed, `lower >= upper * (1 - ASCENT_TOL)`,
-        checked before each start counts, so an interval that the first
-        start closes costs one ascent; the starts count in order, so the
-        result does not depend on the batch size.
+        (`_polish`: no step lowers its value) and certified: the dual points
+        sigma = (rho + eps I)^-1 from its reduced state rho (`_cert_roots`)
+        go to `_dual_bound` as one stack, and the upper end becomes the
+        smallest rounded bound. The search returns as soon as the interval
+        is closed, `lower >= top * (1 - ASCENT_TOL)`, top the smallest bound
+        before rounding, checked before each start counts, so an interval
+        that the first start closes costs one ascent; the starts count in
+        order, so the result does not depend on the batch size.
     seed : int
         Seeds the random restarts; fixed seed makes the result reproducible.
 
@@ -407,9 +401,9 @@ def diamond_distance(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     d = a.dim
-    delta_j = choi_matrix(a) - choi_matrix(b)
-    (upper,) = _diamond_upper_from_delta(delta_j[None])
-    if upper <= 1e-14:
+    delta_j = (choi_matrix(a) - choi_matrix(b))[None]
+    top, upper = (float(x[0]) for x in _dual_bound(delta_j))
+    if upper == 0.0:  # the Choi matrices are equal
         return DiamondInterval(0.0, 0.0)
     kraus = np.concatenate([a.kraus, b.kraus])
     signs = np.repeat([1.0, -1.0], [len(a.kraus), len(b.kraus)])
@@ -418,7 +412,7 @@ def diamond_distance(
     best = -math.inf
 
     def is_open() -> bool:
-        return best < upper * (1.0 - ASCENT_TOL)
+        return best < top * (1.0 - ASCENT_TOL)
 
     def batches():  # the entangled start alone, then the Haar starts in chunks
         yield entangled
@@ -434,7 +428,8 @@ def diamond_distance(
                 best = float(value)
                 if is_open():
                     start, best = _polish(kraus, signs, start, best)
-                    upper = min(upper, _dual_upper(delta_j, start))
+                    tops, bounds = _dual_bound(delta_j, _cert_roots(start))
+                    top, upper = min(top, float(tops.min())), min(upper, float(bounds.min()))
         if not is_open():  # before the next batch's starts are drawn
             break
     return DiamondInterval(min(best, upper), upper)
@@ -535,20 +530,19 @@ def make_noise_channel(spec: NoiseSpec, support: Sequence[int] | None = None) ->
 def strength_markovian(noisy: Channel, ideal: Channel) -> float:
     """Certified noise strength of a noisy location against its ideal.
 
-    The spectral upper bound on the diamond distance between the two
-    channels, which must share dims and support. It equals the strength of
-    the noise factor noisy ∘ ideal^-1 against the identity when the ideal is
-    unitary: composing with a unitary on the input conjugates the Choi
-    difference by a unitary on the reference factor, which keeps the
-    spectrum of Tr_out |dJ|.
+    The sigma = I bound of `_dual_bound`, rounded outward, on the diamond
+    distance of the two channels, which must share dims and support. Up to
+    its rounding it equals the strength of the noise factor noisy ∘ ideal^-1
+    against the identity when the ideal is unitary: composing with a unitary
+    on the input conjugates the Choi difference by a unitary on the
+    reference factor, which keeps the spectrum of Tr_out |dJ|.
 
     Returns the certified upper end of the diamond interval, so every
     downstream inequality of the form delta <= L * eps stays valid.
     """
     if noisy.dims != ideal.dims or noisy.support != ideal.support:
         raise ValueError("channels must share dims and support")
-    (bound,) = _diamond_upper_from_delta((choi_matrix(noisy) - choi_matrix(ideal))[None])
-    return bound
+    return float(_dual_bound((choi_matrix(noisy) - choi_matrix(ideal))[None])[1][0])
 
 
 def noise_strengths(noise: Sequence[Channel]) -> list[float]:
@@ -566,13 +560,14 @@ def noise_strengths(noise: Sequence[Channel]) -> list[float]:
         by_dim.setdefault(ch.dim, []).append(i)
     for d, members in by_dim.items():
         checked_dims(noise[members[0]].dims * 2)  # refused before the identity's Choi is built
-        ideal = _choi(np.eye(d, dtype=np.complex128)[None])
+        vec_eye = np.eye(d, dtype=np.complex128).reshape(1, -1)
+        ideal = vec_eye.T @ vec_eye  # as `choi_matrix` builds it for the identity
         chunk = max(1, _ASCENT_CHUNK_BYTES // (16 * d**4))
         for first in range(0, len(members), chunk):
             part = members[first : first + chunk]
             deltas = np.stack([choi_matrix(noise[i]) for i in part]) - ideal
-            for i, bound in zip(part, _diamond_upper_from_delta(deltas)):
-                out[i] = bound
+            for i, bound in zip(part, _dual_bound(deltas)[1]):
+                out[i] = float(bound)
     return out
 
 

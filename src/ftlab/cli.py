@@ -492,10 +492,11 @@ def circuit_from_json(obj: Mapping) -> Circuit:
             raise ValueError(f"unknown location kind {kind!r}")
         _unread(entry, name, "kind", "support", "step", "condition", *_PAYLOADS[kind])
         support = _param(entry, "support", int, each=True)
+        condition = _param(entry, "condition", int, None, each=True)
         if kind == "prep":
             loc = Location.prep(index, step, support, _state_from_json(entry["state"]))
         elif kind == "gate":
-            loc = Location.gate_on(index, step, support, gate_from_json(entry["gate"]))
+            loc = Location.gate_on(index, step, support, gate_from_json(entry["gate"]), condition)
         elif kind == "measure":
             projs = entry.get("projectors")
             if projs is not None:
@@ -503,7 +504,9 @@ def circuit_from_json(obj: Mapping) -> Circuit:
             loc = Location.measure(index, step, support, projs)
         else:
             loc = Location.wait(index, step, support)
-        locs.append(replace(loc, condition=_param(entry, "condition", int, None, each=True)))
+        if condition is not None and kind != "gate":  # kept for the circuit check to refuse
+            loc = replace(loc, condition=condition)
+        locs.append(loc)
     fm = _param(obj, "final_measure", int, None, each=True)
     return Circuit(n_system, tuple(locs), range(n_system) if fm is None else fm)
 

@@ -53,12 +53,29 @@ def renormalize_strength(eps_prev: float, p: SchemeParams) -> float:
         return math.inf
 
 
+def _log_comb(n: int, k: int) -> float:
+    """log C(n, k) by Stirling's series for log n! - log m!, m = n - min(k, n - k),
+    arranged so that nothing cancels when n >> k, where lgamma(n + 1) - lgamma(m + 1)
+    loses every digit; within a few ulps once m >= 64, as for any C of over 2^16 bits."""
+    k = min(k, n - k)
+    m = n - k
+    tail = lambda x: (1.0 - 1.0 / (30.0 * x * x)) / (12.0 * x)  # Stirling's 1/x and 1/x^3 terms
+    return ((m + 0.5) * math.log1p(k / m) + k * math.log(n) - k + tail(float(n)) - tail(float(m))
+            - math.lgamma(k + 1))
+
+
 def threshold_value(p: SchemeParams) -> float:
-    """Fixed point (xi * C(L0, t+1))^(-1/t) of the renormalization map."""
-    try:
-        return (p.xi * p.combinations) ** (-1.0 / p.t)
-    except OverflowError:  # the product overflows a float: take it in log space
-        return math.exp(-(math.log(p.xi) + math.log(p.combinations)) / p.t)
+    """Fixed point (xi * C(L0, t+1))^(-1/t) of the renormalization map; C is
+    exact, and computed once, unless it has more than 2^16 bits (an exact C of
+    10^7 bits takes seconds): its log then comes from `_log_comb`."""
+    log_c = _log_comb(p.L0, p.t + 1)
+    if log_c <= 2**16 * math.log(2):
+        c = p.combinations
+        try:
+            return (p.xi * c) ** (-1.0 / p.t)
+        except OverflowError:  # the product overflows a float: take it in log space
+            log_c = math.log(c)
+    return math.exp(-(math.log(p.xi) + log_c) / p.t)
 
 
 def strength_at_level(eps: float, k: int, p: SchemeParams) -> float:

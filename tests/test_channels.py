@@ -358,10 +358,14 @@ def test_diamond_interval_independent_of_chunk_size(monkeypatch):
 
 
 def test_diamond_closed_interval_runs_first_start_only(monkeypatch):
+    # the small distances close too: closure compares with the bound before its
+    # rounding margin, which exceeds ASCENT_TOL times a distance below about 1e-5
     ident = Channel.identity(qubit_dims(1))
     cases = [
         (make_noise_channel(NoiseSpec.probabilistic(0.1, SIGMA_X)), ident),
         noisy_cnot(NoiseSpec.depolarizing(0.05)),
+        (make_noise_channel(NoiseSpec.probabilistic(1e-5, SIGMA_X)), ident),
+        (make_noise_channel(NoiseSpec.control_rotation(1e-4)), ident),
     ]
     for a, b in cases:
         rows = count_objective_rows(monkeypatch)
@@ -386,7 +390,8 @@ def test_diamond_open_interval_runs_every_restart(monkeypatch):
 
 
 def sigma_identity_bound(a, b):
-    return channels._diamond_upper_from_delta((choi_matrix(a) - choi_matrix(b))[None])[0]
+    """The rounded R = I member of the dual bound: the sigma = I upper end."""
+    return channels._dual_bound((choi_matrix(a) - choi_matrix(b))[None])[1][0]
 
 
 def test_diamond_certificate_closes_after_first_start(monkeypatch):
@@ -409,11 +414,34 @@ def test_diamond_upper_never_under_reports():
         ad = make_noise_channel(NoiseSpec.amplitude_damping(t0, 1.0))
         assert diamond_distance(ad, ident).upper >= -2.0 * math.expm1(-t0), t0
     # the entangled start is optimal for a bit flip; its certificate is never below 2p
-    entangled = np.eye(2, dtype=np.complex128).reshape(-1) / math.sqrt(2)
+    roots = channels._cert_roots(np.eye(2, dtype=np.complex128).reshape(-1) / math.sqrt(2))
     for p in np.linspace(0.0, 1.0, 401)[1:]:
         flip = make_noise_channel(NoiseSpec.probabilistic(p, SIGMA_X))
         delta_j = choi_matrix(flip) - choi_matrix(ident)
-        assert channels._dual_upper(delta_j, entangled) >= 2.0 * p, p
+        assert channels._dual_bound(delta_j[None], roots)[1].min() >= 2.0 * p, p
+
+
+def test_upper_ends_never_under_report_on_exact_channels():
+    # bit flips at distance 2p and Z rotations exp(i th Z) at 2|sin th|: every
+    # strength and diamond upper end is rounded outward, the sigma = I ones included
+    rng = np.random.default_rng(0)
+    ident = Channel.identity(qubit_dims(1))
+    flips = [(NoiseSpec.probabilistic(p, SIGMA_X), 2.0 * p) for p in rng.uniform(0.0, 1.0, 2000)]
+    turns = rng.uniform(-math.pi / 2, math.pi / 2, 2000)
+    rotations = [(NoiseSpec.control_rotation(th), 2.0 * abs(math.sin(th))) for th in turns]
+    for cases in (flips, rotations):
+        noise = [make_noise_channel(spec) for spec, _ in cases]
+        batched = noise_strengths(noise)
+        for ch, (spec, exact), eps in zip(noise, cases, batched):
+            assert eps >= exact and strength_markovian(ch, ident) >= exact, spec
+            assert diamond_distance(ch, ident).upper >= exact, spec
+
+
+def test_diamond_tiny_distance_is_not_rounded_to_zero():
+    ident = Channel.identity(qubit_dims(1))
+    flip = make_noise_channel(NoiseSpec.probabilistic(3e-15, SIGMA_X))
+    assert diamond_distance(flip, ident).upper >= 6e-15
+    assert strength_markovian(flip, ident) >= 6e-15
 
 
 def test_diamond_upper_within_sigma_identity_bound_and_above_search():

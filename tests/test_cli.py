@@ -318,6 +318,25 @@ def _conditioned_measure(condition):
     }
 
 
+def test_circuit_from_json_builds_each_location_once(monkeypatch):
+    # a conditioned gate takes its condition at construction, not by a second copy
+    built = []
+    real = ftlab.Location.__post_init__
+
+    def counted(self):
+        built.append(self.index)
+        real(self)
+
+    monkeypatch.setattr(ftlab.Location, "__post_init__", counted)
+    obj = _conditioned_x([1, 0])
+    obj["locations"] = [{"kind": "prep", "support": [1], "state": "+"}, *obj["locations"]]
+    obj["locations"][2]["condition"] = [2, 1]
+    obj["locations"].append({"kind": "identity", "support": [0]})
+    c = cli.circuit_from_json(obj)
+    assert c.locations[2].condition == (2, 1)
+    assert built == [1, 2, 3, 4]
+
+
 def _couplings(*entry):
     """A unitary_couplings config whose 2 x 2 matrix starts with `entry`."""
     return {"evaluator": "unitary_couplings", "couplings": [[list(entry), [0, 0], [0, 0], [1, 0]]]}

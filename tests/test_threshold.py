@@ -1,12 +1,15 @@
 import ast
+import json
 import math
 import pathlib
+import time
 
 import numpy as np
 import pytest
 
 import ftlab
 import ftlab.threshold
+from ftlab.cli import main
 from ftlab.gadgets import level1_failure_exact
 from ftlab.threshold import (
     SchemeParams,
@@ -56,6 +59,53 @@ def test_threshold_value():
     )
     values = [threshold_value(SchemeParams(l0, 1)) for l0 in range(3, 40)]
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def exact_threshold_value(p):
+    """(xi * C(L0, t+1))^(-1/t) from the exact C, in log space once the product
+    overflows a float: the formula for every C of at most 2^16 bits."""
+    c = math.comb(p.L0, p.t + 1)
+    try:
+        return (p.xi * c) ** (-1.0 / p.t)
+    except OverflowError:
+        return math.exp(-(math.log(p.xi) + math.log(c)) / p.t)
+
+
+def test_threshold_value_is_exact_up_to_two_to_the_sixteen_bits():
+    # small schemes, and C past float range (the log-space branch) up to 2^16 bits
+    grid = [(l0, t) for l0 in range(2, 41) for t in range(1, l0)]
+    grid += [(l0, t) for l0 in (100, 1000, 10**4, 10**6, 10**9, 10**15) for t in (1, 2, 5, 50)]
+    grid += [(1000, 499), (1000, 500), (5000, 2000), (10**6, 200), (10**5, 5900)]
+    for l0, t in grid:
+        assert math.comb(l0, t + 1).bit_length() <= 2**16
+        for xi in (1.0, math.e, 7.5):
+            p = SchemeParams(l0, t, xi)
+            assert threshold_value(p) == exact_threshold_value(p), (l0, t, xi)
+
+
+def test_log_comb_keeps_its_digits_where_lgamma_cancels():
+    # lgamma(n + 1) - lgamma(n - k + 1) loses every digit once n >> k
+    for n, k in [(9 * 10**15, 1601), (10**30, 3001), (10**300, 100), (10**5, 6000), (200, 100)]:
+        assert ftlab.threshold._log_comb(n, k) == pytest.approx(
+            math.log(math.comb(n, k)), rel=1e-14, abs=0
+        )
+
+
+@pytest.mark.parametrize("L0, t", [(10**6, 4 * 10**5), (10**8, 5 * 10**7)])
+def test_threshold_of_huge_scheme_constants_answers_within_a_second(
+    tmp_path, capsysbinary, L0, t
+):
+    # C(L0, t+1) has 970,941 and 10^8 bits: its log comes from Stirling's series
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"command": "threshold", "params": {"L0": L0, "t": t}}))
+    start = time.perf_counter()
+    code = main(["threshold", "--config", str(cfg)])
+    elapsed = time.perf_counter() - start
+    out = capsysbinary.readouterr().out
+    assert code == 0 and elapsed < 1.0, elapsed
+    log_c = math.lgamma(L0 + 1) - math.lgamma(t + 2) - math.lgamma(L0 - t)  # L0 / t is small
+    want = math.exp(-(1.0 + log_c) / t)
+    assert json.loads(out)["results"]["eps0"] == pytest.approx(want, rel=1e-13)
 
 
 def test_strength_at_level_examples():
